@@ -73,40 +73,40 @@ def gate(kind: GateKind | str, *operands, condition: int | None = None, tags: It
 
 
 class Schedule:
-    """Ordered moments of gates; supports within a moment are pairwise disjoint."""
+    """Ordered moments of gates; supports within a moment are pairwise disjoint.
+
+    ``moments`` is read-only to callers: ``append`` and ``extend_moment`` keep
+    ``_last``, the index of the last moment touching each wire, current.
+    """
 
     def __init__(self, moments: Iterable[Iterable[Gate]] = ()):
         self.moments: list[list[Gate]] = []
+        self._last: dict[Hashable, int] = {}
         for m in moments:
-            self.moments.append([])
-            for g in m:
-                self._add_to_moment(len(self.moments) - 1, g)
+            self.extend_moment(m)
 
     def _add_to_moment(self, idx: int, g: Gate) -> None:
-        used = set()
-        for other in self.moments[idx]:
-            used |= other.support
-        if used & g.support:
-            raise ValueError(f"overlapping support in moment {idx}: {g}")
+        # exact: callers add to the last moment or past every operand's last use
+        last = self._last
+        for q in g.operands:
+            if last.get(q) == idx:
+                raise ValueError(f"overlapping support in moment {idx}: {g}")
         self.moments[idx].append(g)
+        for q in g.operands:
+            last[q] = idx
 
     def append(self, g: Gate, mode: str = "earliest-fit") -> "Schedule":
         """Add a gate. ``new-moment`` opens a fresh moment; ``earliest-fit``
         lands in the first moment after the last one touching its operands."""
         if mode not in ("new-moment", "earliest-fit"):
             raise ValueError(f"unknown append mode {mode!r}")
-        if mode == "new-moment" or not self.moments:
-            self.moments.append([g])
-            return self
-        last = -1
-        for i, m in enumerate(self.moments):
-            if any(other.support & g.support for other in m):
-                last = i
-        target = last + 1
-        if target >= len(self.moments):
-            self.moments.append([g])
+        if mode == "new-moment":
+            target = len(self.moments)
         else:
-            self._add_to_moment(target, g)
+            target = max(self._last.get(q, -1) for q in g.operands) + 1
+        if target == len(self.moments):
+            self.moments.append([])
+        self._add_to_moment(target, g)
         return self
 
     def extend_moment(self, gates: Iterable[Gate]) -> None:
@@ -171,15 +171,15 @@ class Schedule:
         payload = json.loads(text)
         sched = cls()
         for m in payload["moments"]:
-            sched.moments.append([])
-            for item in m:
-                g = Gate(
+            sched.extend_moment(
+                Gate(
                     GateKind(item["kind"]),
                     tuple(cls._decode_operand(v) for v in item["operands"]),
                     item.get("condition"),
                     frozenset(item.get("tags", ())),
                 )
-                sched._add_to_moment(len(sched.moments) - 1, g)
+                for item in m
+            )
         return sched
 
 
@@ -217,7 +217,7 @@ POLICIES: dict[str, DepthPolicy] = {
 def depth(schedule: Schedule, policy: DepthPolicy = POLICIES["strict"]) -> int:
     """Weighted critical-path length of the schedule under the given policy.
 
-    Gates are re-packed as早 as the per-wire order from the moment sequence
+    Gates are re-packed as early as the per-wire order from the moment sequence
     allows. Under ``merge_shared_control`` a wire acting as CNOT control is
     read-only: controls of different CNOTs may overlap in time.
     """

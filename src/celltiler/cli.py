@@ -35,6 +35,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+WIDTH_HELP = "operand width, n <= 10 (the queues overflow the tower above 10)"
+
 DECOMPS = {
     "ccz_tdepth1": (decomp.ccz_tdepth1, "ccz", ("a", "b", "c"), "CCZ"),
     "toffoli_tdepth2": (decomp.toffoli_tdepth2, "toffoli", ("a", "b", "t"), "Toffoli"),
@@ -195,12 +197,12 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("build", help="build a multiplier layout")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=WIDTH_HELP)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("schedule", help="emit the multiplier schedule and metrics")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=WIDTH_HELP)
     p.add_argument("--optimize-toffoli-depth", action="store_true")
     p.add_argument("--lower-clifford-t", action="store_true")
     p.add_argument("--timeline", action="store_true")
@@ -208,17 +210,17 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_schedule)
 
     p = sub.add_parser("verify", help="verify a multiplier width or decomposition")
-    p.add_argument("target")
+    p.add_argument("target", help="operand width n <= 4 (checked exhaustively) or a decomposition")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("compare", help="tiled vs greedy-routed SWAP metrics")
-    p.add_argument("nmin", type=int)
-    p.add_argument("nmax", type=int)
+    p.add_argument("nmin", type=int, help="smallest operand width, >= 2")
+    p.add_argument("nmax", type=int, help=WIDTH_HELP)
     p.add_argument("--csv", default=None)
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("ls", help="extract a lattice-surgery program")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=WIDTH_HELP)
     p.add_argument("mode", choices=["2d", "3d"])
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_ls)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 
@@ -15,6 +16,9 @@ class Site(NamedTuple):
 
     def manhattan(self, other: "Site") -> int:
         return abs(self.x - other.x) + abs(self.y - other.y) + abs(self.z - other.z)
+
+
+_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -51,14 +55,20 @@ class Lattice:
             raise ValueError(f"site {tuple(site)} outside lattice {self.dims}")
         return site
 
+    @cached_property
+    def _neighbour_table(self) -> dict[Site, tuple[Site, ...]]:
+        table = {}
+        for s in self.sites():
+            cands = (Site(s.x + dx, s.y + dy, s.z + dz) for dx, dy, dz in _STEPS)
+            table[s] = tuple(c for c in cands if c in self)
+        return table
+
     def neighbours(self, site: Site) -> list[Site]:
-        self.check(site)
-        out = []
-        for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-            cand = Site(site.x + dx, site.y + dy, site.z + dz)
-            if cand in self:
-                out.append(cand)
-        return out
+        """In-lattice nearest neighbours in axis order +x, -x, +y, -y, +z, -z."""
+        nbs = self._neighbour_table.get(site)
+        if nbs is None:
+            self.check(site)
+        return list(nbs)
 
     def edge_count(self) -> int:
         def links(n: int) -> int:

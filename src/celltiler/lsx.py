@@ -19,7 +19,6 @@ class ModeError(Exception):
 
 # instruction kinds
 INIT_PLUS = "init_plus"
-INIT_ZERO = "init_zero"
 MERGE_ZZ = "merge_split_zz"
 MERGE_XX = "merge_split_xx"
 MEASURE_Z = "measure_z"
@@ -28,10 +27,7 @@ TRANSVERSAL = "transversal_cnot"
 ROTATE = "patch_rotate"
 OP = "op"  # opaque single-patch operation (T, H, S, X, ...)
 
-# two-qubit groupings validated against the per-patch parallel bounds
-LS_KINDS = (INIT_PLUS, MERGE_ZZ, MERGE_XX, MEASURE_X)
-RIDING_OPS = ("h", "s", "sdag", "x", "mx", "mz")  # merge into a neighbour step
-STEPPING_OPS = ("t", "tdag")  # occupy a step of their own
+RIDING_OPS = ("h", "s", "sdag", "x", "mx", "mz")  # no step time; see extract_ls
 
 
 @dataclass(frozen=True)
@@ -95,8 +91,7 @@ def _patch_name(label: Hashable) -> str:
 
 
 class _Extractor:
-    def __init__(self, mode: str, bound_ls: int):
-        self.mode = mode
+    def __init__(self, bound_ls: int):
         self.bound_ls = bound_ls
         self.program = LSProgram()
         self.hard_avail: dict[str, int] = {}  # first step a new instance may use
@@ -191,12 +186,17 @@ def extract_ls(
     sites become transversal CNOTs instead. T gates occupy a step of their
     own; other single-patch gates ride along. Patch rotations are inserted
     when a reused patch must present its other boundary type.
+
+    Riding ops (``RIDING_OPS``) take no step time: each joins the latest step
+    that uses its patch so far (step 0 if none). A step's instruction list is
+    its execution order, so a riding op acts after the instructions listed
+    before it and before those listed after it.
     """
     if mode not in ("2d", "3d"):
         raise ModeError(f"unknown mode {mode!r}")
     if mode == "2d" and layout is not None and layout.lattice.dimensionality != 2:
         raise ModeError("2d extraction requires a planar layout")
-    ex = _Extractor(mode, bound_ls=2)
+    ex = _Extractor(bound_ls=2)
 
     def site_of(label: Hashable) -> Site | None:
         if isinstance(label, Site):

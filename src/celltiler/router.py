@@ -22,18 +22,20 @@ def _bfs_path(lattice: Lattice, src: Site, goals: set[Site], forbidden: set[Site
     forbidden sites."""
     if src in goals:
         return [src]
-    seen = {src}
-    queue = deque([(src, [src])])
+    parent: dict[Site, Site | None] = {src: None}
+    queue = deque([src])
     while queue:
-        cur, path = queue.popleft()
+        cur = queue.popleft()
         for nb in sorted(lattice.neighbours(cur)):
-            if nb in seen or nb in forbidden:
+            if nb in parent or nb in forbidden:
                 continue
-            new_path = path + [nb]
+            parent[nb] = cur
             if nb in goals:
-                return new_path
-            seen.add(nb)
-            queue.append((nb, new_path))
+                path = [nb]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            queue.append(nb)
     raise RoutingError(f"no route from {tuple(src)} to any goal")
 
 

@@ -103,7 +103,7 @@ class _Board:
     def end(self) -> None:
         assert self._moment is not None
         if self._moment:
-            self.sched.moments.append(self._moment)
+            self.sched.extend_moment(self._moment)
             if self._moment_counts:
                 self.swap_moments += 1
         self._moment = None
@@ -518,7 +518,8 @@ def full_multiplier_schedule(
     total = Schedule()
 
     def absorb(sched: Schedule) -> None:
-        total.moments.extend(sched.moments)
+        for m in sched.moments:
+            total.extend_moment(m)
 
     step, mapping = toffoli_step(layout, mapping, spec, optimize_depth=optimize_toffoli_depth)
     absorb(step)

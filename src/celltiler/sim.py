@@ -14,8 +14,6 @@ from celltiler.circuit import Gate, GateKind, Schedule
 MAX_WIRES = 14
 _NORM_TOL = 1e-9
 
-CLASSICAL_KINDS = {GateKind.X, GateKind.CNOT, GateKind.TOFFOLI, GateKind.SWAP}
-
 
 class UnsupportedGateError(Exception):
     """The classical oracle met a non-classical gate."""

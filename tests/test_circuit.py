@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from celltiler import decomp
 from celltiler.circuit import (
+    ARITY,
     POLICIES,
     Gate,
     GateKind,
@@ -13,6 +16,7 @@ from celltiler.circuit import (
     swap_metrics,
     t_metrics,
 )
+from celltiler.lattice import Site
 
 K = GateKind
 
@@ -182,3 +186,82 @@ def test_json_roundtrip_sites():
     sched, _ = full_multiplier_schedule(1)
     again = Schedule.from_json(sched.to_json())
     assert sched.to_json() == again.to_json()
+
+
+# --- packing against the linear-scan oracle ------------------------------
+
+WIRES = ("q0", "q1", "q2", "q3", Site(0, 0, 0), Site(0, 0, 1))
+PACK_KINDS = (K.H, K.T, K.CNOT, K.SWAP, K.TOFFOLI)
+
+gates_st = st.sampled_from(PACK_KINDS).flatmap(
+    lambda kind: st.permutations(WIRES).map(lambda ws: Gate(kind, tuple(ws[: ARITY[kind]])))
+)
+ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("new-moment"), gates_st),
+        st.tuples(st.just("earliest-fit"), gates_st),
+        st.tuples(st.just("extend"), st.lists(gates_st, max_size=4)),
+        st.tuples(st.just("roundtrip"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+def _disjoint(gates):
+    """Keep the gates whose supports do not meet an earlier kept gate's."""
+    kept, used = [], set()
+    for g in gates:
+        if not used & g.support:
+            kept.append(g)
+            used |= g.support
+    return kept
+
+
+def _reference_pack(ops):
+    """Linear-scan packer: earliest-fit rescans every moment for each gate."""
+    moments = []
+    for op, arg in ops:
+        if op == "new-moment" or (op == "earliest-fit" and not moments):
+            moments.append([arg])
+        elif op == "earliest-fit":
+            last = -1
+            for i, m in enumerate(moments):
+                if any(other.support & arg.support for other in m):
+                    last = i
+            if last + 1 == len(moments):
+                moments.append([arg])
+            else:
+                moments[last + 1].append(arg)
+        elif op == "extend":
+            moments.append(_disjoint(arg))
+    return moments
+
+
+@given(ops_st)
+def test_packing_matches_linear_scan(ops):
+    s = Schedule()
+    for op, arg in ops:
+        if op == "extend":
+            s.extend_moment(_disjoint(arg))
+        elif op == "roundtrip":
+            s = Schedule.from_json(s.to_json())
+        else:
+            s.append(arg, mode=op)
+    assert s.moments == _reference_pack(ops)
+    assert Schedule(s.moments).moments == s.moments
+
+
+def test_overlap_rejected_by_every_builder():
+    clash = [gate(K.H, "a"), gate(K.CNOT, "b", "a")]
+    with pytest.raises(ValueError, match="overlapping support"):
+        Schedule([[gate(K.X, "a")], clash])
+    s = Schedule()
+    s.append(gate(K.H, "a"))
+    with pytest.raises(ValueError, match="overlapping support"):
+        s.extend_moment(clash)
+    text = json.dumps({"moments": [[
+        {"kind": "h", "operands": [[0, 0, 1]], "condition": None, "tags": []},
+        {"kind": "cnot", "operands": ["b", [0, 0, 1]], "condition": None, "tags": []},
+    ]]})
+    with pytest.raises(ValueError, match="overlapping support"):
+        Schedule.from_json(text)

@@ -91,3 +91,13 @@ def test_deterministic_outputs(tmp_path):
     main(["schedule", "2", "--out", str(a)])
     main(["schedule", "2", "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize(
+    "cmd, limit",
+    [("build", "n <= 10"), ("schedule", "n <= 10"), ("ls", "n <= 10"),
+     ("compare", "<= 10"), ("verify", "n <= 4")],
+)
+def test_help_states_width_limit(cmd, limit, capsys):
+    assert main([cmd, "-h"]) == 0
+    assert limit in " ".join(capsys.readouterr().out.split())

@@ -73,3 +73,31 @@ def test_interior_neighbour_counts():
     assert len(lat3.neighbours(Site(1, 1, 1))) == 6
     lat2 = grid(3, 3)
     assert len(lat2.neighbours(Site(1, 1, 0))) == 4
+
+
+def _axis_order_neighbours(lat, s):
+    steps = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    cands = (Site(s.x + dx, s.y + dy, s.z + dz) for dx, dy, dz in steps)
+    return [c for c in cands if c in lat]
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3), (2, 3, 5), (3, 3, 3), (4, 1, 2)])
+def test_neighbours_axis_order(dims):
+    lat = grid(*dims)
+    for s in lat.sites():
+        assert lat.neighbours(s) == _axis_order_neighbours(lat, s)
+
+
+def test_neighbours_rejects_outside_site():
+    lat = grid(2, 3, 4)
+    for s in (Site(2, 0, 0), Site(0, -1, 0), Site(0, 0, 4)):
+        with pytest.raises(ValueError):
+            lat.neighbours(s)
+
+
+def test_neighbours_returns_a_copy():
+    lat = grid(3, 3, 3)
+    got = lat.neighbours(Site(1, 1, 1))
+    got.clear()
+    got.append(Site(0, 0, 0))
+    assert lat.neighbours(Site(1, 1, 1)) == _axis_order_neighbours(lat, Site(1, 1, 1))

@@ -9,6 +9,7 @@ from celltiler.lsx import (
     MEASURE_X,
     MERGE_XX,
     MERGE_ZZ,
+    OP,
     TRANSVERSAL,
     ModeError,
     extract_ls,
@@ -96,6 +97,26 @@ def test_cube_toffoli_packs_to_depth_three():
     assert prog.transversal_count == 2 * len(sticks)
     assert prog.cnot_count() == circ.count(K.CNOT)
     assert validate_ls(prog, "3d").ok
+
+
+def test_cube_toffoli_riding_h_order():
+    # the H pair on the target rides in steps 0 and 2; depth three holds only
+    # because each is ordered within its step against every use of patch c
+    prog = extract_ls(
+        decomp.toffoli_cube_circuit(), None, "3d", site_map=decomp.ccz_cube_assignment()
+    )
+
+    def order(step):
+        on_c = [i for i, ins in enumerate(step) if "c" in ins.patches]
+        h = [i for i in on_c if step[i].kind == OP and step[i].label == "h"]
+        assert len(h) == 1
+        return h[0], [i for i in on_c if i != h[0]]
+
+    h0, others0 = order(prog.steps[0])
+    assert others0 and all(h0 < i for i in others0)
+    h2, others2 = order(prog.steps[2])
+    assert others2 and all(h2 > i for i in others2)
+    assert not any(ins.kind == OP and ins.label == "h" for ins in prog.steps[1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

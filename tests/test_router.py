@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from celltiler.circuit import Gate, GateKind, Schedule, gate, swap_metrics
 from celltiler.lattice import Site, grid
 from celltiler.router import (
+    CSV_HEADER,
     compare,
     compare_csv,
     greedy_route,
@@ -113,3 +116,33 @@ def test_compare_csv_format():
     lines = text.strip().splitlines()
     assert lines[0] == "n,tiled_swapC,tiled_swapD,routed_swapC,routed_swapD"
     assert lines[1].startswith("2,39,21,")
+
+
+# pinned outputs: the routed baseline's CSV and schedules are byte-stable
+GOLDEN_COMPARE_ROWS = """\
+2,39,21,48,29
+3,95,50,121,77
+4,171,87,229,152
+5,267,132,386,241
+6,383,185,520,343
+7,519,246,895,552
+8,675,315,1123,686
+"""
+
+GOLDEN_ROUTED_SHA256 = {
+    2: "1a01f14ddf88ec6e393b89e3938eeefb58783e00829c4d6b335ac52f627b5b17",
+    3: "d568b23b5dc8e79e33ed8a64f61c3e39c876fb28ea55f9264132b1a1198af764",
+    4: "8f795846d75b5c3cda5dcfaf3ee11ed97be357be6464d90d31d900ad24b89209",
+}
+
+
+def test_compare_csv_golden():
+    assert compare_csv(compare(range(2, 9))) == CSV_HEADER + "\n" + GOLDEN_COMPARE_ROWS
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_ROUTED_SHA256))
+def test_routed_schedule_golden(n):
+    routed, _ = greedy_route(
+        logical_multiplier_circuit(n), build_multiplier_layout(n).lattice, routing_mapping(n)
+    )
+    assert hashlib.sha256(routed.to_json().encode()).hexdigest() == GOLDEN_ROUTED_SHA256[n]
