@@ -5,9 +5,32 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator
 
 from celltiler.lattice import Site
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def json_scalar(v, level: int) -> str:
+    """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it at
+    nesting depth ``level`` of an enclosing document."""
+    if type(v) is str:
+        return _encode_str(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    if v is None:
+        return "null"
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+def json_list(items: list[str], level: int) -> str:
+    """An indented JSON list at nesting depth ``level`` of already-written items,
+    laid out as ``json.dumps(..., indent=2)`` lays it out; ``[]`` when empty."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * level + "]"
 
 
 class GateKind(Enum):
@@ -138,33 +161,43 @@ class Schedule:
     # --- JSON wire format -------------------------------------------------
 
     @staticmethod
-    def _encode_operand(q) -> Any:
-        if isinstance(q, Site):
-            return [q.x, q.y, q.z]
-        return q
-
-    @staticmethod
     def _decode_operand(v) -> Hashable:
         if isinstance(v, list):
             return Site(*v)
         return v
 
     def to_json(self) -> str:
-        payload = {
-            "moments": [
-                [
-                    {
-                        "kind": g.kind.value,
-                        "operands": [self._encode_operand(q) for q in g.operands],
-                        "condition": g.condition,
-                        "tags": sorted(g.tags),
-                    }
-                    for g in m
-                ]
-                for m in self.moments
-            ]
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        """The schedule as JSON text that ``from_json`` reads back.
+
+        The text is byte for byte what ``json.dumps(payload, indent=2,
+        sort_keys=True)`` writes for the payload ``{"moments": [[{"condition",
+        "kind", "operands", "tags"}, ...], ...]}``, a ``Site`` operand being
+        the list ``[x, y, z]`` and ``tags`` sorted.
+        """
+        sites: dict[Site, str] = {}
+
+        def operand(q) -> str:
+            if isinstance(q, Site):
+                text = sites.get(q)
+                if text is None:
+                    text = sites[q] = json_list([json_scalar(c, 6) for c in q], 5)
+                return text
+            return json_scalar(q, 5)
+
+        moments = []
+        for m in self.moments:
+            records = []
+            for g in m:
+                operands = json_list([operand(q) for q in g.operands], 4)
+                tags = json_list([json_scalar(t, 5) for t in sorted(g.tags)], 4)
+                records.append(
+                    f'{{\n        "condition": {json_scalar(g.condition, 4)},'
+                    f'\n        "kind": {_encode_str(g.kind.value)},'
+                    f'\n        "operands": {operands},'
+                    f'\n        "tags": {tags}\n      }}'
+                )
+            moments.append(json_list(records, 2))
+        return f'{{\n  "moments": {json_list(moments, 1)}\n}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":

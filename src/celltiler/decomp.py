@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Hashable
 
 from celltiler.circuit import Gate, GateKind, Schedule, gate
+from celltiler.lattice import Site
 
 K = GateKind
 
@@ -184,8 +185,6 @@ def toffoli_mb() -> Schedule:
 
 # --- role assignments used by the tile contracts ---------------------------
 
-from celltiler.lattice import Site  # noqa: E402  (local import keeps header lean)
-
 
 def ccz_cube_assignment() -> dict[Hashable, Site]:
     """Map the CCZ decomposition wires onto the cube cell's vertices."""
@@ -234,29 +233,27 @@ def lower_schedule(schedule: Schedule, style: str = "tdepth2") -> Schedule:
     """
     if style not in _LOWER_STYLES:
         raise ValueError(f"unknown lowering style {style!r}")
+    if style == "tdepth2":
+        toffoli = toffoli_tdepth2()
+        templates = {GateKind.TOFFOLI: toffoli, GateKind.CCZ: toffoli}
+        roles, anc = ("a", "b", "t"), ("x", "y", "w")
+    else:
+        templates = {GateKind.TOFFOLI: toffoli_cube_circuit(), GateKind.CCZ: ccz_tdepth1()}
+        roles, anc = ("a", "b", "c"), ("z1", "z2", "z3", "z4")
     out = Schedule()
     pool = 0
     for moment in schedule.moments:
         pending: list[list[Gate]] = []
         simple: list[Gate] = []
         for g in moment:
-            if g.kind in (GateKind.TOFFOLI, GateKind.CCZ):
-                template = toffoli_tdepth2() if style == "tdepth2" else toffoli_cube_circuit()
-                if g.kind is GateKind.CCZ and style == "tdepth1":
-                    template = ccz_tdepth1()
-                names = {}
-                if style == "tdepth2":
-                    names = {"a": g.operands[0], "b": g.operands[1], "t": g.operands[2]}
-                    anc = ("x", "y", "w")
-                else:
-                    names = {"a": g.operands[0], "b": g.operands[1], "c": g.operands[2]}
-                    anc = ("z1", "z2", "z3", "z4")
+            if g.kind in templates:
+                names = dict(zip(roles, g.operands))
                 for wire in anc:
                     names[wire] = f"_anc{pool}"
                     pool += 1
                 expanded = [
                     [Gate(h.kind, tuple(names[q] for q in h.operands), h.condition, h.tags) for h in m]
-                    for m in template.moments
+                    for m in templates[g.kind].moments
                 ]
                 pending.append(expanded)
             elif g.kind is GateKind.SWAP:

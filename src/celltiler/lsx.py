@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Hashable
 
 from celltiler.cells import Layout
-from celltiler.circuit import Gate, GateKind, Schedule
+from celltiler.circuit import Gate, GateKind, Schedule, json_list, json_scalar
 from celltiler.lattice import Site
 
 K = GateKind
@@ -51,26 +50,25 @@ class LSProgram:
         return self.transversal_count + self.pattern_count
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "steps": [
-                    [
-                        {
-                            "kind": ins.kind,
-                            "patches": list(ins.patches),
-                            "instance": ins.instance,
-                            "label": ins.label,
-                            "condition": ins.condition,
-                        }
-                        for ins in step
-                    ]
-                    for step in self.steps
-                ],
-                "transversal_count": self.transversal_count,
-                "pattern_count": self.pattern_count,
-            },
-            indent=2,
-            sort_keys=True,
+        """The program as JSON text, byte for byte what ``json.dumps(payload,
+        indent=2, sort_keys=True)`` writes for the payload ``{"steps": [[{
+        "kind", "patches", "instance", "label", "condition"}, ...], ...],
+        "transversal_count", "pattern_count"}``."""
+        steps = []
+        for step in self.steps:
+            steps.append(json_list([
+                f'{{\n        "condition": {json_scalar(ins.condition, 4)},'
+                f'\n        "instance": {json_scalar(ins.instance, 4)},'
+                f'\n        "kind": {json_scalar(ins.kind, 4)},'
+                f'\n        "label": {json_scalar(ins.label, 4)},'
+                f'\n        "patches": {json_list([json_scalar(p, 5) for p in ins.patches], 4)}'
+                f'\n      }}'
+                for ins in step
+            ], 2))
+        return (
+            f'{{\n  "pattern_count": {json_scalar(self.pattern_count, 1)},'
+            f'\n  "steps": {json_list(steps, 1)},'
+            f'\n  "transversal_count": {json_scalar(self.transversal_count, 1)}\n}}'
         )
 
     def render(self) -> str:
@@ -90,14 +88,27 @@ def _patch_name(label: Hashable) -> str:
     return str(label)
 
 
+def _first_free(skip: dict[int, int], s: int) -> int:
+    """Follow a patch's skip map from step ``s`` to its first non-full step,
+    compressing the path walked."""
+    path = []
+    while s in skip:
+        path.append(s)
+        s = skip[s]
+    for t in path:
+        skip[t] = s
+    return s
+
+
 class _Extractor:
     def __init__(self, bound_ls: int):
         self.bound_ls = bound_ls
         self.program = LSProgram()
         self.hard_avail: dict[str, int] = {}  # first step a new instance may use
         self.last_step: dict[str, int] = {}
-        self.ls_use: list[dict[str, int]] = []
-        self.tv_use: list[dict[str, int]] = []
+        # per (transversal?, patch): uses per step, and full step -> later step
+        self.use: dict[tuple[bool, str], dict[int, int]] = {}
+        self.skip: dict[tuple[bool, str], dict[int, int]] = {}
         self.anc_avail: list[int] = []  # per ancilla patch: first free step
         self.orientation: dict[str, str] = {}
         self.instance = 0
@@ -105,21 +116,24 @@ class _Extractor:
     def _ensure(self, s: int) -> None:
         while len(self.program.steps) <= s:
             self.program.steps.append([])
-            self.ls_use.append({})
-            self.tv_use.append({})
 
     def _place_two(self, patches: tuple[str, str], transversal: bool) -> int:
+        """The first step at or after both patches' ``hard_avail`` where each
+        is under its per-step limit of merge/split (or transversal) uses."""
+        skips = [self.skip.setdefault((transversal, p), {}) for p in patches]
         s = max(self.hard_avail.get(p, 0) for p in patches)
-        while True:
-            self._ensure(s)
-            use = self.tv_use[s] if transversal else self.ls_use[s]
-            limit = 2 if transversal else self.bound_ls
-            if all(use.get(p, 0) < limit for p in patches):
+        while True:  # alternate until neither patch moves the step
+            t = _first_free(skips[1], _first_free(skips[0], s))
+            if t == s:
                 break
-            s += 1
-        for p in patches:
-            use = self.tv_use[s] if transversal else self.ls_use[s]
-            use[p] = use.get(p, 0) + 1
+            s = t
+        self._ensure(s)
+        limit = 2 if transversal else self.bound_ls
+        for p, skip in zip(patches, skips):
+            use = self.use.setdefault((transversal, p), {})
+            use[s] = use.get(s, 0) + 1
+            if use[s] >= limit:
+                skip[s] = s + 1
             self.last_step[p] = max(self.last_step.get(p, 0), s)
         return s
 

@@ -91,6 +91,7 @@ class _Board:
         self.counted = 0
         self.swap_moments = 0
         self.spacer_debt = 0
+        self.spacer_pairs = self._spacer_pairs(self.h)  # candidates, tower top first
 
     # -- moment plumbing ---------------------------------------------------
 
@@ -161,22 +162,21 @@ class _Board:
             and label not in self.live_anc
         )
 
-    def _spacer_pairs(self):
-        for z in range(self.h - 1, -1, -1):
-            cands = [
-                (S(z), L(z)), (N(z), L(z)), (L(z), YELLOW(z)), (N(z), MAGENTA(z)),
-            ]
-            if z + 1 < self.h:
-                cands += [(L(z), L(z + 1)), (S(z), S(z + 1)), (N(z), N(z + 1)), (E(z), E(z + 1))]
-            for a, b in cands:
-                yield a, b
+    @staticmethod
+    def _spacer_pairs(h: int) -> list[tuple[Site, Site]]:
+        pairs = []
+        for z in range(h - 1, -1, -1):
+            pairs += [(S(z), L(z)), (N(z), L(z)), (L(z), YELLOW(z)), (N(z), MAGENTA(z))]
+            if z + 1 < h:
+                pairs += [(L(z), L(z + 1)), (S(z), S(z + 1)), (N(z), N(z + 1)), (E(z), E(z + 1))]
+        return pairs
 
     def spacers(self, want: int) -> None:
         """Emit idle-ancilla exchanges into the open moment, carrying any
         shortfall as debt for later moments of the same step."""
         want += self.spacer_debt
         placed = 0
-        for a, b in self._spacer_pairs():
+        for a, b in self.spacer_pairs:
             if placed == want:
                 break
             if a in self._touched or b in self._touched:

@@ -265,3 +265,53 @@ def test_overlap_rejected_by_every_builder():
     ]]})
     with pytest.raises(ValueError, match="overlapping support"):
         Schedule.from_json(text)
+
+
+# --- direct JSON writer against the stdlib encoder -------------------------
+
+
+def _reference_to_json(sched: Schedule) -> str:
+    """The payload-and-json.dumps writer the direct writer must reproduce."""
+    payload = {
+        "moments": [
+            [
+                {
+                    "kind": g.kind.value,
+                    "operands": [[q.x, q.y, q.z] if isinstance(q, Site) else q for q in g.operands],
+                    "condition": g.condition,
+                    "tags": sorted(g.tags),
+                }
+                for g in m
+            ]
+            for m in sched.moments
+        ]
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# non-ASCII labels, and operands the writer hands to the stdlib fallback
+# (a bool, a float, a tuple that encodes as a multi-line list)
+labels_st = st.text(max_size=3)
+operand_st = st.one_of(
+    labels_st,
+    st.integers(-300, 300),
+    st.builds(Site, st.integers(-2, 3), st.integers(-2, 3), st.integers(0, 3)),
+    st.sampled_from([True, 2.5, ("é", 3)]),
+)
+any_gate_st = st.builds(
+    lambda kind, ops, condition, tags: Gate(kind, tuple(ops[: ARITY[kind]]), condition, tags),
+    st.sampled_from(list(GateKind)),
+    st.lists(operand_st, min_size=3, max_size=3, unique=True),
+    st.one_of(st.none(), st.integers(-5, 50), st.just(False)),
+    st.frozensets(labels_st, max_size=2),
+)
+
+
+@given(st.lists(st.lists(any_gate_st, max_size=4).map(_disjoint), max_size=5))
+def test_to_json_matches_stdlib_encoder(moments):
+    sched = Schedule(moments)
+    assert sched.to_json() == _reference_to_json(sched)
+
+
+def test_to_json_empty_schedule():
+    assert Schedule().to_json() == _reference_to_json(Schedule()) == '{\n  "moments": []\n}'

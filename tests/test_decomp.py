@@ -55,6 +55,15 @@ def test_and_circuits_compute_and():
     assert assert_equiv(decomp.and_3anc(), "and", ("a", "b", "t"), TOL).ok
 
 
+@pytest.mark.parametrize("build", [decomp.and_4anc, decomp.and_3anc])
+def test_and_without_final_s_rejected(build):
+    # the S cancels the (-i)^(ab) relative phase; the AND check is phase-exact
+    sched = build()
+    *rest, last = sched.moments
+    assert [(g.kind, g.operands) for g in last] == [(K.S, ("t",))]
+    assert not assert_equiv(Schedule(rest), "and", ("a", "b", "t"), TOL).ok
+
+
 def test_and4_counts():
     ccz = decomp.ccz_tdepth1()
     and4 = decomp.and_4anc()

@@ -1,4 +1,8 @@
+import hashlib
+import json
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from celltiler import decomp
 from celltiler.circuit import GateKind, Schedule, gate
@@ -12,6 +16,7 @@ from celltiler.lsx import (
     OP,
     TRANSVERSAL,
     ModeError,
+    _Extractor,
     extract_ls,
     validate_ls,
 )
@@ -133,3 +138,151 @@ def test_program_json_and_render():
     prog = extract_ls(Schedule([[gate("cnot", "a", "b")]]), None, "2d")
     assert '"steps"' in prog.to_json()
     assert prog.render().startswith("step 000:")
+
+
+# --- direct JSON writer against the stdlib encoder -------------------------
+
+
+def _reference_to_json(prog: LSProgram) -> str:
+    """The payload-and-json.dumps writer the direct writer must reproduce."""
+    return json.dumps(
+        {
+            "steps": [
+                [
+                    {
+                        "kind": ins.kind,
+                        "patches": list(ins.patches),
+                        "instance": ins.instance,
+                        "label": ins.label,
+                        "condition": ins.condition,
+                    }
+                    for ins in step
+                ]
+                for step in prog.steps
+            ],
+            "transversal_count": prog.transversal_count,
+            "pattern_count": prog.pattern_count,
+        },
+        indent=2,
+        sort_keys=True,
+    )
+
+
+names_st = st.text(max_size=4)  # non-ASCII patch names and labels included
+instruction_st = st.builds(
+    LSInstruction,
+    st.sampled_from([INIT_PLUS, MERGE_ZZ, MERGE_XX, MEASURE_X, TRANSVERSAL, OP]),
+    st.lists(names_st, max_size=2).map(tuple),
+    st.integers(0, 10**6),
+    st.one_of(st.just(""), names_st),
+    st.one_of(st.none(), st.integers(-3, 40)),
+)
+
+
+@given(
+    st.lists(st.lists(instruction_st, max_size=4), max_size=4),
+    st.integers(0, 10**4),
+    st.integers(0, 10**4),
+)
+def test_to_json_matches_stdlib_encoder(steps, transversal, patterns):
+    prog = LSProgram(steps, transversal, patterns)
+    assert prog.to_json() == _reference_to_json(prog)
+
+
+def test_to_json_empty_program():
+    assert LSProgram().to_json() == _reference_to_json(LSProgram())
+
+
+# sha256 of to_json().encode() for the tiled schedule, its tdepth2 lowering and
+# the 3d LS program, as the CLI's schedule/ls commands write them
+GOLDEN = {
+    4: (
+        "8e652e46999e27eb39ab25a52c0f58da788c86a11bf245955d24e78d1ccdf369",
+        "64996a72c48623c076aa57830b5a4f4b07e11fd337ca02f8d78decd8f608a89f",
+        "9c00ee783d127811f57e0dde8fce57df8a22b69fa473cf65f78d2f732640e1d1",
+    ),
+    6: (
+        "70a1bb6e0d53d3d3758ca9281b565e1a8c64a63e07d9fc3238fe748ab07152a5",
+        "7daed406d5158abca0a497f46365efb78915f6ed1260df38b1f7ab88730216da",
+        "2fc9ae2135a5ceb7efa8d58c3dd2f4a22538f909d86b09f542df41aa589ec13f",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN))
+def test_artifacts_pinned(n):
+    sched, _ = full_multiplier_schedule(n)
+    lowered = decomp.lower_schedule(sched, style="tdepth2")
+    prog = extract_ls(lowered, build_multiplier_layout(n), "3d")
+    digests = tuple(
+        hashlib.sha256(x.to_json().encode()).hexdigest() for x in (sched, lowered, prog)
+    )
+    assert digests == GOLDEN[n]
+
+
+# --- placement against the linear-scan oracle ----------------------------
+
+
+class _LinearScanExtractor(_Extractor):
+    """The extractor with step-by-step placement: per-step use tables are
+    scanned forward from the patches' earliest step."""
+
+    def __init__(self, bound_ls):
+        super().__init__(bound_ls)
+        self.ls_use: list[dict[str, int]] = []
+        self.tv_use: list[dict[str, int]] = []
+
+    def _place_two(self, patches, transversal):
+        s = max(self.hard_avail.get(p, 0) for p in patches)
+        while True:
+            self._ensure(s)
+            while len(self.ls_use) <= s:
+                self.ls_use.append({})
+                self.tv_use.append({})
+            use = self.tv_use[s] if transversal else self.ls_use[s]
+            limit = 2 if transversal else self.bound_ls
+            if all(use.get(p, 0) < limit for p in patches):
+                break
+            s += 1
+        for p in patches:
+            use[p] = use.get(p, 0) + 1
+            self.last_step[p] = max(self.last_step.get(p, 0), s)
+        return s
+
+
+PATCHES = ("p0", "p1", "p2", "p3")
+stream_st = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["cnot", "transversal"]), st.permutations(PATCHES)),
+        st.tuples(st.sampled_from(["t", "h"]), st.permutations(PATCHES)),
+    ),
+    max_size=60,
+)
+
+
+# p1 is full at steps 0 and 1 and p0 at step 2, so cnot(p0, p1) must
+# alternate between the patches twice to land at step 3
+@example(
+    [
+        ("t", ("p3", "p0", "p1", "p2")),
+        ("t", ("p3", "p0", "p1", "p2")),
+        ("cnot", ("p0", "p3", "p1", "p2")),
+        ("cnot", ("p1", "p2", "p0", "p3")),
+        ("cnot", ("p1", "p2", "p0", "p3")),
+        ("cnot", ("p0", "p1", "p2", "p3")),
+    ],
+    1,
+)
+@given(stream_st, st.integers(1, 3))
+def test_placement_matches_linear_scan(stream, bound_ls):
+    fast, slow = _Extractor(bound_ls), _LinearScanExtractor(bound_ls)
+    for ex in (fast, slow):
+        for op, ps in stream:
+            if op == "cnot":
+                ex.ls_cnot(ps[0], ps[1])
+            elif op == "transversal":
+                ex.transversal(ps[0], ps[1])
+            else:
+                ex.single(ps[0], op, rides=op == "h")
+    assert fast.program == slow.program
+    assert fast.last_step == slow.last_step and fast.hard_avail == slow.hard_avail
