@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable
+from dataclasses import dataclass
+from typing import Hashable
 
-from celltiler.circuit import Gate, GateKind, Schedule
+from celltiler.circuit import Schedule
 from celltiler.lattice import Lattice, Site
 
 ROLE_CONTROL = "control"

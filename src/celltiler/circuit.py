@@ -1,11 +1,11 @@
-"""Gate-level IR with moments, depth/count metrics and the Toffoli parallelism predicate."""
+"""Gate-level IR with moments, label occupancy, depth/count metrics and the Toffoli parallelism predicate."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from celltiler.lattice import Site
 
@@ -162,8 +162,11 @@ class Schedule:
 
     @staticmethod
     def _decode_operand(v) -> Hashable:
-        if isinstance(v, list):
-            return Site(*v)
+        # to_json writes a Site as [x, y, z] and any other tuple as a list too
+        if type(v) is list:
+            if len(v) == 3 and all(type(c) is int for c in v):
+                return Site(*v)
+            return tuple(Schedule._decode_operand(c) for c in v)
         return v
 
     def to_json(self) -> str:
@@ -214,6 +217,55 @@ class Schedule:
                 for item in m
             )
         return sched
+
+
+_EMPTY = object()
+
+
+class Occupancy:
+    """Which label sits on which wire, the one place where SWAPs move labels.
+
+    ``label_at`` maps wire -> label and ``wire_of`` label -> wire; a wire
+    absent from ``label_at`` is empty. Read both, change them only through
+    ``swap`` and ``place``.
+    """
+
+    __slots__ = ("label_at", "wire_of")
+
+    def __init__(self, mapping: Mapping[Hashable, Hashable]):
+        self.wire_of: dict[Hashable, Hashable] = dict(mapping)
+        self.label_at: dict[Hashable, Hashable] = {w: l for l, w in self.wire_of.items()}
+        if len(self.label_at) != len(self.wire_of):
+            # label_at kept the last label of a shared wire, so the first differs
+            shared = next(w for l, w in self.wire_of.items() if self.label_at[w] != l)
+            raise ValueError(f"mapping is not injective: two labels start on {shared!r}")
+
+    def swap(self, a: Hashable, b: Hashable) -> None:
+        """Exchange the labels on wires ``a`` and ``b``; either may be empty."""
+        label_at, wire_of = self.label_at, self.wire_of
+        la = label_at.get(a, _EMPTY)
+        lb = label_at.get(b, _EMPTY)
+        if lb is _EMPTY:
+            label_at.pop(a, None)
+        else:
+            label_at[a] = lb
+            wire_of[lb] = a
+        if la is _EMPTY:
+            label_at.pop(b, None)
+        else:
+            label_at[b] = la
+            wire_of[la] = b
+
+    def place(self, label: Hashable, wire: Hashable) -> None:
+        """Put a label that is on no wire onto an empty wire."""
+        if wire in self.label_at or label in self.wire_of:
+            raise ValueError(f"cannot place {label!r} on {wire!r}: already in use")
+        self.label_at[wire] = label
+        self.wire_of[label] = wire
+
+    def mapping(self) -> dict[Hashable, Hashable]:
+        """A copy of the label -> wire mapping."""
+        return dict(self.wire_of)
 
 
 @dataclass(frozen=True)
@@ -290,22 +342,12 @@ def t_metrics(schedule: Schedule) -> tuple[int, int]:
     return count, moments
 
 
-def swap_metrics(schedule: Schedule, exclude: frozenset = frozenset()) -> tuple[int, int]:
-    """(swap_count, swap_depth) over SWAPs outside storage.
-
-    A SWAP is excluded when tagged ``storage`` or when both operands fall in
-    ``exclude`` (declared storage-site labels).
-    """
-
-    def counted(g: Gate) -> bool:
-        if g.kind is not GateKind.SWAP or g.is_storage():
-            return False
-        return not all(q in exclude for q in g.operands)
-
+def swap_metrics(schedule: Schedule) -> tuple[int, int]:
+    """(swap_count, swap_depth) over SWAPs not tagged ``storage``."""
     count = 0
     depth_ = 0
     for m in schedule.moments:
-        here = sum(1 for g in m if counted(g))
+        here = sum(1 for g in m if g.kind is GateKind.SWAP and not g.is_storage())
         count += here
         if here:
             depth_ += 1

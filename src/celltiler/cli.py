@@ -13,23 +13,13 @@ from celltiler.lsx import ModeError, extract_ls, validate_ls
 from celltiler.router import compare, compare_csv
 from celltiler.scheduler import (
     ScheduleError,
-    ctrl_add_step,
     full_multiplier_schedule,
     render_timeline,
-    reset_step,
-    timeline_rows,
-    toffoli_step,
+    step_budgets,
     validate_schedule,
 )
 from celltiler.sim import assert_equiv, classical_run
-from celltiler.tiler import (
-    RegisterSpec,
-    build_multiplier_layout,
-    effectiveness_ratio,
-    initial_mapping,
-    qubit_count,
-    usage_ratio,
-)
+from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping, qubit_count
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -67,25 +57,13 @@ def _cmd_build(args) -> int:
 def _cmd_schedule(args) -> int:
     n = args.n
     sched, _final = full_multiplier_schedule(n, optimize_toffoli_depth=args.optimize_toffoli_depth)
-    layout = build_multiplier_layout(n)
-    spec = RegisterSpec.for_width(n)
-    mapping = initial_mapping(layout, spec)
-
-    step, m1 = toffoli_step(layout, mapping, spec, optimize_depth=args.optimize_toffoli_depth)
-    c, d = swap_metrics(step)
-    print(f"toffoli step: swapC={c} swapD={d}")
-    for j in range(1, n):
-        step, m1 = ctrl_add_step(layout, m1, j, spec)
-        c, d = swap_metrics(step)
-        print(f"ctrl-add {j}: swapC={c} swapD={d}")
-        if j <= n - 2:
-            step, m1 = reset_step(layout, m1, j, spec)
-            c, d = swap_metrics(step)
-            print(f"reset {j}: swapC={c} swapD={d}")
+    # the emitters assert every step meets its row, so the rows are the step metrics
+    for name, c, d in step_budgets(n, args.optimize_toffoli_depth):
+        print(f"{name}: swapC={c} swapD={d}")
 
     out = sched
     if args.lower_clifford_t:
-        out = decomp.lower_schedule(sched, style="tdepth2")
+        out = decomp.lower_schedule(sched)
     c, d = swap_metrics(sched)
     tc, td = t_metrics(out)
     print(f"total: swapC={c} swapD={d} tC={tc} tD={td} moments={len(out)}")
@@ -168,7 +146,7 @@ def _cmd_ls(args) -> int:
     n = args.n
     layout = build_multiplier_layout(n)
     sched, _ = full_multiplier_schedule(n)
-    lowered = decomp.lower_schedule(sched, style="tdepth2")
+    lowered = decomp.lower_schedule(sched)
     try:
         program = extract_ls(lowered, layout, args.mode)
     except ModeError as exc:
@@ -203,7 +181,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("schedule", help="emit the multiplier schedule and metrics")
     p.add_argument("n", type=int, help=WIDTH_HELP)
-    p.add_argument("--optimize-toffoli-depth", action="store_true")
+    p.add_argument(
+        "--optimize-toffoli-depth", action="store_true",
+        help="shorten the Toffoli step's SWAP depth to 2(n-1)+2; needs n >= 3",
+    )
     p.add_argument("--lower-clifford-t", action="store_true")
     p.add_argument("--timeline", action="store_true")
     p.add_argument("--out", default=None)

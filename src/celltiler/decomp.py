@@ -222,24 +222,15 @@ def and_tile_assignment() -> dict[Hashable, Site]:
 
 # --- lowering passes --------------------------------------------------------
 
-_LOWER_STYLES = ("tdepth2", "tdepth1")
-
-
-def lower_schedule(schedule: Schedule, style: str = "tdepth2") -> Schedule:
+def lower_schedule(schedule: Schedule) -> Schedule:
     """Expand Toffoli/CCZ gates to Clifford+T and SWAPs to three CNOTs.
 
     Toffoli operands keep their labels; each expansion draws fresh ancilla
     wires from a shared pool so supports in one moment never collide.
     """
-    if style not in _LOWER_STYLES:
-        raise ValueError(f"unknown lowering style {style!r}")
-    if style == "tdepth2":
-        toffoli = toffoli_tdepth2()
-        templates = {GateKind.TOFFOLI: toffoli, GateKind.CCZ: toffoli}
-        roles, anc = ("a", "b", "t"), ("x", "y", "w")
-    else:
-        templates = {GateKind.TOFFOLI: toffoli_cube_circuit(), GateKind.CCZ: ccz_tdepth1()}
-        roles, anc = ("a", "b", "c"), ("z1", "z2", "z3", "z4")
+    toffoli = toffoli_tdepth2()
+    templates = {GateKind.TOFFOLI: toffoli, GateKind.CCZ: toffoli}
+    roles, anc = ("a", "b", "t"), ("x", "y", "w")
     out = Schedule()
     pool = 0
     for moment in schedule.moments:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from celltiler.cells import Layout
-from celltiler.circuit import Gate, GateKind, Schedule, json_list, json_scalar
+from celltiler.circuit import GateKind, Schedule, json_list, json_scalar
 from celltiler.lattice import Site
 
 K = GateKind

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Hashable
 
-from celltiler.circuit import Gate, GateKind, Schedule, swap_metrics
+from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, swap_metrics
 from celltiler.lattice import Lattice, Site
 from celltiler.scheduler import full_multiplier_schedule
 from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
@@ -42,13 +42,9 @@ def _bfs_path(lattice: Lattice, src: Site, goals: set[Site], forbidden: set[Site
 class _Router:
     def __init__(self, lattice: Lattice, mapping0: dict[Hashable, Site]):
         self.lattice = lattice
-        self.pos: dict[Hashable, Site] = dict(mapping0)
-        self.occ: dict[Site, Hashable] = {}
-        for label, site in mapping0.items():
+        for site in mapping0.values():
             lattice.check(site)
-            if site in self.occ:
-                raise RoutingError(f"two labels start at {tuple(site)}")
-            self.occ[site] = label
+        self.occ = Occupancy(mapping0)
         self.out = Schedule()
 
     def _emit(self, gate: Gate) -> None:
@@ -56,60 +52,54 @@ class _Router:
 
     def _swap(self, a: Site, b: Site) -> None:
         self._emit(Gate(K.SWAP, (a, b)))
-        la, lb = self.occ.get(a), self.occ.get(b)
-        if la is not None:
-            self.pos[la] = b
-        if lb is not None:
-            self.pos[lb] = a
-        self.occ[a], self.occ[b] = lb, la
-        if self.occ.get(a) is None:
-            self.occ.pop(a, None)
-        if self.occ.get(b) is None:
-            self.occ.pop(b, None)
+        self.occ.swap(a, b)
 
     def _walk(self, label: Hashable, goals: set[Site], locked: set[Site]) -> None:
-        path = _bfs_path(self.lattice, self.pos[label], goals, locked)
+        path = _bfs_path(self.lattice, self.occ.wire_of[label], goals, locked)
         for a, b in zip(path, path[1:]):
             self._swap(a, b)
 
     def _route_pair(self, a: Hashable, b: Hashable) -> None:
-        if self.pos[a].manhattan(self.pos[b]) == 1:
+        pos = self.occ.wire_of
+        if pos[a].manhattan(pos[b]) == 1:
             return
-        goals = {s for s in self.lattice.neighbours(self.pos[b])}
-        goals.discard(self.pos[a])
-        self._walk(a, goals, {self.pos[b]})
+        goals = {s for s in self.lattice.neighbours(pos[b])}
+        goals.discard(pos[a])
+        self._walk(a, goals, {pos[b]})
 
     def _route_triple(self, c1: Hashable, c2: Hashable, t: Hashable) -> None:
         # bring both controls next to the target, cheaper mover first
+        pos = self.occ.wire_of
         for _ in range(2):
             pending = [
-                c for c in (c1, c2) if self.pos[c].manhattan(self.pos[t]) != 1
+                c for c in (c1, c2) if pos[c].manhattan(pos[t]) != 1
             ]
             if not pending:
                 return
-            pending.sort(key=lambda c: (self.pos[c].manhattan(self.pos[t]), (c1, c2).index(c)))
+            pending.sort(key=lambda c: (pos[c].manhattan(pos[t]), (c1, c2).index(c)))
             mover = pending[0]
             other = c2 if mover == c1 else c1
-            locked = {self.pos[t], self.pos[other]}
+            locked = {pos[t], pos[other]}
             goals = {
-                s for s in self.lattice.neighbours(self.pos[t])
+                s for s in self.lattice.neighbours(pos[t])
                 if s not in locked
             }
             self._walk(mover, goals, locked)
-        if any(self.pos[c].manhattan(self.pos[t]) != 1 for c in (c1, c2)):
+        if any(pos[c].manhattan(pos[t]) != 1 for c in (c1, c2)):
             raise RoutingError("could not assemble a Toffoli triple")
 
     def run(self, circuit: Schedule) -> None:
+        pos = self.occ.wire_of
         for g in circuit.gates():
             ops = g.operands
             for q in ops:
-                if q not in self.pos:
+                if q not in pos:
                     raise RoutingError(f"label {q!r} has no initial site")
             if len(ops) == 2:
                 self._route_pair(*ops)
             elif len(ops) == 3:
                 self._route_triple(*ops)
-            self._emit(Gate(g.kind, tuple(self.pos[q] for q in ops), g.condition, g.tags))
+            self._emit(Gate(g.kind, tuple(pos[q] for q in ops), g.condition, g.tags))
 
 
 def greedy_route(
@@ -127,7 +117,7 @@ def greedy_route(
         raise RoutingError("more logical qubits than lattice sites")
     router = _Router(lattice, mapping0)
     router.run(circuit)
-    return router.out, dict(router.pos)
+    return router.out, router.occ.mapping()
 
 
 def logical_multiplier_circuit(n: int, spec: RegisterSpec | None = None) -> Schedule:

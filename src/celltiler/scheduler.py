@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from celltiler.cells import Layout
-from celltiler.circuit import Gate, GateKind, Schedule, swap_metrics
+from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
 from celltiler.lattice import Site
 from celltiler.tiler import (
     E, L, N, S, YELLOW, MAGENTA,
@@ -54,6 +54,20 @@ def reset_swaps(n: int) -> int:
 RESET_SWAP_DEPTH = 5
 
 
+def step_budgets(n: int, optimize_toffoli_depth: bool = False) -> list[tuple[str, int, int]]:
+    """``(name, swapC, swapD)`` of every step of the n-bit multiplier, in the
+    order :func:`full_multiplier_schedule` emits them. Each emitter asserts
+    that its step meets its row exactly."""
+    # the depth-optimised Toffoli step has two tail SWAP moments instead of five
+    toffoli_depth = 2 * (n - 1) + 2 if optimize_toffoli_depth else toffoli_step_swap_depth(n)
+    rows = [("toffoli step", toffoli_step_swaps(n), toffoli_depth)]
+    for j in range(1, n):
+        rows.append((f"ctrl-add {j}", ctrl_add_swaps(n), ctrl_add_swap_depth(n)))
+        if j <= n - 2:
+            rows.append((f"reset {j}", reset_swaps(n), RESET_SWAP_DEPTH))
+    return rows
+
+
 def total_swaps(n: int) -> int:
     return 10 * n * n + 6 * n - 13
 
@@ -70,16 +84,9 @@ class ScheduleError(Exception):
 class _Board:
     """Occupancy-tracked emitter: every SWAP is adjacency- and budget-checked."""
 
-    def __init__(self, layout: Layout, mapping: dict[Hashable, Site], spec: RegisterSpec):
+    def __init__(self, layout: Layout, mapping: dict[Hashable, Site]):
         self.layout = layout
-        self.spec = spec
-        self.n = spec.n
-        self.h = layout.lattice.dz
-        self.occupant: dict[Site, Hashable] = {}
-        for label, site in mapping.items():
-            if site in self.occupant:
-                raise ScheduleError(f"mapping is not injective at {tuple(site)}")
-            self.occupant[site] = label
+        self.occ = Occupancy(mapping)
         self.live_anc: set[Hashable] = set()
         self.queue_of: dict[Site, str] = {
             s: name for name, chain in layout.queues.items() for s in chain
@@ -91,7 +98,7 @@ class _Board:
         self.counted = 0
         self.swap_moments = 0
         self.spacer_debt = 0
-        self.spacer_pairs = self._spacer_pairs(self.h)  # candidates, tower top first
+        self.spacer_pairs = self._spacer_pairs(layout.lattice.dz)  # candidates, tower top first
 
     # -- moment plumbing ---------------------------------------------------
 
@@ -116,32 +123,29 @@ class _Board:
             self._touched.add(s)
 
     def site_label(self, site: Site) -> Hashable:
-        if site not in self.occupant:
+        if site not in self.occ.label_at:
             raise ScheduleError(f"site {tuple(site)} is outside the used region")
-        return self.occupant[site]
+        return self.occ.label_at[site]
 
     def position(self, label: Hashable) -> Site:
-        for s, l in self.occupant.items():
-            if l == label:
-                return s
-        raise ScheduleError(f"label {label!r} not on the board")
-
-    def mapping(self) -> dict[Hashable, Site]:
-        return {label: site for site, label in self.occupant.items()}
+        if label not in self.occ.wire_of:
+            raise ScheduleError(f"label {label!r} not on the board")
+        return self.occ.wire_of[label]
 
     # -- gates ---------------------------------------------------------------
 
     def swap(self, a: Site, b: Site, storage: bool = False) -> None:
         if a.manhattan(b) != 1:
             raise ScheduleError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
-        la, lb = self.site_label(a), self.site_label(b)
+        for s in (a, b):
+            self.site_label(s)
         qa, qb = self.queue_of.get(a), self.queue_of.get(b)
         if qa is not None and qa == qb:
             storage = True
         self._claim(a, b)
         tags = frozenset(("storage",)) if storage else frozenset()
         self._moment.append(Gate(K.SWAP, (a, b), tags=tags))
-        self.occupant[a], self.occupant[b] = lb, la
+        self.occ.swap(a, b)
         if not storage:
             self.counted += 1
             self._moment_counts = True
@@ -155,7 +159,7 @@ class _Board:
     # -- spacer swaps --------------------------------------------------------
 
     def _dead_anc(self, site: Site) -> bool:
-        label = self.occupant.get(site)
+        label = self.occ.label_at.get(site)
         return (
             isinstance(label, str)
             and label.startswith("anc")
@@ -181,7 +185,7 @@ class _Board:
                 break
             if a in self._touched or b in self._touched:
                 continue
-            if a not in self.occupant or b not in self.occupant:
+            if a not in self.occ.label_at or b not in self.occ.label_at:
                 continue
             qa, qb = self.queue_of.get(a), self.queue_of.get(b)
             if qa is not None and qa == qb:
@@ -220,7 +224,7 @@ class _Board:
             raise ScheduleError(f"queue {qname} has no free slot")
         ti = chain.index(target)
         holes.sort(key=lambda s: abs(chain.index(s) - ti))
-        self.bubble_to(self.occupant[holes[0]], target)
+        self.bubble_to(self.occ.label_at[holes[0]], target)
 
     def finish(self, swap_budget: int, depth_budget: int) -> Schedule:
         if self.spacer_debt:
@@ -251,8 +255,12 @@ def toffoli_step(
     slot implicitly (the following step fetches it from yellow).
     """
     n = len(layout.placements)
-    spec = spec or RegisterSpec.for_width(n)
-    board = _Board(layout, mapping, spec)
+    if optimize_depth and n < 3:
+        raise ValueError(
+            f"the depth-optimised Toffoli step needs n >= 3 (its padding SWAPs "
+            f"do not fit on a shorter tower), got n={n}"
+        )
+    board = _Board(layout, mapping)
 
     # under the depth optimisation the tail keeps only its serial control
     # hops, so the tail padding spreads over the per-cube moments instead
@@ -306,9 +314,8 @@ def toffoli_step(
             board.spacers(extra)
             board.end()
 
-    budget = toffoli_step_swaps(n)
-    depth_budget = toffoli_step_swap_depth(n) if not optimize_depth else 2 * (n - 1) + 2
-    return board.finish(budget, depth_budget), board.mapping()
+    _, budget, depth_budget = step_budgets(n, optimize_depth)[0]
+    return board.finish(budget, depth_budget), board.occ.mapping()
 
 
 def ctrl_add_step(
@@ -328,7 +335,7 @@ def ctrl_add_step(
     spec = spec or RegisterSpec.for_width(n)
     if not 1 <= j <= n - 1:
         raise ValueError(f"controlled-add index must be in 1..{n - 1}, got {j}")
-    board = _Board(layout, mapping, spec)
+    board = _Board(layout, mapping)
 
     # storage staging: next control to the ladder-side slot, incoming zero to
     # the magenta head (free slots are staged after the control leaves yellow)
@@ -447,7 +454,7 @@ def ctrl_add_step(
     board.spacers(1)
     board.end()
 
-    return board.finish(ctrl_add_swaps(n), ctrl_add_swap_depth(n)), board.mapping()
+    return board.finish(ctrl_add_swaps(n), ctrl_add_swap_depth(n)), board.occ.mapping()
 
 
 def reset_step(
@@ -463,10 +470,9 @@ def reset_step(
     regardless of n.
     """
     n = len(layout.placements)
-    spec = spec or RegisterSpec.for_width(n)
     if not 1 <= j <= n - 1:
         raise ValueError(f"reset index must be in 1..{n - 1}, got {j}")
-    board = _Board(layout, mapping, spec)
+    board = _Board(layout, mapping)
 
     evens = [z for z in range(n) if z % 2 == 0]
     odds = [z for z in range(n) if z % 2 == 1]
@@ -501,7 +507,7 @@ def reset_step(
     board.spacers(share[4])
     board.end()
 
-    return board.finish(total, RESET_SWAP_DEPTH), board.mapping()
+    return board.finish(total, RESET_SWAP_DEPTH), board.occ.mapping()
 
 
 def full_multiplier_schedule(
@@ -559,7 +565,7 @@ def validate_schedule(
     if toffoli_rule not in ("tile", "chain"):
         raise ValueError(f"unknown toffoli rule {toffoli_rule!r}")
     corner_sets = [data_corners(p) for p in range(len(layout.placements))]
-    occupant: dict[Site, Hashable] = {s: l for l, s in mapping0.items()}
+    occ = Occupancy(mapping0)
     report = ValidationReport()
     report.moments = len(schedule.moments)
 
@@ -599,9 +605,8 @@ def validate_schedule(
                             f"moment {mi}: toffoli {sorted(map(tuple, sites))} not chain-adjacent"
                         )
             if g.kind is K.SWAP:
-                a, b = g.operands
-                occupant[a], occupant[b] = occupant.get(b), occupant.get(a)
-    report.final_mapping = {l: s for s, l in occupant.items() if l is not None}
+                occ.swap(*g.operands)
+    report.final_mapping = occ.mapping()
     return report
 
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 import numpy as np
 
-from celltiler.circuit import Gate, GateKind, Schedule
+from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
 
 MAX_WIRES = 14
 _NORM_TOL = 1e-9
@@ -32,30 +32,23 @@ def classical_run(
 
     ``mapping0`` maps logical labels to the operand keys the schedule uses
     (lattice sites for tiled schedules); with ``mapping0=None`` each label
-    starts on the wire of the same name. SWAPs move labels along with their
-    values, so the result is keyed by label and read off wherever each label
-    ended up, not by wire. This agrees with :func:`statevector_run` once each
-    label is mapped to its final wire.
+    starts on the wire of the same name, and a wire that no label starts on
+    carries its own name as its label. Labels move on SWAPs through
+    :class:`~celltiler.circuit.Occupancy`, taking their values along, so the
+    result is keyed by label and read off wherever each label ended up, not
+    by wire. This agrees with :func:`statevector_run` once each label is
+    mapped to its final wire.
     """
-    value: dict[Hashable, int] = {}
-    label_at: dict[Hashable, Hashable] = {}
-    if mapping0:
-        for label, key in mapping0.items():
-            label_at[key] = label
-            value[key] = int(inputs.get(label, 0))
+    occ = Occupancy(mapping0 if mapping0 else {label: label for label in inputs})
+    value: dict[Hashable, int] = {wire: 0 for wire in occ.label_at}
     for label, bit in inputs.items():
-        key = mapping0[label] if mapping0 else label
-        value[key] = int(bit)
-        label_at[key] = label
-
-    def ensure(key):
-        if key not in value:
-            value[key] = 0
-            label_at.setdefault(key, key)
+        value[occ.wire_of[label]] = int(bit)
 
     for g in schedule.gates():
         for q in g.operands:
-            ensure(q)
+            if q not in value:
+                value[q] = 0
+                occ.place(q, q)
         if g.kind is GateKind.X:
             (t,) = g.operands
             value[t] ^= 1
@@ -68,14 +61,11 @@ def classical_run(
         elif g.kind is GateKind.SWAP:
             a, b = g.operands
             value[a], value[b] = value[b], value[a]
-            label_at[a], label_at[b] = label_at[b], label_at[a]
+            occ.swap(a, b)
         else:
             raise UnsupportedGateError(f"classical oracle cannot run {g.kind.value}")
 
-    out: dict[Hashable, int] = {}
-    for key, label in label_at.items():
-        out[label] = value[key]
-    return out
+    return {label: value[wire] for wire, label in occ.label_at.items()}
 
 
 @dataclass

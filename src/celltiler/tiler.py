@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable
 
-from celltiler.cells import Layout, Placement, ROTATIONS_3D, place, toffoli_cube
-from celltiler.lattice import Lattice, Site, grid
+from celltiler.cells import Layout, ROTATIONS_3D, place, toffoli_cube
+from celltiler.lattice import Site, grid
 
 # Column shorthands on the 2 x 3 x H lattice. The window of product bits
 # zig-zags between the S and N columns by height parity; L is the ladder the

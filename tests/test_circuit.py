@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from celltiler import decomp
 from celltiler.circuit import (
@@ -9,6 +9,7 @@ from celltiler.circuit import (
     POLICIES,
     Gate,
     GateKind,
+    Occupancy,
     Schedule,
     can_parallelize_toffoli,
     depth,
@@ -128,7 +129,6 @@ def test_swap_metrics_storage_exclusion():
     s.extend_moment([gate(K.SWAP, "a", "b", tags=("storage",))])
     s.extend_moment([gate(K.SWAP, "c", "d")])
     assert swap_metrics(s) == (1, 1)
-    assert swap_metrics(s, exclude=frozenset({"c", "d"})) == (0, 0)
 
 
 def test_swap_depth_le_count():
@@ -315,3 +315,74 @@ def test_to_json_matches_stdlib_encoder(moments):
 
 def test_to_json_empty_schedule():
     assert Schedule().to_json() == _reference_to_json(Schedule()) == '{\n  "moments": []\n}'
+
+
+# a list of three ints reads back as a Site, any other list as a tuple
+roundtrip_operand_st = st.one_of(
+    st.text(max_size=3),
+    st.integers(-300, 300),
+    st.builds(Site, st.integers(-2, 3), st.integers(-2, 3), st.integers(0, 3)),
+    st.lists(st.one_of(st.text(max_size=2), st.integers(-5, 5)), max_size=4).map(tuple),
+    st.sampled_from([(("a", 1), 2), ((),)]),
+)
+roundtrip_gate_st = st.builds(
+    lambda kind, ops: Gate(kind, tuple(ops[: ARITY[kind]])),
+    st.sampled_from(list(GateKind)),
+    st.lists(roundtrip_operand_st, min_size=3, max_size=3, unique=True),
+)
+
+
+@given(st.lists(st.lists(roundtrip_gate_st, max_size=4).map(_disjoint), max_size=5))
+@example([[gate(K.CNOT, ("é", 3), "b")]])
+def test_from_json_round_trip(moments):
+    sched = Schedule(moments)
+    text = sched.to_json()
+    again = Schedule.from_json(text)
+    assert again.moments == sched.moments
+    assert again.to_json() == text
+
+
+
+# --- label occupancy ---------------------------------------------------------
+
+
+def test_occupancy_swap_into_empty_wire():
+    occ = Occupancy({"a": 0, "b": 1})
+    occ.swap(0, 5)
+    assert occ.label_at == {1: "b", 5: "a"}
+    assert occ.mapping() == {"a": 5, "b": 1}
+    occ.swap(7, 1)  # both directions: the label moves onto the empty wire
+    assert occ.label_at == {5: "a", 7: "b"}
+    occ.swap(8, 9)  # two empty wires: nothing moves
+    assert occ.mapping() == {"a": 5, "b": 7}
+
+
+def test_occupancy_swap_twice_restores():
+    start = {"a": Site(0, 0, 0), "b": Site(0, 1, 0), "c": Site(1, 1, 0)}
+    occ = Occupancy(start)
+    occ.swap(Site(0, 0, 0), Site(0, 1, 0))
+    assert occ.mapping() == {"a": Site(0, 1, 0), "b": Site(0, 0, 0), "c": Site(1, 1, 0)}
+    occ.swap(Site(0, 0, 0), Site(0, 1, 0))
+    assert occ.mapping() == start
+    assert occ.label_at == {site: label for label, site in start.items()}
+
+
+def test_occupancy_mapping_is_a_copy():
+    occ = Occupancy({"a": 0})
+    occ.mapping()["a"] = 3
+    assert occ.wire_of == {"a": 0}
+
+
+def test_occupancy_rejects_shared_wire():
+    with pytest.raises(ValueError, match="not injective"):
+        Occupancy({"a": 0, "b": 1, "c": 0})
+
+
+def test_occupancy_place():
+    occ = Occupancy({"a": 0})
+    occ.place("z", 4)
+    assert occ.label_at == {0: "a", 4: "z"}
+    with pytest.raises(ValueError):
+        occ.place("y", 0)  # wire taken
+    with pytest.raises(ValueError):
+        occ.place("a", 6)  # label already on a wire

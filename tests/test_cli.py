@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from celltiler import cli, scheduler
 from celltiler.cli import main
 
 
@@ -101,3 +103,78 @@ def test_deterministic_outputs(tmp_path):
 def test_help_states_width_limit(cmd, limit, capsys):
     assert main([cmd, "-h"]) == 0
     assert limit in " ".join(capsys.readouterr().out.split())
+
+
+# sha256 of `schedule n` stdout, computed before the command stopped
+# re-emitting every step to print its per-step lines
+SCHEDULE_STDOUT_SHA256 = {
+    (1, False): "b4a0c81ce35214876af7a765f0966cef74ac2fa49243da2c8a9ee683aad36ccd",
+    (2, False): "2214a3eac5b8fad4c02978951369a092d20f18e844ff689b82130194e1d18f94",
+    (3, False): "d825733402c5c13d3de56e534ea061bcdf835ff243122e4a01663ad1ed309c6e",
+    (4, False): "457769a398631aaee33cb638abe6fbe7855217e4dc2f85b45d048d2fb8b44023",
+    (5, False): "59d83d401577bbc17b0dbc512a624933ea1ce169dd281a7da990517b794ac1fe",
+    (6, False): "ddf97b1598c9e2b77097e5c91decaf9f24c3c29c13427bc8576ea28d23a96a6b",
+    (7, False): "189520dc4f5e89995c7d5c461b4d7fe91e0cebcff428c5756224d9789bdddd61",
+    (8, False): "22aa345e7adf7dba8637cfbe57734fa26cf06b876638b279aea9d89c8ad25142",
+    (9, False): "b1d275fcf2cc80d5fcf4784a4daa083f8578b5a8372a869d69be2255e081c982",
+    (10, False): "0490da0578c8ef9b2b13df952310974e237bfcd322fdf434e31a31a8ef78ec6c",
+    (3, True): "6c8a64bfc903ea21fe353efcdc2da44a9e47cc3d5f9665446b08e120adb1cc42",
+    (4, True): "40b5d31a1f0fd26518496afa1fc29a652138d4c5431ef822e2f9e48df24e775c",
+    (5, True): "9d9ef901e194a9d39d726bacc0b388fc2a09ed71324eafe885296813a7281c3c",
+    (6, True): "fa65cab25e32d81ea766c6bceea8edb944381338e335d5650c3c38b07ec323ed",
+    (7, True): "b410fbb68aca38cc687049710c5b5e7b0c92e7d2592ca86dd5d004ca11907760",
+    (8, True): "893c4d2e80fe269c7efbb7b1da64cf52383825d29e4a65a6c5e60d39e6df08f9",
+    (9, True): "988952e99beebffde9dfca7670d950aca69f609c1b725ccb315b96aa1ada1de6",
+    (10, True): "9342030afdfe5187935621db29f580e6e24ed35ffde37f4f5ef74e3af5ae4481",
+}
+
+
+@pytest.mark.parametrize("n, optimized", sorted(SCHEDULE_STDOUT_SHA256))
+def test_schedule_stdout_pinned(n, optimized, capsys):
+    flags = ["--optimize-toffoli-depth"] if optimized else []
+    assert main(["schedule", str(n), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCHEDULE_STDOUT_SHA256[n, optimized]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_schedule_emits_each_step_once(n, monkeypatch, capsys):
+    calls = []
+    inside = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, bool(inside)))
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
+
+    # patch every reference, so a direct call from the CLI is counted too
+    for name in ("full_multiplier_schedule", "toffoli_step", "ctrl_add_step", "reset_step"):
+        for module in (scheduler, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["schedule", str(n)]) == 0
+    assert calls[0] == ("full_multiplier_schedule", False)
+    emitters = calls[1:]
+    assert len(emitters) == 2 * n - 2
+    assert all(nested for _, nested in emitters)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_optimized_depth_needs_three_rungs(n, capsys):
+    assert main(["schedule", str(n), "--optimize-toffoli-depth"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: the depth-optimised Toffoli step needs n >= 3 (its padding "
+        f"SWAPs do not fit on a shorter tower), got n={n}\n"
+    )
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_optimized_depth_help_states_limit(capsys):
+    assert main(["schedule", "-h"]) == 0
+    assert "needs n >= 3" in " ".join(capsys.readouterr().out.split())

@@ -212,7 +212,7 @@ GOLDEN = {
 @pytest.mark.parametrize("n", sorted(GOLDEN))
 def test_artifacts_pinned(n):
     sched, _ = full_multiplier_schedule(n)
-    lowered = decomp.lower_schedule(sched, style="tdepth2")
+    lowered = decomp.lower_schedule(sched)
     prog = extract_ls(lowered, build_multiplier_layout(n), "3d")
     digests = tuple(
         hashlib.sha256(x.to_json().encode()).hexdigest() for x in (sched, lowered, prog)

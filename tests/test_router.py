@@ -146,3 +146,10 @@ def test_routed_schedule_golden(n):
         logical_multiplier_circuit(n), build_multiplier_layout(n).lattice, routing_mapping(n)
     )
     assert hashlib.sha256(routed.to_json().encode()).hexdigest() == GOLDEN_ROUTED_SHA256[n]
+
+
+def test_non_injective_start_mapping_rejected():
+    lat = grid(2, 2, 1)
+    mapping = {"a": Site(0, 0, 0), "b": Site(1, 0, 0), "c": Site(0, 0, 0)}
+    with pytest.raises(ValueError, match="not injective"):
+        greedy_route(Schedule([[gate("cnot", "a", "b")]]), lat, mapping)

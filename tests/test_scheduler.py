@@ -11,6 +11,7 @@ from celltiler.scheduler import (
     render_timeline,
     reset_step,
     reset_swaps,
+    step_budgets,
     timeline_rows,
     toffoli_step,
     toffoli_step_swap_depth,
@@ -75,9 +76,10 @@ def test_n1_schedule_is_toffoli_step_only():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_full_schedule_adjacency(n):
     layout, spec, mapping = setup_boards(n)
-    sched, _ = full_multiplier_schedule(n)
+    sched, final = full_multiplier_schedule(n)
     report = validate_schedule(layout, mapping, sched)
     assert report.ok, report.violations[:5]
+    assert report.final_mapping == final  # the validator's replay meets the emitter's
 
 
 def test_validator_flags_diagonal_swap():
@@ -195,3 +197,39 @@ def test_storage_swaps_stay_inside_queues():
     for g in sched.gates():
         if g.kind is K.SWAP and g.is_storage():
             assert all(q in queue_sites for q in g.operands)
+
+
+def test_non_injective_start_mapping_rejected():
+    layout, spec, mapping = setup_boards(2)
+    clash = dict(mapping)
+    clash[spec.a[1]] = mapping[spec.a[0]]
+    with pytest.raises(ValueError, match="not injective"):
+        toffoli_step(layout, clash, spec)
+    with pytest.raises(ValueError, match="not injective"):
+        validate_schedule(layout, clash, Schedule())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_optimized_toffoli_depth_needs_three_rungs(n):
+    layout, spec, mapping = setup_boards(n)
+    with pytest.raises(ValueError, match="needs n >= 3"):
+        toffoli_step(layout, mapping, spec, optimize_depth=True)
+
+
+def test_step_budgets_rows_match_emitted_steps():
+    n = 4
+    layout, spec, mapping = setup_boards(n)
+    emitted = []
+    step, mapping = toffoli_step(layout, mapping, spec, optimize_depth=True)
+    emitted.append(swap_metrics(step))
+    for j in range(1, n):
+        step, mapping = ctrl_add_step(layout, mapping, j, spec)
+        emitted.append(swap_metrics(step))
+        if j <= n - 2:
+            step, mapping = reset_step(layout, mapping, j, spec)
+            emitted.append(swap_metrics(step))
+    rows = step_budgets(n, optimize_toffoli_depth=True)
+    assert [(c, d) for _, c, d in rows] == emitted
+    assert [name for name, _, _ in rows] == [
+        "toffoli step", "ctrl-add 1", "reset 1", "ctrl-add 2", "reset 2", "ctrl-add 3",
+    ]

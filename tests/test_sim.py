@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from celltiler import decomp
 from celltiler.circuit import GateKind, Schedule, gate
@@ -100,6 +101,40 @@ def test_cross_oracle_agreement():
         state = branches[0].state
         idx = tuple(classical[label_on[w]] for w in wires)
         assert abs(abs(state[idx]) - 1) < 1e-9
+
+
+CLASSICAL_ARITY = {"x": 1, "cnot": 2, "toffoli": 3, "swap": 2}
+
+
+@given(st.data())
+def test_oracles_agree_on_random_circuits(data):
+    wires = [f"w{i}" for i in range(data.draw(st.integers(3, 6)))]
+    sched = Schedule()
+    for kind in data.draw(st.lists(st.sampled_from(sorted(CLASSICAL_ARITY)), max_size=25)):
+        ops = data.draw(st.permutations(wires))[: CLASSICAL_ARITY[kind]]
+        sched.append(gate(kind, *ops))
+    # some wires start with a label (the wire's own name, or another name
+    # through mapping0); every other wire carries its own name
+    labelled = data.draw(st.lists(st.sampled_from(wires), unique=True))
+    own_names = data.draw(st.booleans())
+    start = {(w if own_names else f"L{w}"): w for w in labelled}
+    bits = {label: data.draw(st.integers(0, 1)) for label in start}
+    classical = classical_run(sched, None if own_names else start, bits)
+
+    label_on = {w: w for w in wires}
+    label_on.update({w: label for label, w in start.items()})
+    touched = set(sched.wires())
+    assert set(classical) == set(start) | {w for w in touched if w not in labelled}
+    for g in sched.gates():
+        if g.kind is GateKind.SWAP:
+            a, b = g.operands
+            label_on[a], label_on[b] = label_on[b], label_on[a]
+
+    branches = statevector_run(sched, {start[label]: bit for label, bit in bits.items()}, wires=wires)
+    assert len(branches) == 1
+    # a wire that no gate touches and no label starts on stays 0
+    idx = tuple(classical[label_on[w]] if w in touched or w in labelled else 0 for w in wires)
+    assert abs(abs(branches[0].state[idx]) - 1) < 1e-9
 
 
 def test_assert_equiv_negative():
