@@ -7,7 +7,7 @@ lattice-surgery instruction streams, and benchmarks the tiled schedules
 against a greedy baseline router.
 """
 
-from celltiler.lattice import Site, Lattice, grid, adjacent, shortest_path
+from celltiler.lattice import Site, Lattice, grid, adjacent
 from celltiler.circuit import (
     Gate,
     GateKind,
@@ -17,7 +17,6 @@ from celltiler.circuit import (
     depth,
     t_metrics,
     swap_metrics,
-    can_parallelize_toffoli,
 )
 from celltiler.cells import Tile, Placement, Layout, toffoli_cube, tdepth2_tile, and_tile, tile_supports
 from celltiler import decomp
@@ -34,9 +33,9 @@ from celltiler.lsx import extract_ls, validate_ls, LSProgram
 from celltiler.router import greedy_route, compare
 
 __all__ = [
-    "Site", "Lattice", "grid", "adjacent", "shortest_path",
+    "Site", "Lattice", "grid", "adjacent",
     "Gate", "GateKind", "Schedule", "DepthPolicy", "POLICIES",
-    "depth", "t_metrics", "swap_metrics", "can_parallelize_toffoli",
+    "depth", "t_metrics", "swap_metrics",
     "Tile", "Placement", "Layout", "toffoli_cube", "tdepth2_tile", "and_tile", "tile_supports",
     "decomp",
     "RegisterSpec", "qubit_count", "build_multiplier_layout", "initial_mapping", "usage_ratio",

@@ -75,10 +75,6 @@ class Tile:
             if a.manhattan(b) != 1:
                 raise ValueError(f"stick {stick} is not nearest-neighbour")
 
-    @property
-    def role_map(self) -> dict[Site, str]:
-        return dict(self.vertices)
-
     def role_count(self, role: str) -> int:
         return sum(1 for _, r in self.vertices if r == role)
 

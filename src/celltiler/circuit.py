@@ -1,4 +1,4 @@
-"""Gate-level IR with moments, label occupancy, depth/count metrics and the Toffoli parallelism predicate."""
+"""Gate-level IR with moments, label occupancy and depth/count metrics."""
 
 from __future__ import annotations
 
@@ -118,15 +118,10 @@ class Schedule:
         for q in g.operands:
             last[q] = idx
 
-    def append(self, g: Gate, mode: str = "earliest-fit") -> "Schedule":
-        """Add a gate. ``new-moment`` opens a fresh moment; ``earliest-fit``
-        lands in the first moment after the last one touching its operands."""
-        if mode not in ("new-moment", "earliest-fit"):
-            raise ValueError(f"unknown append mode {mode!r}")
-        if mode == "new-moment":
-            target = len(self.moments)
-        else:
-            target = max(self._last.get(q, -1) for q in g.operands) + 1
+    def append(self, g: Gate) -> "Schedule":
+        """Add a gate to the first moment after the last one touching its
+        operands (earliest fit); ``extend_moment`` opens a fresh moment."""
+        target = max(self._last.get(q, -1) for q in g.operands) + 1
         if target == len(self.moments):
             self.moments.append([])
         self._add_to_moment(target, g)
@@ -352,29 +347,3 @@ def swap_metrics(schedule: Schedule) -> tuple[int, int]:
         if here:
             depth_ += 1
     return count, depth_
-
-
-def can_parallelize_toffoli(g1: Gate, g2: Gate) -> bool:
-    """Whether two Toffoli/CCZ gates admit parallel Clifford+T execution.
-
-    Fails exactly when a shared qubit is the target of one Toffoli and a
-    control (or any CCZ operand) of the other; CCZ pairs always parallelise.
-    """
-    for g in (g1, g2):
-        if g.kind not in (GateKind.TOFFOLI, GateKind.CCZ):
-            raise ValueError(f"can_parallelize_toffoli expects Toffoli/CCZ, got {g.kind.value}")
-
-    def target(g: Gate):
-        return g.operands[2] if g.kind is GateKind.TOFFOLI else None
-
-    def nontarget(g: Gate) -> set:
-        if g.kind is GateKind.TOFFOLI:
-            return set(g.operands[:2])
-        return set(g.operands)
-
-    t1, t2 = target(g1), target(g2)
-    if t1 is not None and t1 in nontarget(g2):
-        return False
-    if t2 is not None and t2 in nontarget(g1):
-        return False
-    return True

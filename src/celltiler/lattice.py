@@ -70,16 +70,6 @@ class Lattice:
             self.check(site)
         return list(nbs)
 
-    def edge_count(self) -> int:
-        def links(n: int) -> int:
-            return max(n - 1, 0)
-
-        return (
-            links(self.dx) * self.dy * self.dz
-            + self.dx * links(self.dy) * self.dz
-            + self.dx * self.dy * links(self.dz)
-        )
-
 
 def grid(dx: int, dy: int, dz: int = 1) -> Lattice:
     """Build a ``dx * dy * dz`` lattice. ``dz == 1`` yields a 2D lattice."""
@@ -93,21 +83,3 @@ def adjacent(lattice: Lattice, a: Site, b: Site) -> bool:
     lattice.check(a)
     lattice.check(b)
     return a.manhattan(b) == 1
-
-
-def shortest_path(lattice: Lattice, a: Site, b: Site) -> list[Site]:
-    """Axis-ordered shortest path from ``a`` to ``b`` (moves x, then y, then z).
-
-    The tie-break is fixed so downstream routing output is reproducible.
-    """
-    lattice.check(a)
-    lattice.check(b)
-    path = [a]
-    cur = a
-    for axis in ("x", "y", "z"):
-        target = getattr(b, axis)
-        while getattr(cur, axis) != target:
-            step = 1 if target > getattr(cur, axis) else -1
-            cur = cur._replace(**{axis: getattr(cur, axis) + step})
-            path.append(cur)
-    return path

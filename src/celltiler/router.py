@@ -48,7 +48,7 @@ class _Router:
         self.out = Schedule()
 
     def _emit(self, gate: Gate) -> None:
-        self.out.append(gate, mode="earliest-fit")
+        self.out.append(gate)
 
     def _swap(self, a: Site, b: Site) -> None:
         self._emit(Gate(K.SWAP, (a, b)))
@@ -132,7 +132,7 @@ def logical_multiplier_circuit(n: int, spec: RegisterSpec | None = None) -> Sche
     sched = Schedule()
 
     def tof(a, b, t):
-        sched.append(Gate(K.TOFFOLI, (a, b, t)), mode="new-moment")
+        sched.extend_moment([Gate(K.TOFFOLI, (a, b, t))])
 
     for i in range(n):
         tof(spec.b[0], spec.a[i], spec.p[i])

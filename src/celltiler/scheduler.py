@@ -8,9 +8,12 @@ writes the carry-out at the bottom, and climbs back up summing into the
 window under the control. The reset step shifts the whole window one rung
 up in five parallel rounds and retires the finished product bit.
 
-Every step is emitted against a fixed per-block SWAP budget; idle-ancilla
-spacer exchanges keep the emitted shape uniform across n, and the emitters
-assert the exact per-step totals.
+The emitters write every moment with one call: a moment of SWAPs (plus
+idle-ancilla spacer exchanges) or a moment holding one Toffoli. A SWAP whose
+two sites lie in the same storage queue is tagged ``storage``; no other SWAP
+is. Every step is emitted against a fixed per-block SWAP budget: the spacers
+keep the emitted shape uniform across n, and each step checks its
+``swap_metrics`` against its ``step_budgets`` row exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from celltiler.cells import Layout
-from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
+from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, swap_metrics
 from celltiler.lattice import Site
 from celltiler.tiler import (
     E, L, N, S, YELLOW, MAGENTA,
@@ -82,7 +85,16 @@ class ScheduleError(Exception):
 
 
 class _Board:
-    """Occupancy-tracked emitter: every SWAP is adjacency- and budget-checked."""
+    """Occupancy-tracked emitter that writes each moment with exactly one call.
+
+    ``moment(*pairs, spacers=k)`` emits the given SWAPs in call order, then
+    ``k`` idle-ancilla spacer SWAPs plus any spacer debt the step still owes;
+    a moment that ends up empty is dropped. ``fire(c1, c2, t)`` emits a
+    moment holding one Toffoli. Every SWAP must be nearest-neighbour, every
+    site inside the used region, and no site may be used twice in one moment.
+    A SWAP is tagged ``storage`` exactly when both its sites lie in the same
+    queue. ``finish`` checks the step's ``swap_metrics`` against its budget.
+    """
 
     def __init__(self, layout: Layout, mapping: dict[Hashable, Site]):
         self.layout = layout
@@ -92,35 +104,13 @@ class _Board:
             s: name for name, chain in layout.queues.items() for s in chain
         }
         self.sched = Schedule()
-        self._moment: list[Gate] | None = None
-        self._touched: set[Site] = set()
-        self._moment_counts = False
-        self.counted = 0
-        self.swap_moments = 0
         self.spacer_debt = 0
-        self.spacer_pairs = self._spacer_pairs(layout.lattice.dz)  # candidates, tower top first
-
-    # -- moment plumbing ---------------------------------------------------
-
-    def begin(self) -> None:
-        assert self._moment is None, "moment already open"
-        self._moment = []
-        self._touched = set()
-        self._moment_counts = False
-
-    def end(self) -> None:
-        assert self._moment is not None
-        if self._moment:
-            self.sched.extend_moment(self._moment)
-            if self._moment_counts:
-                self.swap_moments += 1
-        self._moment = None
-
-    def _claim(self, *sites: Site) -> None:
-        for s in sites:
-            if s in self._touched:
-                raise ScheduleError(f"site {tuple(s)} used twice in one moment")
-            self._touched.add(s)
+        # candidates, tower top first; SWAPs keep every used site labelled,
+        # so pairs off the used region or inside one queue never qualify
+        self.spacer_pairs = [
+            (a, b) for a, b in self._spacer_pairs(layout.lattice.dz)
+            if a in self.occ.label_at and b in self.occ.label_at and not self._same_queue(a, b)
+        ]
 
     def site_label(self, site: Site) -> Hashable:
         if site not in self.occ.label_at:
@@ -132,29 +122,45 @@ class _Board:
             raise ScheduleError(f"label {label!r} not on the board")
         return self.occ.wire_of[label]
 
-    # -- gates ---------------------------------------------------------------
+    def _same_queue(self, a: Site, b: Site) -> bool:
+        qa = self.queue_of.get(a)
+        return qa is not None and qa == self.queue_of.get(b)
 
-    def swap(self, a: Site, b: Site, storage: bool = False) -> None:
+    def _take(self, used: set[Site], *sites: Site) -> None:
+        for s in sites:
+            self.site_label(s)
+            if s in used:
+                raise ScheduleError(f"site {tuple(s)} used twice in one moment")
+            used.add(s)
+
+    # -- moments -------------------------------------------------------------
+
+    def _swap(self, a: Site, b: Site, used: set[Site]) -> Gate:
         if a.manhattan(b) != 1:
             raise ScheduleError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
-        for s in (a, b):
-            self.site_label(s)
-        qa, qb = self.queue_of.get(a), self.queue_of.get(b)
-        if qa is not None and qa == qb:
-            storage = True
-        self._claim(a, b)
-        tags = frozenset(("storage",)) if storage else frozenset()
-        self._moment.append(Gate(K.SWAP, (a, b), tags=tags))
+        self._take(used, a, b)
         self.occ.swap(a, b)
-        if not storage:
-            self.counted += 1
-            self._moment_counts = True
+        tags = frozenset(("storage",)) if self._same_queue(a, b) else frozenset()
+        return Gate(K.SWAP, (a, b), tags=tags)
 
-    def toffoli(self, c1: Site, c2: Site, target: Site) -> None:
-        for s in (c1, c2, target):
-            self.site_label(s)
-        self._claim(c1, c2, target)
-        self._moment.append(Gate(K.TOFFOLI, (c1, c2, target)))
+    def moment(self, *pairs: tuple[Site, Site], spacers: int = 0) -> None:
+        used: set[Site] = set()
+        gates = [self._swap(a, b, used) for a, b in pairs]
+        want = spacers + self.spacer_debt
+        placed = 0
+        for a, b in self.spacer_pairs:
+            if placed == want:
+                break
+            if a not in used and b not in used and self._dead_anc(a) and self._dead_anc(b):
+                gates.append(self._swap(a, b, used))
+                placed += 1
+        self.spacer_debt = want - placed  # owed by later moments of the step
+        if gates:
+            self.sched.extend_moment(gates)
+
+    def fire(self, c1: Site, c2: Site, target: Site) -> None:
+        self._take(set(), c1, c2, target)
+        self.sched.extend_moment([Gate(K.TOFFOLI, (c1, c2, target))])
 
     # -- spacer swaps --------------------------------------------------------
 
@@ -175,31 +181,10 @@ class _Board:
                 pairs += [(L(z), L(z + 1)), (S(z), S(z + 1)), (N(z), N(z + 1)), (E(z), E(z + 1))]
         return pairs
 
-    def spacers(self, want: int) -> None:
-        """Emit idle-ancilla exchanges into the open moment, carrying any
-        shortfall as debt for later moments of the same step."""
-        want += self.spacer_debt
-        placed = 0
-        for a, b in self.spacer_pairs:
-            if placed == want:
-                break
-            if a in self._touched or b in self._touched:
-                continue
-            if a not in self.occ.label_at or b not in self.occ.label_at:
-                continue
-            qa, qb = self.queue_of.get(a), self.queue_of.get(b)
-            if qa is not None and qa == qb:
-                continue
-            if not (self._dead_anc(a) and self._dead_anc(b)):
-                continue
-            self.swap(a, b)
-            placed += 1
-        self.spacer_debt = want - placed
-
     # -- storage bubbling ----------------------------------------------------
 
     def bubble_to(self, label: Hashable, target: Site) -> None:
-        """Walk a label along its queue chain with storage SWAPs."""
+        """Walk a label along its queue chain, one storage SWAP per moment."""
         src = self.position(label)
         if src == target:
             return
@@ -210,9 +195,7 @@ class _Board:
         i, j = chain.index(src), chain.index(target)
         step = 1 if j > i else -1
         for k in range(i, j, step):
-            self.begin()
-            self.swap(chain[k], chain[k + step], storage=True)
-            self.end()
+            self.moment((chain[k], chain[k + step]))
 
     def bubble_hole_to(self, qname: str, target: Site) -> None:
         """Bring some idle ancilla of the queue to the target slot."""
@@ -229,10 +212,12 @@ class _Board:
     def finish(self, swap_budget: int, depth_budget: int) -> Schedule:
         if self.spacer_debt:
             raise ScheduleError(f"unplaced spacer swaps: {self.spacer_debt}")
-        if self.counted != swap_budget:
-            raise ScheduleError(f"emitted {self.counted} counted SWAPs, budget {swap_budget}")
-        if self.swap_moments != depth_budget:
-            raise ScheduleError(f"emitted {self.swap_moments} SWAP moments, budget {depth_budget}")
+        count, depth_ = swap_metrics(self.sched)
+        if (count, depth_) != (swap_budget, depth_budget):
+            raise ScheduleError(
+                f"emitted {count} counted SWAPs in {depth_} moments, "
+                f"budget {swap_budget} in {depth_budget}"
+            )
         return self.sched
 
 
@@ -244,7 +229,7 @@ def _shift_target(p: int) -> Site:
 def toffoli_step(
     layout: Layout,
     mapping: dict[Hashable, Site],
-    spec: RegisterSpec | None = None,
+    *,
     optimize_depth: bool = False,
 ) -> tuple[Schedule, dict[Hashable, Site]]:
     """First multiplier phase: one Toffoli per cube under the shared control.
@@ -271,48 +256,22 @@ def toffoli_step(
             extra[i % slots] += 1
 
     for p in range(n - 1):
-        board.begin()
-        board.toffoli(L(p), E(p), fourth(p))
-        board.end()
-        board.begin()
-        board.swap(L(p), L(p + 1))
-        board.spacers(2 + extra[2 * p])
-        board.end()
-        board.begin()
-        board.swap(fourth(p), _shift_target(p))
-        board.spacers(1 + extra[2 * p + 1])
-        board.end()
-
-    board.begin()
-    board.toffoli(L(n - 1), E(n - 1), fourth(n - 1))
-    board.end()
+        board.fire(L(p), E(p), fourth(p))
+        board.moment((L(p), L(p + 1)), spacers=2 + extra[2 * p])
+        board.moment((fourth(p), _shift_target(p)), spacers=1 + extra[2 * p + 1])
+    board.fire(L(n - 1), E(n - 1), fourth(n - 1))
 
     aux_head = Site(col_other(n).x, col_other(n).y, n + 1)
-    tail: list[list[tuple[Site, Site]]] = [
-        [(fourth(n - 1), aux_head)],
-        [(L(n - 1), L(n))],
-        [(L(n), YELLOW(n))],
-        [],
-        [],
-    ]
+    hops = [(fourth(n - 1), aux_head), (L(n - 1), L(n)), (L(n), YELLOW(n))]
     if optimize_depth:
         # the tail shrinks to the two serial control hops; padding rides along
-        board.begin()
-        board.swap(*tail[0][0])
-        board.swap(*tail[1][0])
-        board.spacers(extra[-2])
-        board.end()
-        board.begin()
-        board.swap(*tail[2][0])
-        board.spacers(extra[-1])
-        board.end()
+        board.moment(hops[0], hops[1], spacers=extra[-2])
+        board.moment(hops[2], spacers=extra[-1])
     else:
-        for moves, extra in zip(tail, [1, 1, 1, 3, 3]):
-            board.begin()
-            for a, b in moves:
-                board.swap(a, b)
-            board.spacers(extra)
-            board.end()
+        for hop in hops:
+            board.moment(hop, spacers=1)
+        board.moment(spacers=3)
+        board.moment(spacers=3)
 
     _, budget, depth_budget = step_budgets(n, optimize_depth)[0]
     return board.finish(budget, depth_budget), board.occ.mapping()
@@ -322,7 +281,6 @@ def ctrl_add_step(
     layout: Layout,
     mapping: dict[Hashable, Site],
     j: int,
-    spec: RegisterSpec | None = None,
 ) -> tuple[Schedule, dict[Hashable, Site]]:
     """The j-th controlled addition: add A into the window under control B_j.
 
@@ -332,9 +290,9 @@ def ctrl_add_step(
     up with the control, retiring it into yellow at the top.
     """
     n = len(layout.placements)
-    spec = spec or RegisterSpec.for_width(n)
     if not 1 <= j <= n - 1:
         raise ValueError(f"controlled-add index must be in 1..{n - 1}, got {j}")
+    spec = RegisterSpec.for_width(n)
     board = _Board(layout, mapping)
 
     # storage staging: next control to the ladder-side slot, incoming zero to
@@ -343,116 +301,64 @@ def ctrl_add_step(
     board.bubble_to(spec.p[j + n], MAGENTA(0))
 
     def k_block(p: int, i: int) -> None:
-        board.begin()
-        board.toffoli(E(p), seat(i, n), L(p))
-        board.end()
+        board.fire(E(p), seat(i, n), L(p))
         if i >= 1:
-            board.begin()
-            board.toffoli(fourth(p), seat(i, n), L(p))
-            board.end()
-            board.begin()
-            board.toffoli(fourth(p), E(p), L(p))
-            board.end()
+            board.fire(fourth(p), seat(i, n), L(p))
+            board.fire(fourth(p), E(p), L(p))
+
+    def sums(p: int, i: int) -> None:
+        board.fire(L(p), E(p), seat(i, n))
+        if i >= 1:
+            board.fire(L(p), fourth(p), seat(i, n))
 
     # carry wave down the tower
     for p in range(n - 1, -1, -1):
-        i = n - 1 - p
-        k_block(p, i)
+        k_block(p, n - 1 - p)
         board.live_anc.add(board.site_label(L(p)))
         if p >= 1:
-            board.begin()
-            board.swap(L(p), fourth(p - 1))
-            board.spacers(1)
-            board.end()
+            board.moment((L(p), fourth(p - 1)), spacers=1)
 
     # bottom dance: entry, carry-out, restore
-    board.begin()
-    board.swap(YELLOW(1), L(1))          # control onto the ladder
-    board.swap(E(0), S(0))               # A aside
-    board.swap(MAGENTA(0), N(0))         # feed the incoming zero
-    board.spacers(1)
-    board.end()
-    board.begin()
-    board.swap(L(1), S(1))               # control in, lowest window bit out
-    board.swap(N(0), E(0))               # incoming zero onto the data corner
-    board.spacers(1)
-    board.end()
-    board.begin()
-    board.toffoli(S(1), L(0), E(0))      # carry-out write
-    board.end()
-    board.begin()
-    board.swap(E(0), N(0))               # carry receiver parks on the seat slot
-    board.spacers(1)
-    board.end()
-    board.begin()
-    board.swap(S(0), E(0))               # A back home
-    board.end()
-    board.begin()
-    board.swap(S(1), S(0))               # control aside
-    board.end()
-    board.begin()
-    board.swap(L(1), S(1))               # lowest window bit back
-    board.end()
+    board.moment(
+        (YELLOW(1), L(1)),               # control onto the ladder
+        (E(0), S(0)),                    # A aside
+        (MAGENTA(0), N(0)),              # feed the incoming zero
+        spacers=1,
+    )
+    board.moment(
+        (L(1), S(1)),                    # control in, lowest window bit out
+        (N(0), E(0)),                    # incoming zero onto the data corner
+        spacers=1,
+    )
+    board.fire(S(1), L(0), E(0))         # carry-out write
+    board.moment((E(0), N(0)), spacers=1)  # carry receiver parks on the seat slot
+    board.moment((S(0), E(0)))           # A back home
+    board.moment((S(1), S(0)))           # control aside
+    board.moment((L(1), S(1)))           # lowest window bit back
 
-    def k_unblock(p: int, i: int) -> None:
-        board.begin()
-        board.toffoli(E(p), seat(i, n), L(p))
-        board.end()
-        if i >= 1:
-            board.begin()
-            board.toffoli(fourth(p), seat(i, n), L(p))
-            board.end()
-            board.begin()
-            board.toffoli(fourth(p), E(p), L(p))
-            board.end()
-        board.live_anc.discard(board.site_label(L(p)))
-
-    def sums(p: int, i: int) -> None:
-        board.begin()
-        board.toffoli(L(p), E(p), seat(i, n))
-        board.end()
-        if i >= 1:
-            board.begin()
-            board.toffoli(L(p), fourth(p), seat(i, n))
-            board.end()
-
-    k_unblock(0, n - 1)
-    board.begin()
-    board.swap(S(0), L(0))               # control takes the freed rung
-    board.end()
+    k_block(0, n - 1)
+    board.live_anc.discard(board.site_label(L(0)))
+    board.moment((S(0), L(0)))           # control takes the freed rung
     sums(0, n - 1)
 
     # sum wave back up
     for p in range(1, n):
         i = n - 1 - p
-        board.begin()
-        board.swap(fourth(p - 1), L(p))  # parked carry back to its rung
-        board.spacers(1)
-        board.end()
-        k_unblock(p, i)
-        board.begin()
-        board.swap(L(p - 1), L(p))       # control climbs
-        board.end()
+        board.moment((fourth(p - 1), L(p)), spacers=1)  # parked carry back to its rung
+        k_block(p, i)
+        board.live_anc.discard(board.site_label(L(p)))
+        board.moment((L(p - 1), L(p)))   # control climbs
         sums(p, i)
-        board.begin()
-        board.spacers(1)
-        board.end()
+        board.moment(spacers=1)
 
     # retire the control and pop the finished product bit
     board.bubble_hole_to("yellow", YELLOW(n))
     head = col(n)
     board.bubble_hole_to("grey_out", Site(head.x, head.y, n + 1))
     s0 = seat(0, n)
-    board.begin()
-    board.swap(L(n - 1), L(n))
-    board.swap(s0, Site(s0.x, s0.y, n + 1), storage=True)
-    board.end()
-    board.begin()
-    board.swap(L(n), YELLOW(n))
-    board.end()
-    board.begin()
-    board.spacers(1)
-    board.end()
+    board.moment((L(n - 1), L(n)), (s0, Site(s0.x, s0.y, n + 1)))
+    board.moment((L(n), YELLOW(n)))
+    board.moment(spacers=1)
 
     return board.finish(ctrl_add_swaps(n), ctrl_add_swap_depth(n)), board.occ.mapping()
 
@@ -461,7 +367,6 @@ def reset_step(
     layout: Layout,
     mapping: dict[Hashable, Site],
     j: int,
-    spec: RegisterSpec | None = None,
 ) -> tuple[Schedule, dict[Hashable, Site]]:
     """Shift the window one rung up in five rounds of parallel SWAPs.
 
@@ -476,36 +381,17 @@ def reset_step(
 
     evens = [z for z in range(n) if z % 2 == 0]
     odds = [z for z in range(n) if z % 2 == 1]
+    rounds = [
+        [(col(z), L(z)) for z in evens],
+        [(L(z), L(z + 1)) for z in evens],
+        [(L(z + 1), col(z + 1)) for z in evens],
+        [(L(z), L(z + 1)) for z in odds],
+        [(L(z + 1), col(z + 1)) for z in odds],
+    ]
     total = reset_swaps(n)
-    real = 3 * len(evens) + 2 * len(odds)
-    pad = total - real
-    share = [pad // 5 + (1 if r < pad % 5 else 0) for r in range(5)]
-
-    board.begin()
-    for z in evens:
-        board.swap(col(z), L(z))
-    board.spacers(share[0])
-    board.end()
-    board.begin()
-    for z in evens:
-        board.swap(L(z), L(z + 1))
-    board.spacers(share[1])
-    board.end()
-    board.begin()
-    for z in evens:
-        board.swap(L(z + 1), col(z + 1))
-    board.spacers(share[2])
-    board.end()
-    board.begin()
-    for z in odds:
-        board.swap(L(z), L(z + 1))
-    board.spacers(share[3])
-    board.end()
-    board.begin()
-    for z in odds:
-        board.swap(L(z + 1), col(z + 1))
-    board.spacers(share[4])
-    board.end()
+    pad = total - sum(map(len, rounds))
+    for r, pairs in enumerate(rounds):
+        board.moment(*pairs, spacers=pad // 5 + (1 if r < pad % 5 else 0))
 
     return board.finish(total, RESET_SWAP_DEPTH), board.occ.mapping()
 
@@ -519,21 +405,20 @@ def full_multiplier_schedule(
     Returns the complete schedule and the final logical-to-site mapping.
     """
     layout = build_multiplier_layout(n)
-    spec = RegisterSpec.for_width(n)
-    mapping = initial_mapping(layout, spec)
+    mapping = initial_mapping(layout, RegisterSpec.for_width(n))
     total = Schedule()
 
     def absorb(sched: Schedule) -> None:
         for m in sched.moments:
             total.extend_moment(m)
 
-    step, mapping = toffoli_step(layout, mapping, spec, optimize_depth=optimize_toffoli_depth)
+    step, mapping = toffoli_step(layout, mapping, optimize_depth=optimize_toffoli_depth)
     absorb(step)
     for j in range(1, n):
-        step, mapping = ctrl_add_step(layout, mapping, j, spec)
+        step, mapping = ctrl_add_step(layout, mapping, j)
         absorb(step)
         if j <= n - 2:
-            step, mapping = reset_step(layout, mapping, j, spec)
+            step, mapping = reset_step(layout, mapping, j)
             absorb(step)
     return total, mapping
 
@@ -542,7 +427,6 @@ def full_multiplier_schedule(
 class ValidationReport:
     violations: list[str] = field(default_factory=list)
     final_mapping: dict[Hashable, Site] = field(default_factory=dict)
-    moments: int = 0
 
     @property
     def ok(self) -> bool:
@@ -567,7 +451,6 @@ def validate_schedule(
     corner_sets = [data_corners(p) for p in range(len(layout.placements))]
     occ = Occupancy(mapping0)
     report = ValidationReport()
-    report.moments = len(schedule.moments)
 
     for mi, moment in enumerate(schedule.moments):
         touched: set[Site] = set()

@@ -63,9 +63,9 @@ def _steps(n):
     layout = build_multiplier_layout(n)
     spec = RegisterSpec.for_width(n)
     mapping = initial_mapping(layout, spec)
-    t, mapping = toffoli_step(layout, mapping, spec)
-    ca, mapping = ctrl_add_step(layout, mapping, 1, spec)
-    r, mapping = reset_step(layout, mapping, 1, spec)
+    t, mapping = toffoli_step(layout, mapping)
+    ca, mapping = ctrl_add_step(layout, mapping, 1)
+    r, mapping = reset_step(layout, mapping, 1)
     return t, ca, r
 
 

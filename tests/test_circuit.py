@@ -11,7 +11,6 @@ from celltiler.circuit import (
     GateKind,
     Occupancy,
     Schedule,
-    can_parallelize_toffoli,
     depth,
     gate,
     swap_metrics,
@@ -52,9 +51,10 @@ def test_append_earliest_fit_shared_operand():
 
 
 def test_append_new_moment():
+    # a fresh moment comes from extend_moment, even for disjoint gates
     s = Schedule()
-    s.append(gate(K.CNOT, "a", "b"), mode="new-moment")
-    s.append(gate(K.CNOT, "c", "d"), mode="new-moment")
+    s.extend_moment([gate(K.CNOT, "a", "b")])
+    s.extend_moment([gate(K.CNOT, "c", "d")])
     assert len(s) == 2
 
 
@@ -91,7 +91,7 @@ def test_depth_monotone_under_new_moment():
     s = Schedule()
     prev = 0
     for i in range(5):
-        s.append(gate(K.H, f"q{i % 2}"), mode="new-moment")
+        s.extend_moment([gate(K.H, f"q{i % 2}")])
         cur = depth(s)
         assert cur >= prev
         prev = cur
@@ -136,40 +136,6 @@ def test_swap_depth_le_count():
     s.extend_moment([gate(K.SWAP, "a", "b"), gate(K.SWAP, "c", "d")])
     c, d = swap_metrics(s)
     assert d <= c
-
-
-def test_can_parallelize_examples():
-    t1 = gate(K.TOFFOLI, 1, 2, 3)
-    t2 = gate(K.TOFFOLI, 3, 4, 5)
-    assert not can_parallelize_toffoli(t1, t2)
-    t3 = gate(K.TOFFOLI, 4, 5, 6)
-    assert can_parallelize_toffoli(t1, t3)
-    c1 = gate(K.CCZ, 1, 2, 3)
-    c2 = gate(K.CCZ, 2, 3, 4)
-    assert can_parallelize_toffoli(c1, c2)
-
-
-def test_can_parallelize_shared_targets():
-    t1 = gate(K.TOFFOLI, 1, 2, 9)
-    t2 = gate(K.TOFFOLI, 3, 4, 9)
-    assert can_parallelize_toffoli(t1, t2)
-
-
-def test_can_parallelize_rejects_other_kinds():
-    with pytest.raises(ValueError):
-        can_parallelize_toffoli(gate(K.CNOT, 1, 2), gate(K.CCZ, 1, 2, 3))
-
-
-@given(
-    st.permutations([1, 2, 3]),
-    st.permutations([2, 3, 4]),
-    st.booleans(),
-    st.booleans(),
-)
-def test_can_parallelize_symmetric(ops1, ops2, ccz1, ccz2):
-    g1 = gate(K.CCZ if ccz1 else K.TOFFOLI, *ops1)
-    g2 = gate(K.CCZ if ccz2 else K.TOFFOLI, *ops2)
-    assert can_parallelize_toffoli(g1, g2) == can_parallelize_toffoli(g2, g1)
 
 
 def test_json_roundtrip():
@@ -245,8 +211,10 @@ def test_packing_matches_linear_scan(ops):
             s.extend_moment(_disjoint(arg))
         elif op == "roundtrip":
             s = Schedule.from_json(s.to_json())
+        elif op == "new-moment":
+            s.extend_moment([arg])
         else:
-            s.append(arg, mode=op)
+            s.append(arg)
     assert s.moments == _reference_pack(ops)
     assert Schedule(s.moments).moments == s.moments
 

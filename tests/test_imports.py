@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every function parameter is read in its function."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,26 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unused_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter its function never reads;
+    ``self``, ``cls`` and names starting with ``_`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for a in params:
+            if a.arg not in read and a.arg not in ("self", "cls") and not a.arg.startswith("_"):
+                found.append(f"{node.name}.{a.arg}")
+    return found
+
+
 def test_checker_flags_unused_and_accepts_used():
     source = (
         "from __future__ import annotations\n"
@@ -38,3 +59,25 @@ def test_checker_flags_unused_and_accepts_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_parameter_checker_flags_unread_and_accepts_read():
+    source = (
+        "def f(a, b, *rest, c=0, _d=1, **kw):\n"
+        "    b = 2\n"
+        "    return a + c\n"
+        "class K:\n"
+        "    def m(self, x):\n"
+        "        def inner():\n"
+        "            return x\n"
+        "        return inner\n"
+        "    @classmethod\n"
+        "    def k(cls, y):\n"
+        "        pass\n"
+    )
+    assert unused_parameters(source) == ["f.b", "f.rest", "f.kw", "k.y"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

@@ -1,17 +1,13 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
-from celltiler.lattice import Site, adjacent, grid, shortest_path
+from celltiler.lattice import Site, adjacent, grid
 
 
 def test_grid_sizes():
     assert grid(2, 3, 8).size == 48
     assert grid(1, 1, 1).size == 1
-    assert grid(1, 1, 1).edge_count() == 0
     assert grid(2, 2, 2).size == 8
-    assert grid(2, 2, 2).edge_count() == 12
 
 
 @pytest.mark.parametrize("dims", [(0, 1, 1), (1, -1, 1), (1, 1, 0)])
@@ -37,25 +33,6 @@ def test_adjacent_out_of_bounds():
     lat = grid(2, 2, 2)
     with pytest.raises(ValueError):
         adjacent(lat, Site(0, 0, 0), Site(2, 0, 0))
-
-
-def test_shortest_path_examples():
-    lat = grid(3, 3, 3)
-    assert len(shortest_path(lat, Site(0, 0, 0), Site(1, 1, 1))) == 4
-    assert shortest_path(lat, Site(1, 1, 1), Site(1, 1, 1)) == [Site(1, 1, 1)]
-    assert shortest_path(lat, Site(0, 0, 0), Site(0, 2, 0)) == [
-        Site(0, 0, 0), Site(0, 1, 0), Site(0, 2, 0),
-    ]
-
-
-def test_paths_exhaustive_small_grids():
-    lat = grid(4, 4, 4)
-    sites = list(lat.sites())
-    for a, b in itertools.product(sites[::3], sites[::5]):
-        path = shortest_path(lat, a, b)
-        assert len(path) == a.manhattan(b) + 1
-        for u, v in zip(path, path[1:]):
-            assert adjacent(lat, u, v)
 
 
 @given(

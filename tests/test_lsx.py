@@ -41,8 +41,8 @@ def test_empty_schedule():
 
 def test_shared_control_cnots_one_step():
     sched = Schedule()
-    sched.append(gate("cnot", "c", "t1"), mode="new-moment")
-    sched.append(gate("cnot", "c", "t2"), mode="new-moment")
+    sched.extend_moment([gate("cnot", "c", "t1")])
+    sched.extend_moment([gate("cnot", "c", "t2")])
     prog = extract_ls(sched, None, "2d")
     assert len(prog.steps) == 1
     assert validate_ls(prog, "2d").ok
@@ -51,7 +51,7 @@ def test_shared_control_cnots_one_step():
 def test_three_cnots_on_one_patch_split_steps():
     sched = Schedule()
     for t in ("t1", "t2", "t3"):
-        sched.append(gate("cnot", "c", t), mode="new-moment")
+        sched.extend_moment([gate("cnot", "c", t)])
     prog = extract_ls(sched, None, "2d")
     assert len(prog.steps) == 2  # the bound of two forces a second step
     assert validate_ls(prog, "2d").ok

@@ -1,9 +1,14 @@
+import hashlib
+import json
+
 import pytest
 
+from celltiler import scheduler
 from celltiler.circuit import Gate, GateKind, Schedule, swap_metrics
 from celltiler.lattice import Site
 from celltiler.scheduler import (
     RESET_SWAP_DEPTH,
+    ScheduleError,
     ctrl_add_step,
     ctrl_add_swap_depth,
     ctrl_add_swaps,
@@ -36,24 +41,24 @@ def setup_boards(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_toffoli_step_budget(n):
     layout, spec, mapping = setup_boards(n)
-    sched, _ = toffoli_step(layout, mapping, spec)
+    sched, _ = toffoli_step(layout, mapping)
     assert swap_metrics(sched) == (toffoli_step_swaps(n), toffoli_step_swap_depth(n))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ctrl_add_budget(n):
     layout, spec, mapping = setup_boards(n)
-    _, mapping = toffoli_step(layout, mapping, spec)
-    sched, _ = ctrl_add_step(layout, mapping, 1, spec)
+    _, mapping = toffoli_step(layout, mapping)
+    sched, _ = ctrl_add_step(layout, mapping, 1)
     assert swap_metrics(sched) == (ctrl_add_swaps(n), ctrl_add_swap_depth(n))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_reset_budget_and_constant_depth(n):
     layout, spec, mapping = setup_boards(n)
-    _, mapping = toffoli_step(layout, mapping, spec)
-    _, mapping = ctrl_add_step(layout, mapping, 1, spec)
-    sched, _ = reset_step(layout, mapping, 1, spec)
+    _, mapping = toffoli_step(layout, mapping)
+    _, mapping = ctrl_add_step(layout, mapping, 1)
+    sched, _ = reset_step(layout, mapping, 1)
     count, depth = swap_metrics(sched)
     assert count == reset_swaps(n)
     assert depth == RESET_SWAP_DEPTH
@@ -68,7 +73,7 @@ def test_full_schedule_totals(n):
 def test_n1_schedule_is_toffoli_step_only():
     sched, _ = full_multiplier_schedule(1)
     layout, spec, mapping = setup_boards(1)
-    step, _ = toffoli_step(layout, mapping, spec)
+    step, _ = toffoli_step(layout, mapping)
     assert sched.to_json() == step.to_json()
     assert sched.count(K.TOFFOLI) == 1
 
@@ -132,29 +137,29 @@ def test_mapping_bijective_after_each_step():
 def test_toffoli_step_fires_one_gate_per_cube():
     for n in (1, 3):
         layout, spec, mapping = setup_boards(n)
-        sched, _ = toffoli_step(layout, mapping, spec)
+        sched, _ = toffoli_step(layout, mapping)
         assert sched.count(K.TOFFOLI) == n
 
 
 def test_ctrl_add_rejects_bad_index():
     layout, spec, mapping = setup_boards(3)
     with pytest.raises(ValueError):
-        ctrl_add_step(layout, mapping, 0, spec)
+        ctrl_add_step(layout, mapping, 0)
     with pytest.raises(ValueError):
-        ctrl_add_step(layout, mapping, 3, spec)
+        ctrl_add_step(layout, mapping, 3)
 
 
 def test_reset_rejects_bad_index():
     layout, spec, mapping = setup_boards(3)
     with pytest.raises(ValueError):
-        reset_step(layout, mapping, 0, spec)
+        reset_step(layout, mapping, 0)
 
 
 def test_control_label_constant_through_iteration():
     n = 3
     layout, spec, mapping = setup_boards(n)
-    _, mapping = toffoli_step(layout, mapping, spec)
-    sched, _ = ctrl_add_step(layout, mapping, 1, spec)
+    _, mapping = toffoli_step(layout, mapping)
+    sched, _ = ctrl_add_step(layout, mapping, 1)
     # replay and confirm every sum Toffoli uses B1 as a control
     occupant = {s: l for l, s in mapping.items()}
     sum_controls = set()
@@ -173,7 +178,7 @@ def test_control_label_constant_through_iteration():
 def test_optimized_toffoli_depth_variant():
     n = 4
     layout, spec, mapping = setup_boards(n)
-    sched, _ = toffoli_step(layout, mapping, spec, optimize_depth=True)
+    sched, _ = toffoli_step(layout, mapping, optimize_depth=True)
     count, depth = swap_metrics(sched)
     assert count == toffoli_step_swaps(n)
     assert depth == 2 * (n - 1) + 2
@@ -190,13 +195,19 @@ def test_timeline_rows_cover_swap_moments():
 
 
 def test_storage_swaps_stay_inside_queues():
-    n = 3
-    layout, spec, mapping = setup_boards(n)
-    sched, _ = full_multiplier_schedule(n)
-    queue_sites = layout.queue_sites()
-    for g in sched.gates():
-        if g.kind is K.SWAP and g.is_storage():
-            assert all(q in queue_sites for q in g.operands)
+    # storage tags are derived: a SWAP is storage iff both sites share a queue
+    for n in range(1, 11):
+        layout = build_multiplier_layout(n)
+        queue_of = {s: name for name, chain in layout.queues.items() for s in chain}
+        sched, _ = full_multiplier_schedule(n)
+        storage = 0
+        for g in sched.gates():
+            if g.kind is K.SWAP:
+                a, b = g.operands
+                same_queue = a in queue_of and queue_of[a] == queue_of.get(b)
+                assert g.is_storage() == same_queue, (n, g)
+                storage += g.is_storage()
+        assert storage > 0 or n == 1  # n = 1 has no controlled add
 
 
 def test_non_injective_start_mapping_rejected():
@@ -204,7 +215,7 @@ def test_non_injective_start_mapping_rejected():
     clash = dict(mapping)
     clash[spec.a[1]] = mapping[spec.a[0]]
     with pytest.raises(ValueError, match="not injective"):
-        toffoli_step(layout, clash, spec)
+        toffoli_step(layout, clash)
     with pytest.raises(ValueError, match="not injective"):
         validate_schedule(layout, clash, Schedule())
 
@@ -213,23 +224,80 @@ def test_non_injective_start_mapping_rejected():
 def test_optimized_toffoli_depth_needs_three_rungs(n):
     layout, spec, mapping = setup_boards(n)
     with pytest.raises(ValueError, match="needs n >= 3"):
-        toffoli_step(layout, mapping, spec, optimize_depth=True)
+        toffoli_step(layout, mapping, optimize_depth=True)
 
 
 def test_step_budgets_rows_match_emitted_steps():
     n = 4
     layout, spec, mapping = setup_boards(n)
     emitted = []
-    step, mapping = toffoli_step(layout, mapping, spec, optimize_depth=True)
+    step, mapping = toffoli_step(layout, mapping, optimize_depth=True)
     emitted.append(swap_metrics(step))
     for j in range(1, n):
-        step, mapping = ctrl_add_step(layout, mapping, j, spec)
+        step, mapping = ctrl_add_step(layout, mapping, j)
         emitted.append(swap_metrics(step))
         if j <= n - 2:
-            step, mapping = reset_step(layout, mapping, j, spec)
+            step, mapping = reset_step(layout, mapping, j)
             emitted.append(swap_metrics(step))
     rows = step_budgets(n, optimize_toffoli_depth=True)
     assert [(c, d) for _, c, d in rows] == emitted
     assert [name for name, _, _ in rows] == [
         "toffoli step", "ctrl-add 1", "reset 1", "ctrl-add 2", "reset 2", "ctrl-add 3",
     ]
+
+
+# sha256 of to_json(), a newline and the sorted final mapping as JSON; a
+# refactor of the emitters must leave every byte of both outputs unchanged
+SCHEDULE_PINS = {
+    (1, False): "955cd61b37eb87cd7e38cbc8da982bf59424813fcdd8662567c2688f00e96270",
+    (2, False): "48221bbffe02b9052c63b51706383d56db8ca3373a69b54b05fe7004a355dfd2",
+    (3, False): "ea03e1c272db2ab0a87e9d00de721acd049587a6226d999b1a84816cf22ac2f0",
+    (4, False): "c3e736b2f6ea024e02e0bf9387aed5b2fcfeac2c727752f58aebe08645da8535",
+    (5, False): "06b6eee10f99d07dd12c4565983ea6644713539b146b0d798777c5b55e16bd15",
+    (6, False): "0d0857453bd7b95eab5370ba64d7badf504c63461df36ca1080bc03038e94674",
+    (7, False): "34b022face326ea502f842864f620918d086d522d7745ee6de626b537237029d",
+    (8, False): "24619dddd2cc6e5f3a153828cb1aa4e4fbeb1fe03dea087419e67195c5a38b42",
+    (9, False): "f7fba5e3c50ab30de87d7c4ee67da90e73aadf239100fc894402f264fe358f6b",
+    (10, False): "33d0e838f2706b91c75d38805bcef7c0018a93c980a44423da51a3bed596668e",
+    (3, True): "bf3d40793144039904dcbdd93bb44abef4fe618935c049ffd622aa20d92e4173",
+    (4, True): "141a90d303e4ca820244a37f61de22ac655debde91be42eb9eae982a5c36173c",
+    (5, True): "8da9b8bb333ebb265565194808667c15525c5054cc13956a4182b8c7ee6a142d",
+    (6, True): "46de931203f69f7813cd402e8385ca9a21ab0b7b818394f4035e258fa13ca376",
+    (7, True): "c06180053ca0bc27685ec0d2a0a4875f35e151117a14f2bc5a07dcff1b8cc627",
+    (8, True): "26d8952683a70bfef38cec782b2519bb762b31667e75b212b890e00342d5a749",
+    (9, True): "29c28cc7302c42cc40ab3a1cd20450b3818a65d7c8912e828aa899d723ae2c0d",
+    (10, True): "c87143cf2da9a4b6a8f0e0284ac5e8fa94e3d83d5c20ec8718070d6f066c55d0",
+}
+
+
+@pytest.mark.parametrize("n,optimize", sorted(SCHEDULE_PINS))
+def test_schedule_bytes_pinned(n, optimize):
+    sched, final = full_multiplier_schedule(n, optimize_toffoli_depth=optimize)
+    mapping = json.dumps(sorted((str(label), list(site)) for label, site in final.items()))
+    text = sched.to_json() + "\n" + mapping
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_PINS[n, optimize]
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("budget", [
+    "toffoli_step_swaps", "toffoli_step_swap_depth",
+    "ctrl_add_swaps", "ctrl_add_swap_depth", "RESET_SWAP_DEPTH",
+])
+def test_step_off_its_budget_raises(monkeypatch, budget, delta):
+    original = getattr(scheduler, budget)
+    if callable(original):
+        monkeypatch.setattr(scheduler, budget, lambda n: original(n) + delta)
+    else:
+        monkeypatch.setattr(scheduler, budget, original + delta)
+    with pytest.raises(ScheduleError, match="budget"):
+        full_multiplier_schedule(4)
+
+
+def test_stale_positional_spec_rejected():
+    layout, spec, mapping = setup_boards(4)
+    with pytest.raises(TypeError):
+        toffoli_step(layout, mapping, spec)
+    with pytest.raises(TypeError):
+        ctrl_add_step(layout, mapping, 1, spec)
+    with pytest.raises(TypeError):
+        reset_step(layout, mapping, 1, spec)
