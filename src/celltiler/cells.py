@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Hashable
+from functools import cached_property
+from types import MappingProxyType
+from typing import Hashable, Mapping
 
 from celltiler.circuit import Schedule
 from celltiler.lattice import Lattice, Site
@@ -184,7 +186,9 @@ class Placement:
     offset: Site
     orientation: int = 0
 
-    def vertex_roles(self) -> dict[Site, str]:
+    @cached_property
+    def vertex_roles(self) -> Mapping[Site, str]:
+        """Lattice site -> role of every tile vertex; computed once, read-only."""
         mat = ROTATIONS_3D[self.orientation % len(ROTATIONS_3D)]
         rotated = {}
         raw = {v: _apply_rotation(mat, v) for v, _ in self.tile.vertices}
@@ -196,33 +200,37 @@ class Placement:
             rotated[Site(p[0] - minx + self.offset.x,
                          p[1] - miny + self.offset.y,
                          p[2] - minz + self.offset.z)] = role
-        return rotated
+        return MappingProxyType(rotated)
 
     def sites(self) -> set[Site]:
-        return set(self.vertex_roles())
+        return set(self.vertex_roles)
 
 
 class Layout:
-    """A lattice with placed cells and named storage queues."""
+    """A lattice with placed cells and named storage queues.
+
+    ``queue_of`` maps each queue site to the name of its one queue.
+    """
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
         self.placements: list[Placement] = []
         self.queues: dict[str, list[Site]] = {}
+        self.queue_of: dict[Site, str] = {}
 
     def add_queue(self, name: str, chain: list[Site]) -> None:
         for s in chain:
             self.lattice.check(s)
+            if s in self.queue_of:
+                raise ValueError(f"site {tuple(s)} is already in queue {self.queue_of[s]!r}")
         for a, b in zip(chain, chain[1:]):
             if a.manhattan(b) != 1:
                 raise ValueError(f"queue {name!r} is not a chain at {a}->{b}")
         self.queues[name] = list(chain)
-
-    def queue_sites(self) -> set[Site]:
-        return {s for chain in self.queues.values() for s in chain}
+        self.queue_of.update(dict.fromkeys(chain, name))
 
     def used_sites(self) -> set[Site]:
-        used = set(self.queue_sites())
+        used = set(self.queue_of)
         for p in self.placements:
             used |= p.sites()
         return used
@@ -230,7 +238,7 @@ class Layout:
     def computational_sites(self) -> set[Site]:
         out = set()
         for p in self.placements:
-            for s, role in p.vertex_roles().items():
+            for s, role in p.vertex_roles.items():
                 if role in (ROLE_CONTROL, ROLE_TARGET):
                     out.add(s)
         return out
@@ -257,12 +265,12 @@ class Layout:
 def place(layout: Layout, tile: Tile, offset: Site, orientation: int = 0) -> Layout:
     """Add a placement; overlap is legal only where no two data roles collide."""
     cand = Placement(tile, offset, orientation)
-    roles = cand.vertex_roles()
+    roles = cand.vertex_roles
     for s in roles:
         if s not in layout.lattice:
             raise PlacementError(f"tile {tile.name} at {tuple(offset)} leaves the lattice at {tuple(s)}")
     for prev in layout.placements:
-        prev_roles = prev.vertex_roles()
+        prev_roles = prev.vertex_roles
         for s, role in roles.items():
             other = prev_roles.get(s)
             if other is None:

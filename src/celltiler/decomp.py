@@ -226,10 +226,14 @@ def lower_schedule(schedule: Schedule) -> Schedule:
     """Expand Toffoli/CCZ gates to Clifford+T and SWAPs to three CNOTs.
 
     Toffoli operands keep their labels; each expansion draws fresh ancilla
-    wires from a shared pool so supports in one moment never collide.
+    wires from a shared pool so supports in one moment never collide. A CCZ
+    is the Toffoli conjugated by H on its target, so its template is the
+    Toffoli template without the two ``H(t)`` gates.
     """
-    toffoli = toffoli_tdepth2()
-    templates = {GateKind.TOFFOLI: toffoli, GateKind.CCZ: toffoli}
+    toffoli = toffoli_tdepth2().moments
+    h_t = gate(K.H, "t")
+    ccz = [[h for h in m if h != h_t] for m in toffoli]
+    templates = {GateKind.TOFFOLI: toffoli, GateKind.CCZ: ccz}
     roles, anc = ("a", "b", "t"), ("x", "y", "w")
     out = Schedule()
     pool = 0
@@ -244,7 +248,7 @@ def lower_schedule(schedule: Schedule) -> Schedule:
                     pool += 1
                 expanded = [
                     [Gate(h.kind, tuple(names[q] for q in h.operands), h.condition, h.tags) for h in m]
-                    for m in templates[g.kind].moments
+                    for m in templates[g.kind]
                 ]
                 pending.append(expanded)
             elif g.kind is GateKind.SWAP:

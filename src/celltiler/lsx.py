@@ -137,13 +137,13 @@ class _Extractor:
             self.last_step[p] = max(self.last_step.get(p, 0), s)
         return s
 
-    def _alloc_anc(self, step: int) -> tuple[str, int]:
+    def _alloc_anc(self, step: int) -> str:
         for i, free_at in enumerate(self.anc_avail):
             if free_at <= step:
                 self.anc_avail[i] = step + 1
-                return f"ls_anc{i}", i
+                return f"ls_anc{i}"
         self.anc_avail.append(step + 1)
-        return f"ls_anc{len(self.anc_avail) - 1}", len(self.anc_avail) - 1
+        return f"ls_anc{len(self.anc_avail) - 1}"
 
     def _rotate_if_needed(self, step: int, patch: str, boundary: str) -> None:
         cur = self.orientation.get(patch)
@@ -156,7 +156,7 @@ class _Extractor:
     def ls_cnot(self, ctrl: str, tgt: str, kinds=(MERGE_ZZ, MERGE_XX), condition=None) -> None:
         self.instance += 1
         s = self._place_two((ctrl, tgt), transversal=False)
-        anc, _ = self._alloc_anc(s)
+        anc = self._alloc_anc(s)
         step = self.program.steps[s]
         step.append(LSInstruction(INIT_PLUS, (anc,), self.instance))
         self._rotate_if_needed(s, ctrl, "z")

@@ -159,9 +159,9 @@ def routing_mapping(n: int) -> dict[Hashable, Site]:
     seats plus deterministic seats for the carry ancillae."""
     layout = build_multiplier_layout(n)
     spec = RegisterSpec.for_width(n)
-    full = initial_mapping(layout, spec)
-    mapping = {label: site for label, site in full.items()
-               if not str(label).startswith("anc")}
+    data = set(spec.all_data())
+    mapping = {label: site for label, site in initial_mapping(layout, spec).items()
+               if label in data}
     free = sorted(set(layout.used_sites()) - set(mapping.values()))
     for i in range(n + 1):
         mapping[f"C{i}"] = free[i]

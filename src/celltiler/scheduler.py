@@ -13,13 +13,13 @@ idle-ancilla spacer exchanges) or a moment holding one Toffoli. A SWAP whose
 two sites lie in the same storage queue is tagged ``storage``; no other SWAP
 is. Every step is emitted against a fixed per-block SWAP budget: the spacers
 keep the emitted shape uniform across n, and each step checks its
-``swap_metrics`` against its ``step_budgets`` row exactly.
+``swap_metrics`` against its :data:`STEP_SWAPS` entry exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Callable, Hashable
 
 from celltiler.cells import Layout
 from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, swap_metrics
@@ -33,51 +33,33 @@ from celltiler.tiler import (
 K = GateKind
 
 
-# Designed per-step SWAP cost model (counted SWAPs exclude storage traffic).
-def toffoli_step_swaps(n: int) -> int:
-    return 5 * (n - 1) + 12
-
-
-def toffoli_step_swap_depth(n: int) -> int:
-    return 2 * (n - 1) + 5
-
-
-def ctrl_add_swaps(n: int) -> int:
-    return 6 * (n - 1) + 16
-
-
-def ctrl_add_swap_depth(n: int) -> int:
-    return 4 * (n - 1) + 10
-
-
-def reset_swaps(n: int) -> int:
-    return 4 * (n - 1) + 9
-
-
 RESET_SWAP_DEPTH = 5
+
+# The designed SWAP cost model: step kind -> n -> (counted SWAPs, SWAP depth).
+# Counted SWAPs exclude storage traffic. The depth-optimised Toffoli step
+# keeps two of the five tail SWAP moments; its padding rides along earlier.
+STEP_SWAPS: dict[str, Callable[[int], tuple[int, int]]] = {
+    "toffoli": lambda n: (5 * (n - 1) + 12, 2 * (n - 1) + 5),
+    "toffoli-opt": lambda n: (STEP_SWAPS["toffoli"](n)[0], 2 * (n - 1) + 2),
+    "ctrl-add": lambda n: (6 * (n - 1) + 16, 4 * (n - 1) + 10),
+    "reset": lambda n: (4 * (n - 1) + 9, RESET_SWAP_DEPTH),
+}
+
+
+def _toffoli_kind(optimize_depth: bool) -> str:
+    return "toffoli-opt" if optimize_depth else "toffoli"
 
 
 def step_budgets(n: int, optimize_toffoli_depth: bool = False) -> list[tuple[str, int, int]]:
     """``(name, swapC, swapD)`` of every step of the n-bit multiplier, in the
     order :func:`full_multiplier_schedule` emits them. Each emitter asserts
-    that its step meets its row exactly."""
-    # the depth-optimised Toffoli step has two tail SWAP moments instead of five
-    toffoli_depth = 2 * (n - 1) + 2 if optimize_toffoli_depth else toffoli_step_swap_depth(n)
-    rows = [("toffoli step", toffoli_step_swaps(n), toffoli_depth)]
+    that its step meets its :data:`STEP_SWAPS` entry exactly."""
+    rows = [("toffoli step", *STEP_SWAPS[_toffoli_kind(optimize_toffoli_depth)](n))]
     for j in range(1, n):
-        rows.append((f"ctrl-add {j}", ctrl_add_swaps(n), ctrl_add_swap_depth(n)))
+        rows.append((f"ctrl-add {j}", *STEP_SWAPS["ctrl-add"](n)))
         if j <= n - 2:
-            rows.append((f"reset {j}", reset_swaps(n), RESET_SWAP_DEPTH))
+            rows.append((f"reset {j}", *STEP_SWAPS["reset"](n)))
     return rows
-
-
-def total_swaps(n: int) -> int:
-    return 10 * n * n + 6 * n - 13
-
-
-def total_swap_depth(n: int) -> int:
-    # component sum of the per-step depths
-    return 4 * n * n + 9 * n - 13
 
 
 class ScheduleError(Exception):
@@ -93,16 +75,18 @@ class _Board:
     moment holding one Toffoli. Every SWAP must be nearest-neighbour, every
     site inside the used region, and no site may be used twice in one moment.
     A SWAP is tagged ``storage`` exactly when both its sites lie in the same
-    queue. ``finish`` checks the step's ``swap_metrics`` against its budget.
+    queue. ``finish`` checks the step's ``swap_metrics`` against its
+    :data:`STEP_SWAPS` entry. Every label outside the register spec is an
+    ancilla; one in ``live_anc`` holds a carry and is not idle.
     """
 
     def __init__(self, layout: Layout, mapping: dict[Hashable, Site]):
         self.layout = layout
+        self.queue_of = layout.queue_of
+        self.spec = RegisterSpec.for_width(len(layout.placements))
+        self.data = frozenset(self.spec.all_data())
         self.occ = Occupancy(mapping)
         self.live_anc: set[Hashable] = set()
-        self.queue_of: dict[Site, str] = {
-            s: name for name, chain in layout.queues.items() for s in chain
-        }
         self.sched = Schedule()
         self.spacer_debt = 0
         # candidates, tower top first; SWAPs keep every used site labelled,
@@ -166,11 +150,7 @@ class _Board:
 
     def _dead_anc(self, site: Site) -> bool:
         label = self.occ.label_at.get(site)
-        return (
-            isinstance(label, str)
-            and label.startswith("anc")
-            and label not in self.live_anc
-        )
+        return label is not None and label not in self.data and label not in self.live_anc
 
     @staticmethod
     def _spacer_pairs(h: int) -> list[tuple[Site, Site]]:
@@ -209,16 +189,19 @@ class _Board:
         holes.sort(key=lambda s: abs(chain.index(s) - ti))
         self.bubble_to(self.occ.label_at[holes[0]], target)
 
-    def finish(self, swap_budget: int, depth_budget: int) -> Schedule:
+    def finish(self, kind: str) -> tuple[Schedule, dict[Hashable, Site]]:
+        """The step's schedule and final mapping, once its SWAPs meet the
+        ``kind`` entry of :data:`STEP_SWAPS`."""
         if self.spacer_debt:
             raise ScheduleError(f"unplaced spacer swaps: {self.spacer_debt}")
         count, depth_ = swap_metrics(self.sched)
-        if (count, depth_) != (swap_budget, depth_budget):
+        budget, depth_budget = STEP_SWAPS[kind](len(self.layout.placements))
+        if (count, depth_) != (budget, depth_budget):
             raise ScheduleError(
                 f"emitted {count} counted SWAPs in {depth_} moments, "
-                f"budget {swap_budget} in {depth_budget}"
+                f"budget {budget} in {depth_budget}"
             )
-        return self.sched
+        return self.sched, self.occ.mapping()
 
 
 def _shift_target(p: int) -> Site:
@@ -249,7 +232,7 @@ def toffoli_step(
 
     # under the depth optimisation the tail keeps only its serial control
     # hops, so the tail padding spreads over the per-cube moments instead
-    slots = 2 * (n - 1) + 2
+    slots = STEP_SWAPS["toffoli-opt"](n)[1]
     extra = [0] * slots
     if optimize_depth:
         for i in range(9):
@@ -273,8 +256,7 @@ def toffoli_step(
         board.moment(spacers=3)
         board.moment(spacers=3)
 
-    _, budget, depth_budget = step_budgets(n, optimize_depth)[0]
-    return board.finish(budget, depth_budget), board.occ.mapping()
+    return board.finish(_toffoli_kind(optimize_depth))
 
 
 def ctrl_add_step(
@@ -292,8 +274,8 @@ def ctrl_add_step(
     n = len(layout.placements)
     if not 1 <= j <= n - 1:
         raise ValueError(f"controlled-add index must be in 1..{n - 1}, got {j}")
-    spec = RegisterSpec.for_width(n)
     board = _Board(layout, mapping)
+    spec = board.spec
 
     # storage staging: next control to the ladder-side slot, incoming zero to
     # the magenta head (free slots are staged after the control leaves yellow)
@@ -360,7 +342,7 @@ def ctrl_add_step(
     board.moment((L(n), YELLOW(n)))
     board.moment(spacers=1)
 
-    return board.finish(ctrl_add_swaps(n), ctrl_add_swap_depth(n)), board.occ.mapping()
+    return board.finish("ctrl-add")
 
 
 def reset_step(
@@ -388,12 +370,11 @@ def reset_step(
         [(L(z), L(z + 1)) for z in odds],
         [(L(z + 1), col(z + 1)) for z in odds],
     ]
-    total = reset_swaps(n)
-    pad = total - sum(map(len, rounds))
+    base, rest = divmod(STEP_SWAPS["reset"](n)[0] - sum(map(len, rounds)), len(rounds))
     for r, pairs in enumerate(rounds):
-        board.moment(*pairs, spacers=pad // 5 + (1 if r < pad % 5 else 0))
+        board.moment(*pairs, spacers=base + (1 if r < rest else 0))
 
-    return board.finish(total, RESET_SWAP_DEPTH), board.occ.mapping()
+    return board.finish("reset")
 
 
 def full_multiplier_schedule(

@@ -167,11 +167,12 @@ def _measure(psi: np.ndarray, axis: int, x_basis: bool) -> list[tuple[float, int
 
 def statevector_run(
     schedule: Schedule,
-    initial: Mapping[Hashable, int] | np.ndarray | None = None,
+    initial: Mapping[Hashable, int] | None = None,
     wires: list[Hashable] | None = None,
 ) -> list[Branch]:
     """Dense simulation; measurements fork into normalised outcome branches.
 
+    ``initial`` sets basis bits by wire; every other wire starts in |0>.
     The state's axes are the wires, in the order of ``wires``; a SWAP exchanges
     the contents of its two wires, so a value is read at the wire it ended on
     (see :func:`classical_run` for the label-keyed view of the same run).
@@ -184,14 +185,11 @@ def statevector_run(
         raise CapacityError(f"{len(wires)} wires exceed the {MAX_WIRES}-wire cap")
     ax = {w: i for i, w in enumerate(wires)}
     n = len(wires)
-    if isinstance(initial, np.ndarray):
-        psi = initial.astype(complex).reshape((2,) * n)
-    else:
-        psi = np.zeros((2,) * n, dtype=complex)
-        idx = [0] * n
-        for w, bit in (initial or {}).items():
-            idx[ax[w]] = int(bit)
-        psi[tuple(idx)] = 1.0
+    psi = np.zeros((2,) * n, dtype=complex)
+    idx = [0] * n
+    for w, bit in (initial or {}).items():
+        idx[ax[w]] = int(bit)
+    psi[tuple(idx)] = 1.0
 
     branches = [Branch(1.0, (), psi)]
     for moment in schedule.moments:

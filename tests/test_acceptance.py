@@ -6,14 +6,12 @@ assert with a diagnostic.
 
 from fractions import Fraction
 
-import pytest
-
 from celltiler import decomp
 from celltiler.cells import Layout, place, tile_supports, toffoli_cube, tdepth2_tile, and_tile
 from celltiler.circuit import GateKind, POLICIES, depth, swap_metrics, t_metrics
 from celltiler.lattice import Site, grid
 from celltiler.lsx import extract_ls, validate_ls
-from celltiler.router import compare, compare_csv, greedy_route, logical_multiplier_circuit
+from celltiler.router import compare, compare_csv
 from celltiler.scheduler import (
     RESET_SWAP_DEPTH,
     ctrl_add_step,

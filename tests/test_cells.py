@@ -102,7 +102,7 @@ def test_placement_rotation_preserves_sticks():
     tile = toffoli_cube()
     for orientation in range(24):
         p = Placement(tile, Site(0, 0, 0), orientation)
-        roles = p.vertex_roles()
+        roles = p.vertex_roles
         assert len(roles) == 7
         coords = set(roles)
         assert all(0 <= s.x <= 1 and 0 <= s.y <= 1 and 0 <= s.z <= 1 for s in coords)
@@ -113,6 +113,22 @@ def test_queue_chain_validation():
     layout.add_queue("q", [Site(0, 2, 0), Site(0, 2, 1)])
     with pytest.raises(ValueError):
         layout.add_queue("bad", [Site(0, 2, 0), Site(0, 2, 2)])
+
+
+def test_queue_sites_belong_to_one_queue():
+    layout = Layout(grid(2, 3, 8))
+    layout.add_queue("q", [Site(0, 2, 0), Site(0, 2, 1)])
+    with pytest.raises(ValueError, match="already in queue 'q'"):
+        layout.add_queue("r", [Site(0, 2, 1), Site(0, 2, 2)])
+    assert layout.queue_of == {Site(0, 2, 0): "q", Site(0, 2, 1): "q"}
+    assert list(layout.queues) == ["q"]
+
+
+def test_vertex_roles_computed_once_and_read_only():
+    p = Placement(toffoli_cube(), Site(0, 0, 1), 5)
+    assert p.vertex_roles is p.vertex_roles
+    with pytest.raises(TypeError):
+        p.vertex_roles[Site(0, 0, 1)] = "control"
 
 
 def test_layout_json():

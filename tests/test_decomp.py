@@ -161,6 +161,17 @@ def test_lower_schedule_expands_toffoli():
     assert assert_equiv(low, "toffoli", ("x", "y", "z"), TOL).ok
 
 
+def test_lower_schedule_expands_ccz_as_ccz():
+    from celltiler.circuit import gate
+
+    sched = Schedule([[gate("ccz", "x", "y", "z")]])
+    low = decomp.lower_schedule(sched)
+    assert low.count(K.CCZ) == 0 and low.count(K.H) == 0
+    assert low.count(K.CNOT) == 14
+    assert assert_equiv(low, "ccz", ("x", "y", "z"), TOL).ok
+    assert not assert_equiv(low, "toffoli", ("x", "y", "z"), TOL).ok
+
+
 def test_lower_schedule_expands_swap():
     from celltiler.circuit import gate
 

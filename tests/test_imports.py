@@ -1,13 +1,15 @@
-"""Every name a module of the package imports is used in that module, and
-every function parameter is read in its function."""
+"""Every name a module of the package or a test file imports is used in that
+file, and every function parameter of the package is read in its function."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "celltiler"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
+ROOT = Path(__file__).resolve().parents[1]
+# __init__ only re-exports
+MODULES = sorted(p for p in (ROOT / "src" / "celltiler").glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -56,7 +58,7 @@ def test_checker_flags_unused_and_accepts_used():
     assert unused_imports(source) == ["line 4: Iterable"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from celltiler.circuit import Gate, GateKind, Schedule, gate, swap_metrics
+from celltiler.circuit import GateKind, Schedule, gate
 from celltiler.lattice import Site, grid
 from celltiler.router import (
     CSV_HEADER,

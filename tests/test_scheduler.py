@@ -10,19 +10,12 @@ from celltiler.scheduler import (
     RESET_SWAP_DEPTH,
     ScheduleError,
     ctrl_add_step,
-    ctrl_add_swap_depth,
-    ctrl_add_swaps,
     full_multiplier_schedule,
     render_timeline,
     reset_step,
-    reset_swaps,
     step_budgets,
     timeline_rows,
     toffoli_step,
-    toffoli_step_swap_depth,
-    toffoli_step_swaps,
-    total_swap_depth,
-    total_swaps,
     validate_schedule,
 )
 from celltiler.sim import classical_run
@@ -42,7 +35,7 @@ def setup_boards(n):
 def test_toffoli_step_budget(n):
     layout, spec, mapping = setup_boards(n)
     sched, _ = toffoli_step(layout, mapping)
-    assert swap_metrics(sched) == (toffoli_step_swaps(n), toffoli_step_swap_depth(n))
+    assert swap_metrics(sched) == (5 * (n - 1) + 12, 2 * (n - 1) + 5)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -50,7 +43,7 @@ def test_ctrl_add_budget(n):
     layout, spec, mapping = setup_boards(n)
     _, mapping = toffoli_step(layout, mapping)
     sched, _ = ctrl_add_step(layout, mapping, 1)
-    assert swap_metrics(sched) == (ctrl_add_swaps(n), ctrl_add_swap_depth(n))
+    assert swap_metrics(sched) == (6 * (n - 1) + 16, 4 * (n - 1) + 10)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -60,14 +53,17 @@ def test_reset_budget_and_constant_depth(n):
     _, mapping = ctrl_add_step(layout, mapping, 1)
     sched, _ = reset_step(layout, mapping, 1)
     count, depth = swap_metrics(sched)
-    assert count == reset_swaps(n)
-    assert depth == RESET_SWAP_DEPTH
+    assert count == 4 * (n - 1) + 9
+    assert depth == RESET_SWAP_DEPTH == 5
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_full_schedule_totals(n):
     sched, _ = full_multiplier_schedule(n)
-    assert swap_metrics(sched) == (total_swaps(n), total_swap_depth(n))
+    totals = (10 * n * n + 6 * n - 13, 4 * n * n + 9 * n - 13)
+    assert swap_metrics(sched) == totals
+    rows = step_budgets(n)
+    assert (sum(c for _, c, _ in rows), sum(d for _, _, d in rows)) == totals
 
 
 def test_n1_schedule_is_toffoli_step_only():
@@ -92,6 +88,43 @@ def test_validator_flags_diagonal_swap():
     bad = Schedule([[Gate(K.SWAP, (Site(0, 0, 0), Site(1, 1, 0)))]])
     report = validate_schedule(layout, mapping, bad)
     assert len(report.violations) == 1
+
+
+def _one_gate_report(g, toffoli_rule="tile"):
+    layout, spec, mapping = setup_boards(2)
+    return validate_schedule(layout, mapping, Schedule([[g]]), toffoli_rule=toffoli_rule)
+
+
+def test_validator_flags_toffoli_off_every_cube():
+    # E(0), L(0) and S(0) are adjacent but S(0) is no data corner of cube 0
+    report = _one_gate_report(Gate(K.TOFFOLI, (Site(1, 0, 0), Site(0, 1, 0), Site(0, 0, 0))))
+    assert len(report.violations) == 1 and "not on a cell" in report.violations[0]
+    ok = _one_gate_report(Gate(K.TOFFOLI, (Site(1, 0, 0), Site(0, 1, 0), Site(1, 1, 1))))
+    assert ok.ok
+
+
+def test_validator_flags_toffoli_not_chain_adjacent():
+    # a cube's data corners are pairwise two apart, so no chain joins them
+    g = Gate(K.TOFFOLI, (Site(1, 0, 0), Site(0, 1, 0), Site(1, 1, 1)))
+    report = _one_gate_report(g, toffoli_rule="chain")
+    assert len(report.violations) == 1 and "not chain-adjacent" in report.violations[0]
+    chain = Gate(K.TOFFOLI, (Site(0, 0, 0), Site(1, 0, 0), Site(1, 1, 0)))
+    assert _one_gate_report(chain, toffoli_rule="chain").ok
+
+
+def test_validator_flags_site_outside_lattice():
+    report = _one_gate_report(Gate(K.SWAP, (Site(0, 2, 0), Site(0, 3, 0))))
+    assert len(report.violations) == 1 and "outside lattice" in report.violations[0]
+
+
+def test_validator_flags_non_site_operand():
+    report = _one_gate_report(Gate(K.SWAP, (Site(0, 0, 0), "A0")))
+    assert len(report.violations) == 1 and "non-site operand" in report.violations[0]
+
+
+def test_validator_rejects_unknown_toffoli_rule():
+    with pytest.raises(ValueError, match="unknown toffoli rule"):
+        _one_gate_report(Gate(K.SWAP, (Site(0, 0, 0), Site(0, 1, 0))), toffoli_rule="cube")
 
 
 def test_validator_empty_schedule_identity():
@@ -180,7 +213,7 @@ def test_optimized_toffoli_depth_variant():
     layout, spec, mapping = setup_boards(n)
     sched, _ = toffoli_step(layout, mapping, optimize_depth=True)
     count, depth = swap_metrics(sched)
-    assert count == toffoli_step_swaps(n)
+    assert count == 5 * (n - 1) + 12
     assert depth == 2 * (n - 1) + 2
 
 
@@ -199,6 +232,7 @@ def test_storage_swaps_stay_inside_queues():
     for n in range(1, 11):
         layout = build_multiplier_layout(n)
         queue_of = {s: name for name, chain in layout.queues.items() for s in chain}
+        assert layout.queue_of == queue_of
         sched, _ = full_multiplier_schedule(n)
         storage = 0
         for g in sched.gates():
@@ -278,17 +312,28 @@ def test_schedule_bytes_pinned(n, optimize):
     assert hashlib.sha256(text.encode()).hexdigest() == SCHEDULE_PINS[n, optimize]
 
 
+# each perturbed closed form: (STEP_SWAPS kind, 0 for the count or 1 for the depth)
+PERTURBED = {
+    "toffoli_step_swaps": ("toffoli", 0),
+    "toffoli_step_swap_depth": ("toffoli", 1),
+    "ctrl_add_swaps": ("ctrl-add", 0),
+    "ctrl_add_swap_depth": ("ctrl-add", 1),
+    "RESET_SWAP_DEPTH": ("reset", 1),
+}
+
+
 @pytest.mark.parametrize("delta", [-1, 1])
-@pytest.mark.parametrize("budget", [
-    "toffoli_step_swaps", "toffoli_step_swap_depth",
-    "ctrl_add_swaps", "ctrl_add_swap_depth", "RESET_SWAP_DEPTH",
-])
+@pytest.mark.parametrize("budget", list(PERTURBED))
 def test_step_off_its_budget_raises(monkeypatch, budget, delta):
-    original = getattr(scheduler, budget)
-    if callable(original):
-        monkeypatch.setattr(scheduler, budget, lambda n: original(n) + delta)
-    else:
-        monkeypatch.setattr(scheduler, budget, original + delta)
+    kind, field = PERTURBED[budget]
+    original = scheduler.STEP_SWAPS[kind]
+
+    def perturbed(n):
+        cost = list(original(n))
+        cost[field] += delta
+        return tuple(cost)
+
+    monkeypatch.setitem(scheduler.STEP_SWAPS, kind, perturbed)
     with pytest.raises(ScheduleError, match="budget"):
         full_multiplier_schedule(4)
 
