@@ -157,24 +157,18 @@ def toffoli_tdepth2() -> Schedule:
 def toffoli_mb() -> Schedule:
     """Toffoli via a logical AND and measurement-based uncomputation.
 
-    The AND result w is fanned into the true target, measured in the X basis,
-    and the corrective CZ between the controls is applied (conditioned on the
-    record) through the parity ancilla z4 sitting between them.
+    The AND is :func:`and_4anc` with its output wire renamed w. Its result is
+    fanned into the true target, w is measured in the X basis, and the
+    corrective CZ between the controls is applied (conditioned on the record)
+    through the parity ancilla z4 sitting between them.
     """
-    a, b, t, w, z2, z3, z4 = "a", "b", "t", "w", "z2", "z3", "z4"
+    a, b, t, w, z4 = "a", "b", "t", "w", "z4"
+    core = [
+        [gate(g.kind, *(w if q == t else q for q in g.operands)) for g in m]
+        for m in and_4anc().moments
+    ]
     return _moments(
-        [gate(K.H, w)],
-        [gate(K.CNOT, a, z2), gate(K.CNOT, b, z3)],
-        [gate(K.CNOT, w, z2), gate(K.CNOT, a, z4)],
-        [gate(K.CNOT, w, z3), gate(K.CNOT, b, z4)],
-        [gate(K.CNOT, w, z4)],
-        [gate(K.T, w), gate(K.TDAG, z2), gate(K.TDAG, z3), gate(K.T, z4)],
-        [gate(K.CNOT, w, z4)],
-        [gate(K.CNOT, w, z3), gate(K.CNOT, b, z4)],
-        [gate(K.CNOT, w, z2), gate(K.CNOT, a, z4)],
-        [gate(K.CNOT, a, z2), gate(K.CNOT, b, z3)],
-        [gate(K.H, w)],
-        [gate(K.S, w)],
+        *core,
         [gate(K.CNOT, w, t)],
         [gate(K.MEASURE_X, w)],
         [gate(K.CNOT, a, z4)],
@@ -196,13 +190,7 @@ def ccz_cube_assignment() -> dict[Hashable, Site]:
 
 def toffoli_cube_circuit() -> Schedule:
     """The cube cell's native gate sequence: CCZ conjugated by H on the target."""
-    inner = ccz_tdepth1()
-    sched = Schedule()
-    sched.extend_moment([gate(K.H, "c")])
-    for m in inner.moments:
-        sched.extend_moment(m)
-    sched.extend_moment([gate(K.H, "c")])
-    return sched
+    return _moments([gate(K.H, "c")], *ccz_tdepth1().moments, [gate(K.H, "c")])
 
 
 def tdepth2_assignment() -> dict[Hashable, Site]:

@@ -47,11 +47,8 @@ class _Router:
         self.occ = Occupancy(mapping0)
         self.out = Schedule()
 
-    def _emit(self, gate: Gate) -> None:
-        self.out.append(gate)
-
     def _swap(self, a: Site, b: Site) -> None:
-        self._emit(Gate(K.SWAP, (a, b)))
+        self.out.append(Gate(K.SWAP, (a, b)))
         self.occ.swap(a, b)
 
     def _walk(self, label: Hashable, goals: set[Site], locked: set[Site]) -> None:
@@ -99,7 +96,7 @@ class _Router:
                 self._route_pair(*ops)
             elif len(ops) == 3:
                 self._route_triple(*ops)
-            self._emit(Gate(g.kind, tuple(pos[q] for q in ops), g.condition, g.tags))
+            self.out.append(Gate(g.kind, tuple(pos[q] for q in ops), g.condition, g.tags))
 
 
 def greedy_route(

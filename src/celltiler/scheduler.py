@@ -19,7 +19,8 @@ keep the emitted shape uniform across n, and each step checks its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from functools import partial
+from typing import Callable, Hashable, Iterator
 
 from celltiler.cells import Layout
 from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, swap_metrics
@@ -46,20 +47,28 @@ STEP_SWAPS: dict[str, Callable[[int], tuple[int, int]]] = {
 }
 
 
-def _toffoli_kind(optimize_depth: bool) -> str:
-    return "toffoli-opt" if optimize_depth else "toffoli"
+def _step_plan(n: int, optimize_toffoli_depth: bool) -> Iterator[tuple[str, str, Callable]]:
+    """``(row name, STEP_SWAPS kind, emitter)`` of every step of the n-bit
+    multiplier, in emission order: the Toffoli step, then ctrl-add j for each
+    j, with a reset after every ctrl-add but the last. An emitter maps
+    ``(layout, mapping)`` to the step's ``(schedule, mapping)``."""
+    yield (
+        "toffoli step",
+        "toffoli-opt" if optimize_toffoli_depth else "toffoli",
+        partial(toffoli_step, optimize_depth=optimize_toffoli_depth),
+    )
+    for j in range(1, n):
+        yield f"ctrl-add {j}", "ctrl-add", partial(ctrl_add_step, j=j)
+        if j <= n - 2:
+            yield f"reset {j}", "reset", partial(reset_step, j=j)
 
 
 def step_budgets(n: int, optimize_toffoli_depth: bool = False) -> list[tuple[str, int, int]]:
     """``(name, swapC, swapD)`` of every step of the n-bit multiplier, in the
     order :func:`full_multiplier_schedule` emits them. Each emitter asserts
     that its step meets its :data:`STEP_SWAPS` entry exactly."""
-    rows = [("toffoli step", *STEP_SWAPS[_toffoli_kind(optimize_toffoli_depth)](n))]
-    for j in range(1, n):
-        rows.append((f"ctrl-add {j}", *STEP_SWAPS["ctrl-add"](n)))
-        if j <= n - 2:
-            rows.append((f"reset {j}", *STEP_SWAPS["reset"](n)))
-    return rows
+    plan = _step_plan(n, optimize_toffoli_depth)
+    return [(name, *STEP_SWAPS[kind](n)) for name, kind, _emit in plan]
 
 
 class ScheduleError(Exception):
@@ -229,13 +238,18 @@ def toffoli_step(
             f"do not fit on a shorter tower), got n={n}"
         )
     board = _Board(layout, mapping)
+    aux_head = Site(col_other(n).x, col_other(n).y, n + 1)
+    hops = [(fourth(n - 1), aux_head), (L(n - 1), L(n)), (L(n), YELLOW(n))]
+    # the plain tail, moment by moment: each control hop with one spacer,
+    # then two spacer-only moments of three
+    tail = [((hop,), 1) for hop in hops] + [((), 3), ((), 3)]
 
     # under the depth optimisation the tail keeps only its serial control
     # hops, so the tail padding spreads over the per-cube moments instead
     slots = STEP_SWAPS["toffoli-opt"](n)[1]
     extra = [0] * slots
     if optimize_depth:
-        for i in range(9):
+        for i in range(sum(spacers for _pairs, spacers in tail)):
             extra[i % slots] += 1
 
     for p in range(n - 1):
@@ -244,19 +258,16 @@ def toffoli_step(
         board.moment((fourth(p), _shift_target(p)), spacers=1 + extra[2 * p + 1])
     board.fire(L(n - 1), E(n - 1), fourth(n - 1))
 
-    aux_head = Site(col_other(n).x, col_other(n).y, n + 1)
-    hops = [(fourth(n - 1), aux_head), (L(n - 1), L(n)), (L(n), YELLOW(n))]
     if optimize_depth:
         # the tail shrinks to the two serial control hops; padding rides along
         board.moment(hops[0], hops[1], spacers=extra[-2])
         board.moment(hops[2], spacers=extra[-1])
     else:
-        for hop in hops:
-            board.moment(hop, spacers=1)
-        board.moment(spacers=3)
-        board.moment(spacers=3)
+        for pairs, spacers in tail:
+            board.moment(*pairs, spacers=spacers)
 
-    return board.finish(_toffoli_kind(optimize_depth))
+    # the plan's first row names this step's budget
+    return board.finish(next(_step_plan(n, optimize_depth))[1])
 
 
 def ctrl_add_step(
@@ -388,19 +399,10 @@ def full_multiplier_schedule(
     layout = build_multiplier_layout(n)
     mapping = initial_mapping(layout, RegisterSpec.for_width(n))
     total = Schedule()
-
-    def absorb(sched: Schedule) -> None:
-        for m in sched.moments:
+    for _name, _kind, emit in _step_plan(n, optimize_toffoli_depth):
+        step, mapping = emit(layout, mapping)
+        for m in step.moments:
             total.extend_moment(m)
-
-    step, mapping = toffoli_step(layout, mapping, optimize_depth=optimize_toffoli_depth)
-    absorb(step)
-    for j in range(1, n):
-        step, mapping = ctrl_add_step(layout, mapping, j)
-        absorb(step)
-        if j <= n - 2:
-            step, mapping = reset_step(layout, mapping, j)
-            absorb(step)
     return total, mapping
 
 

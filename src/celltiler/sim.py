@@ -1,4 +1,12 @@
-"""Verification oracles: classical reversible replay and dense statevector simulation."""
+"""Verification oracles: classical reversible replay and dense statevector simulation.
+
+Both oracles apply gates by family. X, CNOT and Toffoli are one flip rule:
+flip the last operand where every other operand is 1. T, Tdag, S, Sdag, CZ,
+CC_CZ and CCZ are one phase rule: multiply the amplitudes where every
+operand is 1 by the kind's phase in :data:`_PHASES`. H and SWAP have their
+own lines. An X-basis measurement is H on the wire followed by a Z-basis
+measurement, so outcome 0 is |+>.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +21,7 @@ from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
 
 MAX_WIRES = 14
 _NORM_TOL = 1e-9
+_FLIPS = frozenset((GateKind.X, GateKind.CNOT, GateKind.TOFFOLI))
 
 
 class UnsupportedGateError(Exception):
@@ -49,19 +58,13 @@ def classical_run(
             if q not in value:
                 value[q] = 0
                 occ.place(q, q)
-        if g.kind is GateKind.X:
-            (t,) = g.operands
-            value[t] ^= 1
-        elif g.kind is GateKind.CNOT:
-            c, t = g.operands
-            value[t] ^= value[c]
-        elif g.kind is GateKind.TOFFOLI:
-            c1, c2, t = g.operands
-            value[t] ^= value[c1] & value[c2]
-        elif g.kind is GateKind.SWAP:
+        if g.kind is GateKind.SWAP:
             a, b = g.operands
             value[a], value[b] = value[b], value[a]
             occ.swap(a, b)
+        elif g.kind in _FLIPS:
+            *controls, t = g.operands
+            value[t] ^= all(value[c] for c in controls)
         else:
             raise UnsupportedGateError(f"classical oracle cannot run {g.kind.value}")
 
@@ -83,85 +86,59 @@ _PHASES = {
     GateKind.TDAG: cmath.exp(-1j * math.pi / 4),
     GateKind.S: 1j,
     GateKind.SDAG: -1j,
+    GateKind.CZ: -1,
+    GateKind.CC_CZ: -1,
+    GateKind.CCZ: -1,
 }
 
 
-def _slice_at(n: int, assignments: dict[int, int]) -> tuple:
+def _slice_at(n: int, axes, bit: int = 1) -> tuple:
+    """Index of the slice where every axis in ``axes`` holds ``bit``."""
     idx: list = [slice(None)] * n
-    for axis, v in assignments.items():
-        idx[axis] = v
+    for axis in axes:
+        idx[axis] = bit
     return tuple(idx)
 
 
-def _eff_axis(axis: int, dropped: list[int]) -> int:
-    return axis - sum(1 for d in dropped if d < axis)
+def _hadamard(psi: np.ndarray, t: int) -> np.ndarray:
+    return np.moveaxis(np.tensordot(_H, psi, axes=([1], [t])), 0, t)
 
 
 def _apply_gate(psi: np.ndarray, g: Gate, ax: dict[Hashable, int]) -> np.ndarray:
-    n = psi.ndim
     kind = g.kind
-    if kind is GateKind.H:
-        t = ax[g.operands[0]]
-        return np.moveaxis(np.tensordot(_H, psi, axes=([1], [t])), 0, t)
+    axes = [ax[q] for q in g.operands]
+    if kind in _FLIPS:
+        *controls, t = axes
+        sl = _slice_at(psi.ndim, controls)
+        out = psi.copy()
+        # slicing drops the control axes, so the target axis moves down by
+        # one for each control below it
+        out[sl] = np.flip(psi[sl], axis=t - sum(c < t for c in controls))
+        return out
     if kind in _PHASES:
-        t = ax[g.operands[0]]
-        psi = psi.copy()
-        psi[_slice_at(n, {t: 1})] *= _PHASES[kind]
-        return psi
-    if kind is GateKind.X:
-        t = ax[g.operands[0]]
-        return np.flip(psi, axis=t)
+        out = psi.copy()
+        out[_slice_at(psi.ndim, axes)] *= _PHASES[kind]
+        return out
+    if kind is GateKind.H:
+        return _hadamard(psi, axes[0])
     if kind is GateKind.SWAP:
-        a, b = (ax[q] for q in g.operands)
-        return np.swapaxes(psi, a, b)
-    if kind is GateKind.CNOT:
-        c, t = (ax[q] for q in g.operands)
-        psi = psi.copy()
-        sl = _slice_at(n, {c: 1})
-        psi[sl] = np.flip(psi[sl], axis=_eff_axis(t, [c]))
-        return psi
-    if kind in (GateKind.CZ, GateKind.CC_CZ):
-        a, b = (ax[q] for q in g.operands)
-        psi = psi.copy()
-        psi[_slice_at(n, {a: 1, b: 1})] *= -1
-        return psi
-    if kind is GateKind.TOFFOLI:
-        c1, c2, t = (ax[q] for q in g.operands)
-        psi = psi.copy()
-        sl = _slice_at(n, {c1: 1, c2: 1})
-        psi[sl] = np.flip(psi[sl], axis=_eff_axis(t, [c1, c2]))
-        return psi
-    if kind is GateKind.CCZ:
-        a, b, c = (ax[q] for q in g.operands)
-        psi = psi.copy()
-        psi[_slice_at(n, {a: 1, b: 1, c: 1})] *= -1
-        return psi
+        return np.swapaxes(psi, *axes)
     raise ValueError(f"statevector oracle cannot run {kind.value}")
 
 
 def _measure(psi: np.ndarray, axis: int, x_basis: bool) -> list[tuple[float, int, np.ndarray]]:
     """Project one wire, recycle it to |0>, and return (prob, outcome, state)."""
-    n = psi.ndim
-    outcomes = []
     if x_basis:
-        flipped = np.flip(psi, axis=axis)
-        for outcome, sign in ((0, 1), (1, -1)):
-            proj = (psi + sign * flipped) / 2
-            prob = float(np.sum(np.abs(proj) ** 2))
-            if prob < 1e-12:
-                continue
-            post = np.zeros_like(psi)
-            post[_slice_at(n, {axis: 0})] = proj[_slice_at(n, {axis: 0})] * math.sqrt(2)
-            outcomes.append((prob, outcome, post / math.sqrt(prob)))
-    else:
-        for outcome in (0, 1):
-            sub = psi[_slice_at(n, {axis: outcome})]
-            prob = float(np.sum(np.abs(sub) ** 2))
-            if prob < 1e-12:
-                continue
-            post = np.zeros_like(psi)
-            post[_slice_at(n, {axis: 0})] = sub
-            outcomes.append((prob, outcome, post / math.sqrt(prob)))
+        psi = _hadamard(psi, axis)
+    outcomes = []
+    for outcome in (0, 1):
+        sub = psi[_slice_at(psi.ndim, (axis,), outcome)]
+        prob = float(np.sum(np.abs(sub) ** 2))
+        if prob < 1e-12:
+            continue
+        post = np.zeros_like(psi)
+        post[_slice_at(psi.ndim, (axis,), 0)] = sub
+        outcomes.append((prob, outcome, post / math.sqrt(prob)))
     return outcomes
 
 

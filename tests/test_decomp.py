@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from celltiler import decomp
+from celltiler import cli, decomp
 from celltiler.circuit import GateKind, Schedule, t_metrics
 from celltiler.sim import assert_equiv, statevector_run
 
@@ -178,3 +180,24 @@ def test_lower_schedule_expands_swap():
     sched = Schedule([[gate("swap", "x", "y")]])
     low = decomp.lower_schedule(sched)
     assert low.count(K.CNOT) == 3
+
+
+# sha256 of to_json().encode() for each circuit: composing one circuit from
+# another (toffoli_mb from and_4anc, the cube circuit from ccz_tdepth1) must
+# leave its bytes unchanged
+DECOMP_SHA256 = {
+    "ccz_tdepth1": "3f112191f677c8dc22da70c023adbed320a70982ad3003129699f337e5388039",
+    "toffoli_tdepth2": "2c9da3389d7138b8959f33ad51e6e895b55e1f20c832b67270975a6cd825b864",
+    "toffoli_mb": "e9df71339710d59278ad0200405149951d73f17ea38a335c2e7a6409e25e9d1e",
+    "controlled_s": "cebd8ae3d46eb56731cafb8676257ad86d3b48681dabcf819db166c2dceb2bea",
+    "and_4anc": "2ce059dcf2ef7ed4c114e18f0f76801f250aff2a152ddba2e8caf1d261b0117e",
+    "and_3anc": "6d24ff1b5c269588b82d434c61de1016e28f36d6980d9b5a315865f680f1c5be",
+    "toffoli_cube_circuit": "39a397fbe43ba09d0f765a0042a8e38d4c09fea7e6123decd0d80b97c24c8235",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMP_SHA256))
+def test_decomposition_bytes_pinned(name):
+    builds = {target: entry[0] for target, entry in cli.DECOMPS.items()}
+    build = builds.get(name, decomp.toffoli_cube_circuit)
+    assert hashlib.sha256(build().to_json().encode()).hexdigest() == DECOMP_SHA256[name]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -6,14 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from celltiler import decomp
-from celltiler.circuit import GateKind, Schedule, gate
+from celltiler.circuit import ARITY, GateKind, Schedule, gate
+from celltiler.scheduler import full_multiplier_schedule
 from celltiler.sim import (
     CapacityError,
     UnsupportedGateError,
+    _apply_gate,
+    _measure,
     assert_equiv,
     classical_run,
     statevector_run,
 )
+from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
+
+K = GateKind
 
 
 def test_classical_gates():
@@ -145,3 +152,141 @@ def test_assert_equiv_negative():
 def test_assert_equiv_unknown_reference():
     with pytest.raises(ValueError):
         assert_equiv(decomp.and_3anc(), "nonsense", ("a", "b"))
+
+
+def test_classical_run_values_stay_int():
+    n = 3
+    layout = build_multiplier_layout(n)
+    spec = RegisterSpec.for_width(n)
+    sched, _ = full_multiplier_schedule(n)
+    bits = {label: 1 for label in spec.a + spec.b}
+    out = classical_run(sched, initial_mapping(layout, spec), bits)
+    assert sum(out[spec.p[k]] << k for k in range(2 * n)) == 49
+    assert {type(v) for v in out.values()} == {int}
+
+
+CLASSICAL_KINDS = {K.X, K.CNOT, K.TOFFOLI, K.SWAP}
+
+
+@pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+def test_every_kind_is_run_or_rejected(kind):
+    ops = [f"w{i}" for i in range(ARITY[kind])]
+    g = gate(kind, *ops, condition=0 if kind is K.CC_CZ else None)
+    # record 0 comes from a Z measurement on a wire of its own
+    try:
+        branches = statevector_run(Schedule([[gate(K.MEASURE_Z, "m")], [g]]))
+    except ValueError as err:
+        assert kind.value in str(err)
+    else:
+        assert abs(sum(br.probability for br in branches) - 1) < 1e-12
+    if kind in CLASSICAL_KINDS:
+        classical_run(Schedule([[g]]), None, dict.fromkeys(ops, 1))
+    else:
+        with pytest.raises(UnsupportedGateError, match=kind.value):
+            classical_run(Schedule([[g]]), None, dict.fromkeys(ops, 0))
+
+
+# Dense reference unitaries, the first operand the most significant bit.
+_SQRT_HALF = 1 / math.sqrt(2)
+REFERENCE_UNITARIES = {
+    K.H: np.array([[1, 1], [1, -1]]) * _SQRT_HALF,
+    K.X: np.eye(2)[[1, 0]],
+    K.T: np.diag([1, np.exp(1j * math.pi / 4)]),
+    K.TDAG: np.diag([1, np.exp(-1j * math.pi / 4)]),
+    K.S: np.diag([1, 1j]),
+    K.SDAG: np.diag([1, -1j]),
+    K.CNOT: np.eye(4)[[0, 1, 3, 2]],
+    K.CZ: np.diag([1, 1, 1, -1]),
+    K.CC_CZ: np.diag([1, 1, 1, -1]),
+    K.SWAP: np.eye(4)[[0, 2, 1, 3]],
+    K.TOFFOLI: np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
+    K.CCZ: np.diag([1, 1, 1, 1, 1, 1, 1, -1]),
+}
+
+
+def _apply_dense(psi: np.ndarray, unitary: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    k = len(axes)
+    u = unitary.astype(complex).reshape((2,) * (2 * k))
+    out = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), list(axes)))
+    return np.moveaxis(out, list(range(k)), list(axes))
+
+
+def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
+    psi = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("kind", list(REFERENCE_UNITARIES), ids=lambda k: k.value)
+def test_apply_gate_matches_dense_reference(kind):
+    rng = np.random.default_rng(11)
+    below = above = False
+    for n in (3, 4, 5):
+        ax = {f"w{i}": i for i in range(n)}
+        # every ordered choice of operand axes, so controls sit both above
+        # and below the target
+        for axes in itertools.permutations(range(n), ARITY[kind]):
+            below |= any(c < axes[-1] for c in axes[:-1])
+            above |= any(c > axes[-1] for c in axes[:-1])
+            psi = _random_state(rng, n)
+            g = gate(kind, *(f"w{a}" for a in axes), condition=0 if kind is K.CC_CZ else None)
+            got = _apply_gate(psi, g, ax)
+            want = _apply_dense(psi, REFERENCE_UNITARIES[kind], axes)
+            assert np.max(np.abs(got - want)) < 1e-12, (n, axes)
+    assert ARITY[kind] == 1 or (below and above)
+
+
+def _projector_measure(psi: np.ndarray, axis: int, x_basis: bool):
+    """Measurement by explicit projectors, recycling the wire to |0>."""
+    n = psi.ndim
+
+    def at(bit: int) -> tuple:
+        idx: list = [slice(None)] * n
+        idx[axis] = bit
+        return tuple(idx)
+
+    outcomes = []
+    if x_basis:
+        flipped = np.flip(psi, axis=axis)
+        for outcome, sign in ((0, 1), (1, -1)):
+            proj = (psi + sign * flipped) / 2
+            prob = float(np.sum(np.abs(proj) ** 2))
+            if prob < 1e-12:
+                continue
+            post = np.zeros_like(psi)
+            post[at(0)] = proj[at(0)] * math.sqrt(2)
+            outcomes.append((prob, outcome, post / math.sqrt(prob)))
+    else:
+        for outcome in (0, 1):
+            sub = psi[at(outcome)]
+            prob = float(np.sum(np.abs(sub) ** 2))
+            if prob < 1e-12:
+                continue
+            post = np.zeros_like(psi)
+            post[at(0)] = sub
+            outcomes.append((prob, outcome, post / math.sqrt(prob)))
+    return outcomes
+
+
+def _measure_cases():
+    rng = np.random.default_rng(5)
+    for n in (3, 4):
+        yield _random_state(rng, n)
+    # wire 1 is |+> and wire 2 nearly |0>: outcome 1 has probability below
+    # 1e-12 in the X basis on wire 1 and in the Z basis on wire 2
+    near_zero = np.array([1, 1e-7]) / np.linalg.norm([1, 1e-7])
+    yield np.einsum("a,b,c->abc", _random_state(rng, 1), np.array([1, 1]) * _SQRT_HALF, near_zero)
+
+
+@pytest.mark.parametrize("x_basis", [False, True], ids=["z", "x"])
+def test_measure_matches_projector_reference(x_basis):
+    skipped = False
+    for psi in _measure_cases():
+        for axis in range(psi.ndim):
+            got = _measure(psi, axis, x_basis)
+            want = _projector_measure(psi, axis, x_basis)
+            assert [o for _, o, _ in got] == [o for _, o, _ in want]
+            skipped |= len(want) == 1
+            for (p, _, post), (q, _, ref) in zip(got, want):
+                assert abs(p - q) < 1e-12
+                assert np.max(np.abs(post - ref)) < 1e-12
+    assert skipped
