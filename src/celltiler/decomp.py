@@ -20,13 +20,6 @@ from celltiler.lattice import Site
 K = GateKind
 
 
-def _moments(*groups) -> Schedule:
-    sched = Schedule()
-    for group in groups:
-        sched.extend_moment(group)
-    return sched
-
-
 def ccz_tdepth1() -> Schedule:
     """T-depth-1 CCZ on wires a, b, c with four parity ancillae z1..z4.
 
@@ -53,7 +46,7 @@ def ccz_tdepth1() -> Schedule:
         [gate(K.CNOT, b, z1), gate(K.CNOT, a, z2), gate(K.CNOT, c, z3)],
         [gate(K.CNOT, a, z1), gate(K.CNOT, c, z2), gate(K.CNOT, b, z3)],
     ]
-    return _moments(*compute, t_moment, *uncompute)
+    return Schedule([*compute, t_moment, *uncompute])
 
 
 def and_4anc() -> Schedule:
@@ -64,7 +57,7 @@ def and_4anc() -> Schedule:
     S cancels the (-i)^(ab) relative phase, so the AND is exact.
     """
     a, b, t, z2, z3, z4 = "a", "b", "t", "z2", "z3", "z4"
-    return _moments(
+    return Schedule([
         [gate(K.H, t)],
         [gate(K.CNOT, a, z2), gate(K.CNOT, b, z3)],
         [gate(K.CNOT, t, z2), gate(K.CNOT, a, z4)],
@@ -77,7 +70,7 @@ def and_4anc() -> Schedule:
         [gate(K.CNOT, a, z2), gate(K.CNOT, b, z3)],
         [gate(K.H, t)],
         [gate(K.S, t)],
-    )
+    ])
 
 
 def and_3anc() -> Schedule:
@@ -88,7 +81,7 @@ def and_3anc() -> Schedule:
     layers; H and S ride along with neighbouring CNOTs.
     """
     a, b, t, z2, z3, z4 = "a", "b", "t", "z2", "z3", "z4"
-    return _moments(
+    return Schedule([
         [gate(K.H, t), gate(K.CNOT, a, z2)],
         [gate(K.CNOT, b, z3), gate(K.CNOT, a, z4)],
         [gate(K.CNOT, t, z2)],
@@ -100,7 +93,7 @@ def and_3anc() -> Schedule:
         [gate(K.CNOT, a, z4), gate(K.CNOT, b, z3)],
         [gate(K.H, t)],
         [gate(K.S, t)],
-    )
+    ])
 
 
 def controlled_s(variant: str = "a") -> Schedule:
@@ -111,15 +104,15 @@ def controlled_s(variant: str = "a") -> Schedule:
     """
     q1, q2, x = "q1", "q2", "x"
     if variant == "a":
-        return _moments(
+        return Schedule([
             [gate(K.CNOT, q1, x)],
             [gate(K.CNOT, q2, x)],
             [gate(K.T, q1), gate(K.T, q2), gate(K.TDAG, x)],
             [gate(K.CNOT, q2, x)],
             [gate(K.CNOT, q1, x)],
-        )
+        ])
     if variant == "b":
-        return _moments(
+        return Schedule([
             [gate(K.H, x)],
             [gate(K.CZ, q1, x)],
             [gate(K.CZ, q2, x)],
@@ -129,7 +122,7 @@ def controlled_s(variant: str = "a") -> Schedule:
             [gate(K.CZ, q2, x)],
             [gate(K.CZ, q1, x)],
             [gate(K.H, x)],
-        )
+        ])
     raise ValueError(f"unknown controlled_s variant {variant!r}")
 
 
@@ -141,7 +134,7 @@ def toffoli_tdepth2() -> Schedule:
     CNOTs and two T moments.
     """
     a, b, t, x, y, w = "a", "b", "t", "x", "y", "w"
-    return _moments(
+    return Schedule([
         [gate(K.H, t), gate(K.CNOT, a, x), gate(K.CNOT, b, y)],
         [gate(K.CNOT, t, x), gate(K.CNOT, a, w)],
         [gate(K.CNOT, t, y), gate(K.CNOT, b, w)],
@@ -151,7 +144,7 @@ def toffoli_tdepth2() -> Schedule:
         [gate(K.CNOT, t, x), gate(K.T, a), gate(K.T, b), gate(K.TDAG, w)],
         [gate(K.CNOT, t, y), gate(K.CNOT, a, x), gate(K.CNOT, b, w)],
         [gate(K.H, t), gate(K.CNOT, b, y), gate(K.CNOT, a, w)],
-    )
+    ])
 
 
 def toffoli_mb() -> Schedule:
@@ -167,14 +160,14 @@ def toffoli_mb() -> Schedule:
         [gate(g.kind, *(w if q == t else q for q in g.operands)) for g in m]
         for m in and_4anc().moments
     ]
-    return _moments(
+    return Schedule([
         *core,
         [gate(K.CNOT, w, t)],
         [gate(K.MEASURE_X, w)],
         [gate(K.CNOT, a, z4)],
         [gate(K.CC_CZ, z4, b, condition=0)],
         [gate(K.CNOT, a, z4)],
-    )
+    ])
 
 
 # --- role assignments used by the tile contracts ---------------------------
@@ -190,7 +183,7 @@ def ccz_cube_assignment() -> dict[Hashable, Site]:
 
 def toffoli_cube_circuit() -> Schedule:
     """The cube cell's native gate sequence: CCZ conjugated by H on the target."""
-    return _moments([gate(K.H, "c")], *ccz_tdepth1().moments, [gate(K.H, "c")])
+    return Schedule([[gate(K.H, "c")], *ccz_tdepth1().moments, [gate(K.H, "c")]])
 
 
 def tdepth2_assignment() -> dict[Hashable, Site]:

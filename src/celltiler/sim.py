@@ -4,13 +4,21 @@ Both oracles apply gates by family. X, CNOT and Toffoli are one flip rule:
 flip the last operand where every other operand is 1. T, Tdag, S, Sdag, CZ,
 CC_CZ and CCZ are one phase rule: multiply the amplitudes where every
 operand is 1 by the kind's phase in :data:`_PHASES`. H and SWAP have their
-own lines. An X-basis measurement is H on the wire followed by a Z-basis
-measurement, so outcome 0 is |+>.
+own lines.
+
+The statevector oracle holds one state for the whole run. Measurements are
+deferred: each one owns a record axis after the wire axes, and a Z
+measurement SWAPs its wire's content onto that axis, which leaves the wire in
+|0>. An X-basis measurement is H on the wire first, so outcome 0 is |+>.
+``CC_CZ`` is a CCZ whose third control is its record's axis. The state splits
+into outcome branches once, at the end, and :data:`MAX_WIRES` caps the axes:
+wires plus records.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping
@@ -22,6 +30,7 @@ from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
 MAX_WIRES = 14
 _NORM_TOL = 1e-9
 _FLIPS = frozenset((GateKind.X, GateKind.CNOT, GateKind.TOFFOLI))
+_MEASURES = frozenset((GateKind.MEASURE_X, GateKind.MEASURE_Z))
 
 
 class UnsupportedGateError(Exception):
@@ -29,7 +38,7 @@ class UnsupportedGateError(Exception):
 
 
 class CapacityError(Exception):
-    """The statevector oracle was asked for more wires than it supports."""
+    """The statevector oracle was asked for more wires and records than it supports."""
 
 
 def classical_run(
@@ -92,11 +101,11 @@ _PHASES = {
 }
 
 
-def _slice_at(n: int, axes, bit: int = 1) -> tuple:
-    """Index of the slice where every axis in ``axes`` holds ``bit``."""
+def _slice_at(n: int, axes) -> tuple:
+    """Index of the slice where every axis in ``axes`` holds 1."""
     idx: list = [slice(None)] * n
     for axis in axes:
-        idx[axis] = bit
+        idx[axis] = 1
     return tuple(idx)
 
 
@@ -126,73 +135,61 @@ def _apply_gate(psi: np.ndarray, g: Gate, ax: dict[Hashable, int]) -> np.ndarray
     raise ValueError(f"statevector oracle cannot run {kind.value}")
 
 
-def _measure(psi: np.ndarray, axis: int, x_basis: bool) -> list[tuple[float, int, np.ndarray]]:
-    """Project one wire, recycle it to |0>, and return (prob, outcome, state)."""
-    if x_basis:
-        psi = _hadamard(psi, axis)
-    outcomes = []
-    for outcome in (0, 1):
-        sub = psi[_slice_at(psi.ndim, (axis,), outcome)]
-        prob = float(np.sum(np.abs(sub) ** 2))
-        if prob < 1e-12:
-            continue
-        post = np.zeros_like(psi)
-        post[_slice_at(psi.ndim, (axis,), 0)] = sub
-        outcomes.append((prob, outcome, post / math.sqrt(prob)))
-    return outcomes
-
-
 def statevector_run(
     schedule: Schedule,
     initial: Mapping[Hashable, int] | None = None,
     wires: list[Hashable] | None = None,
 ) -> list[Branch]:
-    """Dense simulation; measurements fork into normalised outcome branches.
+    """Dense simulation of one state; it splits into outcome branches at the end.
 
     ``initial`` sets basis bits by wire; every other wire starts in |0>.
-    The state's axes are the wires, in the order of ``wires``; a SWAP exchanges
-    the contents of its two wires, so a value is read at the wire it ended on
-    (see :func:`classical_run` for the label-keyed view of the same run).
-    Measured wires are recycled to |0> so ancilla-restoration checks stay
-    uniform. Returns every branch with its probability and record bits.
+    The state's axes are the wires, in the order of ``wires``, then one
+    record axis per measurement; ``MAX_WIRES`` caps wires plus records. A SWAP
+    exchanges the contents of its two wires, so a value is read at the wire it
+    ended on (see :func:`classical_run` for the label-keyed view of the same
+    run). A Z measurement SWAPs its wire with a fresh record axis, which
+    leaves the wire recycled to |0> so ancilla-restoration checks stay uniform;
+    ``CC_CZ`` is a CCZ whose third control is its record's axis. Returns one
+    normalised branch per record outcome of probability at least 1e-12, records
+    in lexicographic order, each with its probability and record bits.
     """
     if wires is None:
         wires = schedule.wires()
-    if len(wires) > MAX_WIRES:
-        raise CapacityError(f"{len(wires)} wires exceed the {MAX_WIRES}-wire cap")
-    ax = {w: i for i, w in enumerate(wires)}
-    n = len(wires)
-    psi = np.zeros((2,) * n, dtype=complex)
-    idx = [0] * n
+    records = [object() for g in schedule.gates() if g.kind in _MEASURES]
+    if len(wires) + len(records) > MAX_WIRES:
+        raise CapacityError(f"{len(wires)} wires and {len(records)} records exceed the {MAX_WIRES}-axis cap")
+    ax = {w: i for i, w in enumerate([*wires, *records])}
+    psi = np.zeros((2,) * len(ax), dtype=complex)
+    idx = [0] * len(ax)
     for w, bit in (initial or {}).items():
         idx[ax[w]] = int(bit)
     psi[tuple(idx)] = 1.0
 
-    branches = [Branch(1.0, (), psi)]
+    measured = 0
     for moment in schedule.moments:
         for g in moment:
-            if g.kind in (GateKind.MEASURE_X, GateKind.MEASURE_Z):
-                axis_ = ax[g.operands[0]]
-                new: list[Branch] = []
-                for br in branches:
-                    for prob, outcome, post in _measure(br.state, axis_, g.kind is GateKind.MEASURE_X):
-                        new.append(Branch(br.probability * prob, br.records + (outcome,), post))
-                branches = new
+            if g.kind in _MEASURES:
+                if g.kind is GateKind.MEASURE_X:
+                    psi = _hadamard(psi, ax[g.operands[0]])
+                g = Gate(GateKind.SWAP, (g.operands[0], records[measured]))
+                measured += 1
             elif g.kind is GateKind.CC_CZ:
                 if g.condition is None:
                     raise ValueError("classically controlled CZ without a record index")
-                for br in branches:
-                    if g.condition >= len(br.records):
-                        raise ValueError("classically controlled CZ references a future record")
-                    if br.records[g.condition] == 1:
-                        br.state = _apply_gate(br.state, g, ax)
-            else:
-                for br in branches:
-                    br.state = _apply_gate(br.state, g, ax)
-        for br in branches:
-            norm = float(np.sum(np.abs(br.state) ** 2))
-            if abs(norm - 1.0) > _NORM_TOL:
-                raise AssertionError(f"norm drifted to {norm}")
+                if g.condition >= measured:
+                    raise ValueError("classically controlled CZ references a future record")
+                g = Gate(GateKind.CCZ, (*g.operands, records[g.condition]))
+            psi = _apply_gate(psi, g, ax)
+        norm = float(np.sum(np.abs(psi) ** 2))
+        if abs(norm - 1.0) > _NORM_TOL:
+            raise AssertionError(f"norm drifted to {norm}")
+
+    branches = []
+    for bits in itertools.product((0, 1), repeat=len(records)):
+        sub = psi[(..., *bits)]
+        prob = float(np.sum(np.abs(sub) ** 2))
+        if prob >= 1e-12:
+            branches.append(Branch(prob, bits, sub / math.sqrt(prob)))
     total = sum(br.probability for br in branches)
     if abs(total - 1.0) > _NORM_TOL:
         raise AssertionError(f"branch probabilities sum to {total}")
@@ -231,42 +228,39 @@ def assert_equiv(
     data_wires: tuple[Hashable, ...],
     tol: float = 1e-10,
 ) -> EquivReport:
-    """Check the schedule acts as the named gate on the data wires.
+    """Check the schedule acts as the named gate on the data wires, in one run.
 
-    Every data basis state is pushed through with all ancillae |0>; the output
-    must factor as (reference on data) x |0...0> up to one global phase; this
-    holds for ``and`` too, whose output wire starts in |0>, so an AND missing
-    its phase correction fails. Measurement branches are grouped by record and
-    each group must pass independently, with its own global phase.
+    Two prepended moments, H on each reference wire and then a CNOT from it
+    onto its data wire, entangle every swept data wire with a private
+    reference wire, so one run carries every data basis input with all
+    ancillae |0>. The ``and`` output wire is not swept: it starts in |0>.
+    Each measurement branch must equal (reference on data) x |0...0>, with the
+    reference wires holding the inputs, up to one global phase of its own.
+    So an AND missing its phase correction fails, and so does a circuit whose
+    records depend on the data, since they decohere the superposition.
     """
+    swept = data_wires[:-1] if reference == "and" else data_wires
+    refs = [object() for _ in swept]
     wires = schedule.wires()
-    for w in data_wires:
-        if w not in wires:
-            wires.append(w)
+    wires += [w for w in data_wires if w not in wires] + refs
     ax = {w: i for i, w in enumerate(wires)}
-    n = len(wires)
 
-    group_phase: dict[tuple[int, ...], complex] = {}
+    expected = np.zeros((2,) * len(wires), dtype=complex)
+    for bits in itertools.product((0, 1), repeat=len(swept)):
+        out_bits, ref_phase = _expected(reference, bits + (0,) * (len(data_wires) - len(swept)))
+        idx = [0] * len(wires)
+        for w, bit in [*zip(data_wires, out_bits), *zip(refs, bits)]:
+            idx[ax[w]] = bit
+        expected[tuple(idx)] = ref_phase / math.sqrt(2 ** len(swept))
+
+    entangled = Schedule([
+        [Gate(GateKind.H, (r,)) for r in refs],
+        [Gate(GateKind.CNOT, (r, w)) for r, w in zip(refs, swept)],
+        *schedule.moments,
+    ])
     worst = 0.0
-    sweep = len(data_wires) - 1 if reference == "and" else len(data_wires)
-    for v in range(2 ** sweep):
-        bits = tuple((v >> (sweep - 1 - i)) & 1 for i in range(sweep))
-        if reference == "and":
-            bits = bits + (0,)  # the AND output wire starts in |0>
-        out_bits, ref_phase = _expected(reference, bits)
-        branches = statevector_run(schedule, dict(zip(data_wires, bits)), wires=wires)
-        for br in branches:
-            idx = [0] * n
-            for w, bit in zip(data_wires, out_bits):
-                idx[ax[w]] = bit
-            amp = br.state[tuple(idx)]
-            residual = math.sqrt(max(0.0, float(np.sum(np.abs(br.state) ** 2)) - abs(amp) ** 2))
-            worst = max(worst, residual)
-            if abs(amp) < 1e-6:
-                return EquivReport(False, 1.0, f"input {bits}: expected basis state missing")
-            phase = amp / ref_phase
-            if br.records not in group_phase:
-                group_phase[br.records] = phase
-            worst = max(worst, abs(phase - group_phase[br.records]))
+    for br in statevector_run(entangled, wires=wires):
+        phase = np.exp(1j * np.angle(np.vdot(expected, br.state)))
+        worst = max(worst, float(np.max(np.abs(br.state - phase * expected))))
     ok = worst <= tol
     return EquivReport(ok, worst, "" if ok else f"worst deviation {worst:.3e}")

@@ -18,11 +18,18 @@ def test_build_n1(capsys):
     assert "18 qubits" in capsys.readouterr().out
 
 
+def _assert_clean_usage_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err and "Traceback" not in captured.err
+
+
 def test_build_rejects_zero(capsys):
     assert main(["build", "0"]) == 2
+    _assert_clean_usage_error(capsys)
 
 
-def test_build_writes_layout(tmp_path, capsys):
+def test_build_writes_layout(tmp_path):
     out = tmp_path / "layout.json"
     assert main(["build", "2", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
@@ -61,9 +68,10 @@ def test_verify_decomposition(capsys):
 
 def test_verify_unknown_target(capsys):
     assert main(["verify", "bogus"]) == 2
+    _assert_clean_usage_error(capsys)
 
 
-def test_compare_writes_csv(tmp_path, capsys):
+def test_compare_writes_csv(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "2", "3", "--csv", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
@@ -73,6 +81,19 @@ def test_compare_writes_csv(tmp_path, capsys):
 
 def test_compare_rejects_bad_range(capsys):
     assert main(["compare", "1", "3"]) == 2
+    _assert_clean_usage_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "2", "--out"], ["schedule", "2", "--out"], ["ls", "1", "3d", "--out"],
+     ["compare", "2", "2", "--csv"]],
+    ids=lambda argv: argv[0],
+)
+def test_output_in_missing_directory_is_a_clean_error(argv, tmp_path, capsys):
+    assert main([*argv, str(tmp_path / "missing" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_ls_3d(capsys, tmp_path):
@@ -138,7 +159,7 @@ def test_schedule_stdout_pinned(n, optimized, capsys):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_schedule_emits_each_step_once(n, monkeypatch, capsys):
+def test_schedule_emits_each_step_once(n, monkeypatch):
     calls = []
     inside = []
 

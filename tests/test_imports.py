@@ -1,5 +1,6 @@
 """Every name a module of the package or a test file imports is used in that
-file, and every function parameter of the package is read in its function."""
+file, and every function parameter of the package or a test file is read in
+its function."""
 
 import ast
 from pathlib import Path
@@ -80,6 +81,6 @@ def test_parameter_checker_flags_unread_and_accepts_read():
     assert unused_parameters(source) == ["f.b", "f.rest", "f.kw", "k.y"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []

@@ -79,6 +79,24 @@ def test_validate_ancilla_reuse_conflict():
     assert not validate_ls(bad, "2d").ok
 
 
+def test_validate_flags_third_transversal_cnot_in_3d():
+    bad = LSProgram(steps=[[LSInstruction(TRANSVERSAL, ("a", f"q{i}"), i) for i in range(3)]])
+    assert validate_ls(bad, "3d").violations == ["step 0: patch a joins 3 transversal CNOTs"]
+
+
+def test_validate_3d_allows_two_transversal_and_two_merges_per_patch():
+    # the CLI's "parallel bound 4": two merge/splits plus two transversal CNOTs
+    prog = LSProgram(
+        steps=[[
+            LSInstruction(TRANSVERSAL, ("a", "q1"), 1),
+            LSInstruction(TRANSVERSAL, ("a", "q2"), 2),
+            LSInstruction(MERGE_ZZ, ("a", "q3"), 3),
+            LSInstruction(MERGE_XX, ("a", "q4"), 4),
+        ]]
+    )
+    assert validate_ls(prog, "3d").ok
+
+
 def test_mode_error_on_3d_layout():
     layout = build_multiplier_layout(2)
     sched, _ = full_multiplier_schedule(2)

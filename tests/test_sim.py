@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from celltiler import decomp
+from celltiler import cli, decomp, sim
 from celltiler.circuit import ARITY, GateKind, Schedule, gate
 from celltiler.scheduler import full_multiplier_schedule
 from celltiler.sim import (
+    MAX_WIRES,
     CapacityError,
     UnsupportedGateError,
     _apply_gate,
-    _measure,
     assert_equiv,
     classical_run,
     statevector_run,
@@ -67,6 +67,26 @@ def test_capacity_error():
     for i in range(15):
         s.append(gate("h", f"q{i}"))
     with pytest.raises(CapacityError):
+        statevector_run(s)
+
+
+def test_capacity_counts_records():
+    wires = [f"q{i}" for i in range(MAX_WIRES)]
+    s = Schedule([[gate("h", q) for q in wires]])
+    assert len(statevector_run(s)) == 1
+    s.extend_moment([gate("mz", "q0")])
+    with pytest.raises(CapacityError, match=f"{MAX_WIRES} wires and 1 records"):
+        statevector_run(s)
+
+
+@pytest.mark.parametrize(
+    "condition, message",
+    [(None, "without a record index"), (1, "future record")],
+    ids=["no-record", "future-record"],
+)
+def test_cc_cz_needs_an_earlier_record(condition, message):
+    s = Schedule([[gate("mz", "m")], [gate("cc_cz", "a", "b", condition=condition)]])
+    with pytest.raises(ValueError, match=message):
         statevector_run(s)
 
 
@@ -147,6 +167,30 @@ def test_oracles_agree_on_random_circuits(data):
 def test_assert_equiv_negative():
     report = assert_equiv(decomp.and_3anc(), "toffoli", ("a", "b", "t"), 1e-10)
     assert not report.ok
+
+
+@pytest.mark.parametrize("target", sorted(cli.DECOMPS))
+def test_assert_equiv_runs_the_circuit_once(target, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return statevector_run(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "statevector_run", counted)
+    build, reference, data, _ = cli.DECOMPS[target]
+    assert assert_equiv(build(), reference, data).ok
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "scrambler, ok", [(gate("cnot", "a", "z"), False), (gate("h", "z"), True)], ids=["cnot", "h"]
+)
+def test_assert_equiv_rejects_records_that_read_the_data(scrambler, ok):
+    # a record copied from the control a decoheres a superposed input; a
+    # record of a fresh |+> carries nothing about the data
+    s = Schedule([[gate("toffoli", "a", "b", "t")], [scrambler], [gate("mz", "z")]])
+    assert assert_equiv(s, "toffoli", ("a", "b", "t")).ok is ok
 
 
 def test_assert_equiv_unknown_reference():
@@ -268,25 +312,38 @@ def _projector_measure(psi: np.ndarray, axis: int, x_basis: bool):
 
 
 def _measure_cases():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for n in (3, 4):
-        yield _random_state(rng, n)
-    # wire 1 is |+> and wire 2 nearly |0>: outcome 1 has probability below
-    # 1e-12 in the X basis on wire 1 and in the Z basis on wire 2
-    near_zero = np.array([1, 1e-7]) / np.linalg.norm([1, 1e-7])
-    yield np.einsum("a,b,c->abc", _random_state(rng, 1), np.array([1, 1]) * _SQRT_HALF, near_zero)
+        wires = [f"w{i}" for i in range(n)]
+        prefix = Schedule()
+        for _ in range(4 * n):
+            kind = rng.choice(["h", "t", "cnot"])
+            prefix.append(gate(kind, *rng.sample(wires, 2 if kind == "cnot" else 1)))
+        yield wires, prefix
+    # w1 is |+> and w2 is |0>: outcome 1 has probability 0 in the X basis on
+    # w1 and in the Z basis on w2, so the run prunes it
+    yield ["w0", "w1", "w2"], Schedule([[gate("h", "w0"), gate("h", "w1")], [gate("t", "w0")], [gate("h", "w0")]])
 
 
 @pytest.mark.parametrize("x_basis", [False, True], ids=["z", "x"])
 def test_measure_matches_projector_reference(x_basis):
+    kind = K.MEASURE_X if x_basis else K.MEASURE_Z
     skipped = False
-    for psi in _measure_cases():
-        for axis in range(psi.ndim):
-            got = _measure(psi, axis, x_basis)
-            want = _projector_measure(psi, axis, x_basis)
-            assert [o for _, o, _ in got] == [o for _, o, _ in want]
-            skipped |= len(want) == 1
-            for (p, _, post), (q, _, ref) in zip(got, want):
-                assert abs(p - q) < 1e-12
-                assert np.max(np.abs(post - ref)) < 1e-12
+    for wires, prefix in _measure_cases():
+        (start,) = statevector_run(prefix, wires=wires)
+        # measure each wire in turn, one moment each, by projectors; keep the
+        # outcomes whose joint probability reaches 1e-12
+        want = [(1.0, (), start.state)]
+        for axis in range(len(wires)):
+            grown = []
+            for p, records, psi in want:
+                outcomes = _projector_measure(psi, axis, x_basis)
+                skipped |= len(outcomes) == 1
+                grown += [(p * q, records + (o,), post) for q, o, post in outcomes if p * q >= 1e-12]
+            want = grown
+        got = statevector_run(Schedule([*prefix.moments, *([gate(kind, w)] for w in wires)]), wires=wires)
+        assert [br.records for br in got] == [records for _, records, _ in want]
+        for br, (p, _, ref) in zip(got, want):
+            assert abs(br.probability - p) < 1e-12
+            assert np.max(np.abs(br.state - ref)) < 1e-12
     assert skipped
