@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from celltiler import decomp
 from celltiler.circuit import GateKind, swap_metrics, t_metrics
 from celltiler.lsx import ModeError, extract_ls, validate_ls
@@ -75,6 +77,11 @@ def _cmd_schedule(args) -> int:
     return EXIT_OK
 
 
+def _packed(lane_bits: np.ndarray) -> int:
+    """The int whose bit k is ``lane_bits[k]`` (each 0 or 1)."""
+    return int.from_bytes(np.packbits(lane_bits, bitorder="little").tobytes(), "little")
+
+
 def _cmd_verify(args) -> int:
     target = args.target
     if target.isdigit():
@@ -93,22 +100,19 @@ def _cmd_verify(args) -> int:
         if not report.ok:
             print(f"adjacency violations: {len(report.violations)}")
             return EXIT_FAIL
-        good = 0
-        cases = 0
-        for a in range(2 ** n):
-            for b in range(2 ** n):
-                bits = {spec.a[i]: (a >> i) & 1 for i in range(n)}
-                bits |= {spec.b[i]: (b >> i) & 1 for i in range(n)}
-                out = classical_run(sched, mapping, bits)
-                p = sum(out[spec.p[k]] << k for k in range(2 * n))
-                ok = (
-                    p == a * b
-                    and all(out[spec.a[i]] == (a >> i) & 1 for i in range(n))
-                    and all(out[spec.b[i]] == (b >> i) & 1 for i in range(n))
-                    and out[spec.z] == 0
-                )
-                cases += 1
-                good += ok
+        # one replay for every input: lane a*2^n + b carries (a, b)
+        cases = 4 ** n
+        lane = np.arange(cases)
+        a, b = lane >> n, lane & (2 ** n - 1)
+        bits = {spec.a[i]: _packed(a >> i & 1) for i in range(n)}
+        bits |= {spec.b[i]: _packed(b >> i & 1) for i in range(n)}
+        out = classical_run(sched, mapping, bits, lanes=cases)
+        # A and B keep their inputs, P holds a*b and every other label is 0
+        expected = bits | {spec.p[k]: _packed(a * b >> k & 1) for k in range(2 * n)}
+        bad = 0
+        for label in out.keys() | expected.keys():
+            bad |= out[label] ^ expected.get(label, 0)
+        good = cases - bad.bit_count()
         print(f"{good}/{cases} products correct")
         return EXIT_OK if good == cases else EXIT_FAIL
     if target not in DECOMPS:

@@ -1,10 +1,13 @@
 """Verification oracles: classical reversible replay and dense statevector simulation.
 
 Both oracles apply gates by family. X, CNOT and Toffoli are one flip rule:
-flip the last operand where every other operand is 1. T, Tdag, S, Sdag, CZ,
-CC_CZ and CCZ are one phase rule: multiply the amplitudes where every
-operand is 1 by the kind's phase in :data:`_PHASES`. H and SWAP have their
-own lines.
+flip the last operand where every other operand is 1. T, Tdag, S, Sdag, CZ
+and CCZ are one phase rule: multiply the amplitudes where every operand is 1
+by the kind's phase in :data:`_PHASES`. H and SWAP have their own lines.
+
+The classical oracle is bit-sliced: bit k of each value is lane k, so one
+replay runs ``lanes`` inputs, and ``lanes=1`` is the scalar oracle. Its flip
+rule ANDs the controls into a mask of every lane, so X flips every lane.
 
 The statevector oracle holds one state for the whole run. Measurements are
 deferred: each one owns a record axis after the wire axes, and a Z
@@ -45,8 +48,13 @@ def classical_run(
     schedule: Schedule,
     mapping0: Mapping[Hashable, Hashable] | None,
     inputs: Mapping[Hashable, int],
+    *,
+    lanes: int = 1,
 ) -> dict[Hashable, int]:
     """Replay a classical schedule exactly; returns final bits per logical label.
+
+    Bit k of every value, in ``inputs`` and in the result, is lane k; the
+    lanes run independently, and ``lanes=1`` is the scalar oracle (bits 0/1).
 
     ``mapping0`` maps logical labels to the operand keys the schedule uses
     (lattice sites for tiled schedules); with ``mapping0=None`` each label
@@ -57,10 +65,15 @@ def classical_run(
     by wire. This agrees with :func:`statevector_run` once each label is
     mapped to its final wire.
     """
+    if lanes < 1:
+        raise ValueError(f"need at least one lane, got {lanes}")
+    every_lane = (1 << lanes) - 1
     occ = Occupancy(mapping0 if mapping0 else {label: label for label in inputs})
     value: dict[Hashable, int] = {wire: 0 for wire in occ.label_at}
-    for label, bit in inputs.items():
-        value[occ.wire_of[label]] = int(bit)
+    for label, bits in inputs.items():
+        if not 0 <= bits <= every_lane:
+            raise ValueError(f"input {label!r}={bits} does not fit in {lanes} lane(s)")
+        value[occ.wire_of[label]] = int(bits)
 
     for g in schedule.gates():
         for q in g.operands:
@@ -73,7 +86,10 @@ def classical_run(
             occ.swap(a, b)
         elif g.kind in _FLIPS:
             *controls, t = g.operands
-            value[t] ^= all(value[c] for c in controls)
+            flip = every_lane
+            for c in controls:
+                flip &= value[c]
+            value[t] ^= flip
         else:
             raise UnsupportedGateError(f"classical oracle cannot run {g.kind.value}")
 
@@ -96,7 +112,6 @@ _PHASES = {
     GateKind.S: 1j,
     GateKind.SDAG: -1j,
     GateKind.CZ: -1,
-    GateKind.CC_CZ: -1,
     GateKind.CCZ: -1,
 }
 

@@ -4,7 +4,10 @@ import json
 import pytest
 
 from celltiler import cli, scheduler
+from celltiler.circuit import GateKind, Schedule
 from celltiler.cli import main
+from celltiler.sim import classical_run
+from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
 
 
 def test_build_prints_counts(capsys):
@@ -59,6 +62,69 @@ def test_schedule_optimized_depth(capsys):
 def test_verify_multiplier(capsys):
     assert main(["verify", "3"]) == 0
     assert "64/64 products correct" in capsys.readouterr().out
+
+
+# `verify` stdout and exit code, computed before the check packed every
+# input into one replay
+VERIFY_OUTPUT = {
+    "1": ("4/4 products correct\n", 0),
+    "2": ("16/16 products correct\n", 0),
+    "3": ("64/64 products correct\n", 0),
+    "4": ("256/256 products correct\n", 0),
+    "5": ("", 2),
+    "and_3anc": ("equivalent to AND, tol 1e-10\n", 0),
+    "and_4anc": ("equivalent to AND, tol 1e-10\n", 0),
+    "ccz_tdepth1": ("equivalent to CCZ, tol 1e-10\n", 0),
+    "controlled_s": ("equivalent to CS, tol 1e-10\n", 0),
+    "toffoli_mb": ("equivalent to Toffoli, tol 1e-10\n", 0),
+    "toffoli_tdepth2": ("equivalent to Toffoli, tol 1e-10\n", 0),
+}
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_OUTPUT))
+def test_verify_output_pinned(target, capsys):
+    stdout, code = VERIFY_OUTPUT[target]
+    assert main(["verify", target]) == code
+    assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_verify_replays_the_schedule_once(n, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("lanes", 1))
+        return classical_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "classical_run", counted)
+    assert main(["verify", str(n)]) == 0
+    assert calls == [4 ** n]
+    assert capsys.readouterr().out == f"{4 ** n}/{4 ** n} products correct\n"
+
+
+def test_verify_counts_each_failing_input(monkeypatch, capsys):
+    n = 3
+    spec = RegisterSpec.for_width(n)
+    mapping = initial_mapping(build_multiplier_layout(n), spec)
+    sched, final = scheduler.full_multiplier_schedule(n)
+    dropped = [g for g in sched.gates() if g.kind is GateKind.TOFFOLI][13]
+    broken = Schedule([[g for g in m if g is not dropped] for m in sched.moments])
+    # the scalar oracle, one input at a time: A and B kept, P = a*b, every
+    # other label back at 0
+    good = products = 0
+    for a in range(2 ** n):
+        for b in range(2 ** n):
+            bits = {spec.a[i]: a >> i & 1 for i in range(n)} | {spec.b[i]: b >> i & 1 for i in range(n)}
+            out = classical_run(broken, mapping, bits)
+            want = bits | {spec.p[k]: a * b >> k & 1 for k in range(2 * n)}
+            good += all(value == want.get(label, 0) for label, value in out.items())
+            products += all(out[label] == want[label] for label in want)
+    # the products all survive; only a label outside A, B and P is left dirty
+    assert good < products == 4 ** n
+
+    monkeypatch.setattr(cli, "full_multiplier_schedule", lambda _: (broken, final))
+    assert main(["verify", str(n)]) == 1
+    assert capsys.readouterr().out == f"{good}/64 products correct\n"
 
 
 def test_verify_decomposition(capsys):

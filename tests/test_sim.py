@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from celltiler import cli, decomp, sim
 from celltiler.circuit import ARITY, GateKind, Schedule, gate
@@ -164,6 +164,50 @@ def test_oracles_agree_on_random_circuits(data):
     assert abs(abs(branches[0].state[idx]) - 1) < 1e-9
 
 
+@st.composite
+def lane_cases(draw):
+    """A random classical circuit, a start mapping (or None) and one input
+    dict per lane, 1 to 70 lanes."""
+    wires = [f"w{i}" for i in range(draw(st.integers(3, 6)))]
+    gates = [
+        (kind, *draw(st.permutations(wires))[: CLASSICAL_ARITY[kind]])
+        for kind in draw(st.lists(st.sampled_from(sorted(CLASSICAL_ARITY)), max_size=25))
+    ]
+    labelled = draw(st.lists(st.sampled_from(wires), unique=True))
+    mapping0 = None if draw(st.booleans()) else {f"L{w}": w for w in labelled}
+    labels = labelled if mapping0 is None else list(mapping0)
+    lanes = draw(st.integers(1, 70))
+    lane_bits = st.fixed_dictionaries({label: st.integers(0, 1) for label in labels})
+    return gates, mapping0, draw(st.lists(lane_bits, min_size=lanes, max_size=lanes))
+
+
+# X flips every lane, past 64 too: a flip mask of lane 0 only, of one 64-bit
+# word or of unbounded ones fails here
+@example(case=(
+    [("x", "w0"), ("cnot", "w0", "w1"), ("x", "w1")], None,
+    [{"w0": lane % 2, "w1": lane // 3 % 2} for lane in range(70)],
+))
+@given(lane_cases())
+def test_lanes_match_one_scalar_run_per_lane(case):
+    gates, mapping0, per_lane = case
+    sched = Schedule()
+    for kind, *ops in gates:
+        sched.append(gate(kind, *ops))
+    lanes = len(per_lane)
+    packed = {label: sum(bits[label] << lane for lane, bits in enumerate(per_lane)) for label in per_lane[0]}
+    out = classical_run(sched, mapping0, packed, lanes=lanes)
+    for lane, bits in enumerate(per_lane):
+        scalar = classical_run(sched, mapping0, bits)
+        assert {label: value >> lane & 1 for label, value in out.items()} == scalar
+    assert all(0 <= value < 1 << lanes for value in out.values())
+
+
+@pytest.mark.parametrize("lanes, inputs", [(0, {"a": 0}), (1, {"a": 2}), (3, {"a": 8}), (2, {"a": -1})])
+def test_classical_run_rejects_inputs_outside_the_lanes(lanes, inputs):
+    with pytest.raises(ValueError):
+        classical_run(Schedule([[gate("x", "a")]]), None, inputs, lanes=lanes)
+
+
 def test_assert_equiv_negative():
     report = assert_equiv(decomp.and_3anc(), "toffoli", ("a", "b", "t"), 1e-10)
     assert not report.ok
@@ -241,7 +285,6 @@ REFERENCE_UNITARIES = {
     K.SDAG: np.diag([1, -1j]),
     K.CNOT: np.eye(4)[[0, 1, 3, 2]],
     K.CZ: np.diag([1, 1, 1, -1]),
-    K.CC_CZ: np.diag([1, 1, 1, -1]),
     K.SWAP: np.eye(4)[[0, 2, 1, 3]],
     K.TOFFOLI: np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
     K.CCZ: np.diag([1, 1, 1, 1, 1, 1, 1, -1]),
@@ -260,9 +303,14 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-@pytest.mark.parametrize("kind", list(REFERENCE_UNITARIES), ids=lambda k: k.value)
+@pytest.mark.parametrize("kind", [*REFERENCE_UNITARIES, K.CC_CZ], ids=lambda k: k.value)
 def test_apply_gate_matches_dense_reference(kind):
     rng = np.random.default_rng(11)
+    if kind is K.CC_CZ:
+        # a run rewrites CC_CZ as a CCZ on its record's axis; a bare one has no unitary
+        with pytest.raises(ValueError, match="cc_cz"):
+            _apply_gate(_random_state(rng, 3), gate(kind, "w0", "w1", condition=0), {"w0": 0, "w1": 1})
+        return
     below = above = False
     for n in (3, 4, 5):
         ax = {f"w{i}": i for i in range(n)}
@@ -272,8 +320,7 @@ def test_apply_gate_matches_dense_reference(kind):
             below |= any(c < axes[-1] for c in axes[:-1])
             above |= any(c > axes[-1] for c in axes[:-1])
             psi = _random_state(rng, n)
-            g = gate(kind, *(f"w{a}" for a in axes), condition=0 if kind is K.CC_CZ else None)
-            got = _apply_gate(psi, g, ax)
+            got = _apply_gate(psi, gate(kind, *(f"w{a}" for a in axes)), ax)
             want = _apply_dense(psi, REFERENCE_UNITARIES[kind], axes)
             assert np.max(np.abs(got - want)) < 1e-12, (n, axes)
     assert ARITY[kind] == 1 or (below and above)
