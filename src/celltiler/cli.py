@@ -7,8 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from celltiler import decomp
 from celltiler.circuit import GateKind, swap_metrics, t_metrics
 from celltiler.lsx import ModeError, extract_ls, validate_ls
@@ -77,9 +75,10 @@ def _cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def _packed(lane_bits: np.ndarray) -> int:
-    """The int whose bit k is ``lane_bits[k]`` (each 0 or 1)."""
-    return int.from_bytes(np.packbits(lane_bits, bitorder="little").tobytes(), "little")
+def _packed(values: list[int], k: int) -> int:
+    """The int whose bit j is bit k of ``values[j]``."""
+    # one ASCII digit per value (48 is "0"), the last value's first
+    return int(bytes([48 | v >> k & 1 for v in reversed(values)]), 2)
 
 
 def _cmd_verify(args) -> int:
@@ -102,13 +101,13 @@ def _cmd_verify(args) -> int:
             return EXIT_FAIL
         # one replay for every input: lane a*2^n + b carries (a, b)
         cases = 4 ** n
-        lane = np.arange(cases)
-        a, b = lane >> n, lane & (2 ** n - 1)
-        bits = {spec.a[i]: _packed(a >> i & 1) for i in range(n)}
-        bits |= {spec.b[i]: _packed(b >> i & 1) for i in range(n)}
+        a = [lane >> n for lane in range(cases)]
+        b = [lane & (2 ** n - 1) for lane in range(cases)]
+        bits = {spec.a[i]: _packed(a, i) for i in range(n)} | {spec.b[i]: _packed(b, i) for i in range(n)}
         out = classical_run(sched, mapping, bits, lanes=cases)
         # A and B keep their inputs, P holds a*b and every other label is 0
-        expected = bits | {spec.p[k]: _packed(a * b >> k & 1) for k in range(2 * n)}
+        ab = [x * y for x, y in zip(a, b)]
+        expected = bits | {spec.p[k]: _packed(ab, k) for k in range(2 * n)}
         bad = 0
         for label in out.keys() | expected.keys():
             bad |= out[label] ^ expected.get(label, 0)
@@ -171,7 +170,7 @@ def _cmd_ls(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="celltiler",
         description="Standard-cell tiling and SWAP scheduling for Toffoli circuits",
@@ -209,9 +208,16 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("mode", choices=["2d", "3d"])
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_ls)
+    return parser
 
+
+# built once at import; every call of main only parses
+_PARSER = _parser()
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

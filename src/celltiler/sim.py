@@ -1,4 +1,4 @@
-"""Verification oracles: classical reversible replay and dense statevector simulation.
+"""Verification oracles: classical reversible replay and sparse statevector simulation.
 
 Both oracles apply gates by family. X, CNOT and Toffoli are one flip rule:
 flip the last operand where every other operand is 1. T, Tdag, S, Sdag, CZ
@@ -9,13 +9,16 @@ The classical oracle is bit-sliced: bit k of each value is lane k, so one
 replay runs ``lanes`` inputs, and ``lanes=1`` is the scalar oracle. Its flip
 rule ANDs the controls into a mask of every lane, so X flips every lane.
 
-The statevector oracle holds one state for the whole run. Measurements are
-deferred: each one owns a record axis after the wire axes, and a Z
-measurement SWAPs its wire's content onto that axis, which leaves the wire in
-|0>. An X-basis measurement is H on the wire first, so outcome 0 is |+>.
-``CC_CZ`` is a CCZ whose third control is its record's axis. The state splits
-into outcome branches once, at the end, and :data:`MAX_WIRES` caps the axes:
-wires plus records.
+The statevector oracle holds one sparse state for the whole run, a map from
+basis bitmask to amplitude as in a path sum (Amy, arXiv:1805.06908), so its
+cap :data:`MAX_TERMS` counts terms, not wires. The flip rule XORs the target
+bit, SWAP exchanges two bits, and H splits each term in two, pruning
+amplitudes of magnitude at most 1e-14 so cancellation residues do not pile
+up. Measurements are deferred: each one owns a record bit after the wire
+bits, and a Z measurement SWAPs its wire's content onto that bit, which
+leaves the wire in |0>. An X-basis measurement is H on the wire first, so
+outcome 0 is |+>. ``CC_CZ`` is a CCZ whose third control is its record's
+bit. The state splits into outcome branches once, at the end.
 """
 
 from __future__ import annotations
@@ -26,11 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-import numpy as np
-
 from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
 
-MAX_WIRES = 14
+MAX_TERMS = 1 << 14
 _NORM_TOL = 1e-9
 _FLIPS = frozenset((GateKind.X, GateKind.CNOT, GateKind.TOFFOLI))
 _MEASURES = frozenset((GateKind.MEASURE_X, GateKind.MEASURE_Z))
@@ -41,7 +42,7 @@ class UnsupportedGateError(Exception):
 
 
 class CapacityError(Exception):
-    """The statevector oracle was asked for more wires and records than it supports."""
+    """The statevector oracle's state grew past :data:`MAX_TERMS` terms."""
 
 
 def classical_run(
@@ -98,14 +99,14 @@ def classical_run(
 
 @dataclass
 class Branch:
-    """One measurement branch: probability, record bits, and the state."""
+    """One measurement branch: probability, record bits, and the wire state."""
 
     probability: float
     records: tuple[int, ...]
-    state: np.ndarray
+    state: dict[int, complex]
 
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+_SQRT_HALF = 1 / math.sqrt(2)
 _PHASES = {
     GateKind.T: cmath.exp(1j * math.pi / 4),
     GateKind.TDAG: cmath.exp(-1j * math.pi / 4),
@@ -116,37 +117,27 @@ _PHASES = {
 }
 
 
-def _slice_at(n: int, axes) -> tuple:
-    """Index of the slice where every axis in ``axes`` holds 1."""
-    idx: list = [slice(None)] * n
-    for axis in axes:
-        idx[axis] = 1
-    return tuple(idx)
-
-
-def _hadamard(psi: np.ndarray, t: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(_H, psi, axes=([1], [t])), 0, t)
-
-
-def _apply_gate(psi: np.ndarray, g: Gate, ax: dict[Hashable, int]) -> np.ndarray:
+def _apply_gate(psi: dict[int, complex], g: Gate, bit: dict[Hashable, int]) -> dict[int, complex]:
     kind = g.kind
-    axes = [ax[q] for q in g.operands]
+    masks = [1 << bit[q] for q in g.operands]
     if kind in _FLIPS:
-        *controls, t = axes
-        sl = _slice_at(psi.ndim, controls)
-        out = psi.copy()
-        # slicing drops the control axes, so the target axis moves down by
-        # one for each control below it
-        out[sl] = np.flip(psi[sl], axis=t - sum(c < t for c in controls))
-        return out
+        *controls, t = masks
+        on = sum(controls)
+        return {k ^ t if k & on == on else k: a for k, a in psi.items()}
     if kind in _PHASES:
-        out = psi.copy()
-        out[_slice_at(psi.ndim, axes)] *= _PHASES[kind]
-        return out
+        on, phase = sum(masks), _PHASES[kind]
+        return {k: a * phase if k & on == on else a for k, a in psi.items()}
     if kind is GateKind.H:
-        return _hadamard(psi, axes[0])
+        (t,) = masks
+        out: dict[int, complex] = {}
+        for k, a in psi.items():
+            a *= _SQRT_HALF
+            out[k & ~t] = out.get(k & ~t, 0) + a
+            out[k | t] = out.get(k | t, 0) + (-a if k & t else a)
+        return {k: a for k, a in out.items() if abs(a) > 1e-14}
     if kind is GateKind.SWAP:
-        return np.swapaxes(psi, *axes)
+        both = sum(masks)
+        return {k ^ both if k & both in masks else k: a for k, a in psi.items()}
     raise ValueError(f"statevector oracle cannot run {kind.value}")
 
 
@@ -155,37 +146,35 @@ def statevector_run(
     initial: Mapping[Hashable, int] | None = None,
     wires: list[Hashable] | None = None,
 ) -> list[Branch]:
-    """Dense simulation of one state; it splits into outcome branches at the end.
+    """Sparse simulation of one state; it splits into outcome branches at the end.
 
-    ``initial`` sets basis bits by wire; every other wire starts in |0>.
-    The state's axes are the wires, in the order of ``wires``, then one
-    record axis per measurement; ``MAX_WIRES`` caps wires plus records. A SWAP
-    exchanges the contents of its two wires, so a value is read at the wire it
-    ended on (see :func:`classical_run` for the label-keyed view of the same
-    run). A Z measurement SWAPs its wire with a fresh record axis, which
-    leaves the wire recycled to |0> so ancilla-restoration checks stay uniform;
-    ``CC_CZ`` is a CCZ whose third control is its record's axis. Returns one
-    normalised branch per record outcome of probability at least 1e-12, records
-    in lexicographic order, each with its probability and record bits.
+    The state maps basis bitmasks to amplitudes: bit i is ``wires[i]``, then
+    one record bit per measurement. ``initial`` sets basis bits by wire;
+    every other wire starts in |0>. H prunes amplitudes of magnitude at most
+    1e-14, and more than :data:`MAX_TERMS` terms raise :class:`CapacityError`.
+    A SWAP exchanges the contents of its two wires, so a value is read at the
+    wire it ended on (see :func:`classical_run` for the label-keyed view of
+    the same run). A Z measurement SWAPs its wire with a fresh record bit,
+    which leaves the wire recycled to |0> so ancilla-restoration checks stay
+    uniform; ``CC_CZ`` is a CCZ whose third control is its record's bit.
+    Returns one normalised branch per record outcome of probability at least
+    1e-12, records in lexicographic order, each with its probability, record
+    bits and the state over the wires alone.
     """
     if wires is None:
         wires = schedule.wires()
     records = [object() for g in schedule.gates() if g.kind in _MEASURES]
-    if len(wires) + len(records) > MAX_WIRES:
-        raise CapacityError(f"{len(wires)} wires and {len(records)} records exceed the {MAX_WIRES}-axis cap")
-    ax = {w: i for i, w in enumerate([*wires, *records])}
-    psi = np.zeros((2,) * len(ax), dtype=complex)
-    idx = [0] * len(ax)
-    for w, bit in (initial or {}).items():
-        idx[ax[w]] = int(bit)
-    psi[tuple(idx)] = 1.0
+    bit = {w: i for i, w in enumerate([*wires, *records])}
+    if any(b not in (0, 1) for b in (initial or {}).values()):
+        raise ValueError(f"initial bits must be 0 or 1, got {dict(initial or {})}")
+    psi = {sum(b << bit[w] for w, b in (initial or {}).items()): 1 + 0j}
 
     measured = 0
     for moment in schedule.moments:
         for g in moment:
             if g.kind in _MEASURES:
                 if g.kind is GateKind.MEASURE_X:
-                    psi = _hadamard(psi, ax[g.operands[0]])
+                    psi = _apply_gate(psi, Gate(GateKind.H, g.operands), bit)
                 g = Gate(GateKind.SWAP, (g.operands[0], records[measured]))
                 measured += 1
             elif g.kind is GateKind.CC_CZ:
@@ -194,17 +183,22 @@ def statevector_run(
                 if g.condition >= measured:
                     raise ValueError("classically controlled CZ references a future record")
                 g = Gate(GateKind.CCZ, (*g.operands, records[g.condition]))
-            psi = _apply_gate(psi, g, ax)
-        norm = float(np.sum(np.abs(psi) ** 2))
+            psi = _apply_gate(psi, g, bit)
+            if len(psi) > MAX_TERMS:
+                raise CapacityError(f"{len(psi)} terms exceed the {MAX_TERMS}-term cap")
+        norm = sum(abs(a) ** 2 for a in psi.values())
         if abs(norm - 1.0) > _NORM_TOL:
             raise AssertionError(f"norm drifted to {norm}")
 
+    split: dict[tuple[int, ...], dict[int, complex]] = {}
+    low = (1 << len(wires)) - 1
+    for k, a in psi.items():
+        split.setdefault(tuple(k >> bit[r] & 1 for r in records), {})[k & low] = a
     branches = []
-    for bits in itertools.product((0, 1), repeat=len(records)):
-        sub = psi[(..., *bits)]
-        prob = float(np.sum(np.abs(sub) ** 2))
+    for outcome, sub in sorted(split.items()):
+        prob = sum(abs(a) ** 2 for a in sub.values())
         if prob >= 1e-12:
-            branches.append(Branch(prob, bits, sub / math.sqrt(prob)))
+            branches.append(Branch(prob, outcome, {k: a / math.sqrt(prob) for k, a in sub.items()}))
     total = sum(br.probability for br in branches)
     if abs(total - 1.0) > _NORM_TOL:
         raise AssertionError(f"branch probabilities sum to {total}")
@@ -258,15 +252,13 @@ def assert_equiv(
     refs = [object() for _ in swept]
     wires = schedule.wires()
     wires += [w for w in data_wires if w not in wires] + refs
-    ax = {w: i for i, w in enumerate(wires)}
+    bit = {w: i for i, w in enumerate(wires)}
 
-    expected = np.zeros((2,) * len(wires), dtype=complex)
+    expected: dict[int, complex] = {}
     for bits in itertools.product((0, 1), repeat=len(swept)):
         out_bits, ref_phase = _expected(reference, bits + (0,) * (len(data_wires) - len(swept)))
-        idx = [0] * len(wires)
-        for w, bit in [*zip(data_wires, out_bits), *zip(refs, bits)]:
-            idx[ax[w]] = bit
-        expected[tuple(idx)] = ref_phase / math.sqrt(2 ** len(swept))
+        key = sum(b << bit[w] for w, b in [*zip(data_wires, out_bits), *zip(refs, bits)])
+        expected[key] = ref_phase / math.sqrt(2 ** len(swept))
 
     entangled = Schedule([
         [Gate(GateKind.H, (r,)) for r in refs],
@@ -275,7 +267,8 @@ def assert_equiv(
     ])
     worst = 0.0
     for br in statevector_run(entangled, wires=wires):
-        phase = np.exp(1j * np.angle(np.vdot(expected, br.state)))
-        worst = max(worst, float(np.max(np.abs(br.state - phase * expected))))
+        got = br.state
+        phase = cmath.exp(1j * cmath.phase(sum(e.conjugate() * got.get(k, 0) for k, e in expected.items())))
+        worst = max(worst, *(abs(got.get(k, 0) - phase * expected.get(k, 0)) for k in got.keys() | expected))
     ok = worst <= tol
     return EquivReport(ok, worst, "" if ok else f"worst deviation {worst:.3e}")

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -265,3 +266,14 @@ def test_optimized_depth_needs_three_rungs(n, capsys):
 def test_optimized_depth_help_states_limit(capsys):
     assert main(["schedule", "-h"]) == 0
     assert "needs n >= 3" in " ".join(capsys.readouterr().out.split())
+
+
+def test_main_parses_without_building_a_parser(monkeypatch, capsys):
+    # the parser is built once, at import; main only parses
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    assert main(["verify", "2"]) == 0
+    assert main(["build", "1"]) == 0
+    assert "18 qubits" in capsys.readouterr().out

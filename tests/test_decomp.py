@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from celltiler import cli, decomp
-from celltiler.circuit import GateKind, Schedule, t_metrics
+from celltiler.circuit import GateKind, Schedule, gate, t_metrics
+from celltiler.scheduler import full_multiplier_schedule
 from celltiler.sim import assert_equiv, statevector_run
+from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
+from dense import dense
 
 K = GateKind
 TOL = 1e-10
@@ -27,8 +30,9 @@ def test_ccz_equivalence():
 
 
 def test_ccz_fixes_all_zero():
-    branches = statevector_run(decomp.ccz_tdepth1(), {})
-    state = branches[0].state
+    sched = decomp.ccz_tdepth1()
+    branches = statevector_run(sched, {})
+    state = dense(branches[0].state, len(sched.wires()))
     assert abs(state[(0,) * state.ndim] - 1) < 1e-9
 
 
@@ -116,7 +120,7 @@ def test_toffoli_mb_flipping_case():
     for br in statevector_run(sched, {"a": 1, "b": 1, "t": 0}):
         idx = [0] * len(wires)
         idx[ax["a"]] = idx[ax["b"]] = idx[ax["t"]] = 1
-        assert abs(abs(br.state[tuple(idx)]) - 1) < 1e-9
+        assert abs(abs(dense(br.state, len(wires))[tuple(idx)]) - 1) < 1e-9
 
 
 # The logical ANDs compute a.b into t, which starts at |0> but is an output,
@@ -144,7 +148,7 @@ def test_ancillae_restored(build, data):
     for v in range(2 ** len(data)):
         bits = {w: (v >> i) & 1 for i, w in enumerate(data)}
         for br in statevector_run(sched, bits, wires=wires):
-            marg = np.abs(br.state) ** 2
+            marg = np.abs(dense(br.state, len(wires))) ** 2
             for w in anc:
                 ones = np.take(marg, 1, axis=ax[w]).sum()
                 assert ones < 1e-12, f"ancilla {w} not restored"
@@ -154,8 +158,6 @@ def test_ancillae_restored(build, data):
 
 
 def test_lower_schedule_expands_toffoli():
-    from celltiler.circuit import gate
-
     sched = Schedule([[gate("toffoli", "x", "y", "z")]])
     low = decomp.lower_schedule(sched)
     assert low.count(K.TOFFOLI) == 0
@@ -164,8 +166,6 @@ def test_lower_schedule_expands_toffoli():
 
 
 def test_lower_schedule_expands_ccz_as_ccz():
-    from celltiler.circuit import gate
-
     sched = Schedule([[gate("ccz", "x", "y", "z")]])
     low = decomp.lower_schedule(sched)
     assert low.count(K.CCZ) == 0 and low.count(K.H) == 0
@@ -175,11 +175,43 @@ def test_lower_schedule_expands_ccz_as_ccz():
 
 
 def test_lower_schedule_expands_swap():
-    from celltiler.circuit import gate
-
     sched = Schedule([[gate("swap", "x", "y")]])
     low = decomp.lower_schedule(sched)
     assert low.count(K.CNOT) == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lowered_multiplier_computes_the_product(n):
+    # H over every A and B site, each copied onto a reference wire, puts all
+    # 4^n inputs in one run of the lowered Clifford+T multiplier
+    spec = RegisterSpec.for_width(n)
+    start = initial_mapping(build_multiplier_layout(n), spec)
+    sched, final = full_multiplier_schedule(n)
+    lowered = decomp.lower_schedule(sched)
+    inputs = spec.a + spec.b
+    run = Schedule([
+        [gate("h", start[label]) for label in inputs],
+        [gate("cnot", start[label], f"ref_{label}") for label in inputs],
+        *lowered.moments,
+    ])
+    wires = list(dict.fromkeys([*final.values(), *run.wires()]))
+    bit = {w: i for i, w in enumerate(wires)}
+    (branch,) = statevector_run(run, wires=wires)
+    assert len(branch.state) == 4 ** n
+
+    def value(key: int, wires_of_bits: list) -> int:
+        return sum((key >> bit[w] & 1) << i for i, w in enumerate(wires_of_bits))
+
+    ancillae = [w for w in wires if isinstance(w, str) and w.startswith("_anc")]
+    assert ancillae
+    zeros = [final[label] for label in final if label not in inputs + spec.p] + ancillae
+    for key, amplitude in branch.state.items():
+        a, b = (value(key, [f"ref_{label}" for label in reg]) for reg in (spec.a, spec.b))
+        assert value(key, [final[label] for label in spec.a]) == a
+        assert value(key, [final[label] for label in spec.b]) == b
+        assert value(key, [final[label] for label in spec.p]) == a * b
+        assert value(key, zeros) == 0
+        assert abs(amplitude - 2 ** -n) < TOL
 
 
 # sha256 of to_json().encode() for each circuit: composing one circuit from

@@ -1,8 +1,11 @@
 """Every name a module of the package or a test file imports is used in that
-file, and every function parameter of the package or a test file is read in
-its function."""
+file, every function parameter of the package or a test file is read in its
+function, and importing the package loads no numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,15 @@ def test_parameter_checker_flags_unread_and_accepts_read():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def test_importing_the_package_loads_no_numpy():
+    # numpy is a test dependency only; the tests import it themselves, so a
+    # fresh interpreter has to check that the package does not
+    code = "import sys, celltiler, celltiler.cli; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "False"

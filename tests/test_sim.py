@@ -10,7 +10,7 @@ from celltiler import cli, decomp, sim
 from celltiler.circuit import ARITY, GateKind, Schedule, gate
 from celltiler.scheduler import full_multiplier_schedule
 from celltiler.sim import (
-    MAX_WIRES,
+    MAX_TERMS,
     CapacityError,
     UnsupportedGateError,
     _apply_gate,
@@ -19,6 +19,7 @@ from celltiler.sim import (
     statevector_run,
 )
 from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
+from dense import dense, sparse
 
 K = GateKind
 
@@ -46,16 +47,16 @@ def test_classical_rejects_nonclassical():
 
 def test_statevector_h():
     branches = statevector_run(Schedule([[gate("h", "q")]]), {"q": 0})
-    state = branches[0].state
+    state = dense(branches[0].state, 1)
     assert np.allclose(state, np.array([1, 1]) / math.sqrt(2))
 
 
 def test_statevector_ccz_phase():
     sched = decomp.ccz_tdepth1()
     branches = statevector_run(sched, {"a": 1, "b": 1, "c": 1})
-    state = branches[0].state
-    idx = [0] * state.ndim
     wires = sched.wires()
+    state = dense(branches[0].state, len(wires))
+    idx = [0] * state.ndim
     for i, w in enumerate(wires):
         if w in ("a", "b", "c"):
             idx[i] = 1
@@ -70,13 +71,18 @@ def test_capacity_error():
         statevector_run(s)
 
 
-def test_capacity_counts_records():
-    wires = [f"q{i}" for i in range(MAX_WIRES)]
-    s = Schedule([[gate("h", q) for q in wires]])
-    assert len(statevector_run(s)) == 1
-    s.extend_moment([gate("mz", "q0")])
-    with pytest.raises(CapacityError, match=f"{MAX_WIRES} wires and 1 records"):
-        statevector_run(s)
+def test_capacity_counts_terms_not_wires():
+    # 60 wires and 60 records hold one term
+    wires = [f"q{i}" for i in range(60)]
+    s = Schedule([[gate("x", q) for q in wires], [gate("mz", q) for q in wires]])
+    (branch,) = statevector_run(s)
+    assert branch.records == (1,) * 60 and branch.state == {0: 1}
+    # 14 H gates make exactly MAX_TERMS terms, the 15th twice that
+    assert MAX_TERMS == 1 << 14
+    (branch,) = statevector_run(Schedule([[gate("h", q) for q in wires[:14]]]))
+    assert len(branch.state) == MAX_TERMS
+    with pytest.raises(CapacityError, match=f"{2 * MAX_TERMS} terms exceed the {MAX_TERMS}-term cap"):
+        statevector_run(Schedule([[gate("h", q) for q in wires[:15]]]))
 
 
 @pytest.mark.parametrize(
@@ -101,7 +107,7 @@ def test_measurement_branch_probabilities():
 def test_measurement_recycles_wire():
     s = Schedule([[gate("h", "q")], [gate("mx", "q")]])
     for br in statevector_run(s, {"q": 0}):
-        assert abs(abs(br.state[0]) - 1) < 1e-9  # wire reset to |0>
+        assert abs(abs(dense(br.state, 1)[0]) - 1) < 1e-9  # wire reset to |0>
 
 
 def test_cross_oracle_agreement():
@@ -125,7 +131,7 @@ def test_cross_oracle_agreement():
         classical = classical_run(sched, None, bits)
         branches = statevector_run(sched, bits, wires=wires)
         assert len(branches) == 1
-        state = branches[0].state
+        state = dense(branches[0].state, len(wires))
         idx = tuple(classical[label_on[w]] for w in wires)
         assert abs(abs(state[idx]) - 1) < 1e-9
 
@@ -161,7 +167,7 @@ def test_oracles_agree_on_random_circuits(data):
     assert len(branches) == 1
     # a wire that no gate touches and no label starts on stays 0
     idx = tuple(classical[label_on[w]] if w in touched or w in labelled else 0 for w in wires)
-    assert abs(abs(branches[0].state[idx]) - 1) < 1e-9
+    assert abs(abs(dense(branches[0].state, len(wires))[idx]) - 1) < 1e-9
 
 
 @st.composite
@@ -206,6 +212,13 @@ def test_lanes_match_one_scalar_run_per_lane(case):
 def test_classical_run_rejects_inputs_outside_the_lanes(lanes, inputs):
     with pytest.raises(ValueError):
         classical_run(Schedule([[gate("x", "a")]]), None, inputs, lanes=lanes)
+
+
+@pytest.mark.parametrize("value", [2, -1])
+def test_statevector_run_rejects_initial_values_that_are_not_bits(value):
+    # a 2 on q0 must not set q1's bit
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        statevector_run(Schedule([[gate("h", "q0")]]), {"q0": value}, wires=["q0", "q1"])
 
 
 def test_assert_equiv_negative():
@@ -307,9 +320,9 @@ def _random_state(rng: np.random.Generator, n: int) -> np.ndarray:
 def test_apply_gate_matches_dense_reference(kind):
     rng = np.random.default_rng(11)
     if kind is K.CC_CZ:
-        # a run rewrites CC_CZ as a CCZ on its record's axis; a bare one has no unitary
+        # a run rewrites CC_CZ as a CCZ on its record's bit; a bare one has no unitary
         with pytest.raises(ValueError, match="cc_cz"):
-            _apply_gate(_random_state(rng, 3), gate(kind, "w0", "w1", condition=0), {"w0": 0, "w1": 1})
+            _apply_gate(sparse(_random_state(rng, 3)), gate(kind, "w0", "w1", condition=0), {"w0": 0, "w1": 1})
         return
     below = above = False
     for n in (3, 4, 5):
@@ -320,7 +333,7 @@ def test_apply_gate_matches_dense_reference(kind):
             below |= any(c < axes[-1] for c in axes[:-1])
             above |= any(c > axes[-1] for c in axes[:-1])
             psi = _random_state(rng, n)
-            got = _apply_gate(psi, gate(kind, *(f"w{a}" for a in axes)), ax)
+            got = dense(_apply_gate(sparse(psi), gate(kind, *(f"w{a}" for a in axes)), ax), n)
             want = _apply_dense(psi, REFERENCE_UNITARIES[kind], axes)
             assert np.max(np.abs(got - want)) < 1e-12, (n, axes)
     assert ARITY[kind] == 1 or (below and above)
@@ -380,7 +393,7 @@ def test_measure_matches_projector_reference(x_basis):
         (start,) = statevector_run(prefix, wires=wires)
         # measure each wire in turn, one moment each, by projectors; keep the
         # outcomes whose joint probability reaches 1e-12
-        want = [(1.0, (), start.state)]
+        want = [(1.0, (), dense(start.state, len(wires)))]
         for axis in range(len(wires)):
             grown = []
             for p, records, psi in want:
@@ -392,5 +405,34 @@ def test_measure_matches_projector_reference(x_basis):
         assert [br.records for br in got] == [records for _, records, _ in want]
         for br, (p, _, ref) in zip(got, want):
             assert abs(br.probability - p) < 1e-12
-            assert np.max(np.abs(br.state - ref)) < 1e-12
+            assert np.max(np.abs(dense(br.state, len(wires)) - ref)) < 1e-12
     assert skipped
+
+
+@st.composite
+def unitary_circuits(draw):
+    """Start bits on 3 to 6 wires and up to 40 gates of the reference kinds,
+    each as (kind, operand axes)."""
+    n = draw(st.integers(3, 6))
+    kinds = draw(st.lists(st.sampled_from(sorted(REFERENCE_UNITARIES, key=lambda k: k.value)), max_size=40))
+    gates = [(kind, tuple(draw(st.permutations(range(n)))[: ARITY[kind]])) for kind in kinds]
+    return draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), gates
+
+
+# amplitudes of 1/4 after four H gates: a run that prunes them fails here
+@example(case=([0, 1, 0, 1], [*((K.H, (i,)) for i in range(4)), (K.T, (0,)), (K.H, (0,))]))
+@given(unitary_circuits())
+def test_runs_match_the_product_of_reference_unitaries(case):
+    # whole random circuits, so amplitudes that H splits, cancels and prunes
+    # over many gates are checked, not one gate at a time
+    start, gates = case
+    n = len(start)
+    wires = [f"w{i}" for i in range(n)]
+    want = np.zeros((2,) * n, dtype=complex)
+    want[tuple(start)] = 1
+    sched = Schedule()
+    for kind, axes in gates:
+        sched.append(gate(kind, *(wires[a] for a in axes)))
+        want = _apply_dense(want, REFERENCE_UNITARIES[kind], axes)
+    (branch,) = statevector_run(sched, dict(zip(wires, start)), wires=wires)
+    assert np.max(np.abs(dense(branch.state, n) - want)) < 1e-10
