@@ -9,7 +9,7 @@ from pathlib import Path
 
 from celltiler import decomp
 from celltiler.circuit import GateKind, swap_metrics, t_metrics
-from celltiler.lsx import ModeError, extract_ls, validate_ls
+from celltiler.lsx import ModeError, check_mode, extract_ls, validate_ls
 from celltiler.router import compare, compare_csv
 from celltiler.scheduler import (
     ScheduleError,
@@ -148,13 +148,14 @@ def _cmd_compare(args) -> int:
 def _cmd_ls(args) -> int:
     n = args.n
     layout = build_multiplier_layout(n)
-    sched, _ = full_multiplier_schedule(n)
-    lowered = decomp.lower_schedule(sched)
     try:
-        program = extract_ls(lowered, layout, args.mode)
+        check_mode(layout, args.mode)
     except ModeError as exc:
         print(f"mode-error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    sched, _ = full_multiplier_schedule(n)
+    lowered = decomp.lower_schedule(sched)
+    program = extract_ls(lowered, layout, args.mode)
     report = validate_ls(program, args.mode)
     bound = 2 if args.mode == "2d" else 4
     cnots = lowered.count(GateKind.CNOT)

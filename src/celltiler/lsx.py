@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 from celltiler.cells import Layout
 from celltiler.circuit import GateKind, Schedule, json_list, json_scalar
@@ -29,8 +30,10 @@ OP = "op"  # opaque single-patch operation (T, H, S, X, ...)
 RIDING_OPS = ("h", "s", "sdag", "x", "mx", "mz")  # no step time; see extract_ls
 
 
-@dataclass(frozen=True)
-class LSInstruction:
+class LSInstruction(NamedTuple):
+    """One LS instruction: an immutable tuple record, built in under half the
+    time of a frozen dataclass (a program holds tens of thousands)."""
+
     kind: str
     patches: tuple[str, ...]
     instance: int  # groups the instructions of one logical CNOT / CZ
@@ -53,18 +56,28 @@ class LSProgram:
         """The program as JSON text, byte for byte what ``json.dumps(payload,
         indent=2, sort_keys=True)`` writes for the payload ``{"steps": [[{
         "kind", "patches", "instance", "label", "condition"}, ...], ...],
-        "transversal_count", "pattern_count"}``."""
+        "transversal_count", "pattern_count"}``.
+
+        Each instruction is written as ``head + instance + tail``. The text
+        around ``instance`` is cached for the call per ``(type(condition),
+        condition, kind, label, patches)``: ``1`` and ``True`` are equal keys
+        but are written differently. Shapes with non-``str`` text are not cached."""
+        parts: dict[tuple, tuple[str, str]] = {}
         steps = []
         for step in self.steps:
-            steps.append(json_list([
-                f'{{\n        "condition": {json_scalar(ins.condition, 4)},'
-                f'\n        "instance": {json_scalar(ins.instance, 4)},'
-                f'\n        "kind": {json_scalar(ins.kind, 4)},'
-                f'\n        "label": {json_scalar(ins.label, 4)},'
-                f'\n        "patches": {json_list([json_scalar(p, 5) for p in ins.patches], 4)}'
-                f'\n      }}'
-                for ins in step
-            ], 2))
+            items = []
+            for kind, patches, instance, label, condition in step:
+                key = (type(condition), condition, kind, label, patches)
+                hit = parts.get(key)
+                if hit is None:
+                    hit = (f'{{\n        "condition": {json_scalar(condition, 4)},\n        "instance": ',
+                           f',\n        "kind": {json_scalar(kind, 4)},\n        "label": {json_scalar(label, 4)},'
+                           f'\n        "patches": {json_list([json_scalar(p, 5) for p in patches], 4)}\n      }}')
+                    if all(type(v) is str for v in (kind, label, *patches)):
+                        parts[key] = hit
+                text = str(instance) if type(instance) is int else json_scalar(instance, 4)
+                items.append(hit[0] + text + hit[1])
+            steps.append(json_list(items, 2))
         return (
             f'{{\n  "pattern_count": {json_scalar(self.pattern_count, 1)},'
             f'\n  "steps": {json_list(steps, 1)},'
@@ -106,10 +119,11 @@ class _Extractor:
         self.program = LSProgram()
         self.hard_avail: dict[str, int] = {}  # first step a new instance may use
         self.last_step: dict[str, int] = {}
-        # per (transversal?, patch): uses per step, and full step -> later step
-        self.use: dict[tuple[bool, str], dict[int, int]] = {}
-        self.skip: dict[tuple[bool, str], dict[int, int]] = {}
+        # indexed by transversal?, then patch: uses per step, and full step -> later step
+        self.use = (defaultdict(dict), defaultdict(dict))
+        self.skip = (defaultdict(dict), defaultdict(dict))
         self.anc_avail: list[int] = []  # per ancilla patch: first free step
+        self.anc_names: list[str] = []
         self.orientation: dict[str, str] = {}
         self.instance = 0
 
@@ -120,20 +134,19 @@ class _Extractor:
     def _place_two(self, patches: tuple[str, str], transversal: bool) -> int:
         """The first step at or after both patches' ``hard_avail`` where each
         is under its per-step limit of merge/split (or transversal) uses."""
-        skips = [self.skip.setdefault((transversal, p), {}) for p in patches]
-        s = max(self.hard_avail.get(p, 0) for p in patches)
-        while True:  # alternate until neither patch moves the step
-            t = _first_free(skips[1], _first_free(skips[0], s))
-            if t == s:
-                break
-            s = t
+        a, b = patches
+        skips, uses = self.skip[transversal], self.use[transversal]
+        skip_a, skip_b = skips[a], skips[b]
+        s = max(self.hard_avail.get(a, 0), self.hard_avail.get(b, 0))
+        while s in skip_a or s in skip_b:  # alternate until neither patch moves the step
+            s = _first_free(skip_b, _first_free(skip_a, s))
         self._ensure(s)
         limit = 2 if transversal else self.bound_ls
-        for p, skip in zip(patches, skips):
-            use = self.use.setdefault((transversal, p), {})
+        for p in patches:
+            use = uses[p]
             use[s] = use.get(s, 0) + 1
             if use[s] >= limit:
-                skip[s] = s + 1
+                skips[p][s] = s + 1
             self.last_step[p] = max(self.last_step.get(p, 0), s)
         return s
 
@@ -141,29 +154,28 @@ class _Extractor:
         for i, free_at in enumerate(self.anc_avail):
             if free_at <= step:
                 self.anc_avail[i] = step + 1
-                return f"ls_anc{i}"
+                return self.anc_names[i]
         self.anc_avail.append(step + 1)
-        return f"ls_anc{len(self.anc_avail) - 1}"
-
-    def _rotate_if_needed(self, step: int, patch: str, boundary: str) -> None:
-        cur = self.orientation.get(patch)
-        if cur is not None and cur != boundary:
-            self.program.steps[step].append(
-                LSInstruction(ROTATE, (patch,), self.instance)
-            )
-        self.orientation[patch] = boundary
+        self.anc_names.append(f"ls_anc{len(self.anc_names)}")
+        return self.anc_names[-1]
 
     def ls_cnot(self, ctrl: str, tgt: str, kinds=(MERGE_ZZ, MERGE_XX), condition=None) -> None:
-        self.instance += 1
+        i = self.instance = self.instance + 1
         s = self._place_two((ctrl, tgt), transversal=False)
         anc = self._alloc_anc(s)
         step = self.program.steps[s]
-        step.append(LSInstruction(INIT_PLUS, (anc,), self.instance))
-        self._rotate_if_needed(s, ctrl, "z")
-        step.append(LSInstruction(kinds[0], (ctrl, anc), self.instance, condition=condition))
-        self._rotate_if_needed(s, tgt, "x" if kinds[1] is MERGE_XX else "z")
-        step.append(LSInstruction(kinds[1], (anc, tgt), self.instance, condition=condition))
-        step.append(LSInstruction(MEASURE_X, (anc,), self.instance))
+        orientation = self.orientation
+        step.append(LSInstruction(INIT_PLUS, (anc,), i))
+        if orientation.get(ctrl, "z") != "z":
+            step.append(LSInstruction(ROTATE, (ctrl,), i))
+        orientation[ctrl] = "z"
+        step.append(LSInstruction(kinds[0], (ctrl, anc), i, "", condition))
+        boundary = "x" if kinds[1] is MERGE_XX else "z"
+        if orientation.get(tgt, boundary) != boundary:
+            step.append(LSInstruction(ROTATE, (tgt,), i))
+        orientation[tgt] = boundary
+        step.append(LSInstruction(kinds[1], (anc, tgt), i, "", condition))
+        step.append(LSInstruction(MEASURE_X, (anc,), i))
         self.program.pattern_count += 1
 
     def transversal(self, ctrl: str, tgt: str) -> None:
@@ -187,6 +199,14 @@ class _Extractor:
         self.program.steps[s].append(LSInstruction(OP, (patch,), 0, label=name))
 
 
+def check_mode(layout: Layout | None, mode: str) -> None:
+    """Raise :class:`ModeError` unless ``mode`` is 2d or 3d and fits ``layout``."""
+    if mode not in ("2d", "3d"):
+        raise ModeError(f"unknown mode {mode!r}")
+    if mode == "2d" and layout is not None and layout.lattice.dimensionality != 2:
+        raise ModeError("2d extraction requires a planar layout")
+
+
 def extract_ls(
     schedule: Schedule,
     layout: Layout | None,
@@ -204,35 +224,32 @@ def extract_ls(
     Riding ops (``RIDING_OPS``) take no step time: each joins the latest step
     that uses its patch so far (step 0 if none). A step's instruction list is
     its execution order, so a riding op acts after the instructions listed
-    before it and before those listed after it.
+    before it and before those listed after it. Names and stacking are resolved
+    once per distinct operand tuple, so labels that compare equal (one wire to
+    a ``Schedule``) share a patch.
     """
-    if mode not in ("2d", "3d"):
-        raise ModeError(f"unknown mode {mode!r}")
-    if mode == "2d" and layout is not None and layout.lattice.dimensionality != 2:
-        raise ModeError("2d extraction requires a planar layout")
+    check_mode(layout, mode)
     ex = _Extractor(bound_ls=2)
 
-    def site_of(label: Hashable) -> Site | None:
-        if isinstance(label, Site):
-            return label
-        if site_map and label in site_map:
-            return site_map[label]
-        return None
+    def resolve(operands: tuple) -> tuple[tuple[str, ...], bool]:
+        """The patch names, and whether a CNOT on ``operands`` is a 3d stick."""
+        sites = [q if isinstance(q, Site) else (site_map or {}).get(q) for q in operands]
+        stacked = mode == "3d" and len(sites) == 2 and None not in sites and (
+            sites[0].x == sites[1].x and sites[0].y == sites[1].y and abs(sites[0].z - sites[1].z) == 1
+        )
+        return tuple(map(_patch_name, operands)), stacked
 
+    resolved: dict[tuple, tuple[tuple[str, ...], bool]] = {}
     for g in schedule.gates():
         if g.kind in (K.TOFFOLI, K.CCZ):
             raise ValueError("lower Toffoli/CCZ to Clifford+T before LS extraction")
         if g.kind is K.SWAP:
             raise ValueError("expand SWAPs to CNOTs before LS extraction")
-        names = tuple(_patch_name(q) for q in g.operands)
+        hit = resolved.get(g.operands)
+        if hit is None:
+            hit = resolved[g.operands] = resolve(g.operands)
+        names, stacked = hit
         if g.kind is K.CNOT:
-            sa, sb = site_of(g.operands[0]), site_of(g.operands[1])
-            stacked = (
-                mode == "3d"
-                and sa is not None
-                and sb is not None
-                and sa.x == sb.x and sa.y == sb.y and abs(sa.z - sb.z) == 1
-            )
             if stacked:
                 ex.transversal(*names)
             else:
@@ -257,8 +274,7 @@ class LSReport:
 def validate_ls(program: LSProgram, mode: str) -> LSReport:
     """Check the per-step parallelism bounds: at most two merge/split uses per
     patch (plus two transversal uses in 3d), one job per ancilla patch."""
-    if mode not in ("2d", "3d"):
-        raise ModeError(f"unknown mode {mode!r}")
+    check_mode(None, mode)
     report = LSReport()
     for si, step in enumerate(program.steps):
         ls_count: dict[str, set[int]] = {}

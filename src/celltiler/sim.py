@@ -167,6 +167,8 @@ def statevector_run(
     bit = {w: i for i, w in enumerate([*wires, *records])}
     if any(b not in (0, 1) for b in (initial or {}).values()):
         raise ValueError(f"initial bits must be 0 or 1, got {dict(initial or {})}")
+    if unknown := [w for w in initial or {} if w not in bit]:
+        raise ValueError(f"initial names wires not in the schedule: {unknown}")
     psi = {sum(b << bit[w] for w, b in (initial or {}).items()): 1 + 0j}
 
     measured = 0

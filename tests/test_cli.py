@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from celltiler import cli, scheduler
+from celltiler import cli, decomp, scheduler
 from celltiler.circuit import GateKind, Schedule
 from celltiler.cli import main
 from celltiler.sim import classical_run
@@ -174,6 +174,41 @@ def test_ls_3d(capsys, tmp_path):
 def test_ls_2d_mode_error(capsys):
     assert main(["ls", "2", "2d"]) == 1
     assert "mode-error" in capsys.readouterr().err
+
+
+def test_ls_2d_fails_before_compiling(monkeypatch, capsys):
+    def compiled(*_args, **_kwargs):
+        raise AssertionError("ls 2d compiled before its mode check")
+
+    monkeypatch.setattr(cli, "full_multiplier_schedule", compiled)
+    monkeypatch.setattr(decomp, "lower_schedule", compiled)
+    assert main(["ls", "4", "2d"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mode-error: 2d extraction requires a planar layout\n"
+
+
+# sha256 of `ls n 3d` stdout, computed before LS records became tuples and
+# patch names were resolved once per operand tuple
+LS_STDOUT_SHA256 = {
+    1: "578a681bbb76af10b0734c2d83385032cd81f041587ad0ebc9cddaa695e9ea5d",
+    2: "eb934e49f26d5cf1ef3f3b8e274aefefe2512aa45ab6b80630aff8a9d865e019",
+    3: "bba7ac157ed6b84f20917487b6b040f9e11501cd0c19286eac620b28e1b325c7",
+    4: "bc6bf9e32b04f723f24765255c17b4a3fb49c0c10a926fe00139045135969c94",
+    5: "4b6654becebdac82505b47e0dbe450fd855d7a468614ad8d9773397f930e0bdb",
+    6: "8e5c4c06d9060e5ac67d4a52e813bf88eeba6f8938541b651e8a02a2e42d76ea",
+    7: "79fe759bf400cc48cb7b8877e1a31d881050351977514f227bd396800b26cd51",
+    8: "7e68d9853a21a59d2857b32e1db3349cb4d55fc764bde34fa62d96035e164aa1",
+    9: "46f8927f4edb4c3335aea411d9fd76ef58a38c9fbd68146e7bc7749f12a7ad2b",
+    10: "ba9f1950a6ab0316a65acdf618b8173ee04d918f129977ed34741ed93e8b1203",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LS_STDOUT_SHA256))
+def test_ls_stdout_pinned(n, capsys):
+    assert main(["ls", str(n), "3d"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LS_STDOUT_SHA256[n]
 
 
 def test_deterministic_outputs(tmp_path):

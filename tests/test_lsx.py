@@ -14,12 +14,14 @@ from celltiler.lsx import (
     MERGE_XX,
     MERGE_ZZ,
     OP,
+    RIDING_OPS,
     TRANSVERSAL,
     ModeError,
     _Extractor,
     extract_ls,
     validate_ls,
 )
+from celltiler.lattice import Site
 from celltiler.scheduler import full_multiplier_schedule
 from celltiler.tiler import build_multiplier_layout
 
@@ -211,6 +213,22 @@ def test_to_json_empty_program():
     assert LSProgram().to_json() == _reference_to_json(LSProgram())
 
 
+def test_to_json_tells_equal_values_apart():
+    # 1, True and 1.0 are equal dict keys, but JSON writes each differently
+    values = (1, True, 1.0, None)
+    step = [LSInstruction(MERGE_ZZ, ("a", "b"), i, "", c) for i in values for c in values]
+    prog = LSProgram([step, step[::-1]])
+    assert prog.to_json() == _reference_to_json(prog)
+
+
+def test_ls_instruction_is_an_immutable_record():
+    ins = LSInstruction(OP, ("a",), 0)
+    assert ins.label == "" and ins.condition is None
+    assert LSInstruction._fields == ("kind", "patches", "instance", "label", "condition")
+    with pytest.raises(AttributeError):
+        ins.label = "t"
+
+
 # sha256 of to_json().encode() for the tiled schedule, its tdepth2 lowering and
 # the 3d LS program, as the CLI's schedule/ls commands write them
 GOLDEN = {
@@ -223,6 +241,16 @@ GOLDEN = {
         "70a1bb6e0d53d3d3758ca9281b565e1a8c64a63e07d9fc3238fe748ab07152a5",
         "7daed406d5158abca0a497f46365efb78915f6ed1260df38b1f7ab88730216da",
         "2fc9ae2135a5ceb7efa8d58c3dd2f4a22538f909d86b09f542df41aa589ec13f",
+    ),
+    8: (
+        "993ea01f2f61dbde8959dd468048f8e84c1d787b37d19d43dc2633ae066c84c8",
+        "78ad9e6881813e38336318e0d5c2cf4cfb26db20240af492364b29b10304980b",
+        "7d9631783aa41a6b0a1041de08812de0a0d769300ef7b16125d1fcef8fcfffaa",
+    ),
+    10: (
+        "d10a1039430d5bd339cea5ac177a7cb01b0e44a283758e4b811a286b0af4ac4b",
+        "d31a8813f86888f515f890db72974dc199c534621920f7d45c6171cc5c327f93",
+        "30c4111412fb06764aaccc068bca88db77c95cd4d3a078644a72b0d29ed8af8a",
     ),
 }
 
@@ -304,3 +332,75 @@ def test_placement_matches_linear_scan(stream, bound_ls):
                 ex.single(ps[0], op, rides=op == "h")
     assert fast.program == slow.program
     assert fast.last_step == slow.last_step and fast.hard_avail == slow.hard_avail
+
+
+# --- extraction against a per-gate reference loop ------------------------
+
+
+def _reference_extract(schedule, mode, site_map=None):
+    """extract_ls with every gate's patch names and stacking resolved anew."""
+    ex = _Extractor(bound_ls=2)
+
+    def site_of(label):
+        if isinstance(label, Site):
+            return label
+        if site_map and label in site_map:
+            return site_map[label]
+        return None
+
+    for g in schedule.gates():
+        names = tuple(f"q{q.x}_{q.y}_{q.z}" if isinstance(q, Site) else str(q) for q in g.operands)
+        if g.kind is K.CNOT:
+            sa, sb = site_of(g.operands[0]), site_of(g.operands[1])
+            stacked = (
+                mode == "3d"
+                and sa is not None
+                and sb is not None
+                and sa.x == sb.x and sa.y == sb.y and abs(sa.z - sb.z) == 1
+            )
+            if stacked:
+                ex.transversal(*names)
+            else:
+                ex.ls_cnot(*names)
+        elif g.kind in (K.CZ, K.CC_CZ):
+            ex.ls_cnot(*names, kinds=(MERGE_ZZ, MERGE_ZZ), condition=g.condition)
+        else:
+            ex.single(names[0], g.kind.value, rides=g.kind.value in RIDING_OPS)
+    return ex.program
+
+
+# a 2 x 1 x 3 box, so vertically stacked pairs are common
+SITES = [Site(x, 0, z) for x in range(2) for z in range(3)]
+LABELS = ["a", "b", "c", "q0_0_1"]  # "q0_0_1" shares its patch name with Site(0, 0, 1)
+ONE_QUBIT = ["h", "t", "tdag", "s", "sdag", "x", "mx", "mz"]
+gate_st = st.one_of(
+    st.builds(
+        lambda kind, q: gate(kind, q),
+        st.sampled_from(ONE_QUBIT),
+        st.sampled_from(SITES + LABELS),
+    ),
+    st.builds(
+        lambda kind, qs, c: gate(kind, *qs, condition=c),
+        st.sampled_from(["cnot", "cnot", "cz", "cc_cz"]),
+        st.lists(st.sampled_from(SITES + LABELS), min_size=2, max_size=2, unique=True),
+        st.one_of(st.none(), st.integers(0, 3)),
+    ),
+)
+
+
+@example(
+    [gate("cnot", Site(0, 0, 0), Site(0, 0, 1)), gate("cnot", "a", Site(1, 0, 2)),
+     gate("h", "a"), gate("cnot", "a", "b"), gate("t", "b")],
+    {"a": Site(1, 0, 1), "b": Site(1, 0, 2)},
+    "3d",
+)
+@given(
+    st.lists(gate_st, max_size=40),
+    st.one_of(st.none(), st.dictionaries(st.sampled_from(LABELS), st.sampled_from(SITES))),
+    st.sampled_from(["2d", "3d"]),
+)
+def test_extract_matches_per_gate_reference(gates, site_map, mode):
+    sched = Schedule()
+    for g in gates:
+        sched.append(g)
+    assert extract_ls(sched, None, mode, site_map) == _reference_extract(sched, mode, site_map)

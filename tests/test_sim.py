@@ -221,6 +221,11 @@ def test_statevector_run_rejects_initial_values_that_are_not_bits(value):
         statevector_run(Schedule([[gate("h", "q0")]]), {"q0": value}, wires=["q0", "q1"])
 
 
+def test_statevector_run_rejects_initial_wires_outside_the_schedule():
+    with pytest.raises(ValueError, match=r"not in the schedule: \['b'\]"):
+        statevector_run(Schedule([[gate("h", "a")]]), {"b": 1})
+
+
 def test_assert_equiv_negative():
     report = assert_equiv(decomp.and_3anc(), "toffoli", ("a", "b", "t"), 1e-10)
     assert not report.ok
