@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from celltiler.circuit import Schedule
+from celltiler.circuit import Schedule, json_value
 from celltiler.lattice import Lattice, Site
 
 ROLE_CONTROL = "control"
@@ -259,7 +258,7 @@ class Layout:
                 for name, chain in self.queues.items()
             },
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json_value(payload, 0)
 
 
 def place(layout: Layout, tile: Tile, offset: Site, orientation: int = 0) -> Layout:

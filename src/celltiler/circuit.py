@@ -12,15 +12,23 @@ from celltiler.lattice import Site
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def json_scalar(v, level: int) -> str:
+def json_value(v, level: int) -> str:
     """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it at
-    nesting depth ``level`` of an enclosing document."""
+    nesting depth ``level`` of an enclosing document. Lists and ``str``-keyed
+    dicts are written here, since the stdlib's indenting encoder leaves its
+    closures behind as reference cycles."""
     if type(v) is str:
         return _encode_str(v)
     if type(v) is int:
         return int.__repr__(v)
     if v is None:
         return "null"
+    if type(v) is list:
+        return json_list([json_value(x, level + 1) for x in v], level)
+    if type(v) is dict and all(type(k) is str for k in v):
+        # laid out as a list of "key": value items, in braces
+        items = [f"{_encode_str(k)}: {json_value(v[k], level + 1)}" for k in sorted(v)]
+        return "{" + json_list(items, level)[1:-1] + "}"
     return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
 
 
@@ -178,18 +186,18 @@ class Schedule:
             if isinstance(q, Site):
                 text = sites.get(q)
                 if text is None:
-                    text = sites[q] = json_list([json_scalar(c, 6) for c in q], 5)
+                    text = sites[q] = json_list([json_value(c, 6) for c in q], 5)
                 return text
-            return json_scalar(q, 5)
+            return json_value(q, 5)
 
         moments = []
         for m in self.moments:
             records = []
             for g in m:
                 operands = json_list([operand(q) for q in g.operands], 4)
-                tags = json_list([json_scalar(t, 5) for t in sorted(g.tags)], 4)
+                tags = json_list([json_value(t, 5) for t in sorted(g.tags)], 4)
                 records.append(
-                    f'{{\n        "condition": {json_scalar(g.condition, 4)},'
+                    f'{{\n        "condition": {json_value(g.condition, 4)},'
                     f'\n        "kind": {_encode_str(g.kind.value)},'
                     f'\n        "operands": {operands},'
                     f'\n        "tags": {tags}\n      }}'

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
 
 from celltiler import decomp
-from celltiler.circuit import GateKind, swap_metrics, t_metrics
+from celltiler.circuit import GateKind, json_value, swap_metrics, t_metrics
 from celltiler.lsx import ModeError, check_mode, extract_ls, validate_ls
 from celltiler.router import compare, compare_csv
 from celltiler.scheduler import (
@@ -49,7 +50,7 @@ def _cmd_build(args) -> int:
     if args.out:
         payload = json.loads(layout.to_json())
         payload["mapping"] = {str(k): [s.x, s.y, s.z] for k, s in sorted(mapping.items(), key=lambda kv: str(kv[0]))}
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        Path(args.out).write_text(json_value(payload, 0))
         print(f"layout written to {args.out}")
     return EXIT_OK
 
@@ -221,11 +222,19 @@ def main(argv: list[str] | None = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # No command makes reference cycles (tests/test_cli.py checks that a
+    # gc.collect() after each finds nothing), so the cyclic collector would
+    # only walk the live gates and LS records; pause it for the command.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except (ValueError, ScheduleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -203,52 +203,51 @@ def and_tile_assignment() -> dict[Hashable, Site]:
 
 # --- lowering passes --------------------------------------------------------
 
+def _shared_template(moments: list[list[Gate]]) -> tuple[list[tuple], list[list[int]]]:
+    """A template's distinct gates as ``(kind, role indices, condition, tags)``
+    over the roles a, b, t, x, y, w, and each moment as indices into them."""
+    roles = {r: i for i, r in enumerate("abtxyw")}
+    distinct = list(dict.fromkeys(g for m in moments for g in m))
+    index = {g: i for i, g in enumerate(distinct)}
+    gates = [(g.kind, [roles[q] for q in g.operands], g.condition, g.tags) for g in distinct]
+    return gates, [[index[g] for g in m] for m in moments]
+
+
 def lower_schedule(schedule: Schedule) -> Schedule:
     """Expand Toffoli/CCZ gates to Clifford+T and SWAPs to three CNOTs.
 
     Toffoli operands keep their labels; each expansion draws fresh ancilla
     wires from a shared pool so supports in one moment never collide. A CCZ
     is the Toffoli conjugated by H on its target, so its template is the
-    Toffoli template without the two ``H(t)`` gates.
+    Toffoli template without the two ``H(t)`` gates. A gate that one
+    expansion repeats (a template's compute and uncompute CNOTs, a SWAP's
+    first and third CNOT) is one shared immutable :class:`Gate`.
     """
     toffoli = toffoli_tdepth2().moments
     h_t = gate(K.H, "t")
     ccz = [[h for h in m if h != h_t] for m in toffoli]
-    templates = {GateKind.TOFFOLI: toffoli, GateKind.CCZ: ccz}
-    roles, anc = ("a", "b", "t"), ("x", "y", "w")
+    templates = {GateKind.TOFFOLI: _shared_template(toffoli), GateKind.CCZ: _shared_template(ccz)}
     out = Schedule()
     pool = 0
     for moment in schedule.moments:
-        pending: list[list[Gate]] = []
+        pending: list[list[list[Gate]]] = []
         simple: list[Gate] = []
         for g in moment:
             if g.kind in templates:
-                names = dict(zip(roles, g.operands))
-                for wire in anc:
-                    names[wire] = f"_anc{pool}"
-                    pool += 1
-                expanded = [
-                    [Gate(h.kind, tuple(names[q] for q in h.operands), h.condition, h.tags) for h in m]
-                    for m in templates[g.kind]
-                ]
-                pending.append(expanded)
+                gates, moments = templates[g.kind]
+                names = (*g.operands, f"_anc{pool}", f"_anc{pool + 1}", f"_anc{pool + 2}")
+                pool += 3
+                built = [Gate(kind, tuple(map(names.__getitem__, idx)), cond, tags)
+                         for kind, idx, cond, tags in gates]
+                pending.append([[built[i] for i in m] for m in moments])
             elif g.kind is GateKind.SWAP:
                 a, b = g.operands
-                pending.append([
-                    [Gate(GateKind.CNOT, (a, b), tags=g.tags)],
-                    [Gate(GateKind.CNOT, (b, a), tags=g.tags)],
-                    [Gate(GateKind.CNOT, (a, b), tags=g.tags)],
-                ])
+                ab = Gate(GateKind.CNOT, (a, b), tags=g.tags)
+                pending.append([[ab], [Gate(GateKind.CNOT, (b, a), tags=g.tags)], [ab]])
             else:
                 simple.append(g)
         if simple:
             out.extend_moment(simple)
-        if pending:
-            length = max(len(p) for p in pending)
-            for i in range(length):
-                merged = []
-                for p in pending:
-                    if i < len(p):
-                        merged.extend(p[i])
-                out.extend_moment(merged)
+        for i in range(max((len(p) for p in pending), default=0)):
+            out.extend_moment([h for p in pending if i < len(p) for h in p[i]])
     return out

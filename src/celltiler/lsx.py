@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, NamedTuple
 
 from celltiler.cells import Layout
-from celltiler.circuit import GateKind, Schedule, json_list, json_scalar
+from celltiler.circuit import GateKind, Schedule, json_list, json_value
 from celltiler.lattice import Site
 
 K = GateKind
@@ -70,18 +70,18 @@ class LSProgram:
                 key = (type(condition), condition, kind, label, patches)
                 hit = parts.get(key)
                 if hit is None:
-                    hit = (f'{{\n        "condition": {json_scalar(condition, 4)},\n        "instance": ',
-                           f',\n        "kind": {json_scalar(kind, 4)},\n        "label": {json_scalar(label, 4)},'
-                           f'\n        "patches": {json_list([json_scalar(p, 5) for p in patches], 4)}\n      }}')
+                    hit = (f'{{\n        "condition": {json_value(condition, 4)},\n        "instance": ',
+                           f',\n        "kind": {json_value(kind, 4)},\n        "label": {json_value(label, 4)},'
+                           f'\n        "patches": {json_list([json_value(p, 5) for p in patches], 4)}\n      }}')
                     if all(type(v) is str for v in (kind, label, *patches)):
                         parts[key] = hit
-                text = str(instance) if type(instance) is int else json_scalar(instance, 4)
+                text = str(instance) if type(instance) is int else json_value(instance, 4)
                 items.append(hit[0] + text + hit[1])
             steps.append(json_list(items, 2))
         return (
-            f'{{\n  "pattern_count": {json_scalar(self.pattern_count, 1)},'
+            f'{{\n  "pattern_count": {json_value(self.pattern_count, 1)},'
             f'\n  "steps": {json_list(steps, 1)},'
-            f'\n  "transversal_count": {json_scalar(self.transversal_count, 1)}\n}}'
+            f'\n  "transversal_count": {json_value(self.transversal_count, 1)}\n}}'
         )
 
     def render(self) -> str:

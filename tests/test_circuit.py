@@ -13,6 +13,7 @@ from celltiler.circuit import (
     Schedule,
     depth,
     gate,
+    json_value,
     swap_metrics,
     t_metrics,
 )
@@ -283,6 +284,24 @@ def test_to_json_matches_stdlib_encoder(moments):
 
 def test_to_json_empty_schedule():
     assert Schedule().to_json() == _reference_to_json(Schedule()) == '{\n  "moments": []\n}'
+
+
+json_st = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-300, 300), st.floats(allow_nan=False), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        st.dictionaries(st.integers(-5, 5), inner, max_size=2),
+        st.lists(inner, max_size=2).map(tuple),
+    ),
+    max_leaves=12,
+)
+
+
+@given(json_st, st.integers(0, 3))
+def test_json_value_matches_stdlib_encoder(v, level):
+    expected = json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+    assert json_value(v, level) == expected
 
 
 # a list of three ints reads back as a Site, any other list as a tuple

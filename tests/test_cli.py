@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 
@@ -39,6 +40,7 @@ def test_build_writes_layout(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["lattice"] == [2, 3, 5]
     assert "mapping" in payload
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_schedule_metrics(capsys, tmp_path):
@@ -312,3 +314,72 @@ def test_main_parses_without_building_a_parser(monkeypatch, capsys):
     assert main(["verify", "2"]) == 0
     assert main(["build", "1"]) == 0
     assert "18 qubits" in capsys.readouterr().out
+
+
+# main pauses the cyclic collector for the command; that frees nothing later
+# only while no command leaves reference cycles behind: every command, the
+# refused ls 2d and the OSError path
+CYCLE_FREE_ARGV = [
+    ["ls", "3", "3d", "--out", "OUT"],
+    ["schedule", "3", "--lower-clifford-t", "--timeline", "--out", "OUT"],
+    ["verify", "3"],
+    ["verify", "toffoli_mb"],
+    ["compare", "3", "3", "--csv", "OUT"],
+    ["build", "3", "--out", "OUT"],
+    ["ls", "4", "2d"],
+    ["ls", "3", "3d", "--out", "MISSING"],
+]
+
+
+def _paths(argv: list[str], tmp_path) -> list[str]:
+    paths = {"OUT": str(tmp_path / "out"), "MISSING": str(tmp_path / "missing" / "x")}
+    return [paths.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("argv", CYCLE_FREE_ARGV, ids="_".join)
+def test_commands_leave_no_cyclic_garbage(argv, tmp_path):
+    gc.collect()
+    main(_paths(argv, tmp_path))
+    assert gc.collect() == 0
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "2"], 0),
+    (["ls", "2", "2d"], 1),
+    (["ls", "1", "3d", "--out", "MISSING"], 2),
+], ids=["success", "exit-1", "caught-exception"])
+def test_main_restores_the_collector_state(enabled, argv, code, tmp_path):
+    before = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        assert main(_paths(argv, tmp_path)) == code
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(before)
+
+
+def test_collector_is_paused_for_the_command_only(monkeypatch):
+    seen = []
+
+    def layout(_n):
+        seen.append(gc.isenabled())
+        raise RuntimeError("escaped")
+
+    monkeypatch.setattr(cli, "build_multiplier_layout", layout)
+    before = gc.isenabled()
+    try:
+        gc.enable()
+        with pytest.raises(RuntimeError, match="escaped"):
+            main(["build", "1"])
+        assert seen == [False]
+        assert gc.isenabled()
+    finally:
+        _set_collector(before)

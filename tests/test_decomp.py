@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from celltiler import cli, decomp
-from celltiler.circuit import GateKind, Schedule, gate, t_metrics
+from celltiler.circuit import ARITY, Gate, GateKind, Schedule, gate, t_metrics
+from celltiler.lattice import Site
 from celltiler.scheduler import full_multiplier_schedule
 from celltiler.sim import assert_equiv, statevector_run
 from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
@@ -178,6 +180,85 @@ def test_lower_schedule_expands_swap():
     sched = Schedule([[gate("swap", "x", "y")]])
     low = decomp.lower_schedule(sched)
     assert low.count(K.CNOT) == 3
+
+
+def _reference_lower(schedule: Schedule) -> Schedule:
+    """The per-gate lowering loop: one fresh Gate per template gate."""
+    toffoli = decomp.toffoli_tdepth2().moments
+    h_t = gate(K.H, "t")
+    ccz = [[h for h in m if h != h_t] for m in toffoli]
+    templates = {K.TOFFOLI: toffoli, K.CCZ: ccz}
+    out = Schedule()
+    pool = 0
+    for moment in schedule.moments:
+        pending, simple = [], []
+        for g in moment:
+            if g.kind in templates:
+                names = dict(zip(("a", "b", "t"), g.operands))
+                for wire in ("x", "y", "w"):
+                    names[wire] = f"_anc{pool}"
+                    pool += 1
+                pending.append([
+                    [Gate(h.kind, tuple(names[q] for q in h.operands), h.condition, h.tags) for h in m]
+                    for m in templates[g.kind]
+                ])
+            elif g.kind is K.SWAP:
+                a, b = g.operands
+                pending.append([[Gate(K.CNOT, (a, b), tags=g.tags)], [Gate(K.CNOT, (b, a), tags=g.tags)],
+                                [Gate(K.CNOT, (a, b), tags=g.tags)]])
+            else:
+                simple.append(g)
+        if simple:
+            out.extend_moment(simple)
+        for i in range(max((len(p) for p in pending), default=0)):
+            out.extend_moment([h for p in pending if i < len(p) for h in p[i]])
+    return out
+
+
+def _disjoint(gates: list[Gate]) -> list[Gate]:
+    """The gates whose supports miss every earlier kept gate's."""
+    kept, used = [], set()
+    for g in gates:
+        if used.isdisjoint(g.operands):
+            kept.append(g)
+            used.update(g.operands)
+    return kept
+
+
+LOWER_KINDS = [K.TOFFOLI, K.CCZ, K.SWAP, K.H, K.T, K.X, K.S]
+lower_gate_st = st.builds(
+    lambda kind, ops, tags: Gate(kind, tuple(ops[: ARITY[kind]]), tags=tags),
+    st.sampled_from(LOWER_KINDS),
+    st.permutations(["a", "b", "c", "d", "e", "f", Site(0, 0, 0), Site(1, 0, 0), Site(0, 1, 2)]),
+    st.sampled_from([frozenset(), frozenset({"storage"})]),
+)
+
+
+@given(st.lists(st.lists(lower_gate_st, max_size=4).map(_disjoint), max_size=5))
+def test_lower_schedule_matches_the_per_gate_loop(moments):
+    sched = Schedule(moments)
+    assert decomp.lower_schedule(sched).to_json() == _reference_lower(sched).to_json()
+
+
+def test_lowered_multiplier_shares_repeated_gates():
+    # each Toffoli builds its 15 distinct template gates once, each SWAP two
+    sched, _ = full_multiplier_schedule(4)
+    counts = kind_counts(sched)
+    assert set(counts) == {K.TOFFOLI, K.SWAP}
+    lowered = decomp.lower_schedule(sched)
+    assert len({id(g) for g in lowered.gates()}) == 15 * counts[K.TOFFOLI] + 2 * counts[K.SWAP]
+
+
+@pytest.mark.parametrize("moments, match", [
+    # the first Toffoli draws _anc0 for its x wire, which is already its control
+    ([[gate("toffoli", "_anc0", "b", "t")]], "duplicate operand"),
+    # the first Toffoli's y wire is _anc1, a control of the second
+    ([[gate("toffoli", "a", "b", "t"), gate("toffoli", "_anc1", "c", "d")]], "overlapping support"),
+])
+def test_lower_schedule_rejects_a_label_named_like_an_ancilla(moments, match):
+    for lower in (decomp.lower_schedule, _reference_lower):
+        with pytest.raises(ValueError, match=match):
+            lower(Schedule(moments))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

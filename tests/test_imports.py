@@ -1,6 +1,7 @@
 """Every name a module of the package or a test file imports is used in that
 file, every function parameter of the package or a test file is read in its
-function, and importing the package loads no numpy."""
+function, importing the package loads no numpy, and only the CLI touches the
+garbage collector."""
 
 import ast
 import os
@@ -99,3 +100,24 @@ def test_importing_the_package_loads_no_numpy():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.stdout.strip() == "False"
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_module_checker_finds_both_import_forms():
+    assert imported_modules("import gc\nfrom os.path import join\nfrom . import x\n") == {"gc", "os"}
+
+
+def test_only_the_cli_imports_gc():
+    # cli.main pauses the collector for one command; library callers of
+    # lower_schedule and extract_ls keep Python's default collector
+    assert [p.name for p in MODULES if "gc" in imported_modules(p.read_text())] == ["cli.py"]
