@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -152,11 +153,11 @@ def and_tile() -> Tile:
 
 
 def tile_supports(tile: Tile, schedule: Schedule, role_assignment: dict[Hashable, Site]) -> bool:
-    """Whether every multi-qubit interaction of the schedule lies on a stick.
+    """Whether every operand pair of every gate lies on a stick.
 
-    ``role_assignment`` maps each schedule wire to a tile vertex. Two-qubit
-    gates need their pair on a stick; three-qubit gates need all three pairs
-    on sticks. Measurements and single-qubit gates are unconstrained.
+    ``role_assignment`` maps each schedule wire to a tile vertex; a gate on
+    one wire has no pair. No Toffoli is ever supported: sticks are
+    nearest-neighbour, so no three of them form a triangle.
     """
     coords = {v for v, _ in tile.vertices}
     for wire in schedule.wires():
@@ -164,17 +165,10 @@ def tile_supports(tile: Tile, schedule: Schedule, role_assignment: dict[Hashable
             raise ValueError(f"wire {wire!r} has no tile vertex assigned")
         if role_assignment[wire] not in coords:
             raise ValueError(f"wire {wire!r} assigned to non-vertex {role_assignment[wire]}")
-    for g in schedule.gates():
-        spots = [role_assignment[q] for q in g.operands]
-        if len(spots) == 2:
-            if frozenset(spots) not in tile.sticks:
-                return False
-        elif len(spots) == 3:
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if frozenset((spots[i], spots[j])) not in tile.sticks:
-                        return False
-    return True
+    return all(
+        frozenset((role_assignment[a], role_assignment[b])) in tile.sticks
+        for g in schedule.gates() for a, b in itertools.combinations(g.operands, 2)
+    )
 
 
 @dataclass(frozen=True)
@@ -242,23 +236,19 @@ class Layout:
                     out.add(s)
         return out
 
-    def to_json(self) -> str:
-        payload = {
-            "lattice": list(self.lattice.dims),
+    def payload(self) -> dict:
+        """The layout as a dict that ``json_value`` writes; sites stay ``Site``."""
+        return {
+            "lattice": self.lattice.dims,
             "placements": [
-                {
-                    "tile": p.tile.name,
-                    "offset": [p.offset.x, p.offset.y, p.offset.z],
-                    "orientation": p.orientation,
-                }
+                {"tile": p.tile.name, "offset": p.offset, "orientation": p.orientation}
                 for p in self.placements
             ],
-            "queues": {
-                name: [[s.x, s.y, s.z] for s in chain]
-                for name, chain in self.queues.items()
-            },
+            "queues": dict(self.queues),
         }
-        return json_value(payload, 0)
+
+    def to_json(self) -> str:
+        return json_value(self.payload(), 0)
 
 
 def place(layout: Layout, tile: Tile, offset: Site, orientation: int = 0) -> Layout:

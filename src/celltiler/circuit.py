@@ -14,16 +14,16 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def json_value(v, level: int) -> str:
     """``v`` as ``json.dumps(v, indent=2, sort_keys=True)`` writes it at
-    nesting depth ``level`` of an enclosing document. Lists and ``str``-keyed
-    dicts are written here, since the stdlib's indenting encoder leaves its
-    closures behind as reference cycles."""
+    nesting depth ``level`` of an enclosing document. Lists, tuples (as lists,
+    a ``Site`` too) and ``str``-keyed dicts are written here, since the stdlib's
+    indenting encoder leaves its closures behind as reference cycles."""
     if type(v) is str:
         return _encode_str(v)
     if type(v) is int:
         return int.__repr__(v)
     if v is None:
         return "null"
-    if type(v) is list:
+    if isinstance(v, (list, tuple)):
         return json_list([json_value(x, level + 1) for x in v], level)
     if type(v) is dict and all(type(k) is str for k in v):
         # laid out as a list of "key": value items, in braces
@@ -157,9 +157,6 @@ class Schedule:
 
     def __len__(self) -> int:
         return len(self.moments)
-
-    def __iter__(self) -> Iterator[list[Gate]]:
-        return iter(self.moments)
 
     # --- JSON wire format -------------------------------------------------
 

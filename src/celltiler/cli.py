@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from pathlib import Path
 
 from celltiler import decomp
 from celltiler.circuit import GateKind, json_value, swap_metrics, t_metrics
-from celltiler.lsx import ModeError, check_mode, extract_ls, validate_ls
+from celltiler.lsx import MERGE_SPLIT_LIMIT, TRANSVERSAL_LIMIT, ModeError, check_mode, extract_ls, validate_ls
 from celltiler.router import compare, compare_csv
 from celltiler.scheduler import (
     ScheduleError,
@@ -48,9 +47,7 @@ def _cmd_build(args) -> int:
     size = layout.lattice.size
     print(f"{qubit_count(n)} qubits, usage {used}/{size}, effectiveness {comp}/{size}")
     if args.out:
-        payload = json.loads(layout.to_json())
-        payload["mapping"] = {str(k): [s.x, s.y, s.z] for k, s in sorted(mapping.items(), key=lambda kv: str(kv[0]))}
-        Path(args.out).write_text(json_value(payload, 0))
+        Path(args.out).write_text(json_value(layout.payload() | {"mapping": {str(k): s for k, s in mapping.items()}}, 0))
         print(f"layout written to {args.out}")
     return EXIT_OK
 
@@ -158,7 +155,7 @@ def _cmd_ls(args) -> int:
     lowered = decomp.lower_schedule(sched)
     program = extract_ls(lowered, layout, args.mode)
     report = validate_ls(program, args.mode)
-    bound = 2 if args.mode == "2d" else 4
+    bound = MERGE_SPLIT_LIMIT + (TRANSVERSAL_LIMIT if args.mode == "3d" else 0)
     cnots = lowered.count(GateKind.CNOT)
     print(f"CNOTs in: {cnots}, LS patterns: {program.pattern_count}, "
           f"transversal: {program.transversal_count}, steps: {len(program.steps)}")

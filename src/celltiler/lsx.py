@@ -21,11 +21,13 @@ class ModeError(Exception):
 INIT_PLUS = "init_plus"
 MERGE_ZZ = "merge_split_zz"
 MERGE_XX = "merge_split_xx"
-MEASURE_Z = "measure_z"
 MEASURE_X = "measure_x"
 TRANSVERSAL = "transversal_cnot"
 ROTATE = "patch_rotate"
 OP = "op"  # opaque single-patch operation (T, H, S, X, ...)
+
+MERGE_SPLIT_LIMIT = 2  # merge/split uses per patch and step
+TRANSVERSAL_LIMIT = 2  # transversal CNOTs per patch and step, 3d only
 
 RIDING_OPS = ("h", "s", "sdag", "x", "mx", "mz")  # no step time; see extract_ls
 
@@ -141,7 +143,7 @@ class _Extractor:
         while s in skip_a or s in skip_b:  # alternate until neither patch moves the step
             s = _first_free(skip_b, _first_free(skip_a, s))
         self._ensure(s)
-        limit = 2 if transversal else self.bound_ls
+        limit = TRANSVERSAL_LIMIT if transversal else self.bound_ls
         for p in patches:
             use = uses[p]
             use[s] = use.get(s, 0) + 1
@@ -229,7 +231,7 @@ def extract_ls(
     a ``Schedule``) share a patch.
     """
     check_mode(layout, mode)
-    ex = _Extractor(bound_ls=2)
+    ex = _Extractor(bound_ls=MERGE_SPLIT_LIMIT)
 
     def resolve(operands: tuple) -> tuple[tuple[str, ...], bool]:
         """The patch names, and whether a CNOT on ``operands`` is a 3d stick."""
@@ -272,8 +274,8 @@ class LSReport:
 
 
 def validate_ls(program: LSProgram, mode: str) -> LSReport:
-    """Check the per-step parallelism bounds: at most two merge/split uses per
-    patch (plus two transversal uses in 3d), one job per ancilla patch."""
+    """Check the per-step bounds: per patch ``MERGE_SPLIT_LIMIT`` merge/splits
+    and, in 3d, ``TRANSVERSAL_LIMIT`` transversal CNOTs; one job per ancilla."""
     check_mode(None, mode)
     report = LSReport()
     for si, step in enumerate(program.steps):
@@ -293,12 +295,12 @@ def validate_ls(program: LSProgram, mode: str) -> LSReport:
                 for p in ins.patches:
                     tv_count.setdefault(p, set()).add(ins.instance)
         for p, instances in ls_count.items():
-            if len(instances) > 2:
+            if len(instances) > MERGE_SPLIT_LIMIT:
                 report.violations.append(
                     f"step {si}: patch {p} joins {len(instances)} merge/split operations"
                 )
         for p, instances in tv_count.items():
-            if len(instances) > 2:
+            if len(instances) > TRANSVERSAL_LIMIT:
                 report.violations.append(
                     f"step {si}: patch {p} joins {len(instances)} transversal CNOTs"
                 )

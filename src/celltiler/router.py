@@ -19,9 +19,8 @@ class RoutingError(Exception):
 
 def _bfs_path(lattice: Lattice, src: Site, goals: set[Site], forbidden: set[Site]) -> list[Site]:
     """Deterministic BFS path from src to the nearest goal, detouring around
-    forbidden sites."""
-    if src in goals:
-        return [src]
+    forbidden sites. ``src`` must not be a goal: both callers walk only a
+    label that is not yet next to its target."""
     parent: dict[Site, Site | None] = {src: None}
     queue = deque([src])
     while queue:

@@ -76,15 +76,8 @@ class RegisterSpec:
         return self.a + self.b + self.p + (self.z,)
 
 
-def _orientation_index(target_rows: tuple) -> int:
-    for i, rows in enumerate(ROTATIONS_3D):
-        if rows == target_rows:
-            return i
-    raise AssertionError("rotation not found")
-
-
-_IDENTITY = _orientation_index(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-_Z180 = _orientation_index(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
+_IDENTITY = ROTATIONS_3D.index(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+_Z180 = ROTATIONS_3D.index(((-1, 0, 0), (0, -1, 0), (0, 0, 1)))
 
 
 def cube_orientation(p: int) -> int:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from celltiler import decomp
@@ -6,6 +8,7 @@ from celltiler.cells import (
     PlacementError,
     Placement,
     ROTATIONS_3D,
+    Tile,
     and_tile,
     place,
     tdepth2_tile,
@@ -137,3 +140,43 @@ def test_layout_json():
     layout.add_queue("q", [Site(0, 2, 0)])
     payload = layout.to_json()
     assert '"lattice"' in payload and '"queues"' in payload
+
+
+def test_tile_rejects_duplicate_vertex():
+    v = Site(0, 0, 0)
+    with pytest.raises(ValueError, match="^duplicate tile vertex$"):
+        Tile("t", ((v, "control"), (v, "target")), frozenset())
+
+
+def test_tile_rejects_stick_to_unknown_vertex():
+    a, b = Site(0, 0, 0), Site(1, 0, 0)
+    with pytest.raises(ValueError, match="joins unknown vertices$"):
+        Tile("t", ((a, "control"),), frozenset([frozenset((a, b))]))
+
+
+def test_tile_rejects_long_stick():
+    a, b = Site(0, 0, 0), Site(2, 0, 0)
+    with pytest.raises(ValueError, match="is not nearest-neighbour$"):
+        Tile("t", ((a, "control"), (b, "target")), frozenset([frozenset((a, b))]))
+
+
+def test_tile_supports_rejects_a_wire_on_a_non_vertex():
+    sched = Schedule([[gate("h", "a")]])
+    with pytest.raises(ValueError, match=r"^wire 'a' assigned to non-vertex Site\(x=5, y=5, z=5\)$"):
+        tile_supports(toffoli_cube(), sched, {"a": Site(5, 5, 5)})
+
+
+@pytest.mark.parametrize("tile", [toffoli_cube(), tdepth2_tile(), and_tile()], ids=lambda t: t.name)
+def test_no_tile_supports_a_toffoli(tile):
+    # sticks are nearest-neighbour, so no three vertices are pairwise joined
+    vertices = [v for v, _ in tile.vertices]
+    sched = Schedule([[gate("toffoli", "a", "b", "c")]])
+    for trio in itertools.combinations(vertices, 3):
+        assert not tile_supports(tile, sched, dict(zip("abc", trio)))
+
+
+def test_queue_must_be_a_chain():
+    layout = Layout(grid(2, 3, 8))
+    with pytest.raises(ValueError, match=r"^queue 'q' is not a chain at Site\(x=0, y=2, z=0\)->Site\(x=0, y=2, z=2\)$"):
+        layout.add_queue("q", [Site(0, 2, 0), Site(0, 2, 2)])
+    assert layout.queues == {} and layout.queue_of == {}

@@ -108,6 +108,12 @@ def test_depth_and3_parallel_policy():
     assert depth(decomp.and_3anc(), POLICIES["parallel"]) == 7
 
 
+@pytest.mark.parametrize("policy, weight", [("strict", 1), ("swap2", 2), ("swap3", 3)])
+def test_depth_weighs_a_swap_by_policy(policy, weight):
+    sched = Schedule([[gate(K.SWAP, "a", "b")], [gate(K.CNOT, "b", "c")]])
+    assert depth(sched, POLICIES[policy]) == weight + 1
+
+
 def test_t_metrics_examples():
     assert t_metrics(decomp.ccz_tdepth1()) == (7, 1)
     assert t_metrics(decomp.and_4anc()) == (4, 1)

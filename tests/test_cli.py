@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from celltiler import cli, decomp, scheduler
-from celltiler.circuit import GateKind, Schedule
+from celltiler import cli, decomp, lsx, scheduler
+from celltiler.circuit import GateKind, Schedule, gate
 from celltiler.cli import main
+from celltiler.router import compare, compare_csv
 from celltiler.sim import classical_run
 from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
 
@@ -383,3 +384,44 @@ def test_collector_is_paused_for_the_command_only(monkeypatch):
         assert gc.isenabled()
     finally:
         _set_collector(before)
+
+
+def test_verify_rejects_zero_width(capsys):
+    assert main(["verify", "0"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "operand width must be >= 1\n")
+
+
+def test_compare_without_csv_prints_it(capsys):
+    assert main(["compare", "2", "2"]) == 0
+    row = compare([2])[0]
+    assert capsys.readouterr().out == compare_csv([row]) + (
+        f"n=2: routed/tiled swapC ratio {row['ratio_swapC']:.2f}, swapD ratio {row['ratio_swapD']:.2f}\n"
+    )
+
+
+def test_verify_prints_adjacency_violations(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "validate_schedule", lambda *args: scheduler.ValidationReport(["a", "b"]))
+    assert main(["verify", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("adjacency violations: 2\n", "")
+
+
+def test_verify_prints_a_failed_decomposition(monkeypatch, capsys):
+    # a bare CNOT onto the target is no Toffoli
+    wrong = (lambda: Schedule([[gate("cnot", "a", "t")]]), "toffoli", ("a", "b", "t"), "Toffoli")
+    monkeypatch.setitem(cli.DECOMPS, "toffoli_mb", wrong)
+    assert main(["verify", "toffoli_mb"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("NOT equivalent to Toffoli: worst deviation ")
+    assert captured.err == ""
+
+
+def test_ls_prints_bound_violations(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "validate_ls", lambda *args: lsx.LSReport(["step 0: x"]))
+    assert main(["ls", "1", "3d"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "parallel bound 4: 1 violations"
+    assert captured.err == ""
+    # the printed 3d bound is both per-step limits
+    assert lsx.MERGE_SPLIT_LIMIT + lsx.TRANSVERSAL_LIMIT == 4

@@ -1,7 +1,8 @@
 """Every name a module of the package or a test file imports is used in that
 file, every function parameter of the package or a test file is read in its
-function, importing the package loads no numpy, and only the CLI touches the
-garbage collector."""
+function, every top-level name the package defines is read somewhere,
+importing the package loads no numpy, and only the CLI touches the garbage
+collector."""
 
 import ast
 import os
@@ -15,6 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # __init__ only re-exports
 MODULES = sorted(p for p in (ROOT / "src" / "celltiler").glob("*.py") if p.name != "__init__.py")
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+# the benchmark harness is read, never checked
+READERS = sorted((ROOT / "src" / "celltiler").glob("*.py")) + TESTS + sorted((ROOT / "perfbench").glob("**/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -88,6 +91,57 @@ def test_parameter_checker_flags_unread_and_accepts_read():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def top_level_names(source: str) -> list[str]:
+    """Names a module binds by ``def``, ``class`` or assignment at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` for each top-level name of a package module that is
+    read neither in its own module, nor through a by-name import from it, nor
+    as ``module.name`` in a reader; dunders are exempt."""
+    read = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("celltiler."):
+                read.update((node.module.split(".")[-1], alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+    found = []
+    for module, source in modules.items():
+        loads = {
+            n.id for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for name in top_level_names(source):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and name not in loads and (module, name) not in read:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_definition_checker_flags_unread_and_accepts_read():
+    modules = {
+        "m": "A = 1\nB, C = 2, 3\nD: int = A\n__all__ = []\ndef f(): pass\nclass K: pass\n",
+        "n": "def g(): pass\n",
+    }
+    readers = ["from celltiler.m import B\n", "from celltiler import m\nm.f()\n", "import n\n"]
+    assert unread_definitions(modules, readers) == ["m.C", "m.D", "m.K", "n.g"]
+
+
+def test_every_definition_is_read():
+    modules = {p.stem: p.read_text() for p in MODULES}
+    assert unread_definitions(modules, [p.read_text() for p in READERS]) == []
 
 
 def test_importing_the_package_loads_no_numpy():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -18,6 +19,7 @@ from celltiler.lsx import (
     TRANSVERSAL,
     ModeError,
     _Extractor,
+    check_mode,
     extract_ls,
     validate_ls,
 )
@@ -404,3 +406,19 @@ def test_extract_matches_per_gate_reference(gates, site_map, mode):
     for g in gates:
         sched.append(g)
     assert extract_ls(sched, None, mode, site_map) == _reference_extract(sched, mode, site_map)
+
+
+def test_check_mode_rejects_an_unknown_mode():
+    with pytest.raises(ModeError, match="^unknown mode '4d'$"):
+        check_mode(None, "4d")
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("toffoli", "lower Toffoli/CCZ to Clifford+T before LS extraction"),
+     ("swap", "expand SWAPs to CNOTs before LS extraction")],
+)
+def test_extract_ls_needs_a_lowered_schedule(kind, message):
+    operands = ("a", "b", "c")[:3 if kind == "toffoli" else 2]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        extract_ls(Schedule([[gate(kind, *operands)]]), None, "3d")

@@ -2,19 +2,21 @@ import hashlib
 
 import pytest
 
-from celltiler.circuit import GateKind, Schedule, gate
+from celltiler import router
+from celltiler.circuit import GateKind, Occupancy, Schedule, gate
 from celltiler.lattice import Site, grid
 from celltiler.router import (
     CSV_HEADER,
+    RoutingError,
     compare,
     compare_csv,
     greedy_route,
     logical_multiplier_circuit,
     routing_mapping,
 )
-from celltiler.scheduler import validate_schedule
+from celltiler.scheduler import full_multiplier_schedule, validate_schedule
 from celltiler.sim import classical_run
-from celltiler.tiler import RegisterSpec, build_multiplier_layout
+from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
 
 K = GateKind
 
@@ -153,3 +155,64 @@ def test_non_injective_start_mapping_rejected():
     mapping = {"a": Site(0, 0, 0), "b": Site(1, 0, 0), "c": Site(0, 0, 0)}
     with pytest.raises(ValueError, match="not injective"):
         greedy_route(Schedule([[gate("cnot", "a", "b")]]), lat, mapping)
+
+
+def test_route_rejects_more_labels_than_sites():
+    mapping = {"a": Site(0, 0, 0), "b": Site(0, 0, 1), "c": Site(0, 0, 1)}
+    with pytest.raises(RoutingError, match="^more logical qubits than lattice sites$"):
+        greedy_route(Schedule(), grid(1, 1, 2), mapping)
+
+
+def test_route_rejects_a_label_without_a_site():
+    mapping = {"a": Site(0, 0, 0), "b": Site(1, 0, 0)}
+    with pytest.raises(RoutingError, match="^label 'c' has no initial site$"):
+        greedy_route(Schedule([[gate("cnot", "a", "c")]]), grid(2, 2, 1), mapping)
+
+
+def test_route_reports_a_walled_off_target():
+    # t ends a line and the other control holds its one neighbour
+    mapping = {"t": Site(0, 0, 0), "c2": Site(0, 0, 1), "c1": Site(0, 0, 2)}
+    with pytest.raises(RoutingError, match=r"^no route from \(0, 0, 2\) to any goal$"):
+        greedy_route(Schedule([[gate("toffoli", "c1", "c2", "t")]]), grid(1, 1, 3), mapping)
+
+
+def test_route_checks_the_assembled_triple(monkeypatch):
+    # a walk that moves nothing leaves the far control where it was
+    monkeypatch.setattr(router._Router, "_walk", lambda *args: None)
+    mapping = {"c1": Site(0, 0, 0), "c2": Site(0, 0, 2), "t": Site(0, 0, 3)}
+    with pytest.raises(RoutingError, match="^could not assemble a Toffoli triple$"):
+        greedy_route(Schedule([[gate("toffoli", "c1", "c2", "t")]]), grid(1, 1, 4), mapping)
+
+
+def tiled_toffoli_labels(n: int) -> list[tuple]:
+    """The label triple of every Toffoli of the tiled schedule, in order."""
+    occ = Occupancy(initial_mapping(build_multiplier_layout(n), RegisterSpec.for_width(n)))
+    triples = []
+    for g in full_multiplier_schedule(n)[0].gates():
+        if g.kind is K.SWAP:
+            occ.swap(*g.operands)
+        else:
+            triples.append(tuple(occ.label_at[s] for s in g.operands))
+    return triples
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_router_and_tiles_route_the_same_circuit(n):
+    tiled = tiled_toffoli_labels(n)
+    logical = [g.operands for g in logical_multiplier_circuit(n).gates()]
+    data = set(RegisterSpec.for_width(n).all_data())
+    block = 8 * n - 4
+    assert len(tiled) == len(logical) == n + (n - 1) * block
+    # the Toffoli step fires the cubes top down
+    assert tiled[:n] == logical[:n][::-1]
+    for start in range(n, len(logical), block):
+        # one ctrl-add: data labels agree, and each tiled ancilla stands for
+        # one carry of the block and each carry for one ancilla
+        renaming: dict = {}
+        for got, want in zip(tiled[start:start + block], logical[start:start + block]):
+            for label, carry in zip(got, want):
+                if carry in data:
+                    assert label == carry
+                else:
+                    assert label not in data and renaming.setdefault(label, carry) == carry
+        assert len(set(renaming.values())) == len(renaming)

@@ -19,7 +19,7 @@ from celltiler.scheduler import (
     validate_schedule,
 )
 from celltiler.sim import classical_run
-from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
+from celltiler.tiler import MAGENTA, YELLOW, RegisterSpec, S, build_multiplier_layout, initial_mapping
 
 K = GateKind
 
@@ -346,3 +346,44 @@ def test_stale_positional_spec_rejected():
         ctrl_add_step(layout, mapping, 1, spec)
     with pytest.raises(TypeError):
         reset_step(layout, mapping, 1, spec)
+
+
+def test_validate_schedule_reports_overlapping_support():
+    layout, _spec, mapping = setup_boards(2)
+    sched = Schedule()
+    # Schedule refuses the overlap itself, so the moment is written past it
+    sched.moments.append([Gate(K.SWAP, (S(0), S(1))), Gate(K.SWAP, (S(1), S(2)))])
+    report = validate_schedule(layout, mapping, sched)
+    assert report.violations == ["moment 0: overlapping support at [(0, 0, 1)]"]
+
+
+def board():
+    layout, _spec, mapping = setup_boards(2)
+    return scheduler._Board(layout, mapping)
+
+
+@pytest.mark.parametrize(
+    "emit, message",
+    [
+        (lambda b: b.moment((Site(0, 1, 2), Site(0, 1, 3))), "site (0, 1, 3) is outside the used region"),
+        (lambda b: b.bubble_to("nope", YELLOW(0)), "label 'nope' not on the board"),
+        (lambda b: b.moment((S(0), S(1)), (S(1), S(2))), "site (0, 0, 1) used twice in one moment"),
+        (lambda b: b.moment((S(0), S(2))), "SWAP (0, 0, 0)<->(0, 0, 2) is not nearest-neighbour"),
+        (lambda b: b.bubble_to("B1", MAGENTA(0)), "bubble of 'B1' must stay inside one queue"),
+        (lambda b: b.bubble_hole_to("magenta", MAGENTA(0)), "queue magenta has no free slot"),
+    ],
+    ids=["outside", "unknown-label", "used-twice", "not-adjacent", "across-queues", "no-free-slot"],
+)
+def test_board_rejects_a_bad_move(emit, message):
+    with pytest.raises(ScheduleError) as err:
+        emit(board())
+    assert str(err.value) == message
+
+
+def test_board_reports_unplaced_spacers(monkeypatch):
+    monkeypatch.setattr(scheduler._Board, "_spacer_pairs", staticmethod(lambda h: []))
+    b = board()
+    b.moment(spacers=1)
+    with pytest.raises(ScheduleError) as err:
+        b.finish("reset")
+    assert str(err.value) == "unplaced spacer swaps: 1"

@@ -441,3 +441,19 @@ def test_runs_match_the_product_of_reference_unitaries(case):
         want = _apply_dense(want, REFERENCE_UNITARIES[kind], axes)
     (branch,) = statevector_run(sched, dict(zip(wires, start)), wires=wires)
     assert np.max(np.abs(dense(branch.state, n) - want)) < 1e-10
+
+
+def test_statevector_run_checks_the_norm(monkeypatch):
+    # an internal fault: a gate that doubles every amplitude
+    apply = sim._apply_gate
+    monkeypatch.setattr(sim, "_apply_gate", lambda psi, g, bit: {k: 2 * a for k, a in apply(psi, g, bit).items()})
+    with pytest.raises(AssertionError, match=r"^norm drifted to 4\.0$"):
+        statevector_run(Schedule([[gate("x", "a")]]))
+
+
+def test_statevector_run_checks_the_branch_sum(monkeypatch):
+    # an internal fault: every branch reports twice its probability
+    branch = sim.Branch
+    monkeypatch.setattr(sim, "Branch", lambda prob, records, state: branch(2 * prob, records, state))
+    with pytest.raises(AssertionError, match=r"^branch probabilities sum to 2\.0$"):
+        statevector_run(Schedule([[gate("x", "a")]]))

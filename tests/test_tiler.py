@@ -7,9 +7,11 @@ from celltiler.lattice import Site, grid
 from celltiler.tiler import (
     RegisterSpec,
     build_multiplier_layout,
+    cube_orientation,
     effectiveness_ratio,
     initial_mapping,
     qubit_count,
+    tower_height,
     usage_ratio,
 )
 
@@ -101,3 +103,28 @@ def test_register_spec_labels():
     spec = RegisterSpec.for_width(3)
     assert len(spec.a) == 3 and len(spec.b) == 3 and len(spec.p) == 6
     assert len(set(spec.all_data())) == 13
+
+
+def test_register_spec_rejects_zero_width():
+    with pytest.raises(ValueError, match="^operand width must be >= 1, got 0$"):
+        RegisterSpec.for_width(0)
+
+
+def test_layout_rejects_widths_whose_queues_overflow():
+    with pytest.raises(ValueError, match="^multiplier schedules are not supported for n=11$"):
+        build_multiplier_layout(11)
+
+
+def test_initial_mapping_rejects_a_width_mismatch():
+    with pytest.raises(ValueError, match="^layout has 3 cubes, spec expects 2$"):
+        initial_mapping(build_multiplier_layout(3), RegisterSpec.for_width(2))
+
+
+def test_initial_mapping_needs_the_queues():
+    # the cubes alone: B, Z and the high product bits have no used site
+    n = 2
+    layout = Layout(grid(2, 3, tower_height(n)))
+    for p in range(n):
+        place(layout, toffoli_cube(), Site(0, 0, p), cube_orientation(p))
+    with pytest.raises(AssertionError, match="^mapping does not cover the used sites exactly$"):
+        initial_mapping(layout, RegisterSpec.for_width(n))
