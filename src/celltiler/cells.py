@@ -8,7 +8,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from celltiler.circuit import Schedule, json_value
+from celltiler.circuit import Schedule
 from celltiler.lattice import Lattice, Site
 
 ROLE_CONTROL = "control"
@@ -246,9 +246,6 @@ class Layout:
             ],
             "queues": dict(self.queues),
         }
-
-    def to_json(self) -> str:
-        return json_value(self.payload(), 0)
 
 
 def place(layout: Layout, tile: Tile, offset: Site, orientation: int = 0) -> Layout:

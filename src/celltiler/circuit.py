@@ -177,7 +177,16 @@ class Schedule:
         "kind", "operands", "tags"}, ...], ...]}``, a ``Site`` operand being
         the list ``[x, y, z]`` and ``tags`` sorted.
         """
+        return "".join(self.json_chunks())
+
+    def json_chunks(self) -> Iterator[str]:
+        """The text of ``to_json`` in pieces: the head, one chunk per moment
+        and the tail. Each gate's record is written once per call, keyed by
+        ``id``: equal gates can differ in text (``condition`` ``1`` or
+        ``True``), and the schedule keeps every gate alive while it is not
+        changed, which it must not be until the last chunk is read."""
         sites: dict[Site, str] = {}
+        records: dict[int, str] = {}
 
         def operand(q) -> str:
             if isinstance(q, Site):
@@ -187,20 +196,28 @@ class Schedule:
                 return text
             return json_value(q, 5)
 
-        moments = []
+        yield '{\n  "moments": '
+        lead = "[\n    "
         for m in self.moments:
-            records = []
+            parts = [lead]
+            lead = ",\n    "
+            sep = "[\n      "
             for g in m:
-                operands = json_list([operand(q) for q in g.operands], 4)
-                tags = json_list([json_value(t, 5) for t in sorted(g.tags)], 4)
-                records.append(
-                    f'{{\n        "condition": {json_value(g.condition, 4)},'
-                    f'\n        "kind": {_encode_str(g.kind.value)},'
-                    f'\n        "operands": {operands},'
-                    f'\n        "tags": {tags}\n      }}'
-                )
-            moments.append(json_list(records, 2))
-        return f'{{\n  "moments": {json_list(moments, 1)}\n}}'
+                record = records.get(id(g))
+                if record is None:
+                    operands = json_list([operand(q) for q in g.operands], 4)
+                    tags = json_list([json_value(t, 5) for t in sorted(g.tags)], 4)
+                    record = records[id(g)] = (
+                        f'{{\n        "condition": {json_value(g.condition, 4)},'
+                        f'\n        "kind": {_encode_str(g.kind.value)},'
+                        f'\n        "operands": {operands},'
+                        f'\n        "tags": {tags}\n      }}'
+                    )
+                parts += (sep, record)
+                sep = ",\n      "
+            parts.append("\n    ]" if m else "[]")
+            yield "".join(parts)
+        yield "\n  ]\n}" if self.moments else "[]\n}"
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from pathlib import Path
+from typing import Iterable
 
 from celltiler import decomp
 from celltiler.circuit import GateKind, json_value, swap_metrics, t_metrics
@@ -37,6 +37,13 @@ DECOMPS = {
 }
 
 
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to ``path`` as they come, so a multi-MB artifact
+    is never held whole, as text or as encoded bytes."""
+    with open(path, "w") as f:
+        f.writelines(chunks)
+
+
 def _cmd_build(args) -> int:
     n = args.n
     layout = build_multiplier_layout(n)
@@ -47,7 +54,7 @@ def _cmd_build(args) -> int:
     size = layout.lattice.size
     print(f"{qubit_count(n)} qubits, usage {used}/{size}, effectiveness {comp}/{size}")
     if args.out:
-        Path(args.out).write_text(json_value(layout.payload() | {"mapping": {str(k): s for k, s in mapping.items()}}, 0))
+        _write(args.out, [json_value(layout.payload() | {"mapping": {str(k): s for k, s in mapping.items()}}, 0)])
         print(f"layout written to {args.out}")
     return EXIT_OK
 
@@ -66,7 +73,7 @@ def _cmd_schedule(args) -> int:
     tc, td = t_metrics(out)
     print(f"total: swapC={c} swapD={d} tC={tc} tD={td} moments={len(out)}")
     if args.out:
-        Path(args.out).write_text(out.to_json())
+        _write(args.out, out.json_chunks())
         print(f"schedule written to {args.out}")
     if args.timeline:
         print(render_timeline(sched))
@@ -131,7 +138,7 @@ def _cmd_compare(args) -> int:
     rows = compare(range(args.nmin, args.nmax + 1))
     text = compare_csv(rows)
     if args.csv:
-        Path(args.csv).write_text(text)
+        _write(args.csv, [text])
         print(f"comparison written to {args.csv}")
     else:
         print(text, end="")
@@ -164,7 +171,7 @@ def _cmd_ls(args) -> int:
     else:
         print(f"parallel bound {bound}: {len(report.violations)} violations")
     if args.out:
-        Path(args.out).write_text(program.to_json())
+        _write(args.out, program.json_chunks())
         print(f"program written to {args.out}")
     return EXIT_OK if report.ok else EXIT_FAIL
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable, NamedTuple
+from typing import Hashable, Iterator, NamedTuple
 
 from celltiler.cells import Layout
 from celltiler.circuit import GateKind, Schedule, json_list, json_value
@@ -58,33 +58,52 @@ class LSProgram:
         """The program as JSON text, byte for byte what ``json.dumps(payload,
         indent=2, sort_keys=True)`` writes for the payload ``{"steps": [[{
         "kind", "patches", "instance", "label", "condition"}, ...], ...],
-        "transversal_count", "pattern_count"}``.
+        "transversal_count", "pattern_count"}``."""
+        return "".join(self.json_chunks())
 
-        Each instruction is written as ``head + instance + tail``. The text
-        around ``instance`` is cached for the call per ``(type(condition),
-        condition, kind, label, patches)``: ``1`` and ``True`` are equal keys
-        but are written differently. Shapes with non-``str`` text are not cached."""
-        parts: dict[tuple, tuple[str, str]] = {}
-        steps = []
+    def json_chunks(self) -> Iterator[str]:
+        """The text of ``to_json`` in pieces: the head, one chunk per step and
+        the tail.
+
+        An instruction is written as five fragments, its separator, the text
+        up to ``"instance"``, the instance, the ``kind`` and ``label`` lines
+        and the ``patches`` lines. The three cached fragments are keyed per
+        call by ``(type(condition), condition)``, ``(kind, label)`` and
+        ``patches``: ``1`` and ``True`` are equal keys but are written
+        differently. Only ``int`` or ``None`` conditions and ``str`` text are
+        cached (``0.0`` and ``-0.0`` are equal too)."""
+        heads: dict[tuple, str] = {}
+        middles: dict[tuple, str] = {}
+        tails: dict[tuple, str] = {}
+        yield f'{{\n  "pattern_count": {json_value(self.pattern_count, 1)},\n  "steps": '
+        lead = "[\n    "
         for step in self.steps:
-            items = []
+            parts = [lead]
+            lead = ",\n    "
+            sep = "[\n      "
             for kind, patches, instance, label, condition in step:
-                key = (type(condition), condition, kind, label, patches)
-                hit = parts.get(key)
-                if hit is None:
-                    hit = (f'{{\n        "condition": {json_value(condition, 4)},\n        "instance": ',
-                           f',\n        "kind": {json_value(kind, 4)},\n        "label": {json_value(label, 4)},'
-                           f'\n        "patches": {json_list([json_value(p, 5) for p in patches], 4)}\n      }}')
-                    if all(type(v) is str for v in (kind, label, *patches)):
-                        parts[key] = hit
+                head = heads.get((type(condition), condition))
+                if head is None:
+                    head = f'{{\n        "condition": {json_value(condition, 4)},\n        "instance": '
+                    if condition is None or type(condition) is int:
+                        heads[type(condition), condition] = head
+                middle = middles.get((kind, label))
+                if middle is None:
+                    middle = f',\n        "kind": {json_value(kind, 4)},\n        "label": {json_value(label, 4)},'
+                    if type(kind) is str and type(label) is str:
+                        middles[kind, label] = middle
+                tail = tails.get(patches)
+                if tail is None:
+                    tail = f'\n        "patches": {json_list([json_value(p, 5) for p in patches], 4)}\n      }}'
+                    if all(type(p) is str for p in patches):
+                        tails[patches] = tail
                 text = str(instance) if type(instance) is int else json_value(instance, 4)
-                items.append(hit[0] + text + hit[1])
-            steps.append(json_list(items, 2))
-        return (
-            f'{{\n  "pattern_count": {json_value(self.pattern_count, 1)},'
-            f'\n  "steps": {json_list(steps, 1)},'
-            f'\n  "transversal_count": {json_value(self.transversal_count, 1)}\n}}'
-        )
+                parts += (sep, head, text, middle, tail)
+                sep = ",\n      "
+            parts.append("\n    ]" if step else "[]")
+            yield "".join(parts)
+        yield ("\n  ]" if self.steps else "[]") + (
+            f',\n  "transversal_count": {json_value(self.transversal_count, 1)}\n}}')
 
     def render(self) -> str:
         lines = []

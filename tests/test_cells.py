@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -15,7 +16,7 @@ from celltiler.cells import (
     tile_supports,
     toffoli_cube,
 )
-from celltiler.circuit import Schedule, gate
+from celltiler.circuit import Schedule, gate, json_value
 from celltiler.lattice import Site, grid
 
 
@@ -111,13 +112,6 @@ def test_placement_rotation_preserves_sticks():
         assert all(0 <= s.x <= 1 and 0 <= s.y <= 1 and 0 <= s.z <= 1 for s in coords)
 
 
-def test_queue_chain_validation():
-    layout = Layout(grid(2, 3, 8))
-    layout.add_queue("q", [Site(0, 2, 0), Site(0, 2, 1)])
-    with pytest.raises(ValueError):
-        layout.add_queue("bad", [Site(0, 2, 0), Site(0, 2, 2)])
-
-
 def test_queue_sites_belong_to_one_queue():
     layout = Layout(grid(2, 3, 8))
     layout.add_queue("q", [Site(0, 2, 0), Site(0, 2, 1)])
@@ -136,10 +130,14 @@ def test_vertex_roles_computed_once_and_read_only():
 
 def test_layout_json():
     layout = Layout(grid(2, 3, 8))
-    place(layout, toffoli_cube(), Site(0, 0, 0))
-    layout.add_queue("q", [Site(0, 2, 0)])
-    payload = layout.to_json()
-    assert '"lattice"' in payload and '"queues"' in payload
+    place(layout, toffoli_cube(), Site(0, 0, 0), 5)
+    layout.add_queue("q", [Site(0, 2, 0), Site(0, 2, 1)])
+    expected = {
+        "lattice": [2, 3, 8],
+        "placements": [{"tile": "toffoli_cube", "offset": [0, 0, 0], "orientation": 5}],
+        "queues": {"q": [[0, 2, 0], [0, 2, 1]]},
+    }
+    assert json_value(layout.payload(), 0) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 def test_tile_rejects_duplicate_vertex():

@@ -288,6 +288,25 @@ def test_to_json_matches_stdlib_encoder(moments):
     assert sched.to_json() == _reference_to_json(sched)
 
 
+# the writer caches a record per Gate object: one object may fill many
+# moments, and a twin that compares equal may still be written differently
+TWINS = (Gate(K.CC_CZ, ("a", "b"), 1), Gate(K.CC_CZ, ("a", "b"), True))
+
+
+@given(
+    st.lists(any_gate_st, min_size=1, max_size=4),
+    st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=6),
+)
+def test_to_json_with_repeated_gate_objects(pool, picks):
+    pool = [*pool, *TWINS]
+    moments = [[TWINS[0]], [TWINS[1]]]
+    moments += [_disjoint([pool[i % len(pool)] for i in pick]) for pick in picks]
+    moments.append([TWINS[0]])
+    sched = Schedule(moments)
+    assert sched.moments[0][0] is sched.moments[-1][0]
+    assert sched.to_json() == _reference_to_json(sched)
+
+
 def test_to_json_empty_schedule():
     assert Schedule().to_json() == _reference_to_json(Schedule()) == '{\n  "moments": []\n}'
 

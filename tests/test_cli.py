@@ -174,6 +174,18 @@ def test_ls_3d(capsys, tmp_path):
     assert out.exists()
 
 
+def test_out_files_equal_to_json(tmp_path):
+    # the CLI streams the artifacts in chunks; the file is to_json() exactly
+    sched, _ = scheduler.full_multiplier_schedule(3)
+    lowered = decomp.lower_schedule(sched)
+    program = lsx.extract_ls(lowered, build_multiplier_layout(3), "3d")
+    out = tmp_path / "out.json"
+    assert main(["schedule", "3", "--lower-clifford-t", "--out", str(out)]) == 0
+    assert out.read_bytes() == lowered.to_json().encode()
+    assert main(["ls", "3", "3d", "--out", str(out)]) == 0
+    assert out.read_bytes() == program.to_json().encode()
+
+
 def test_ls_2d_mode_error(capsys):
     assert main(["ls", "2", "2d"]) == 1
     assert "mode-error" in capsys.readouterr().err

@@ -1,0 +1,175 @@
+"""Time the stages of CLI commands inside ``celltiler.cli.main``, for two
+checkouts side by side.
+
+Run from anywhere, naming the ``src`` directory of each checkout:
+
+    python tools/stage_times.py PARENT_SRC CHANGE_SRC [--procs 4] [--runs 5] \
+        [--command "ls 10 3d --out"] [--command "schedule 10 --lower-clifford-t --out"]
+
+Every command runs in fresh processes with ``PYTHONHASHSEED=0``, one command
+per process, ``--procs`` processes per side, parent and change alternating
+which goes first. A process does one untimed run, then ``--runs`` timed runs,
+each after ``gc.collect()``, with stdout discarded. A command ending in
+``--out`` is given a file in a temporary directory.
+
+The stages are timed by wrapping what ``cli.main`` calls: emit
+(``full_multiplier_schedule``), lower (``decomp.lower_schedule``), extract
+(``extract_ls``), validate (``validate_ls``), to_json (``LSProgram.to_json``
+and ``Schedule.to_json``) and write (``pathlib.Path.write_text``, or the
+CLI's ``_write`` where it exists, which makes the text as it writes it).
+``to_json_and_write`` is their sum, the one figure that compares a
+side that joins the text first with one that streams it. ``whole_command``
+is ``cli.main`` timed whole. ``gc_ms`` and the collections
+per generation come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the
+process's peak resident set, so it is per command.
+
+Prints one JSON object: per command and side the median of every stage over
+all timed runs, the median ``ru_maxrss_mb`` over the processes, and the
+sha256 of the written artifact (one value per side, or a list if runs differ).
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import pathlib
+import resource
+import shlex
+import subprocess
+import sys
+import tempfile
+from statistics import median
+from time import perf_counter
+
+STAGES = ("emit", "lower", "extract", "validate", "to_json", "write")
+COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out")
+
+
+def _child(argv: list[str], runs: int) -> dict:
+    """Run one command in this process; its stage times, gc work and peak RSS."""
+    import celltiler.cli as cli
+    from celltiler import circuit, decomp, lsx
+
+    spent = dict.fromkeys(STAGES, 0.0)
+
+    def timed(stage, fn):
+        def wrapper(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[stage] += perf_counter() - start
+        return wrapper
+
+    cli.full_multiplier_schedule = timed("emit", cli.full_multiplier_schedule)
+    decomp.lower_schedule = timed("lower", decomp.lower_schedule)
+    cli.extract_ls = timed("extract", cli.extract_ls)
+    cli.validate_ls = timed("validate", cli.validate_ls)
+    lsx.LSProgram.to_json = timed("to_json", lsx.LSProgram.to_json)
+    circuit.Schedule.to_json = timed("to_json", circuit.Schedule.to_json)
+    pathlib.Path.write_text = timed("write", pathlib.Path.write_text)
+    if hasattr(cli, "_write"):
+        cli._write = timed("write", cli._write)
+
+    collections = [0, 0, 0]
+    gc_time = [0.0, 0.0]  # total, start of the running collection
+
+    def on_gc(phase, info):
+        if phase == "start":
+            gc_time[1] = perf_counter()
+        else:
+            gc_time[0] += perf_counter() - gc_time[1]
+            collections[info["generation"]] += 1
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        args = [*argv, out] if argv[-1] == "--out" else argv
+        samples = []
+        with open(os.devnull, "w") as devnull:
+            for i in range(runs + 1):
+                gc.collect()
+                for stage in spent:
+                    spent[stage] = 0.0
+                collections[:] = [0, 0, 0]
+                gc_time[0] = 0.0
+                stdout, sys.stdout = sys.stdout, devnull
+                gc.callbacks.append(on_gc)
+                start = perf_counter()
+                try:
+                    rc = cli.main(args)
+                finally:
+                    whole = perf_counter() - start
+                    gc.callbacks.remove(on_gc)
+                    sys.stdout = stdout
+                if rc != 0:
+                    raise SystemExit(f"{' '.join(args)} exited {rc}")
+                if i:  # the first run is untimed
+                    samples.append({stage: s * 1e3 for stage, s in spent.items()}
+                                   | {"to_json_and_write": (spent["to_json"] + spent["write"]) * 1e3,
+                                      "whole_command": whole * 1e3, "gc_ms": gc_time[0] * 1e3,
+                                      "gen0": collections[0], "gen1": collections[1],
+                                      "gen2": collections[2]})
+        sha = None
+        if os.path.exists(out):
+            with open(out, "rb") as f:
+                sha = hashlib.sha256(f.read()).hexdigest()
+    maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"samples": samples, "sha256": sha, "ru_maxrss_mb": maxrss_mb}
+
+
+def _spawn(src: str, command: str, runs: int) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", command, "--runs", str(runs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def _summary(results: list[dict]) -> dict:
+    samples = [s for r in results for s in r["samples"]]
+    shas = sorted({r["sha256"] for r in results}, key=str)
+    return {
+        "ms": {k: round(median(s[k] for s in samples), 1) for k in (*STAGES, "to_json_and_write", "whole_command")},
+        "gc_ms": round(median(s["gc_ms"] for s in samples), 1),
+        "collections_per_request": {g: median(s[g] for s in samples) for g in ("gen0", "gen1", "gen2")},
+        "ru_maxrss_mb": round(median(r["ru_maxrss_mb"] for r in results), 2),
+        "ru_maxrss_mb_runs": [round(r["ru_maxrss_mb"], 2) for r in results],
+        "sha256": shas[0] if len(shas) == 1 else shas,
+        "runs": len(samples),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", nargs="?")
+    parser.add_argument("change_src", nargs="?")
+    parser.add_argument("--procs", type=int, default=4, help="fresh processes per side and command")
+    parser.add_argument("--runs", type=int, default=5, help="timed runs per process")
+    parser.add_argument("--command", action="append", help="a CLI command; repeat for several")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        json.dump(_child(shlex.split(args.child), args.runs), sys.stdout)
+        return 0
+    if not (args.parent_src and args.change_src):
+        parser.error("name the src directories of both checkouts")
+    sides = {"parent": args.parent_src, "change": args.change_src}
+    report = {}
+    for command in args.command or COMMANDS:
+        results: dict[str, list] = {side: [] for side in sides}
+        for i in range(args.procs):
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                results[side].append(_spawn(sides[side], command, args.runs))
+        report[command] = {side: _summary(r) for side, r in results.items()}
+    json.dump(report, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
