@@ -1,4 +1,4 @@
-"""The standard-cell library: vertex-role/stick templates and their placement."""
+"""The standard-cell library: wire/vertex/role and stick templates and their placement."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Hashable, Mapping
+from typing import Mapping
 
 from celltiler.circuit import Schedule
 from celltiler.lattice import Lattice, Site
@@ -60,16 +60,19 @@ def _apply_rotation(mat, site: Site) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Tile:
-    """A standard cell: local vertices with roles, plus allowed-interaction sticks."""
+    """A standard cell: the hosted decomposition's wire and role on each local
+    vertex, plus allowed-interaction sticks."""
 
     name: str
-    vertices: tuple[tuple[Site, str], ...]
+    vertices: tuple[tuple[str, Site, str], ...]  # (wire, vertex, role)
     sticks: frozenset[frozenset[Site]]
 
     def __post_init__(self):
-        coords = {v for v, _ in self.vertices}
+        coords = {v for _, v, _ in self.vertices}
         if len(coords) != len(self.vertices):
             raise ValueError("duplicate tile vertex")
+        if len({w for w, _, _ in self.vertices}) != len(self.vertices):
+            raise ValueError("duplicate tile wire")
         for stick in self.sticks:
             a, b = tuple(stick)
             if a not in coords or b not in coords:
@@ -78,10 +81,10 @@ class Tile:
                 raise ValueError(f"stick {stick} is not nearest-neighbour")
 
     def role_count(self, role: str) -> int:
-        return sum(1 for _, r in self.vertices if r == role)
+        return sum(1 for *_, r in self.vertices if r == role)
 
     def is_planar(self) -> bool:
-        return all(v.z == 0 for v, _ in self.vertices)
+        return all(v.z == 0 for _, v, _ in self.vertices)
 
 
 def toffoli_cube() -> Tile:
@@ -95,8 +98,8 @@ def toffoli_cube() -> Tile:
     a, b, c = Site(1, 0, 0), Site(0, 1, 0), Site(0, 0, 1)
     z1, z2, z3, z4 = Site(1, 1, 0), Site(1, 0, 1), Site(0, 1, 1), Site(0, 0, 0)
     vertices = (
-        (a, ROLE_CONTROL), (b, ROLE_CONTROL), (c, ROLE_TARGET),
-        (z1, ROLE_ANCILLA), (z2, ROLE_ANCILLA), (z3, ROLE_ANCILLA), (z4, ROLE_ANCILLA),
+        ("a", a, ROLE_CONTROL), ("b", b, ROLE_CONTROL), ("c", c, ROLE_TARGET),
+        ("z1", z1, ROLE_ANCILLA), ("z2", z2, ROLE_ANCILLA), ("z3", z3, ROLE_ANCILLA), ("z4", z4, ROLE_ANCILLA),
     )
     sticks = frozenset(
         frozenset(p) for p in [
@@ -116,8 +119,8 @@ def tdepth2_tile() -> Tile:
     a, b, t = Site(0, 0, 0), Site(2, 0, 0), Site(1, 1, 0)
     x, y, w = Site(0, 1, 0), Site(2, 1, 0), Site(1, 0, 0)
     vertices = (
-        (a, ROLE_CONTROL), (b, ROLE_CONTROL), (t, ROLE_TARGET),
-        (x, ROLE_ANCILLA), (y, ROLE_ANCILLA), (w, ROLE_ANCILLA),
+        ("a", a, ROLE_CONTROL), ("b", b, ROLE_CONTROL), ("t", t, ROLE_TARGET),
+        ("x", x, ROLE_ANCILLA), ("y", y, ROLE_ANCILLA), ("w", w, ROLE_ANCILLA),
     )
     sticks = frozenset(
         frozenset(p) for p in [
@@ -139,9 +142,9 @@ def and_tile() -> Tile:
     z2, z3, z4 = Site(1, 0, 0), Site(1, 2, 0), Site(2, 1, 0)
     t = Site(0, 1, 0)
     vertices = (
-        (a, ROLE_CONTROL), (b, ROLE_CONTROL), (t, ROLE_TARGET),
-        (w, ROLE_AND_RESULT),
-        (z2, ROLE_ANCILLA), (z3, ROLE_ANCILLA), (z4, ROLE_ANCILLA),
+        ("a", a, ROLE_CONTROL), ("b", b, ROLE_CONTROL), ("t", t, ROLE_TARGET),
+        ("w", w, ROLE_AND_RESULT),
+        ("z2", z2, ROLE_ANCILLA), ("z3", z3, ROLE_ANCILLA), ("z4", z4, ROLE_ANCILLA),
     )
     sticks = frozenset(
         frozenset(p) for p in [
@@ -152,21 +155,19 @@ def and_tile() -> Tile:
     return Tile("and_mb", vertices, sticks)
 
 
-def tile_supports(tile: Tile, schedule: Schedule, role_assignment: dict[Hashable, Site]) -> bool:
+def tile_supports(tile: Tile, schedule: Schedule) -> bool:
     """Whether every operand pair of every gate lies on a stick.
 
-    ``role_assignment`` maps each schedule wire to a tile vertex; a gate on
-    one wire has no pair. No Toffoli is ever supported: sticks are
+    Each schedule wire sits on the tile vertex that hosts it; a gate on one
+    wire has no pair. No Toffoli is ever supported: sticks are
     nearest-neighbour, so no three of them form a triangle.
     """
-    coords = {v for v, _ in tile.vertices}
+    site_of = {w: v for w, v, _ in tile.vertices}
     for wire in schedule.wires():
-        if wire not in role_assignment:
-            raise ValueError(f"wire {wire!r} has no tile vertex assigned")
-        if role_assignment[wire] not in coords:
-            raise ValueError(f"wire {wire!r} assigned to non-vertex {role_assignment[wire]}")
+        if wire not in site_of:
+            raise ValueError(f"wire {wire!r} has no tile vertex")
     return all(
-        frozenset((role_assignment[a], role_assignment[b])) in tile.sticks
+        frozenset((site_of[a], site_of[b])) in tile.sticks
         for g in schedule.gates() for a, b in itertools.combinations(g.operands, 2)
     )
 
@@ -184,11 +185,11 @@ class Placement:
         """Lattice site -> role of every tile vertex; computed once, read-only."""
         mat = ROTATIONS_3D[self.orientation % len(ROTATIONS_3D)]
         rotated = {}
-        raw = {v: _apply_rotation(mat, v) for v, _ in self.tile.vertices}
+        raw = {v: _apply_rotation(mat, v) for _, v, _ in self.tile.vertices}
         minx = min(p[0] for p in raw.values())
         miny = min(p[1] for p in raw.values())
         minz = min(p[2] for p in raw.values())
-        for (v, role) in self.tile.vertices:
+        for _, v, role in self.tile.vertices:
             p = raw[v]
             rotated[Site(p[0] - minx + self.offset.x,
                          p[1] - miny + self.offset.y,
@@ -212,6 +213,8 @@ class Layout:
         self.queue_of: dict[Site, str] = {}
 
     def add_queue(self, name: str, chain: list[Site]) -> None:
+        if name in self.queues:
+            raise ValueError(f"queue {name!r} already exists")
         for s in chain:
             self.lattice.check(s)
             if s in self.queue_of:

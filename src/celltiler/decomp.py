@@ -12,10 +12,7 @@ ancilla: it starts at |0> and ends at a.b.
 
 from __future__ import annotations
 
-from typing import Hashable
-
 from celltiler.circuit import Gate, GateKind, Schedule, gate
-from celltiler.lattice import Site
 
 K = GateKind
 
@@ -170,35 +167,9 @@ def toffoli_mb() -> Schedule:
     ])
 
 
-# --- role assignments used by the tile contracts ---------------------------
-
-
-def ccz_cube_assignment() -> dict[Hashable, Site]:
-    """Map the CCZ decomposition wires onto the cube cell's vertices."""
-    return {
-        "a": Site(1, 0, 0), "b": Site(0, 1, 0), "c": Site(0, 0, 1),
-        "z1": Site(1, 1, 0), "z2": Site(1, 0, 1), "z3": Site(0, 1, 1), "z4": Site(0, 0, 0),
-    }
-
-
 def toffoli_cube_circuit() -> Schedule:
     """The cube cell's native gate sequence: CCZ conjugated by H on the target."""
     return Schedule([[gate(K.H, "c")], *ccz_tdepth1().moments, [gate(K.H, "c")]])
-
-
-def tdepth2_assignment() -> dict[Hashable, Site]:
-    return {
-        "a": Site(0, 0, 0), "b": Site(2, 0, 0), "t": Site(1, 1, 0),
-        "x": Site(0, 1, 0), "y": Site(2, 1, 0), "w": Site(1, 0, 0),
-    }
-
-
-def and_tile_assignment() -> dict[Hashable, Site]:
-    return {
-        "a": Site(2, 0, 0), "b": Site(2, 2, 0), "t": Site(0, 1, 0),
-        "w": Site(1, 1, 0),
-        "z2": Site(1, 0, 0), "z3": Site(1, 2, 0), "z4": Site(2, 1, 0),
-    }
 
 
 # --- lowering passes --------------------------------------------------------

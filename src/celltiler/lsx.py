@@ -30,6 +30,7 @@ MERGE_SPLIT_LIMIT = 2  # merge/split uses per patch and step
 TRANSVERSAL_LIMIT = 2  # transversal CNOTs per patch and step, 3d only
 
 RIDING_OPS = ("h", "s", "sdag", "x", "mx", "mz")  # no step time; see extract_ls
+ANCILLA_PREFIX = "ls_anc"  # names the mediating ancilla patches and no wire
 
 
 class LSInstruction(NamedTuple):
@@ -116,12 +117,6 @@ class LSProgram:
         return "\n".join(lines)
 
 
-def _patch_name(label: Hashable) -> str:
-    if isinstance(label, Site):
-        return f"q{label.x}_{label.y}_{label.z}"
-    return str(label)
-
-
 def _first_free(skip: dict[int, int], s: int) -> int:
     """Follow a patch's skip map from step ``s`` to its first non-full step,
     compressing the path walked."""
@@ -177,7 +172,7 @@ class _Extractor:
                 self.anc_avail[i] = step + 1
                 return self.anc_names[i]
         self.anc_avail.append(step + 1)
-        self.anc_names.append(f"ls_anc{len(self.anc_names)}")
+        self.anc_names.append(f"{ANCILLA_PREFIX}{len(self.anc_names)}")
         return self.anc_names[-1]
 
     def ls_cnot(self, ctrl: str, tgt: str, kinds=(MERGE_ZZ, MERGE_XX), condition=None) -> None:
@@ -245,12 +240,26 @@ def extract_ls(
     Riding ops (``RIDING_OPS``) take no step time: each joins the latest step
     that uses its patch so far (step 0 if none). A step's instruction list is
     its execution order, so a riding op acts after the instructions listed
-    before it and before those listed after it. Names and stacking are resolved
-    once per distinct operand tuple, so labels that compare equal (one wire to
-    a ``Schedule``) share a patch.
+    before it and before those listed after it. Stacking is resolved once per
+    distinct operand tuple and names once per wire, so labels that compare
+    equal (one wire to a ``Schedule``) share a patch. Two unequal wires with
+    one patch name, or a wire named like an ancilla patch, raise ``ValueError``.
     """
     check_mode(layout, mode)
     ex = _Extractor(bound_ls=MERGE_SPLIT_LIMIT)
+    patch_of: dict[Hashable, str] = {}
+    wire_of: dict[str, Hashable] = {}
+
+    def patch(q: Hashable) -> str:
+        name = patch_of.get(q)
+        if name is None:
+            name = patch_of[q] = f"q{q.x}_{q.y}_{q.z}" if isinstance(q, Site) else str(q)
+            if name.startswith(ANCILLA_PREFIX):
+                raise ValueError(f"wire {q!r} takes the reserved patch name {name!r}")
+            if name in wire_of:
+                raise ValueError(f"wires {wire_of[name]!r} and {q!r} share the patch name {name!r}")
+            wire_of[name] = q
+        return name
 
     def resolve(operands: tuple) -> tuple[tuple[str, ...], bool]:
         """The patch names, and whether a CNOT on ``operands`` is a 3d stick."""
@@ -258,7 +267,7 @@ def extract_ls(
         stacked = mode == "3d" and len(sites) == 2 and None not in sites and (
             sites[0].x == sites[1].x and sites[0].y == sites[1].y and abs(sites[0].z - sites[1].z) == 1
         )
-        return tuple(map(_patch_name, operands)), stacked
+        return tuple(map(patch, operands)), stacked
 
     resolved: dict[tuple, tuple[tuple[str, ...], bool]] = {}
     for g in schedule.gates():
@@ -294,25 +303,28 @@ class LSReport:
 
 def validate_ls(program: LSProgram, mode: str) -> LSReport:
     """Check the per-step bounds: per patch ``MERGE_SPLIT_LIMIT`` merge/splits
-    and, in 3d, ``TRANSVERSAL_LIMIT`` transversal CNOTs; one job per ancilla."""
+    and, in 3d, ``TRANSVERSAL_LIMIT`` transversal CNOTs; one job per ancilla;
+    no instruction naming one patch twice."""
     check_mode(None, mode)
     report = LSReport()
     for si, step in enumerate(program.steps):
         ls_count: dict[str, set[int]] = {}
         tv_count: dict[str, set[int]] = {}
         anc_jobs: dict[str, set[int]] = {}
-        for ins in step:
-            if ins.kind in (MERGE_ZZ, MERGE_XX):
-                for p in ins.patches:
-                    if p.startswith("ls_anc"):
-                        anc_jobs.setdefault(p, set()).add(ins.instance)
+        for kind, patches, instance, _, _ in step:
+            if len(patches) == 2 and patches[0] == patches[1]:  # no kind takes more
+                report.violations.append(f"step {si}: {kind} names patch {patches[0]} twice")
+            if kind in (MERGE_ZZ, MERGE_XX):
+                for p in patches:
+                    if p.startswith(ANCILLA_PREFIX):
+                        anc_jobs.setdefault(p, set()).add(instance)
                     else:
-                        ls_count.setdefault(p, set()).add(ins.instance)
-            elif ins.kind == TRANSVERSAL:
+                        ls_count.setdefault(p, set()).add(instance)
+            elif kind == TRANSVERSAL:
                 if mode == "2d":
                     report.violations.append(f"step {si}: transversal CNOT in 2d mode")
-                for p in ins.patches:
-                    tv_count.setdefault(p, set()).add(ins.instance)
+                for p in patches:
+                    tv_count.setdefault(p, set()).add(instance)
         for p, instances in ls_count.items():
             if len(instances) > MERGE_SPLIT_LIMIT:
                 report.violations.append(

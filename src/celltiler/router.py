@@ -116,14 +116,14 @@ def greedy_route(
     return router.out, router.occ.mapping()
 
 
-def logical_multiplier_circuit(n: int, spec: RegisterSpec | None = None) -> Schedule:
+def logical_multiplier_circuit(n: int) -> Schedule:
     """The multiplier's Toffoli-level gate list on logical labels (no SWAPs).
 
     Shares the tiled pipeline's gate structure: one Toffoli per partial
     product, then per addition a carry-compute wave, controlled carry-out,
     and the uncompute/sum wave.
     """
-    spec = spec or RegisterSpec.for_width(n)
+    spec = RegisterSpec.for_width(n)
     carries = [f"C{i}" for i in range(n + 1)]
     sched = Schedule()
 

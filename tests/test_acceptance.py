@@ -136,9 +136,9 @@ def test_criterion_7_layout_accounting():
 
 
 def test_criterion_8_tile_contracts_and_adjacency():
-    assert tile_supports(toffoli_cube(), decomp.toffoli_cube_circuit(), decomp.ccz_cube_assignment())
-    assert tile_supports(tdepth2_tile(), decomp.toffoli_tdepth2(), decomp.tdepth2_assignment())
-    assert tile_supports(and_tile(), decomp.toffoli_mb(), decomp.and_tile_assignment())
+    assert tile_supports(toffoli_cube(), decomp.toffoli_cube_circuit())
+    assert tile_supports(tdepth2_tile(), decomp.toffoli_tdepth2())
+    assert tile_supports(and_tile(), decomp.toffoli_mb())
     for n in range(1, 9):
         layout = build_multiplier_layout(n)
         spec = RegisterSpec.for_width(n)
@@ -171,7 +171,8 @@ def test_criterion_10_lattice_surgery():
         assert prog.cnot_count() == lowered.count(K.CNOT)
         assert validate_ls(prog, "3d").ok
     cube = decomp.toffoli_cube_circuit()
-    prog = extract_ls(cube, None, "3d", site_map=decomp.ccz_cube_assignment())
+    cube_sites = {w: v for w, v, _ in toffoli_cube().vertices}
+    prog = extract_ls(cube, None, "3d", site_map=cube_sites)
     assert len(prog.steps) == 3, f"cube packs to {len(prog.steps)} steps"
     assert validate_ls(prog, "3d").ok
     report(10, "round-trip CNOT counts preserved, parallel bounds clean for n = 1..4, "

@@ -35,9 +35,7 @@ def test_toffoli_cube_shape():
 
 
 def test_toffoli_cube_supports_its_circuit():
-    assert tile_supports(
-        toffoli_cube(), decomp.toffoli_cube_circuit(), decomp.ccz_cube_assignment()
-    )
+    assert tile_supports(toffoli_cube(), decomp.toffoli_cube_circuit())
 
 
 def test_tdepth2_tile_shape():
@@ -49,12 +47,12 @@ def test_tdepth2_tile_shape():
 
 
 def test_tdepth2_tile_supports_toffoli():
-    assert tile_supports(tdepth2_tile(), decomp.toffoli_tdepth2(), decomp.tdepth2_assignment())
+    assert tile_supports(tdepth2_tile(), decomp.toffoli_tdepth2())
 
 
 def test_tdepth2_tile_rejects_control_control_cnot():
     sched = Schedule([[gate("cnot", "a", "b")]])
-    assert not tile_supports(tdepth2_tile(), sched, decomp.tdepth2_assignment())
+    assert not tile_supports(tdepth2_tile(), sched)
 
 
 def test_and_tile_shape():
@@ -64,16 +62,27 @@ def test_and_tile_shape():
 
 
 def test_and_tile_supports_measurement_based_toffoli():
-    assert tile_supports(and_tile(), decomp.toffoli_mb(), decomp.and_tile_assignment())
+    assert tile_supports(and_tile(), decomp.toffoli_mb())
+
+
+@pytest.mark.parametrize(
+    "tile, circuit",
+    [(toffoli_cube(), decomp.toffoli_cube_circuit()),
+     (tdepth2_tile(), decomp.toffoli_tdepth2()),
+     (and_tile(), decomp.toffoli_mb())],
+    ids=["toffoli_cube", "tdepth2", "and_mb"],
+)
+def test_tile_hosts_exactly_the_wires_of_its_circuit(tile, circuit):
+    assert {w for w, _, _ in tile.vertices} == set(circuit.wires())
 
 
 def test_tile_supports_vacuous():
-    assert tile_supports(toffoli_cube(), Schedule(), {})
+    assert tile_supports(toffoli_cube(), Schedule())
 
 
 def test_tile_supports_unassigned_wire():
-    with pytest.raises(ValueError):
-        tile_supports(toffoli_cube(), Schedule([[gate("h", "mystery")]]), {})
+    with pytest.raises(ValueError, match="^wire 'mystery' has no tile vertex$"):
+        tile_supports(toffoli_cube(), Schedule([[gate("h", "mystery")]]))
 
 
 def test_place_fits():
@@ -121,6 +130,15 @@ def test_queue_sites_belong_to_one_queue():
     assert list(layout.queues) == ["q"]
 
 
+def test_queue_names_are_unique():
+    layout = Layout(grid(2, 3, 8))
+    layout.add_queue("q", [Site(0, 2, 0), Site(0, 2, 1)])
+    with pytest.raises(ValueError, match="^queue 'q' already exists$"):
+        layout.add_queue("q", [Site(1, 2, 0)])
+    assert layout.queues == {"q": [Site(0, 2, 0), Site(0, 2, 1)]}
+    assert layout.queue_of == {Site(0, 2, 0): "q", Site(0, 2, 1): "q"}
+
+
 def test_vertex_roles_computed_once_and_read_only():
     p = Placement(toffoli_cube(), Site(0, 0, 1), 5)
     assert p.vertex_roles is p.vertex_roles
@@ -143,34 +161,33 @@ def test_layout_json():
 def test_tile_rejects_duplicate_vertex():
     v = Site(0, 0, 0)
     with pytest.raises(ValueError, match="^duplicate tile vertex$"):
-        Tile("t", ((v, "control"), (v, "target")), frozenset())
+        Tile("t", (("a", v, "control"), ("b", v, "target")), frozenset())
+
+
+def test_tile_rejects_duplicate_wire():
+    a, b = Site(0, 0, 0), Site(1, 0, 0)
+    with pytest.raises(ValueError, match="^duplicate tile wire$"):
+        Tile("t", (("a", a, "control"), ("a", b, "target")), frozenset())
 
 
 def test_tile_rejects_stick_to_unknown_vertex():
     a, b = Site(0, 0, 0), Site(1, 0, 0)
     with pytest.raises(ValueError, match="joins unknown vertices$"):
-        Tile("t", ((a, "control"),), frozenset([frozenset((a, b))]))
+        Tile("t", (("a", a, "control"),), frozenset([frozenset((a, b))]))
 
 
 def test_tile_rejects_long_stick():
     a, b = Site(0, 0, 0), Site(2, 0, 0)
     with pytest.raises(ValueError, match="is not nearest-neighbour$"):
-        Tile("t", ((a, "control"), (b, "target")), frozenset([frozenset((a, b))]))
-
-
-def test_tile_supports_rejects_a_wire_on_a_non_vertex():
-    sched = Schedule([[gate("h", "a")]])
-    with pytest.raises(ValueError, match=r"^wire 'a' assigned to non-vertex Site\(x=5, y=5, z=5\)$"):
-        tile_supports(toffoli_cube(), sched, {"a": Site(5, 5, 5)})
+        Tile("t", (("a", a, "control"), ("b", b, "target")), frozenset([frozenset((a, b))]))
 
 
 @pytest.mark.parametrize("tile", [toffoli_cube(), tdepth2_tile(), and_tile()], ids=lambda t: t.name)
 def test_no_tile_supports_a_toffoli(tile):
     # sticks are nearest-neighbour, so no three vertices are pairwise joined
-    vertices = [v for v, _ in tile.vertices]
-    sched = Schedule([[gate("toffoli", "a", "b", "c")]])
-    for trio in itertools.combinations(vertices, 3):
-        assert not tile_supports(tile, sched, dict(zip("abc", trio)))
+    wires = [w for w, _, _ in tile.vertices]
+    for trio in itertools.combinations(wires, 3):
+        assert not tile_supports(tile, Schedule([[gate("toffoli", *trio)]]))
 
 
 def test_queue_must_be_a_chain():

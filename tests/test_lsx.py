@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from celltiler import decomp
+from celltiler.cells import toffoli_cube
 from celltiler.circuit import GateKind, Schedule, gate
 from celltiler.lsx import (
     INIT_PLUS,
@@ -28,6 +29,7 @@ from celltiler.scheduler import full_multiplier_schedule
 from celltiler.tiler import build_multiplier_layout
 
 K = GateKind
+CUBE_SITES = {w: v for w, v, _ in toffoli_cube().vertices}
 
 
 def test_single_cnot_pattern():
@@ -116,7 +118,7 @@ def test_transversal_in_2d_flagged():
 
 def test_cube_toffoli_packs_to_depth_three():
     circ = decomp.toffoli_cube_circuit()
-    prog = extract_ls(circ, None, "3d", site_map=decomp.ccz_cube_assignment())
+    prog = extract_ls(circ, None, "3d", site_map=CUBE_SITES)
     assert len(prog.steps) == 3
     sticks = {ins.patches for step in prog.steps for ins in step if ins.kind == TRANSVERSAL}
     assert sticks == {("a", "z2"), ("b", "z3"), ("c", "z4")}  # the three vertical sticks
@@ -129,9 +131,7 @@ def test_cube_toffoli_packs_to_depth_three():
 def test_cube_toffoli_riding_h_order():
     # the H pair on the target rides in steps 0 and 2; depth three holds only
     # because each is ordered within its step against every use of patch c
-    prog = extract_ls(
-        decomp.toffoli_cube_circuit(), None, "3d", site_map=decomp.ccz_cube_assignment()
-    )
+    prog = extract_ls(decomp.toffoli_cube_circuit(), None, "3d", site_map=CUBE_SITES)
 
     def order(step):
         on_c = [i for i, ins in enumerate(step) if "c" in ins.patches]
@@ -396,6 +396,7 @@ gate_st = st.one_of(
     {"a": Site(1, 0, 1), "b": Site(1, 0, 2)},
     "3d",
 )
+@example([gate("h", Site(0, 0, 1)), gate("cnot", "a", "q0_0_1")], None, "2d")
 @given(
     st.lists(gate_st, max_size=40),
     st.one_of(st.none(), st.dictionaries(st.sampled_from(LABELS), st.sampled_from(SITES))),
@@ -405,7 +406,37 @@ def test_extract_matches_per_gate_reference(gates, site_map, mode):
     sched = Schedule()
     for g in gates:
         sched.append(g)
-    assert extract_ls(sched, None, mode, site_map) == _reference_extract(sched, mode, site_map)
+    if {"q0_0_1", Site(0, 0, 1)} <= set(sched.wires()):
+        with pytest.raises(ValueError, match="share the patch name 'q0_0_1'$"):
+            extract_ls(sched, None, mode, site_map)
+    else:
+        assert extract_ls(sched, None, mode, site_map) == _reference_extract(sched, mode, site_map)
+
+
+@pytest.mark.parametrize(
+    "gates, message",
+    [([gate("cnot", "q0_0_0", Site(0, 0, 0))],
+      "wires 'q0_0_0' and Site(x=0, y=0, z=0) share the patch name 'q0_0_0'"),
+     ([gate("h", Site(1, 2, 3)), gate("cnot", "a", "q1_2_3")],
+      "wires Site(x=1, y=2, z=3) and 'q1_2_3' share the patch name 'q1_2_3'"),
+     ([gate("cnot", "ls_anc0", "b")], "wire 'ls_anc0' takes the reserved patch name 'ls_anc0'")],
+)
+def test_extract_rejects_a_wire_whose_patch_name_is_taken(gates, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        extract_ls(Schedule([[g] for g in gates]), None, "3d")
+
+
+def test_equal_labels_share_a_patch():
+    # 1 and True are one wire to a Schedule, so they are one patch
+    prog = extract_ls(Schedule([[gate("h", 1)], [gate("cnot", True, "b")]]), None, "2d")
+    assert {p for step in prog.steps for ins in step for p in ins.patches} == {"1", "b", "ls_anc0"}
+
+
+def test_validate_flags_an_instruction_naming_one_patch_twice():
+    prog = LSProgram(steps=[[LSInstruction(MERGE_ZZ, ("a", "a"), 1)]])
+    assert validate_ls(prog, "2d").violations == [
+        "step 0: merge_split_zz names patch a twice"
+    ]
 
 
 def test_check_mode_rejects_an_unknown_mode():

@@ -14,12 +14,9 @@ each after ``gc.collect()``, with stdout discarded. A command ending in
 
 The stages are timed by wrapping what ``cli.main`` calls: emit
 (``full_multiplier_schedule``), lower (``decomp.lower_schedule``), extract
-(``extract_ls``), validate (``validate_ls``), to_json (``LSProgram.to_json``
-and ``Schedule.to_json``) and write (``pathlib.Path.write_text``, or the
-CLI's ``_write`` where it exists, which makes the text as it writes it).
-``to_json_and_write`` is their sum, the one figure that compares a
-side that joins the text first with one that streams it. ``whole_command``
-is ``cli.main`` timed whole. ``gc_ms`` and the collections
+(``extract_ls``), validate (``validate_ls``) and write (the CLI's ``_write``,
+which makes the JSON text as it writes it). ``whole_command`` is
+``cli.main`` timed whole. ``gc_ms`` and the collections
 per generation come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the
 process's peak resident set, so it is per command.
 
@@ -35,7 +32,6 @@ import gc
 import hashlib
 import json
 import os
-import pathlib
 import resource
 import shlex
 import subprocess
@@ -44,14 +40,14 @@ import tempfile
 from statistics import median
 from time import perf_counter
 
-STAGES = ("emit", "lower", "extract", "validate", "to_json", "write")
+STAGES = ("emit", "lower", "extract", "validate", "write")
 COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out")
 
 
 def _child(argv: list[str], runs: int) -> dict:
     """Run one command in this process; its stage times, gc work and peak RSS."""
     import celltiler.cli as cli
-    from celltiler import circuit, decomp, lsx
+    from celltiler import decomp
 
     spent = dict.fromkeys(STAGES, 0.0)
 
@@ -68,11 +64,7 @@ def _child(argv: list[str], runs: int) -> dict:
     decomp.lower_schedule = timed("lower", decomp.lower_schedule)
     cli.extract_ls = timed("extract", cli.extract_ls)
     cli.validate_ls = timed("validate", cli.validate_ls)
-    lsx.LSProgram.to_json = timed("to_json", lsx.LSProgram.to_json)
-    circuit.Schedule.to_json = timed("to_json", circuit.Schedule.to_json)
-    pathlib.Path.write_text = timed("write", pathlib.Path.write_text)
-    if hasattr(cli, "_write"):
-        cli._write = timed("write", cli._write)
+    cli._write = timed("write", cli._write)
 
     collections = [0, 0, 0]
     gc_time = [0.0, 0.0]  # total, start of the running collection
@@ -108,8 +100,7 @@ def _child(argv: list[str], runs: int) -> dict:
                     raise SystemExit(f"{' '.join(args)} exited {rc}")
                 if i:  # the first run is untimed
                     samples.append({stage: s * 1e3 for stage, s in spent.items()}
-                                   | {"to_json_and_write": (spent["to_json"] + spent["write"]) * 1e3,
-                                      "whole_command": whole * 1e3, "gc_ms": gc_time[0] * 1e3,
+                                   | {"whole_command": whole * 1e3, "gc_ms": gc_time[0] * 1e3,
                                       "gen0": collections[0], "gen1": collections[1],
                                       "gen2": collections[2]})
         sha = None
@@ -133,7 +124,7 @@ def _summary(results: list[dict]) -> dict:
     samples = [s for r in results for s in r["samples"]]
     shas = sorted({r["sha256"] for r in results}, key=str)
     return {
-        "ms": {k: round(median(s[k] for s in samples), 1) for k in (*STAGES, "to_json_and_write", "whole_command")},
+        "ms": {k: round(median(s[k] for s in samples), 1) for k in (*STAGES, "whole_command")},
         "gc_ms": round(median(s["gc_ms"] for s in samples), 1),
         "collections_per_request": {g: median(s[g] for s in samples) for g in ("gen0", "gen1", "gen2")},
         "ru_maxrss_mb": round(median(r["ru_maxrss_mb"] for r in results), 2),
