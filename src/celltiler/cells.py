@@ -80,12 +80,6 @@ class Tile:
             if a.manhattan(b) != 1:
                 raise ValueError(f"stick {stick} is not nearest-neighbour")
 
-    def role_count(self, role: str) -> int:
-        return sum(1 for *_, r in self.vertices if r == role)
-
-    def is_planar(self) -> bool:
-        return all(v.z == 0 for _, v, _ in self.vertices)
-
 
 def toffoli_cube() -> Tile:
     """The 7-vertex cube cell hosting a T-depth-1 Toffoli decomposition.

@@ -89,10 +89,6 @@ class Gate:
         if len(set(self.operands)) != len(self.operands):
             raise ValueError(f"duplicate operand in {self.kind.value} gate: {self.operands}")
 
-    @property
-    def support(self) -> frozenset:
-        return frozenset(self.operands)
-
     def is_storage(self) -> bool:
         return "storage" in self.tags
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, NamedTuple
@@ -106,40 +108,16 @@ class LSProgram:
         yield ("\n  ]" if self.steps else "[]") + (
             f',\n  "transversal_count": {json_value(self.transversal_count, 1)}\n}}')
 
-    def render(self) -> str:
-        lines = []
-        for i, step in enumerate(self.steps):
-            parts = []
-            for ins in step:
-                what = ins.label or ins.kind
-                parts.append(f"{what}({','.join(ins.patches)})")
-            lines.append(f"step {i:03d}: " + " ".join(parts))
-        return "\n".join(lines)
-
-
-def _first_free(skip: dict[int, int], s: int) -> int:
-    """Follow a patch's skip map from step ``s`` to its first non-full step,
-    compressing the path walked."""
-    path = []
-    while s in skip:
-        path.append(s)
-        s = skip[s]
-    for t in path:
-        skip[t] = s
-    return s
-
 
 class _Extractor:
-    def __init__(self, bound_ls: int):
-        self.bound_ls = bound_ls
+    def __init__(self):
         self.program = LSProgram()
         self.hard_avail: dict[str, int] = {}  # first step a new instance may use
         self.last_step: dict[str, int] = {}
-        # indexed by transversal?, then patch: uses per step, and full step -> later step
+        # indexed by transversal?, then patch: uses per step, and a bitmask of full steps
         self.use = (defaultdict(dict), defaultdict(dict))
-        self.skip = (defaultdict(dict), defaultdict(dict))
-        self.anc_avail: list[int] = []  # per ancilla patch: first free step
-        self.anc_names: list[str] = []
+        self.full: tuple[dict[str, int], dict[str, int]] = ({}, {})
+        self.anc_free: list[int] = []  # per ancilla patch: minus its first free step
         self.orientation: dict[str, str] = {}
         self.instance = 0
 
@@ -149,31 +127,41 @@ class _Extractor:
 
     def _place_two(self, patches: tuple[str, str], transversal: bool) -> int:
         """The first step at or after both patches' ``hard_avail`` where each
-        is under its per-step limit of merge/split (or transversal) uses."""
+        is under its per-step limit of merge/split (or transversal) uses.
+
+        Bit ``t`` of a patch's ``full`` mask is set once the patch reaches the
+        limit at step ``t``, so from ``s`` the first step where neither patch
+        is full is ``s`` plus the trailing ones of ``(full_a | full_b) >> s``."""
         a, b = patches
-        skips, uses = self.skip[transversal], self.use[transversal]
-        skip_a, skip_b = skips[a], skips[b]
+        full = self.full[transversal]
         s = max(self.hard_avail.get(a, 0), self.hard_avail.get(b, 0))
-        while s in skip_a or s in skip_b:  # alternate until neither patch moves the step
-            s = _first_free(skip_b, _first_free(skip_a, s))
+        busy = (full.get(a, 0) | full.get(b, 0)) >> s
+        s += (busy ^ (busy + 1)).bit_length() - 1
         self._ensure(s)
-        limit = TRANSVERSAL_LIMIT if transversal else self.bound_ls
+        limit = TRANSVERSAL_LIMIT if transversal else MERGE_SPLIT_LIMIT
+        uses = self.use[transversal]
         for p in patches:
             use = uses[p]
-            use[s] = use.get(s, 0) + 1
-            if use[s] >= limit:
-                skips[p][s] = s + 1
+            use[s] = count = use.get(s, 0) + 1
+            if count >= limit:
+                full[p] = full.get(p, 0) | 1 << s
             self.last_step[p] = max(self.last_step.get(p, 0), s)
         return s
 
     def _alloc_anc(self, step: int) -> str:
-        for i, free_at in enumerate(self.anc_avail):
-            if free_at <= step:
-                self.anc_avail[i] = step + 1
-                return self.anc_names[i]
-        self.anc_avail.append(step + 1)
-        self.anc_names.append(f"{ANCILLA_PREFIX}{len(self.anc_names)}")
-        return self.anc_names[-1]
+        """The lowest-numbered ancilla patch free at ``step``, then busy through it.
+
+        ``anc_free[i]`` is minus ancilla ``i``'s first free step, and the list
+        stays ascending: the index taken is the lowest one free at ``step``,
+        so lower entries are at most ``-step - 1`` and higher ones at least
+        ``-step``. So ``bisect_left(anc_free, -step)`` is that lowest index."""
+        free = self.anc_free
+        i = bisect_left(free, -step)
+        if i < len(free):
+            free[i] = -step - 1
+        else:
+            free.append(-step - 1)
+        return sys.intern(f"{ANCILLA_PREFIX}{i}")  # one string per patch, not per CNOT
 
     def ls_cnot(self, ctrl: str, tgt: str, kinds=(MERGE_ZZ, MERGE_XX), condition=None) -> None:
         i = self.instance = self.instance + 1
@@ -208,7 +196,7 @@ class _Extractor:
                 cur = self.orientation[patch]
                 self.orientation[patch] = "x" if cur == "z" else "z"
         else:
-            s = max(self.hard_avail.get(patch, 0), self.last_step.get(patch, -1) + 1)
+            s = self.last_step.get(patch, -1) + 1  # hard_avail never exceeds this
             self._ensure(s)
             self.last_step[patch] = s
             self.hard_avail[patch] = s + 1
@@ -246,7 +234,7 @@ def extract_ls(
     one patch name, or a wire named like an ancilla patch, raise ``ValueError``.
     """
     check_mode(layout, mode)
-    ex = _Extractor(bound_ls=MERGE_SPLIT_LIMIT)
+    ex = _Extractor()
     patch_of: dict[Hashable, str] = {}
     wire_of: dict[str, Hashable] = {}
 

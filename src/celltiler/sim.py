@@ -60,7 +60,8 @@ def classical_run(
     ``mapping0`` maps logical labels to the operand keys the schedule uses
     (lattice sites for tiled schedules); with ``mapping0=None`` each label
     starts on the wire of the same name, and a wire that no label starts on
-    carries its own name as its label. Labels move on SWAPs through
+    carries its own name as its label; an input label that ``mapping0``
+    does not map raises :class:`ValueError`. Labels move on SWAPs through
     :class:`~celltiler.circuit.Occupancy`, taking their values along, so the
     result is keyed by label and read off wherever each label ended up, not
     by wire. This agrees with :func:`statevector_run` once each label is
@@ -72,6 +73,8 @@ def classical_run(
     occ = Occupancy(mapping0 if mapping0 else {label: label for label in inputs})
     value: dict[Hashable, int] = {wire: 0 for wire in occ.label_at}
     for label, bits in inputs.items():
+        if label not in occ.wire_of:
+            raise ValueError(f"input {label!r} is not a label of mapping0")
         if not 0 <= bits <= every_lane:
             raise ValueError(f"input {label!r}={bits} does not fit in {lanes} lane(s)")
         value[occ.wire_of[label]] = int(bits)
@@ -149,9 +152,11 @@ def statevector_run(
     """Sparse simulation of one state; it splits into outcome branches at the end.
 
     The state maps basis bitmasks to amplitudes: bit i is ``wires[i]``, then
-    one record bit per measurement. ``initial`` sets basis bits by wire;
-    every other wire starts in |0>. H prunes amplitudes of magnitude at most
-    1e-14, and more than :data:`MAX_TERMS` terms raise :class:`CapacityError`.
+    one record bit per measurement; ``wires`` must name every schedule wire,
+    each once, or :class:`ValueError` is raised. ``initial`` sets basis bits
+    by wire; every other wire starts in |0>. H prunes amplitudes of magnitude
+    at most 1e-14, and more than :data:`MAX_TERMS` terms raise
+    :class:`CapacityError`.
     A SWAP exchanges the contents of its two wires, so a value is read at the
     wire it ended on (see :func:`classical_run` for the label-keyed view of
     the same run). A Z measurement SWAPs its wire with a fresh record bit,
@@ -165,6 +170,10 @@ def statevector_run(
         wires = schedule.wires()
     records = [object() for g in schedule.gates() if g.kind in _MEASURES]
     bit = {w: i for i, w in enumerate([*wires, *records])}
+    if len(bit) != len(wires) + len(records):
+        raise ValueError(f"wires name a wire twice: {wires}")
+    if missing := [w for w in schedule.wires() if w not in bit]:
+        raise ValueError(f"wires miss schedule wires: {missing}")
     if any(b not in (0, 1) for b in (initial or {}).values()):
         raise ValueError(f"initial bits must be 0 or 1, got {dict(initial or {})}")
     if unknown := [w for w in initial or {} if w not in bit]:
@@ -214,7 +223,7 @@ class EquivReport:
     detail: str = ""
 
 
-_REFERENCES = ("toffoli", "ccz", "cs", "and")
+_REFERENCES = {"toffoli": 3, "ccz": 3, "cs": 2, "and": 3}  # name -> data wires
 
 
 def _expected(reference: str, bits: tuple[int, ...]) -> tuple[tuple[int, ...], complex]:
@@ -227,10 +236,8 @@ def _expected(reference: str, bits: tuple[int, ...]) -> tuple[tuple[int, ...], c
     if reference == "cs":
         a, b = bits
         return bits, 1j ** (a & b)
-    if reference == "and":
-        a, b, _ = bits
-        return (a, b, a & b), 1.0
-    raise ValueError(f"unknown reference {reference!r} (expected one of {_REFERENCES})")
+    a, b, _ = bits  # and
+    return (a, b, a & b), 1.0
 
 
 def assert_equiv(
@@ -241,6 +248,8 @@ def assert_equiv(
 ) -> EquivReport:
     """Check the schedule acts as the named gate on the data wires, in one run.
 
+    ``reference`` is a key of :data:`_REFERENCES`, which gives the number of
+    distinct ``data_wires`` it acts on; anything else raises ValueError.
     Two prepended moments, H on each reference wire and then a CNOT from it
     onto its data wire, entangle every swept data wire with a private
     reference wire, so one run carries every data basis input with all
@@ -250,6 +259,10 @@ def assert_equiv(
     So an AND missing its phase correction fails, and so does a circuit whose
     records depend on the data, since they decohere the superposition.
     """
+    if reference not in _REFERENCES:
+        raise ValueError(f"unknown reference {reference!r} (expected one of {tuple(_REFERENCES)})")
+    if not len(data_wires) == len(set(data_wires)) == _REFERENCES[reference]:
+        raise ValueError(f"{reference} needs {_REFERENCES[reference]} distinct data wires, got {data_wires!r}")
     swept = data_wires[:-1] if reference == "and" else data_wires
     refs = [object() for _ in swept]
     wires = schedule.wires()

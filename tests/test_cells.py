@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -28,9 +29,7 @@ def test_rotation_table():
 def test_toffoli_cube_shape():
     tile = toffoli_cube()
     assert len(tile.vertices) == 7
-    assert tile.role_count("control") == 2
-    assert tile.role_count("target") == 1
-    assert tile.role_count("ancilla") == 4
+    assert Counter(r for *_, r in tile.vertices) == {"control": 2, "target": 1, "ancilla": 4}
     assert len(tile.sticks) == 9
 
 
@@ -41,9 +40,8 @@ def test_toffoli_cube_supports_its_circuit():
 def test_tdepth2_tile_shape():
     tile = tdepth2_tile()
     assert len(tile.vertices) == 6
-    assert tile.role_count("control") == 2
-    assert tile.role_count("target") == 1
-    assert tile.is_planar()
+    assert Counter(r for *_, r in tile.vertices) == {"control": 2, "target": 1, "ancilla": 3}
+    assert all(v.z == 0 for _, v, _ in tile.vertices)
 
 
 def test_tdepth2_tile_supports_toffoli():
@@ -57,8 +55,8 @@ def test_tdepth2_tile_rejects_control_control_cnot():
 
 def test_and_tile_shape():
     tile = and_tile()
-    assert tile.role_count("and_result") == 1
-    assert tile.is_planar()
+    assert [r for *_, r in tile.vertices].count("and_result") == 1
+    assert all(v.z == 0 for _, v, _ in tile.vertices)
 
 
 def test_and_tile_supports_measurement_based_toffoli():

@@ -75,8 +75,8 @@ def test_moment_disjointness_after_appends(pairs):
     for m in s.moments:
         seen = set()
         for g in m:
-            assert not (seen & g.support)
-            seen |= g.support
+            assert not seen.intersection(g.operands)
+            seen.update(g.operands)
 
 
 def test_depth_empty():
@@ -184,9 +184,9 @@ def _disjoint(gates):
     """Keep the gates whose supports do not meet an earlier kept gate's."""
     kept, used = [], set()
     for g in gates:
-        if not used & g.support:
+        if not used.intersection(g.operands):
             kept.append(g)
-            used |= g.support
+            used.update(g.operands)
     return kept
 
 
@@ -199,7 +199,7 @@ def _reference_pack(ops):
         elif op == "earliest-fit":
             last = -1
             for i, m in enumerate(moments):
-                if any(other.support & arg.support for other in m):
+                if any(set(other.operands) & set(arg.operands) for other in m):
                     last = i
             if last + 1 == len(moments):
                 moments.append([arg])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -258,6 +259,33 @@ def test_assert_equiv_rejects_records_that_read_the_data(scrambler, ok):
 def test_assert_equiv_unknown_reference():
     with pytest.raises(ValueError):
         assert_equiv(decomp.and_3anc(), "nonsense", ("a", "b"))
+
+
+@pytest.mark.parametrize(
+    "reference, data, needs",
+    [("toffoli", ("a", "b"), 3), ("cs", ("a", "b", "t"), 2), ("ccz", ("a", "a", "b"), 3)],
+)
+def test_assert_equiv_rejects_wrong_data_wires(reference, data, needs):
+    message = f"{reference} needs {needs} distinct data wires, got {data!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        assert_equiv(Schedule([[gate("toffoli", "a", "b", "t")]]), reference, data)
+
+
+def test_classical_run_rejects_an_input_outside_mapping0():
+    s = Schedule([[gate("cnot", "a", "b")]])
+    with pytest.raises(ValueError, match="^input 'c' is not a label of mapping0$"):
+        classical_run(s, {"a": "a", "b": "b"}, {"c": 1})
+
+
+@pytest.mark.parametrize(
+    "wires, message",
+    [(["a"], "wires miss schedule wires: ['b']"),
+     (["a", "a", "b"], "wires name a wire twice: ['a', 'a', 'b']")],
+    ids=["missing", "repeated"],
+)
+def test_statevector_run_rejects_bad_wires(wires, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        statevector_run(Schedule([[gate("cnot", "a", "b")]]), wires=wires)
 
 
 def test_classical_run_values_stay_int():
