@@ -166,13 +166,14 @@ def routing_mapping(n: int) -> dict[Hashable, Site]:
 
 def compare(n_range) -> list[dict]:
     """Tiled vs greedy-routed SWAP metrics, one row per operand width."""
+    if any(n < 2 for n in n_range):
+        raise ValueError("comparison needs n >= 2")
+    # every layout first, so a width the tower cannot hold fails before any compiles
+    layouts = {n: build_multiplier_layout(n) for n in n_range}
     rows = []
-    for n in n_range:
-        if n < 2:
-            raise ValueError("comparison needs n >= 2")
+    for n, layout in layouts.items():
         tiled, _ = full_multiplier_schedule(n)
         t_c, t_d = swap_metrics(tiled)
-        layout = build_multiplier_layout(n)
         routed, _ = greedy_route(
             logical_multiplier_circuit(n), layout.lattice, routing_mapping(n)
         )

@@ -8,12 +8,12 @@ writes the carry-out at the bottom, and climbs back up summing into the
 window under the control. The reset step shifts the whole window one rung
 up in five parallel rounds and retires the finished product bit.
 
-The emitters write every moment with one call: a moment of SWAPs (plus
-idle-ancilla spacer exchanges) or a moment holding one Toffoli. A SWAP whose
-two sites lie in the same storage queue is tagged ``storage``; no other SWAP
-is. Every step is emitted against a fixed per-block SWAP budget: the spacers
-keep the emitted shape uniform across n, and each step checks its
-``swap_metrics`` against its :data:`STEP_SWAPS` entry exactly.
+One board emits every step of the multiplier, each moment with one call: a
+moment of SWAPs (plus idle-ancilla spacer exchanges) or one Toffoli. A SWAP
+whose two sites lie in the same storage queue is tagged ``storage``; no other
+SWAP is. Every step is emitted against a fixed per-block SWAP budget: the
+spacers keep the emitted shape uniform across n, and the ``swap_metrics`` of
+each step's own moments must meet its :data:`STEP_SWAPS` entry exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Hashable, Iterator
 
 from celltiler.cells import Layout
-from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, swap_metrics
+from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
 from celltiler.lattice import Site
 from celltiler.tiler import (
     E, L, N, S, YELLOW, MAGENTA,
@@ -32,6 +32,7 @@ from celltiler.tiler import (
 )
 
 K = GateKind
+_STORAGE, _UNTAGGED = frozenset(("storage",)), frozenset()  # the two SWAP tag sets
 
 
 RESET_SWAP_DEPTH = 5
@@ -50,17 +51,17 @@ STEP_SWAPS: dict[str, Callable[[int], tuple[int, int]]] = {
 def _step_plan(n: int, optimize_toffoli_depth: bool) -> Iterator[tuple[str, str, Callable]]:
     """``(row name, STEP_SWAPS kind, emitter)`` of every step of the n-bit
     multiplier, in emission order: the Toffoli step, then ctrl-add j for each
-    j, with a reset after every ctrl-add but the last. An emitter maps
-    ``(layout, mapping)`` to the step's ``(schedule, mapping)``."""
+    j, with a reset after every ctrl-add but the last. An emitter writes the
+    step's moments on a :class:`_Board`."""
     yield (
         "toffoli step",
         "toffoli-opt" if optimize_toffoli_depth else "toffoli",
-        partial(toffoli_step, optimize_depth=optimize_toffoli_depth),
+        partial(_toffoli_moves, optimize_depth=optimize_toffoli_depth),
     )
     for j in range(1, n):
-        yield f"ctrl-add {j}", "ctrl-add", partial(ctrl_add_step, j=j)
+        yield f"ctrl-add {j}", "ctrl-add", partial(_ctrl_add_moves, j=j)
         if j <= n - 2:
-            yield f"reset {j}", "reset", partial(reset_step, j=j)
+            yield f"reset {j}", "reset", partial(_reset_moves, j=j)
 
 
 def step_budgets(n: int, optimize_toffoli_depth: bool = False) -> list[tuple[str, int, int]]:
@@ -76,16 +77,18 @@ class ScheduleError(Exception):
 
 
 class _Board:
-    """Occupancy-tracked emitter that writes each moment with exactly one call.
+    """Occupancy-tracked emitter of a whole multiplier, one call per moment.
 
+    Every step appends to one ``sched`` while one ``occ`` follows the labels.
     ``moment(*pairs, spacers=k)`` emits the given SWAPs in call order, then
     ``k`` idle-ancilla spacer SWAPs plus any spacer debt the step still owes;
     a moment that ends up empty is dropped. ``fire(c1, c2, t)`` emits a
     moment holding one Toffoli. Every SWAP must be nearest-neighbour, every
     site inside the used region, and no site may be used twice in one moment.
     A SWAP is tagged ``storage`` exactly when both its sites lie in the same
-    queue. ``finish`` checks the step's ``swap_metrics`` against its
-    :data:`STEP_SWAPS` entry. Every label outside the register spec is an
+    queue. ``finish(kind)`` checks the ``swap_metrics`` of the step's own
+    moments against its :data:`STEP_SWAPS` entry and starts the next step
+    with no live ancilla. Every label outside the register spec is an
     ancilla; one in ``live_anc`` holds a carry and is not idle.
     """
 
@@ -97,6 +100,7 @@ class _Board:
         self.occ = Occupancy(mapping)
         self.live_anc: set[Hashable] = set()
         self.sched = Schedule()
+        self.step_start = 0  # the first moment of the running step
         self.spacer_debt = 0
         # candidates, tower top first; SWAPs keep every used site labelled,
         # so pairs off the used region or inside one queue never qualify
@@ -133,8 +137,7 @@ class _Board:
             raise ScheduleError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
         self._take(used, a, b)
         self.occ.swap(a, b)
-        tags = frozenset(("storage",)) if self._same_queue(a, b) else frozenset()
-        return Gate(K.SWAP, (a, b), tags=tags)
+        return Gate(K.SWAP, (a, b), tags=_STORAGE if self._same_queue(a, b) else _UNTAGGED)
 
     def moment(self, *pairs: tuple[Site, Site], spacers: int = 0) -> None:
         used: set[Site] = set()
@@ -198,19 +201,30 @@ class _Board:
         holes.sort(key=lambda s: abs(chain.index(s) - ti))
         self.bubble_to(self.occ.label_at[holes[0]], target)
 
-    def finish(self, kind: str) -> tuple[Schedule, dict[Hashable, Site]]:
-        """The step's schedule and final mapping, once its SWAPs meet the
-        ``kind`` entry of :data:`STEP_SWAPS`."""
+    def finish(self, kind: str) -> None:
+        """Close the running step once its own moments meet the ``kind``
+        entry of :data:`STEP_SWAPS`."""
         if self.spacer_debt:
             raise ScheduleError(f"unplaced spacer swaps: {self.spacer_debt}")
-        count, depth_ = swap_metrics(self.sched)
-        budget, depth_budget = STEP_SWAPS[kind](len(self.layout.placements))
+        own = self.sched.moments[self.step_start:]  # swap_metrics of the step's own moments
+        counted = [sum(1 for g in m if g.kind is K.SWAP and not g.is_storage()) for m in own]
+        count, depth_ = sum(counted), len(counted) - counted.count(0)
+        budget, depth_budget = STEP_SWAPS[kind](self.spec.n)
         if (count, depth_) != (budget, depth_budget):
             raise ScheduleError(
                 f"emitted {count} counted SWAPs in {depth_} moments, "
                 f"budget {budget} in {depth_budget}"
             )
-        return self.sched, self.occ.mapping()
+        self.step_start = len(self.sched.moments)
+        self.live_anc = set()
+
+
+def _alone(layout: Layout, mapping: dict, kind: str, emit: Callable) -> tuple[Schedule, dict]:
+    """One step on a board of its own: its schedule and final mapping."""
+    board = _Board(layout, mapping)
+    emit(board)
+    board.finish(kind)
+    return board.sched, board.occ.mapping()
 
 
 def _shift_target(p: int) -> Site:
@@ -231,13 +245,17 @@ def toffoli_step(
     spent control in yellow, and pulls the next control onto the ladder top
     slot implicitly (the following step fetches it from yellow).
     """
-    n = len(layout.placements)
+    _name, kind, emit = next(_step_plan(len(layout.placements), optimize_depth))
+    return _alone(layout, mapping, kind, emit)
+
+
+def _toffoli_moves(board: _Board, optimize_depth: bool) -> None:
+    n = board.spec.n
     if optimize_depth and n < 3:
         raise ValueError(
             f"the depth-optimised Toffoli step needs n >= 3 (its padding SWAPs "
             f"do not fit on a shorter tower), got n={n}"
         )
-    board = _Board(layout, mapping)
     aux_head = Site(col_other(n).x, col_other(n).y, n + 1)
     hops = [(fourth(n - 1), aux_head), (L(n - 1), L(n)), (L(n), YELLOW(n))]
     # the plain tail, moment by moment: each control hop with one spacer,
@@ -266,9 +284,6 @@ def toffoli_step(
         for pairs, spacers in tail:
             board.moment(*pairs, spacers=spacers)
 
-    # the plan's first row names this step's budget
-    return board.finish(next(_step_plan(n, optimize_depth))[1])
-
 
 def ctrl_add_step(
     layout: Layout,
@@ -282,11 +297,14 @@ def ctrl_add_step(
     zero ancilla in as the newest product bit, and the sum wave climbs back
     up with the control, retiring it into yellow at the top.
     """
-    n = len(layout.placements)
+    return _alone(layout, mapping, "ctrl-add", partial(_ctrl_add_moves, j=j))
+
+
+def _ctrl_add_moves(board: _Board, j: int) -> None:
+    spec = board.spec
+    n = spec.n
     if not 1 <= j <= n - 1:
         raise ValueError(f"controlled-add index must be in 1..{n - 1}, got {j}")
-    board = _Board(layout, mapping)
-    spec = board.spec
 
     # storage staging: next control to the ladder-side slot, incoming zero to
     # the magenta head (free slots are staged after the control leaves yellow)
@@ -353,8 +371,6 @@ def ctrl_add_step(
     board.moment((L(n), YELLOW(n)))
     board.moment(spacers=1)
 
-    return board.finish("ctrl-add")
-
 
 def reset_step(
     layout: Layout,
@@ -367,10 +383,13 @@ def reset_step(
     the odd-rung bits, which land in the last two rounds. The depth is five
     regardless of n.
     """
-    n = len(layout.placements)
+    return _alone(layout, mapping, "reset", partial(_reset_moves, j=j))
+
+
+def _reset_moves(board: _Board, j: int) -> None:
+    n = board.spec.n
     if not 1 <= j <= n - 1:
         raise ValueError(f"reset index must be in 1..{n - 1}, got {j}")
-    board = _Board(layout, mapping)
 
     evens = [z for z in range(n) if z % 2 == 0]
     odds = [z for z in range(n) if z % 2 == 1]
@@ -385,8 +404,6 @@ def reset_step(
     for r, pairs in enumerate(rounds):
         board.moment(*pairs, spacers=base + (1 if r < rest else 0))
 
-    return board.finish("reset")
-
 
 def full_multiplier_schedule(
     n: int,
@@ -395,15 +412,15 @@ def full_multiplier_schedule(
     """Compose Toffoli step, n-1 controlled adds and the interleaved resets.
 
     Returns the complete schedule and the final logical-to-site mapping.
+    Every step runs on one board and is checked against its budget as it
+    finishes.
     """
     layout = build_multiplier_layout(n)
-    mapping = initial_mapping(layout, RegisterSpec.for_width(n))
-    total = Schedule()
-    for _name, _kind, emit in _step_plan(n, optimize_toffoli_depth):
-        step, mapping = emit(layout, mapping)
-        for m in step.moments:
-            total.extend_moment(m)
-    return total, mapping
+    board = _Board(layout, initial_mapping(layout, RegisterSpec.for_width(n)))
+    for _name, kind, emit in _step_plan(n, optimize_toffoli_depth):
+        emit(board)
+        board.finish(kind)
+    return board.sched, board.occ.mapping()
 
 
 @dataclass

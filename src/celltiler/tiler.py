@@ -5,20 +5,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Hashable
 
 from celltiler.cells import Layout, ROTATIONS_3D, place, toffoli_cube
 from celltiler.lattice import Site, grid
 
-# Column shorthands on the 2 x 3 x H lattice. The window of product bits
-# zig-zags between the S and N columns by height parity; L is the ladder the
-# control climbs; E holds the A register.
-S = lambda z: Site(0, 0, z)
-E = lambda z: Site(1, 0, z)
-L = lambda z: Site(0, 1, z)
-N = lambda z: Site(1, 1, z)
-YELLOW = lambda z: Site(0, 2, z)
-MAGENTA = lambda z: Site(1, 2, z)
+# Column shorthands on the 2 x 3 x H lattice, one cached Site per height. The
+# window of product bits zig-zags between the S and N columns by height parity;
+# L is the ladder the control climbs; E holds the A register.
+S = cache(lambda z: Site(0, 0, z))
+E = cache(lambda z: Site(1, 0, z))
+L = cache(lambda z: Site(0, 1, z))
+N = cache(lambda z: Site(1, 1, z))
+YELLOW = cache(lambda z: Site(0, 2, z))
+MAGENTA = cache(lambda z: Site(1, 2, z))
 
 
 def col(z: int) -> Site:

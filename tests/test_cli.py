@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from celltiler import cli, decomp, lsx, scheduler
+from celltiler import cli, decomp, lsx, router, scheduler
 from celltiler.circuit import GateKind, Schedule, gate
 from celltiler.cli import main
 from celltiler.router import compare, compare_csv
@@ -154,6 +154,19 @@ def test_compare_rejects_bad_range(capsys):
     _assert_clean_usage_error(capsys)
 
 
+def test_compare_rejects_a_bad_width_before_compiling_any(monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("compare compiled a width before checking them all")
+
+    for module in (scheduler, cli, router):
+        if hasattr(module, "full_multiplier_schedule"):
+            monkeypatch.setattr(module, "full_multiplier_schedule", refuse)
+    assert main(["compare", "2", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: multiplier schedules are not supported for n=11\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["build", "2", "--out"], ["schedule", "2", "--out"], ["ls", "1", "3d", "--out"],
@@ -290,16 +303,15 @@ def test_schedule_emits_each_step_once(n, monkeypatch):
                 inside.pop()
         return wrapper
 
-    # patch every reference, so a direct call from the CLI is counted too
+    # patch every reference, so a direct call from the CLI is counted too;
+    # every step of one multiplier runs on one board and ends in its finish
     for name in ("full_multiplier_schedule", "toffoli_step", "ctrl_add_step", "reset_step"):
         for module in (scheduler, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(scheduler._Board, "finish", counted("finish", scheduler._Board.finish))
     assert main(["schedule", str(n)]) == 0
-    assert calls[0] == ("full_multiplier_schedule", False)
-    emitters = calls[1:]
-    assert len(emitters) == 2 * n - 2
-    assert all(nested for _, nested in emitters)
+    assert calls == [("full_multiplier_schedule", False)] + [("finish", True)] * (2 * n - 2)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from functools import partial
 
 import pytest
 
@@ -278,6 +279,33 @@ def test_step_budgets_rows_match_emitted_steps():
     assert [name for name, _, _ in rows] == [
         "toffoli step", "ctrl-add 1", "reset 1", "ctrl-add 2", "reset 2", "ctrl-add 3",
     ]
+
+
+def chained_steps(n, optimize):
+    """The multiplier as the public step functions emit it, one board per
+    step, with the steps' moments concatenated into one schedule."""
+    layout, spec, mapping = setup_boards(n)
+    total = Schedule()
+    steps = [partial(toffoli_step, optimize_depth=optimize)]
+    for j in range(1, n):
+        steps.append(partial(ctrl_add_step, j=j))
+        if j <= n - 2:
+            steps.append(partial(reset_step, j=j))
+    for step in steps:
+        sched, mapping = step(layout, mapping)
+        for m in sched.moments:
+            total.extend_moment(m)
+    return total, mapping
+
+
+@pytest.mark.parametrize(
+    "n,optimize", [(n, opt) for n in range(1, 11) for opt in (False, True) if n >= 3 or not opt]
+)
+def test_one_board_matches_the_chained_steps(n, optimize):
+    sched, final = full_multiplier_schedule(n, optimize_toffoli_depth=optimize)
+    reference, reference_final = chained_steps(n, optimize)
+    assert sched.to_json() == reference.to_json()
+    assert final == reference_final
 
 
 # sha256 of to_json(), a newline and the sorted final mapping as JSON; a

@@ -7,22 +7,28 @@ Run from anywhere, naming the ``src`` directory of each checkout:
         [--command "ls 10 3d --out"] [--command "schedule 10 --lower-clifford-t --out"]
 
 Every command runs in fresh processes with ``PYTHONHASHSEED=0``, one command
-per process, ``--procs`` processes per side, parent and change alternating
-which goes first. A process does one untimed run, then ``--runs`` timed runs,
-each after ``gc.collect()``, with stdout discarded. A command ending in
-``--out`` is given a file in a temporary directory.
+per process. ``--procs`` times, one process per side is started and the two
+take turns: each does one untimed run, then ``--runs`` timed runs, the parent
+and the change alternating which goes first, so the two runs of a pair are
+timed within one command's time of each other and a shift in host speed
+between processes moves both. Every run follows ``gc.collect()`` and
+discards stdout. A command ending in ``--out`` is given a file in a
+temporary directory.
 
 The stages are timed by wrapping what ``cli.main`` calls: emit
-(``full_multiplier_schedule``), lower (``decomp.lower_schedule``), extract
-(``extract_ls``), validate (``validate_ls``) and write (the CLI's ``_write``,
-which makes the JSON text as it writes it). ``whole_command`` is
-``cli.main`` timed whole. ``gc_ms`` and the collections
-per generation come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the
-process's peak resident set, so it is per command.
+(``full_multiplier_schedule``, called by the CLI or by ``router.compare``),
+replay (``validate_schedule``), oracle (``classical_run``), lower
+(``decomp.lower_schedule``), extract (``extract_ls``), validate
+(``validate_ls``) and write (the CLI's ``_write``, which makes the JSON text
+as it writes it). ``whole_command`` is ``cli.main`` timed whole. ``gc_ms``
+and the collections per generation come from a ``gc.callbacks`` hook.
+``ru_maxrss_mb`` is the process's peak resident set, so it is per command.
 
 Prints one JSON object: per command and side the median of every stage over
 all timed runs, the median ``ru_maxrss_mb`` over the processes, and the
-sha256 of the written artifact (one value per side, or a list if runs differ).
+sha256 of the written artifact (one value per side, or a list if runs differ);
+per command, ``parent_over_change`` is the median over the timed pairs of
+parent time over change time, for every stage the change spends time in.
 """
 
 from __future__ import annotations
@@ -40,14 +46,16 @@ import tempfile
 from statistics import median
 from time import perf_counter
 
-STAGES = ("emit", "lower", "extract", "validate", "write")
+STAGES = ("emit", "replay", "oracle", "lower", "extract", "validate", "write")
 COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out")
 
 
-def _child(argv: list[str], runs: int) -> dict:
-    """Run one command in this process; its stage times, gc work and peak RSS."""
+def _child(argv: list[str]) -> None:
+    """Run one command in this process once per ``run`` line on stdin,
+    answering each with one JSON line of its stage times and gc work; at the
+    end of stdin, one last line with the artifact's sha256 and the peak RSS."""
     import celltiler.cli as cli
-    from celltiler import decomp
+    from celltiler import decomp, router
 
     spent = dict.fromkeys(STAGES, 0.0)
 
@@ -61,6 +69,9 @@ def _child(argv: list[str], runs: int) -> dict:
         return wrapper
 
     cli.full_multiplier_schedule = timed("emit", cli.full_multiplier_schedule)
+    router.full_multiplier_schedule = timed("emit", router.full_multiplier_schedule)
+    cli.validate_schedule = timed("replay", cli.validate_schedule)
+    cli.classical_run = timed("oracle", cli.classical_run)
     decomp.lower_schedule = timed("lower", decomp.lower_schedule)
     cli.extract_ls = timed("extract", cli.extract_ls)
     cli.validate_ls = timed("validate", cli.validate_ls)
@@ -76,18 +87,18 @@ def _child(argv: list[str], runs: int) -> dict:
             gc_time[0] += perf_counter() - gc_time[1]
             collections[info["generation"]] += 1
 
+    answer = sys.stdout
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         args = [*argv, out] if argv[-1] == "--out" else argv
-        samples = []
         with open(os.devnull, "w") as devnull:
-            for i in range(runs + 1):
+            for _line in sys.stdin:
                 gc.collect()
                 for stage in spent:
                     spent[stage] = 0.0
                 collections[:] = [0, 0, 0]
                 gc_time[0] = 0.0
-                stdout, sys.stdout = sys.stdout, devnull
+                sys.stdout = devnull
                 gc.callbacks.append(on_gc)
                 start = perf_counter()
                 try:
@@ -95,29 +106,57 @@ def _child(argv: list[str], runs: int) -> dict:
                 finally:
                     whole = perf_counter() - start
                     gc.callbacks.remove(on_gc)
-                    sys.stdout = stdout
+                    sys.stdout = answer
                 if rc != 0:
                     raise SystemExit(f"{' '.join(args)} exited {rc}")
-                if i:  # the first run is untimed
-                    samples.append({stage: s * 1e3 for stage, s in spent.items()}
-                                   | {"whole_command": whole * 1e3, "gc_ms": gc_time[0] * 1e3,
-                                      "gen0": collections[0], "gen1": collections[1],
-                                      "gen2": collections[2]})
+                sample = {stage: s * 1e3 for stage, s in spent.items()} | {
+                    "whole_command": whole * 1e3, "gc_ms": gc_time[0] * 1e3,
+                    "gen0": collections[0], "gen1": collections[1], "gen2": collections[2],
+                }
+                print(json.dumps(sample), flush=True)
         sha = None
         if os.path.exists(out):
             with open(out, "rb") as f:
                 sha = hashlib.sha256(f.read()).hexdigest()
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"samples": samples, "sha256": sha, "ru_maxrss_mb": maxrss_mb}
+    print(json.dumps({"sha256": sha, "ru_maxrss_mb": maxrss_mb}), flush=True)
 
 
-def _spawn(src: str, command: str, runs: int) -> dict:
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.abspath(src))
-    done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child", command, "--runs", str(runs)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return json.loads(done.stdout)
+def _paired(sides: dict[str, str], command: str, runs: int, parent_first: bool) -> dict[str, dict]:
+    """One process per side, taking turns: per side its timed samples, the
+    artifact's sha256 and the peak RSS."""
+    procs = {}
+    for side, src in sides.items():
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.path.abspath(src))
+        procs[side] = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--child", command],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+    samples: dict[str, list] = {side: [] for side in sides}
+    try:
+        for i in range(runs + 1):  # the first run of each process is untimed
+            order = list(sides) if (i % 2 == 0) == parent_first else list(sides)[::-1]
+            for side in order:
+                proc = procs[side]
+                proc.stdin.write("run\n")
+                proc.stdin.flush()
+                line = proc.stdout.readline()
+                if not line:
+                    raise SystemExit(f"{command!r} failed in the {side} checkout")
+                if i:
+                    samples[side].append(json.loads(line))
+        results = {}
+        for side, proc in procs.items():
+            proc.stdin.close()
+            results[side] = json.loads(proc.stdout.readline()) | {"samples": samples[side]}
+            if proc.wait() != 0:
+                raise SystemExit(f"{command!r} failed in the {side} checkout")
+        return results
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 def _summary(results: list[dict]) -> dict:
@@ -134,17 +173,28 @@ def _summary(results: list[dict]) -> dict:
     }
 
 
+def _ratios(parent: list[dict], change: list[dict]) -> dict:
+    """Median over the timed pairs of parent time over change time, per stage."""
+    pairs = [(p["samples"], c["samples"]) for p, c in zip(parent, change)]
+    out = {}
+    for k in (*STAGES, "whole_command"):
+        ratios = [a[k] / b[k] for ps, cs in pairs for a, b in zip(ps, cs) if b[k] > 0]
+        if ratios:
+            out[k] = round(median(ratios), 2)
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", nargs="?")
     parser.add_argument("change_src", nargs="?")
-    parser.add_argument("--procs", type=int, default=4, help="fresh processes per side and command")
+    parser.add_argument("--procs", type=int, default=4, help="process pairs per command")
     parser.add_argument("--runs", type=int, default=5, help="timed runs per process")
     parser.add_argument("--command", action="append", help="a CLI command; repeat for several")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        json.dump(_child(shlex.split(args.child), args.runs), sys.stdout)
+        _child(shlex.split(args.child))
         return 0
     if not (args.parent_src and args.change_src):
         parser.error("name the src directories of both checkouts")
@@ -153,10 +203,10 @@ def main() -> int:
     for command in args.command or COMMANDS:
         results: dict[str, list] = {side: [] for side in sides}
         for i in range(args.procs):
-            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-            for side in order:
-                results[side].append(_spawn(sides[side], command, args.runs))
+            for side, r in _paired(sides, command, args.runs, i % 2 == 0).items():
+                results[side].append(r)
         report[command] = {side: _summary(r) for side, r in results.items()}
+        report[command]["parent_over_change"] = _ratios(results["parent"], results["change"])
     json.dump(report, sys.stdout, indent=1)
     print()
     return 0
