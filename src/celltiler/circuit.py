@@ -42,28 +42,32 @@ def json_list(items: list[str], level: int) -> str:
 
 
 class GateKind(Enum):
-    H = "h"
-    T = "t"
-    TDAG = "tdag"
-    S = "s"
-    SDAG = "sdag"
-    X = "x"
-    CNOT = "cnot"
-    CZ = "cz"
-    SWAP = "swap"
-    TOFFOLI = "toffoli"
-    CCZ = "ccz"
-    MEASURE_X = "mx"
-    MEASURE_Z = "mz"
-    CC_CZ = "cc_cz"  # CZ conditioned on an earlier measurement record
+    """A gate family: its value is the JSON name, and ``arity`` its operand
+    count, which a gate reads without hashing the member."""
+
+    H = "h", 1
+    T = "t", 1
+    TDAG = "tdag", 1
+    S = "s", 1
+    SDAG = "sdag", 1
+    X = "x", 1
+    CNOT = "cnot", 2
+    CZ = "cz", 2
+    SWAP = "swap", 2
+    TOFFOLI = "toffoli", 3
+    CCZ = "ccz", 3
+    MEASURE_X = "mx", 1
+    MEASURE_Z = "mz", 1
+    CC_CZ = "cc_cz", 2  # CZ conditioned on an earlier measurement record
+
+    def __new__(cls, value: str, arity: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.arity = arity
+        return member
 
 
-ARITY = {
-    GateKind.H: 1, GateKind.T: 1, GateKind.TDAG: 1, GateKind.S: 1, GateKind.SDAG: 1,
-    GateKind.X: 1, GateKind.MEASURE_X: 1, GateKind.MEASURE_Z: 1,
-    GateKind.CNOT: 2, GateKind.CZ: 2, GateKind.SWAP: 2, GateKind.CC_CZ: 2,
-    GateKind.TOFFOLI: 3, GateKind.CCZ: 3,
-}
+ARITY = {kind: kind.arity for kind in GateKind}
 
 SINGLE_QUBIT_CLIFFORD = {GateKind.H, GateKind.S, GateKind.SDAG}
 T_KINDS = {GateKind.T, GateKind.TDAG}
@@ -84,8 +88,8 @@ class Gate:
     tags: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if len(self.operands) != ARITY[self.kind]:
-            raise ValueError(f"{self.kind.value} expects {ARITY[self.kind]} operands, got {len(self.operands)}")
+        if len(self.operands) != self.kind.arity:
+            raise ValueError(f"{self.kind.value} expects {self.kind.arity} operands, got {len(self.operands)}")
         if len(set(self.operands)) != len(self.operands):
             raise ValueError(f"duplicate operand in {self.kind.value} gate: {self.operands}")
 
@@ -125,7 +129,12 @@ class Schedule:
     def append(self, g: Gate) -> "Schedule":
         """Add a gate to the first moment after the last one touching its
         operands (earliest fit); ``extend_moment`` opens a fresh moment."""
-        target = max(self._last.get(q, -1) for q in g.operands) + 1
+        last = self._last
+        target = 0
+        for q in g.operands:
+            after = last.get(q, -1) + 1
+            if after > target:
+                target = after
         if target == len(self.moments):
             self.moments.append([])
         self._add_to_moment(target, g)

@@ -63,6 +63,11 @@ class Lattice:
             table[s] = tuple(c for c in cands if c in self)
         return table
 
+    @cached_property
+    def sorted_neighbours(self) -> dict[Site, tuple[Site, ...]]:
+        """Site -> its in-lattice nearest neighbours as one sorted tuple."""
+        return {s: tuple(sorted(nbs)) for s, nbs in self._neighbour_table.items()}
+
     def neighbours(self, site: Site) -> list[Site]:
         """In-lattice nearest neighbours in axis order +x, -x, +y, -y, +z, -z."""
         nbs = self._neighbour_table.get(site)

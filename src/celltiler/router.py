@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable
+from typing import Container, Hashable
 
 from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, swap_metrics
 from celltiler.lattice import Lattice, Site
@@ -17,16 +17,18 @@ class RoutingError(Exception):
     """The router ran out of sites or could not find a path."""
 
 
-def _bfs_path(lattice: Lattice, src: Site, goals: set[Site], forbidden: set[Site]) -> list[Site]:
-    """Deterministic BFS path from src to the nearest goal, detouring around
-    forbidden sites. ``src`` must not be a goal: both callers walk only a
-    label that is not yet next to its target."""
-    parent: dict[Site, Site | None] = {src: None}
+def _bfs_path(lattice: Lattice, src: Site, goals: Container[Site], forbidden: set[Site]) -> list[Site]:
+    """Deterministic BFS path from src to the nearest goal (neighbours in sorted
+    order), detouring around forbidden sites. ``src`` must not be a goal: both
+    callers walk only a label that is not yet next to its target."""
+    adjacent = lattice.sorted_neighbours
+    parent: dict[Site, Site | None] = dict.fromkeys(forbidden)  # counted as visited
+    parent[src] = None
     queue = deque([src])
     while queue:
         cur = queue.popleft()
-        for nb in sorted(lattice.neighbours(cur)):
-            if nb in parent or nb in forbidden:
+        for nb in adjacent[cur]:
+            if nb in parent:
                 continue
             parent[nb] = cur
             if nb in goals:
@@ -43,45 +45,43 @@ class _Router:
         self.lattice = lattice
         for site in mapping0.values():
             lattice.check(site)
+        self.adjacent = lattice.sorted_neighbours  # has every site checked above
         self.occ = Occupancy(mapping0)
         self.out = Schedule()
+        self.swaps: dict[tuple[Site, Site], Gate] = {}  # one gate per directed edge
 
     def _swap(self, a: Site, b: Site) -> None:
-        self.out.append(Gate(K.SWAP, (a, b)))
+        g = self.swaps.get((a, b))
+        if g is None:
+            g = self.swaps[a, b] = Gate(K.SWAP, (a, b))
+        self.out.append(g)
         self.occ.swap(a, b)
 
-    def _walk(self, label: Hashable, goals: set[Site], locked: set[Site]) -> None:
+    def _walk(self, label: Hashable, goals: Container[Site], locked: set[Site]) -> None:
         path = _bfs_path(self.lattice, self.occ.wire_of[label], goals, locked)
         for a, b in zip(path, path[1:]):
             self._swap(a, b)
 
     def _route_pair(self, a: Hashable, b: Hashable) -> None:
         pos = self.occ.wire_of
-        if pos[a].manhattan(pos[b]) == 1:
-            return
-        goals = {s for s in self.lattice.neighbours(pos[b])}
-        goals.discard(pos[a])
-        self._walk(a, goals, {pos[b]})
+        goals = self.adjacent[pos[b]]
+        if pos[a] not in goals:
+            self._walk(a, goals, {pos[b]})
 
     def _route_triple(self, c1: Hashable, c2: Hashable, t: Hashable) -> None:
         # bring both controls next to the target, cheaper mover first
         pos = self.occ.wire_of
         for _ in range(2):
-            pending = [
-                c for c in (c1, c2) if pos[c].manhattan(pos[t]) != 1
-            ]
+            goals = self.adjacent[pos[t]]
+            pending = [c for c in (c1, c2) if pos[c] not in goals]
             if not pending:
                 return
             pending.sort(key=lambda c: (pos[c].manhattan(pos[t]), (c1, c2).index(c)))
             mover = pending[0]
             other = c2 if mover == c1 else c1
-            locked = {pos[t], pos[other]}
-            goals = {
-                s for s in self.lattice.neighbours(pos[t])
-                if s not in locked
-            }
-            self._walk(mover, goals, locked)
-        if any(pos[c].manhattan(pos[t]) != 1 for c in (c1, c2)):
+            # a locked goal is never reached: the walk skips locked sites
+            self._walk(mover, goals, {pos[t], pos[other]})
+        if any(pos[c] not in self.adjacent[pos[t]] for c in (c1, c2)):
             raise RoutingError("could not assemble a Toffoli triple")
 
     def run(self, circuit: Schedule) -> None:

@@ -101,6 +101,7 @@ class _Board:
         self.live_anc: set[Hashable] = set()
         self.sched = Schedule()
         self.step_start = 0  # the first moment of the running step
+        self.swaps: dict[tuple[Site, Site], Gate] = {}  # one gate per directed edge
         self.spacer_debt = 0
         # candidates, tower top first; SWAPs keep every used site labelled,
         # so pairs off the used region or inside one queue never qualify
@@ -133,11 +134,15 @@ class _Board:
     # -- moments -------------------------------------------------------------
 
     def _swap(self, a: Site, b: Site, used: set[Site]) -> Gate:
-        if a.manhattan(b) != 1:
-            raise ScheduleError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
+        g = self.swaps.get((a, b))
+        if g is None:
+            if a.manhattan(b) != 1:
+                raise ScheduleError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
+            tags = _STORAGE if self._same_queue(a, b) else _UNTAGGED  # fixed by the layout
+            g = self.swaps[a, b] = Gate(K.SWAP, (a, b), tags=tags)
         self._take(used, a, b)
         self.occ.swap(a, b)
-        return Gate(K.SWAP, (a, b), tags=_STORAGE if self._same_queue(a, b) else _UNTAGGED)
+        return g
 
     def moment(self, *pairs: tuple[Site, Site], spacers: int = 0) -> None:
         used: set[Site] = set()

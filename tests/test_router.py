@@ -1,6 +1,9 @@
 import hashlib
+import json
+from collections import deque
 
 import pytest
+from hypothesis import given, strategies as st
 
 from celltiler import router
 from celltiler.circuit import GateKind, Occupancy, Schedule, gate
@@ -135,6 +138,25 @@ GOLDEN_ROUTED_SHA256 = {
     2: "1a01f14ddf88ec6e393b89e3938eeefb58783e00829c4d6b335ac52f627b5b17",
     3: "d568b23b5dc8e79e33ed8a64f61c3e39c876fb28ea55f9264132b1a1198af764",
     4: "8f795846d75b5c3cda5dcfaf3ee11ed97be357be6464d90d31d900ad24b89209",
+    5: "f0af4207170ac9e0a2d5f3cd0765ffe2f07f16a51d802c069883d8d253f23608",
+    6: "b03db94b2d1cfaa95af65bf2b68335a9fcf7f31426b4338a3907523270a4be1f",
+    7: "cd636dc892c1e82b8a676f8e6853846c71394afa2fc00f3ac4c27dd6914c1b3e",
+    8: "5bb8b4b917ff77c77c39a42d5bff9f62f8af04322e8a8a2b4aec0cf13addb848",
+    9: "53835ea4877f85bc8d08fd251b54452aa5bff1bb853d67ce43c65dc01e7d22fa",
+    10: "d82d265e1f6bc0a5b3b797cf3e21681aa4d5312b3f93460105428b9a0e5aa9d1",
+}
+
+# sha256 of the final mapping as sorted JSON {label: [x, y, z]}
+GOLDEN_FINAL_MAPPING_SHA256 = {
+    2: "38d0a423f71b420dd9a2309222260d961d789059cf0d523cf6b8de34e220d496",
+    3: "f9faa908be7eeca411a9a80d5e64bd93eab3335c7114c2194049de33496c46c1",
+    4: "8417b9e3c22da8408ce375fe7ff4090ecc2a5c3f5c3d4309b592dad4919c1b07",
+    5: "09f719bf869dc3610387150e2761deaac3ec81d5a040d71c62abe0f3ffcb3cdc",
+    6: "ecd83e9739c173b35a6041efdaa2d9dbd059d8033c9e54dfabfb15c309fde01c",
+    7: "62f4d8b77144548a67ef3727db8a08baca61da4680f8bd75e7979cd8e5fe4fae",
+    8: "acf9d10beee20a6779e96e3c5d94eab7a1f42d3c8a5c73c4a505ee3c77898d99",
+    9: "ca6cf99eba2b0539eac027b6f7f52d614cca483e9201d960e0c292436accae17",
+    10: "840687f68a0d3487cba9f84b0329edcc8655d1d749477ee50fefa9b22c352192",
 }
 
 
@@ -144,10 +166,54 @@ def test_compare_csv_golden():
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_ROUTED_SHA256))
 def test_routed_schedule_golden(n):
-    routed, _ = greedy_route(
+    routed, final = greedy_route(
         logical_multiplier_circuit(n), build_multiplier_layout(n).lattice, routing_mapping(n)
     )
     assert hashlib.sha256(routed.to_json().encode()).hexdigest() == GOLDEN_ROUTED_SHA256[n]
+    text = json.dumps({label: list(site) for label, site in final.items()}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FINAL_MAPPING_SHA256[n]
+
+
+def _sorted_neighbours_bfs(lattice, src, goals, forbidden):
+    """The router's BFS as first written: each expansion sorts
+    ``lattice.neighbours(cur)``."""
+    parent = {src: None}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        for nb in sorted(lattice.neighbours(cur)):
+            if nb in parent or nb in forbidden:
+                continue
+            parent[nb] = cur
+            if nb in goals:
+                path = [nb]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            queue.append(nb)
+    raise RoutingError(f"no route from {tuple(src)} to any goal")
+
+
+@st.composite
+def bfs_cases(draw):
+    lattice = grid(*draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))))
+    sites = list(lattice.sites())
+    src = draw(st.sampled_from(sites))
+    others = [s for s in sites if s != src]
+    goals = draw(st.sets(st.sampled_from(others))) if others else set()
+    forbidden = draw(st.sets(st.sampled_from(sites)))
+    return lattice, src, goals, forbidden
+
+
+@given(bfs_cases())
+def test_bfs_path_matches_the_sorted_neighbours_bfs(case):
+    def outcome(bfs):
+        try:
+            return bfs(*case)
+        except RoutingError as exc:
+            return f"RoutingError: {exc}"
+
+    assert outcome(router._bfs_path) == outcome(_sorted_neighbours_bfs)
 
 
 def test_non_injective_start_mapping_rejected():

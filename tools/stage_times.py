@@ -12,12 +12,13 @@ take turns: each does one untimed run, then ``--runs`` timed runs, the parent
 and the change alternating which goes first, so the two runs of a pair are
 timed within one command's time of each other and a shift in host speed
 between processes moves both. Every run follows ``gc.collect()`` and
-discards stdout. A command ending in ``--out`` is given a file in a
+captures stdout. A command ending in ``--out`` is given a file in a
 temporary directory.
 
 The stages are timed by wrapping what ``cli.main`` calls: emit
 (``full_multiplier_schedule``, called by the CLI or by ``router.compare``),
-replay (``validate_schedule``), oracle (``classical_run``), lower
+route (``router.greedy_route``, called by ``router.compare``), replay
+(``validate_schedule``), oracle (``classical_run``), lower
 (``decomp.lower_schedule``), extract (``extract_ls``), validate
 (``validate_ls``) and write (the CLI's ``_write``, which makes the JSON text
 as it writes it). ``whole_command`` is ``cli.main`` timed whole. ``gc_ms``
@@ -26,7 +27,8 @@ and the collections per generation come from a ``gc.callbacks`` hook.
 
 Prints one JSON object: per command and side the median of every stage over
 all timed runs, the median ``ru_maxrss_mb`` over the processes, and the
-sha256 of the written artifact (one value per side, or a list if runs differ);
+sha256 of the written artifact, or of the last run's stdout for a command
+without ``--out`` (one value per side, or a list if processes differ);
 per command, ``parent_over_change`` is the median over the timed pairs of
 parent time over change time, for every stage the change spends time in.
 """
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import io
 import json
 import os
 import resource
@@ -46,7 +49,7 @@ import tempfile
 from statistics import median
 from time import perf_counter
 
-STAGES = ("emit", "replay", "oracle", "lower", "extract", "validate", "write")
+STAGES = ("emit", "route", "replay", "oracle", "lower", "extract", "validate", "write")
 COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out")
 
 
@@ -70,6 +73,7 @@ def _child(argv: list[str]) -> None:
 
     cli.full_multiplier_schedule = timed("emit", cli.full_multiplier_schedule)
     router.full_multiplier_schedule = timed("emit", router.full_multiplier_schedule)
+    router.greedy_route = timed("route", router.greedy_route)
     cli.validate_schedule = timed("replay", cli.validate_schedule)
     cli.classical_run = timed("oracle", cli.classical_run)
     decomp.lower_schedule = timed("lower", decomp.lower_schedule)
@@ -88,36 +92,37 @@ def _child(argv: list[str]) -> None:
             collections[info["generation"]] += 1
 
     answer = sys.stdout
+    output = b""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         args = [*argv, out] if argv[-1] == "--out" else argv
-        with open(os.devnull, "w") as devnull:
-            for _line in sys.stdin:
-                gc.collect()
-                for stage in spent:
-                    spent[stage] = 0.0
-                collections[:] = [0, 0, 0]
-                gc_time[0] = 0.0
-                sys.stdout = devnull
-                gc.callbacks.append(on_gc)
-                start = perf_counter()
-                try:
-                    rc = cli.main(args)
-                finally:
-                    whole = perf_counter() - start
-                    gc.callbacks.remove(on_gc)
-                    sys.stdout = answer
-                if rc != 0:
-                    raise SystemExit(f"{' '.join(args)} exited {rc}")
-                sample = {stage: s * 1e3 for stage, s in spent.items()} | {
-                    "whole_command": whole * 1e3, "gc_ms": gc_time[0] * 1e3,
-                    "gen0": collections[0], "gen1": collections[1], "gen2": collections[2],
-                }
-                print(json.dumps(sample), flush=True)
-        sha = None
+        for _line in sys.stdin:
+            gc.collect()
+            for stage in spent:
+                spent[stage] = 0.0
+            collections[:] = [0, 0, 0]
+            gc_time[0] = 0.0
+            sys.stdout = io.StringIO()
+            gc.callbacks.append(on_gc)
+            start = perf_counter()
+            try:
+                rc = cli.main(args)
+            finally:
+                whole = perf_counter() - start
+                gc.callbacks.remove(on_gc)
+                output = sys.stdout.getvalue().encode()
+                sys.stdout = answer
+            if rc != 0:
+                raise SystemExit(f"{' '.join(args)} exited {rc}")
+            sample = {stage: s * 1e3 for stage, s in spent.items()} | {
+                "whole_command": whole * 1e3, "gc_ms": gc_time[0] * 1e3,
+                "gen0": collections[0], "gen1": collections[1], "gen2": collections[2],
+            }
+            print(json.dumps(sample), flush=True)
         if os.path.exists(out):
             with open(out, "rb") as f:
-                sha = hashlib.sha256(f.read()).hexdigest()
+                output = f.read()
+    sha = hashlib.sha256(output).hexdigest()
     maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({"sha256": sha, "ru_maxrss_mb": maxrss_mb}), flush=True)
 
