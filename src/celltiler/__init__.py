@@ -7,7 +7,7 @@ lattice-surgery instruction streams, and benchmarks the tiled schedules
 against a greedy baseline router.
 """
 
-from celltiler.lattice import Site, Lattice, grid, adjacent
+from celltiler.lattice import Site, Lattice, grid
 from celltiler.circuit import (
     Gate,
     GateKind,
@@ -33,7 +33,7 @@ from celltiler.lsx import extract_ls, validate_ls, LSProgram
 from celltiler.router import greedy_route, compare
 
 __all__ = [
-    "Site", "Lattice", "grid", "adjacent",
+    "Site", "Lattice", "grid",
     "Gate", "GateKind", "Schedule", "DepthPolicy", "POLICIES",
     "depth", "t_metrics", "swap_metrics",
     "Tile", "Placement", "Layout", "toffoli_cube", "tdepth2_tile", "and_tile", "tile_supports",

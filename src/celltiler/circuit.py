@@ -67,8 +67,6 @@ class GateKind(Enum):
         return member
 
 
-ARITY = {kind: kind.arity for kind in GateKind}
-
 SINGLE_QUBIT_CLIFFORD = {GateKind.H, GateKind.S, GateKind.SDAG}
 T_KINDS = {GateKind.T, GateKind.TDAG}
 
@@ -352,25 +350,19 @@ def depth(schedule: Schedule, policy: DepthPolicy = POLICIES["strict"]) -> int:
     return total
 
 
+def _counted(moments: Iterable[list[Gate]], kinds=(GateKind.SWAP,), skip_tag="storage") -> tuple[int, int]:
+    """(gates of ``kinds`` not tagged ``skip_tag``, moments holding any of
+    them). The defaults are the one rule for which SWAPs count: every SWAP
+    not tagged ``storage``."""
+    per = [sum(1 for g in m if g.kind in kinds and skip_tag not in g.tags) for m in moments]
+    return sum(per), len(per) - per.count(0)
+
+
 def t_metrics(schedule: Schedule) -> tuple[int, int]:
     """(t_count, t_depth): T/Tdag gate count and moments holding any of them."""
-    count = 0
-    moments = 0
-    for m in schedule.moments:
-        here = sum(1 for g in m if g.kind in T_KINDS)
-        count += here
-        if here:
-            moments += 1
-    return count, moments
+    return _counted(schedule.moments, T_KINDS, None)
 
 
 def swap_metrics(schedule: Schedule) -> tuple[int, int]:
     """(swap_count, swap_depth) over SWAPs not tagged ``storage``."""
-    count = 0
-    depth_ = 0
-    for m in schedule.moments:
-        here = sum(1 for g in m if g.kind is GateKind.SWAP and not g.is_storage())
-        count += here
-        if here:
-            depth_ += 1
-    return count, depth_
+    return _counted(schedule.moments)

@@ -88,7 +88,7 @@ def _packed(values: list[int], k: int) -> int:
 
 def _cmd_verify(args) -> int:
     target = args.target
-    if target.isdigit():
+    if target.isdecimal():
         n = int(target)
         if n < 1:
             print("operand width must be >= 1", file=sys.stderr)

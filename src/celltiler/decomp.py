@@ -190,14 +190,16 @@ def lower_schedule(schedule: Schedule) -> Schedule:
     Toffoli operands keep their labels; each expansion draws fresh ancilla
     wires from a shared pool so supports in one moment never collide. A CCZ
     is the Toffoli conjugated by H on its target, so its template is the
-    Toffoli template without the two ``H(t)`` gates. A gate that one
-    expansion repeats (a template's compute and uncompute CNOTs, a SWAP's
-    first and third CNOT) is one shared immutable :class:`Gate`.
+    Toffoli template without the two ``H(t)`` gates. Each SWAP gate object
+    is expanded once, and a gate repeated within or across expansions (a
+    template's compute and uncompute CNOTs, a SWAP's first and third CNOT,
+    the CNOTs of a recurring SWAP) is one shared immutable :class:`Gate`.
     """
     toffoli = toffoli_tdepth2().moments
     h_t = gate(K.H, "t")
     ccz = [[h for h in m if h != h_t] for m in toffoli]
     templates = {GateKind.TOFFOLI: _shared_template(toffoli), GateKind.CCZ: _shared_template(ccz)}
+    triples: dict[int, list[list[Gate]]] = {}  # id of a SWAP gate -> its CNOT moments
     out = Schedule()
     pool = 0
     for moment in schedule.moments:
@@ -212,9 +214,11 @@ def lower_schedule(schedule: Schedule) -> Schedule:
                          for kind, idx, cond, tags in gates]
                 pending.append([[built[i] for i in m] for m in moments])
             elif g.kind is GateKind.SWAP:
-                a, b = g.operands
-                ab = Gate(GateKind.CNOT, (a, b), tags=g.tags)
-                pending.append([[ab], [Gate(GateKind.CNOT, (b, a), tags=g.tags)], [ab]])
+                if id(g) not in triples:
+                    a, b = g.operands
+                    ab = Gate(GateKind.CNOT, (a, b), tags=g.tags)
+                    triples[id(g)] = [[ab], [Gate(GateKind.CNOT, (b, a), tags=g.tags)], [ab]]
+                pending.append(triples[id(g)])
             else:
                 simple.append(g)
         if simple:

@@ -50,30 +50,18 @@ class Lattice:
                 for z in range(self.dz):
                     yield Site(x, y, z)
 
-    def check(self, site: Site) -> Site:
+    def check(self, site: Site) -> None:
         if site not in self:
             raise ValueError(f"site {tuple(site)} outside lattice {self.dims}")
-        return site
-
-    @cached_property
-    def _neighbour_table(self) -> dict[Site, tuple[Site, ...]]:
-        table = {}
-        for s in self.sites():
-            cands = (Site(s.x + dx, s.y + dy, s.z + dz) for dx, dy, dz in _STEPS)
-            table[s] = tuple(c for c in cands if c in self)
-        return table
 
     @cached_property
     def sorted_neighbours(self) -> dict[Site, tuple[Site, ...]]:
         """Site -> its in-lattice nearest neighbours as one sorted tuple."""
-        return {s: tuple(sorted(nbs)) for s, nbs in self._neighbour_table.items()}
-
-    def neighbours(self, site: Site) -> list[Site]:
-        """In-lattice nearest neighbours in axis order +x, -x, +y, -y, +z, -z."""
-        nbs = self._neighbour_table.get(site)
-        if nbs is None:
-            self.check(site)
-        return list(nbs)
+        table = {}
+        for s in self.sites():
+            cands = (Site(s.x + dx, s.y + dy, s.z + dz) for dx, dy, dz in _STEPS)
+            table[s] = tuple(sorted(c for c in cands if c in self))
+        return table
 
 
 def grid(dx: int, dy: int, dz: int = 1) -> Lattice:
@@ -82,9 +70,3 @@ def grid(dx: int, dy: int, dz: int = 1) -> Lattice:
         raise ValueError(f"lattice dimensions must be positive, got ({dx}, {dy}, {dz})")
     return Lattice(dx, dy, dz)
 
-
-def adjacent(lattice: Lattice, a: Site, b: Site) -> bool:
-    """True iff the two sites are distinct nearest neighbours."""
-    lattice.check(a)
-    lattice.check(b)
-    return a.manhattan(b) == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Container, Hashable
 
+from celltiler.cells import Layout
 from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, swap_metrics
 from celltiler.lattice import Lattice, Site
 from celltiler.scheduler import full_multiplier_schedule
@@ -150,10 +151,10 @@ def logical_multiplier_circuit(n: int) -> Schedule:
     return sched
 
 
-def routing_mapping(n: int) -> dict[Hashable, Site]:
-    """Initial placement handed to the baseline: the tiled layout's register
-    seats plus deterministic seats for the carry ancillae."""
-    layout = build_multiplier_layout(n)
+def routing_mapping(layout: Layout) -> dict[Hashable, Site]:
+    """Initial placement handed to the baseline: the tiled multiplier layout's
+    register seats plus deterministic seats for the carry ancillae."""
+    n = len(layout.placements)
     spec = RegisterSpec.for_width(n)
     data = set(spec.all_data())
     mapping = {label: site for label, site in initial_mapping(layout, spec).items()
@@ -175,7 +176,7 @@ def compare(n_range) -> list[dict]:
         tiled, _ = full_multiplier_schedule(n)
         t_c, t_d = swap_metrics(tiled)
         routed, _ = greedy_route(
-            logical_multiplier_circuit(n), layout.lattice, routing_mapping(n)
+            logical_multiplier_circuit(n), layout.lattice, routing_mapping(layout)
         )
         r_c, r_d = swap_metrics(routed)
         rows.append(

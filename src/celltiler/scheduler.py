@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Hashable, Iterator
 
 from celltiler.cells import Layout
-from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
+from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, _counted
 from celltiler.lattice import Site
 from celltiler.tiler import (
     E, L, N, S, YELLOW, MAGENTA,
@@ -211,9 +211,7 @@ class _Board:
         entry of :data:`STEP_SWAPS`."""
         if self.spacer_debt:
             raise ScheduleError(f"unplaced spacer swaps: {self.spacer_debt}")
-        own = self.sched.moments[self.step_start:]  # swap_metrics of the step's own moments
-        counted = [sum(1 for g in m if g.kind is K.SWAP and not g.is_storage()) for m in own]
-        count, depth_ = sum(counted), len(counted) - counted.count(0)
+        count, depth_ = _counted(self.sched.moments[self.step_start:])
         budget, depth_budget = STEP_SWAPS[kind](self.spec.n)
         if (count, depth_) != (budget, depth_budget):
             raise ScheduleError(
@@ -230,6 +228,11 @@ def _alone(layout: Layout, mapping: dict, kind: str, emit: Callable) -> tuple[Sc
     emit(board)
     board.finish(kind)
     return board.sched, board.occ.mapping()
+
+
+def _spread(k: int, moments: int) -> list[int]:
+    """``k`` spacers over ``moments`` moments, as even as can be, earlier ones first."""
+    return [k // moments + (i < k % moments) for i in range(moments)]
 
 
 def _shift_target(p: int) -> Site:
@@ -269,11 +272,8 @@ def _toffoli_moves(board: _Board, optimize_depth: bool) -> None:
 
     # under the depth optimisation the tail keeps only its serial control
     # hops, so the tail padding spreads over the per-cube moments instead
-    slots = STEP_SWAPS["toffoli-opt"](n)[1]
-    extra = [0] * slots
-    if optimize_depth:
-        for i in range(sum(spacers for _pairs, spacers in tail)):
-            extra[i % slots] += 1
+    moved = sum(spacers for _pairs, spacers in tail) if optimize_depth else 0
+    extra = _spread(moved, STEP_SWAPS["toffoli-opt"](n)[1])
 
     for p in range(n - 1):
         board.fire(L(p), E(p), fourth(p))
@@ -405,9 +405,9 @@ def _reset_moves(board: _Board, j: int) -> None:
         [(L(z), L(z + 1)) for z in odds],
         [(L(z + 1), col(z + 1)) for z in odds],
     ]
-    base, rest = divmod(STEP_SWAPS["reset"](n)[0] - sum(map(len, rounds)), len(rounds))
-    for r, pairs in enumerate(rounds):
-        board.moment(*pairs, spacers=base + (1 if r < rest else 0))
+    spacers = _spread(STEP_SWAPS["reset"](n)[0] - sum(map(len, rounds)), len(rounds))
+    for pairs, k in zip(rounds, spacers):
+        board.moment(*pairs, spacers=k)
 
 
 def full_multiplier_schedule(

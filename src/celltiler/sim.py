@@ -223,21 +223,13 @@ class EquivReport:
     detail: str = ""
 
 
-_REFERENCES = {"toffoli": 3, "ccz": 3, "cs": 2, "and": 3}  # name -> data wires
-
-
-def _expected(reference: str, bits: tuple[int, ...]) -> tuple[tuple[int, ...], complex]:
-    if reference == "toffoli":
-        a, b, t = bits
-        return (a, b, t ^ (a & b)), 1.0
-    if reference == "ccz":
-        a, b, c = bits
-        return bits, (-1.0) ** (a & b & c)
-    if reference == "cs":
-        a, b = bits
-        return bits, 1j ** (a & b)
-    a, b, _ = bits  # and
-    return (a, b, a & b), 1.0
+# name -> (data wires, map of the data input bits to (output bits, phase))
+_REFERENCES = {
+    "toffoli": (3, lambda a, b, t: ((a, b, t ^ (a & b)), 1.0)),
+    "ccz": (3, lambda a, b, c: ((a, b, c), (-1.0) ** (a & b & c))),
+    "cs": (2, lambda a, b: ((a, b), 1j ** (a & b))),
+    "and": (3, lambda a, b, _t: ((a, b, a & b), 1.0)),
+}
 
 
 def assert_equiv(
@@ -249,7 +241,8 @@ def assert_equiv(
     """Check the schedule acts as the named gate on the data wires, in one run.
 
     ``reference`` is a key of :data:`_REFERENCES`, which gives the number of
-    distinct ``data_wires`` it acts on; anything else raises ValueError.
+    distinct ``data_wires`` it acts on and its action on their basis states;
+    anything else raises ValueError.
     Two prepended moments, H on each reference wire and then a CNOT from it
     onto its data wire, entangle every swept data wire with a private
     reference wire, so one run carries every data basis input with all
@@ -261,8 +254,9 @@ def assert_equiv(
     """
     if reference not in _REFERENCES:
         raise ValueError(f"unknown reference {reference!r} (expected one of {tuple(_REFERENCES)})")
-    if not len(data_wires) == len(set(data_wires)) == _REFERENCES[reference]:
-        raise ValueError(f"{reference} needs {_REFERENCES[reference]} distinct data wires, got {data_wires!r}")
+    arity, expect = _REFERENCES[reference]
+    if not len(data_wires) == len(set(data_wires)) == arity:
+        raise ValueError(f"{reference} needs {arity} distinct data wires, got {data_wires!r}")
     swept = data_wires[:-1] if reference == "and" else data_wires
     refs = [object() for _ in swept]
     wires = schedule.wires()
@@ -271,7 +265,7 @@ def assert_equiv(
 
     expected: dict[int, complex] = {}
     for bits in itertools.product((0, 1), repeat=len(swept)):
-        out_bits, ref_phase = _expected(reference, bits + (0,) * (len(data_wires) - len(swept)))
+        out_bits, ref_phase = expect(*bits, *(0,) * (len(data_wires) - len(swept)))
         key = sum(b << bit[w] for w, b in [*zip(data_wires, out_bits), *zip(refs, bits)])
         expected[key] = ref_phase / math.sqrt(2 ** len(swept))
 

@@ -5,7 +5,6 @@ from hypothesis import example, given, strategies as st
 
 from celltiler import decomp
 from celltiler.circuit import (
-    ARITY,
     POLICIES,
     Gate,
     GateKind,
@@ -167,7 +166,7 @@ WIRES = ("q0", "q1", "q2", "q3", Site(0, 0, 0), Site(0, 0, 1))
 PACK_KINDS = (K.H, K.T, K.CNOT, K.SWAP, K.TOFFOLI)
 
 gates_st = st.sampled_from(PACK_KINDS).flatmap(
-    lambda kind: st.permutations(WIRES).map(lambda ws: Gate(kind, tuple(ws[: ARITY[kind]])))
+    lambda kind: st.permutations(WIRES).map(lambda ws: Gate(kind, tuple(ws[: kind.arity])))
 )
 ops_st = st.lists(
     st.one_of(
@@ -274,7 +273,7 @@ operand_st = st.one_of(
     st.sampled_from([True, 2.5, ("é", 3)]),
 )
 any_gate_st = st.builds(
-    lambda kind, ops, condition, tags: Gate(kind, tuple(ops[: ARITY[kind]]), condition, tags),
+    lambda kind, ops, condition, tags: Gate(kind, tuple(ops[: kind.arity]), condition, tags),
     st.sampled_from(list(GateKind)),
     st.lists(operand_st, min_size=3, max_size=3, unique=True),
     st.one_of(st.none(), st.integers(-5, 50), st.just(False)),
@@ -338,7 +337,7 @@ roundtrip_operand_st = st.one_of(
     st.sampled_from([(("a", 1), 2), ((),)]),
 )
 roundtrip_gate_st = st.builds(
-    lambda kind, ops: Gate(kind, tuple(ops[: ARITY[kind]])),
+    lambda kind, ops: Gate(kind, tuple(ops[: kind.arity])),
     st.sampled_from(list(GateKind)),
     st.lists(roundtrip_operand_st, min_size=3, max_size=3, unique=True),
 )

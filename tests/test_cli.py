@@ -141,6 +141,19 @@ def test_verify_unknown_target(capsys):
     _assert_clean_usage_error(capsys)
 
 
+def test_verify_superscript_digit_is_an_unknown_target(capsys):
+    # "²".isdigit() holds but int("²") raises: the target is no width
+    assert main(["verify", "²"]) == 2
+    err = capsys.readouterr().err
+    assert err == "unknown verification target '²'\n"
+    assert "invalid literal" not in err
+
+
+def test_verify_reads_a_fullwidth_width(capsys):
+    assert main(["verify", "\uff14"]) == 0
+    assert capsys.readouterr().out == "256/256 products correct\n"
+
+
 def test_compare_writes_csv(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "2", "3", "--csv", str(out)]) == 0

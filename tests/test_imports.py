@@ -1,8 +1,8 @@
 """Every name a module of the package or a test file imports is used in that
 file, every function parameter of the package or a test file is read in its
-function, every top-level name the package defines is read somewhere,
-importing the package loads no numpy, and only the CLI touches the garbage
-collector."""
+function, every top-level name and every method the package defines is read
+somewhere, importing the package loads no numpy, and only the CLI touches the
+garbage collector."""
 
 import ast
 import os
@@ -106,17 +106,36 @@ def top_level_names(source: str) -> list[str]:
     return names
 
 
+def methods(source: str) -> list[tuple[str, str]]:
+    """``(class, method)`` for each ``def`` in the body of a top-level class."""
+    return [
+        (node.name, item.name)
+        for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """``module.name`` for each top-level name of a package module that is
     read neither in its own module, nor through a by-name import from it, nor
-    as ``module.name`` in a reader; dunders are exempt."""
+    as ``module.name`` in a reader; and ``module.Class.method`` for each
+    method that no module or reader reads as an attribute ``x.method``.
+    Dunders are exempt."""
     read = set()
-    for source in readers:
+    attrs = set()
+    for source in [*readers, *modules.values()]:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("celltiler."):
                 read.update((node.module.split(".")[-1], alias.name) for alias in node.names)
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                read.add((node.value.id, node.attr))
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name):
+                    read.add((node.value.id, node.attr))
+                if isinstance(node.ctx, ast.Load):
+                    attrs.add(node.attr)
     found = []
     for module, source in modules.items():
         loads = {
@@ -124,19 +143,28 @@ def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
         }
         for name in top_level_names(source):
-            dunder = name.startswith("__") and name.endswith("__")
-            if not dunder and name not in loads and (module, name) not in read:
+            if not _dunder(name) and name not in loads and (module, name) not in read:
                 found.append(f"{module}.{name}")
+        found += [f"{module}.{cls}.{m}" for cls, m in methods(source) if not _dunder(m) and m not in attrs]
     return found
 
 
 def test_definition_checker_flags_unread_and_accepts_read():
     modules = {
         "m": "A = 1\nB, C = 2, 3\nD: int = A\n__all__ = []\ndef f(): pass\nclass K: pass\n",
-        "n": "def g(): pass\n",
+        "n": (
+            "def g(): pass\n"
+            "class J:\n"
+            "    def __len__(self): pass\n"
+            "    def used(self): pass\n"
+            "    def stored(self): pass\n"
+            "    def unread(self): pass\n"
+            "    def own(self): return self.used()\n"
+            "J.stored = None\n"
+        ),
     }
-    readers = ["from celltiler.m import B\n", "from celltiler import m\nm.f()\n", "import n\n"]
-    assert unread_definitions(modules, readers) == ["m.C", "m.D", "m.K", "n.g"]
+    readers = ["from celltiler.m import B\n", "from celltiler import m\nm.f()\n", "import n\nn.J().own\n"]
+    assert unread_definitions(modules, readers) == ["m.C", "m.D", "m.K", "n.g", "n.J.stored", "n.J.unread"]
 
 
 def test_every_definition_is_read():

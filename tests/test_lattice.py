@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from celltiler.lattice import Site, adjacent, grid
+from celltiler.lattice import Site, grid
 
 
 def test_grid_sizes():
@@ -22,17 +22,19 @@ def test_dimensionality():
     assert grid(2, 2, 2).dimensionality == 3
 
 
+def _axis_order_neighbours(lat, s):
+    """The in-lattice nearest neighbours of ``s`` in axis order +x, -x, +y,
+    -y, +z, -z, bounds-checked against the dimensions."""
+    steps = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+    cands = (Site(s.x + dx, s.y + dy, s.z + dz) for dx, dy, dz in steps)
+    return [c for c in cands if all(0 <= v < d for v, d in zip(c, lat.dims))]
+
+
 def test_adjacent_basics():
-    lat = grid(3, 3, 3)
-    assert adjacent(lat, Site(0, 0, 0), Site(1, 0, 0))
-    assert not adjacent(lat, Site(0, 0, 0), Site(1, 1, 0))
-    assert not adjacent(lat, Site(0, 0, 0), Site(0, 0, 0))
-
-
-def test_adjacent_out_of_bounds():
-    lat = grid(2, 2, 2)
-    with pytest.raises(ValueError):
-        adjacent(lat, Site(0, 0, 0), Site(2, 0, 0))
+    nbs = grid(3, 3, 3).sorted_neighbours[Site(0, 0, 0)]
+    assert Site(1, 0, 0) in nbs
+    assert Site(1, 1, 0) not in nbs
+    assert Site(0, 0, 0) not in nbs
 
 
 @given(
@@ -40,41 +42,20 @@ def test_adjacent_out_of_bounds():
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
 )
 def test_adjacency_symmetric(a, b):
-    lat = grid(4, 4, 4)
+    table = grid(4, 4, 4).sorted_neighbours
     sa, sb = Site(*a), Site(*b)
-    assert adjacent(lat, sa, sb) == adjacent(lat, sb, sa)
+    assert (sb in table[sa]) == (sa in table[sb]) == (sa.manhattan(sb) == 1)
 
 
 def test_interior_neighbour_counts():
-    lat3 = grid(3, 3, 3)
-    assert len(lat3.neighbours(Site(1, 1, 1))) == 6
-    lat2 = grid(3, 3)
-    assert len(lat2.neighbours(Site(1, 1, 0))) == 4
-
-
-def _axis_order_neighbours(lat, s):
-    steps = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
-    cands = (Site(s.x + dx, s.y + dy, s.z + dz) for dx, dy, dz in steps)
-    return [c for c in cands if c in lat]
+    assert len(grid(3, 3, 3).sorted_neighbours[Site(1, 1, 1)]) == 6
+    assert len(grid(3, 3).sorted_neighbours[Site(1, 1, 0)]) == 4
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3), (2, 3, 5), (3, 3, 3), (4, 1, 2)])
 def test_neighbours_axis_order(dims):
+    # the one table holds every site, each with the sorted axis-order neighbours
     lat = grid(*dims)
+    assert sorted(lat.sorted_neighbours) == sorted(lat.sites())
     for s in lat.sites():
-        assert lat.neighbours(s) == _axis_order_neighbours(lat, s)
-
-
-def test_neighbours_rejects_outside_site():
-    lat = grid(2, 3, 4)
-    for s in (Site(2, 0, 0), Site(0, -1, 0), Site(0, 0, 4)):
-        with pytest.raises(ValueError):
-            lat.neighbours(s)
-
-
-def test_neighbours_returns_a_copy():
-    lat = grid(3, 3, 3)
-    got = lat.neighbours(Site(1, 1, 1))
-    got.clear()
-    got.append(Site(0, 0, 0))
-    assert lat.neighbours(Site(1, 1, 1)) == _axis_order_neighbours(lat, Site(1, 1, 1))
+        assert lat.sorted_neighbours[s] == tuple(sorted(_axis_order_neighbours(lat, s)))

@@ -44,8 +44,9 @@ def test_single_cnot_distance_d(d):
 
 def test_router_deterministic():
     circ = logical_multiplier_circuit(2)
-    lat = build_multiplier_layout(2).lattice
-    m0 = routing_mapping(2)
+    layout = build_multiplier_layout(2)
+    lat = layout.lattice
+    m0 = routing_mapping(layout)
     one, _ = greedy_route(circ, lat, m0)
     two, _ = greedy_route(circ, lat, m0)
     assert one.to_json() == two.to_json()
@@ -68,7 +69,7 @@ def test_routed_circuit_still_multiplies():
     n = 2
     spec = RegisterSpec.for_width(n)
     layout = build_multiplier_layout(n)
-    m0 = routing_mapping(n)
+    m0 = routing_mapping(layout)
     routed, _ = greedy_route(logical_multiplier_circuit(n), layout.lattice, m0)
     for a in range(4):
         for b in range(4):
@@ -83,7 +84,7 @@ def test_routed_circuit_sampled_n3():
     n = 3
     spec = RegisterSpec.for_width(n)
     layout = build_multiplier_layout(n)
-    m0 = routing_mapping(n)
+    m0 = routing_mapping(layout)
     routed, _ = greedy_route(logical_multiplier_circuit(n), layout.lattice, m0)
     for a, b in [(0, 0), (1, 7), (5, 3), (7, 7), (6, 5)]:
         bits = {spec.a[i]: (a >> i) & 1 for i in range(n)}
@@ -96,7 +97,7 @@ def test_routed_circuit_sampled_n3():
 def test_routed_passes_chain_validation():
     n = 2
     layout = build_multiplier_layout(n)
-    m0 = routing_mapping(n)
+    m0 = routing_mapping(layout)
     routed, _ = greedy_route(logical_multiplier_circuit(n), layout.lattice, m0)
     report = validate_schedule(layout, m0, routed, toffoli_rule="chain")
     assert report.ok, report.violations[:5]
@@ -166,22 +167,24 @@ def test_compare_csv_golden():
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_ROUTED_SHA256))
 def test_routed_schedule_golden(n):
-    routed, final = greedy_route(
-        logical_multiplier_circuit(n), build_multiplier_layout(n).lattice, routing_mapping(n)
-    )
+    layout = build_multiplier_layout(n)
+    routed, final = greedy_route(logical_multiplier_circuit(n), layout.lattice, routing_mapping(layout))
     assert hashlib.sha256(routed.to_json().encode()).hexdigest() == GOLDEN_ROUTED_SHA256[n]
     text = json.dumps({label: list(site) for label, site in final.items()}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_FINAL_MAPPING_SHA256[n]
 
 
 def _sorted_neighbours_bfs(lattice, src, goals, forbidden):
-    """The router's BFS as first written: each expansion sorts
-    ``lattice.neighbours(cur)``."""
+    """The router's BFS as first written, each expansion sorting the in-bounds
+    sites one step from ``cur`` along an axis, found here without the
+    lattice's own neighbour table."""
+    steps = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
     parent = {src: None}
     queue = deque([src])
     while queue:
         cur = queue.popleft()
-        for nb in sorted(lattice.neighbours(cur)):
+        cands = (Site(*(c + d for c, d in zip(cur, step))) for step in steps)
+        for nb in sorted(c for c in cands if all(0 <= v < d for v, d in zip(c, lattice.dims))):
             if nb in parent or nb in forbidden:
                 continue
             parent[nb] = cur
@@ -221,6 +224,11 @@ def test_non_injective_start_mapping_rejected():
     mapping = {"a": Site(0, 0, 0), "b": Site(1, 0, 0), "c": Site(0, 0, 0)}
     with pytest.raises(ValueError, match="not injective"):
         greedy_route(Schedule([[gate("cnot", "a", "b")]]), lat, mapping)
+
+
+def test_route_rejects_a_start_site_outside_the_lattice():
+    with pytest.raises(ValueError, match=r"^site \(0, 0, 2\) outside lattice \(1, 1, 2\)$"):
+        greedy_route(Schedule(), grid(1, 1, 2), {"a": Site(0, 0, 2)})
 
 
 def test_route_rejects_more_labels_than_sites():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from celltiler import cli, decomp, sim
-from celltiler.circuit import ARITY, GateKind, Schedule, gate
+from celltiler.circuit import GateKind, Schedule, gate
 from celltiler.scheduler import full_multiplier_schedule
 from celltiler.sim import (
     MAX_TERMS,
@@ -304,7 +304,7 @@ CLASSICAL_KINDS = {K.X, K.CNOT, K.TOFFOLI, K.SWAP}
 
 @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
 def test_every_kind_is_run_or_rejected(kind):
-    ops = [f"w{i}" for i in range(ARITY[kind])]
+    ops = [f"w{i}" for i in range(kind.arity)]
     g = gate(kind, *ops, condition=0 if kind is K.CC_CZ else None)
     # record 0 comes from a Z measurement on a wire of its own
     try:
@@ -362,14 +362,14 @@ def test_apply_gate_matches_dense_reference(kind):
         ax = {f"w{i}": i for i in range(n)}
         # every ordered choice of operand axes, so controls sit both above
         # and below the target
-        for axes in itertools.permutations(range(n), ARITY[kind]):
+        for axes in itertools.permutations(range(n), kind.arity):
             below |= any(c < axes[-1] for c in axes[:-1])
             above |= any(c > axes[-1] for c in axes[:-1])
             psi = _random_state(rng, n)
             got = dense(_apply_gate(sparse(psi), gate(kind, *(f"w{a}" for a in axes)), ax), n)
             want = _apply_dense(psi, REFERENCE_UNITARIES[kind], axes)
             assert np.max(np.abs(got - want)) < 1e-12, (n, axes)
-    assert ARITY[kind] == 1 or (below and above)
+    assert kind.arity == 1 or (below and above)
 
 
 def _projector_measure(psi: np.ndarray, axis: int, x_basis: bool):
@@ -448,7 +448,7 @@ def unitary_circuits(draw):
     each as (kind, operand axes)."""
     n = draw(st.integers(3, 6))
     kinds = draw(st.lists(st.sampled_from(sorted(REFERENCE_UNITARIES, key=lambda k: k.value)), max_size=40))
-    gates = [(kind, tuple(draw(st.permutations(range(n)))[: ARITY[kind]])) for kind in kinds]
+    gates = [(kind, tuple(draw(st.permutations(range(n)))[: kind.arity])) for kind in kinds]
     return draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), gates
 
 
