@@ -67,8 +67,10 @@ class GateKind(Enum):
         return member
 
 
-SINGLE_QUBIT_CLIFFORD = {GateKind.H, GateKind.S, GateKind.SDAG}
-T_KINDS = {GateKind.T, GateKind.TDAG}
+# tuples: a membership test compares members and never hashes an Enum
+SINGLE_QUBIT_CLIFFORD = (GateKind.H, GateKind.S, GateKind.SDAG)
+T_KINDS = (GateKind.T, GateKind.TDAG)
+STORAGE = "storage"  # the tag of a SWAP within one storage queue; it is not counted
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class Gate:
 
     Toffoli/CCZ operands are ordered ``(control, control, target)``; for CCZ the
     split is conventional only. ``condition`` holds the measurement-record index
-    a ``CC_CZ`` is conditioned on. ``tags`` mark bookkeeping such as storage SWAPs.
+    a ``CC_CZ`` is conditioned on. ``tags`` mark bookkeeping such as :data:`STORAGE`.
     """
 
     kind: GateKind
@@ -90,9 +92,6 @@ class Gate:
             raise ValueError(f"{self.kind.value} expects {self.kind.arity} operands, got {len(self.operands)}")
         if len(set(self.operands)) != len(self.operands):
             raise ValueError(f"duplicate operand in {self.kind.value} gate: {self.operands}")
-
-    def is_storage(self) -> bool:
-        return "storage" in self.tags
 
 
 def gate(kind: GateKind | str, *operands, condition: int | None = None, tags: Iterable[str] = ()) -> Gate:
@@ -298,7 +297,6 @@ class DepthPolicy:
     overlap in time.
     """
 
-    name: str
     swap_weight: int = 1
     merge_free_singles: bool = False
     merge_shared_control: bool = False
@@ -312,10 +310,10 @@ class DepthPolicy:
 
 
 POLICIES: dict[str, DepthPolicy] = {
-    "parallel": DepthPolicy("parallel", swap_weight=1, merge_free_singles=True, merge_shared_control=True),
-    "strict": DepthPolicy("strict", swap_weight=1),
-    "swap3": DepthPolicy("swap3", swap_weight=3),
-    "swap2": DepthPolicy("swap2", swap_weight=2),
+    "parallel": DepthPolicy(swap_weight=1, merge_free_singles=True, merge_shared_control=True),
+    "strict": DepthPolicy(swap_weight=1),
+    "swap3": DepthPolicy(swap_weight=3),
+    "swap2": DepthPolicy(swap_weight=2),
 }
 
 
@@ -350,10 +348,10 @@ def depth(schedule: Schedule, policy: DepthPolicy = POLICIES["strict"]) -> int:
     return total
 
 
-def _counted(moments: Iterable[list[Gate]], kinds=(GateKind.SWAP,), skip_tag="storage") -> tuple[int, int]:
+def _counted(moments: Iterable[list[Gate]], kinds=(GateKind.SWAP,), skip_tag=STORAGE) -> tuple[int, int]:
     """(gates of ``kinds`` not tagged ``skip_tag``, moments holding any of
     them). The defaults are the one rule for which SWAPs count: every SWAP
-    not tagged ``storage``."""
+    not tagged :data:`STORAGE`."""
     per = [sum(1 for g in m if g.kind in kinds and skip_tag not in g.tags) for m in moments]
     return sum(per), len(per) - per.count(0)
 
@@ -364,5 +362,5 @@ def t_metrics(schedule: Schedule) -> tuple[int, int]:
 
 
 def swap_metrics(schedule: Schedule) -> tuple[int, int]:
-    """(swap_count, swap_depth) over SWAPs not tagged ``storage``."""
+    """(swap_count, swap_depth) over SWAPs not tagged :data:`STORAGE`."""
     return _counted(schedule.moments)

@@ -188,8 +188,8 @@ class _Extractor:
         self.program.steps[s].append(LSInstruction(TRANSVERSAL, (ctrl, tgt), self.instance))
         self.program.transversal_count += 1
 
-    def single(self, patch: str, name: str, rides: bool) -> None:
-        if rides:
+    def single(self, patch: str, name: str) -> None:
+        if name in RIDING_OPS:
             s = self.last_step.get(patch, 0)
             self._ensure(s)
             if name == "h" and patch in self.orientation:
@@ -275,8 +275,7 @@ def extract_ls(
         elif g.kind in (K.CZ, K.CC_CZ):
             ex.ls_cnot(*names, kinds=(MERGE_ZZ, MERGE_ZZ), condition=g.condition)
         else:
-            name = g.kind.value
-            ex.single(names[0], name, rides=name in RIDING_OPS)
+            ex.single(names[0], g.kind.value)
     return ex.program
 
 

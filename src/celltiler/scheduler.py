@@ -23,7 +23,7 @@ from functools import partial
 from typing import Callable, Hashable, Iterator
 
 from celltiler.cells import Layout
-from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, _counted
+from celltiler.circuit import STORAGE, Gate, GateKind, Occupancy, Schedule, _counted
 from celltiler.lattice import Site
 from celltiler.tiler import (
     E, L, N, S, YELLOW, MAGENTA,
@@ -32,7 +32,7 @@ from celltiler.tiler import (
 )
 
 K = GateKind
-_STORAGE, _UNTAGGED = frozenset(("storage",)), frozenset()  # the two SWAP tag sets
+_STORAGE, _UNTAGGED = frozenset((STORAGE,)), frozenset()  # the two SWAP tag sets
 
 
 RESET_SWAP_DEPTH = 5
@@ -502,22 +502,12 @@ def timeline_rows(schedule: Schedule) -> list[dict]:
     """Machine-readable red-bar data: one row per moment containing SWAPs."""
     rows = []
     for mi, moment in enumerate(schedule.moments):
-        swaps = [g for g in moment if g.kind is K.SWAP]
-        if not swaps:
-            continue
-        rows.append(
-            {
-                "moment": mi,
-                "swaps": [
-                    [list(g.operands[0]), list(g.operands[1])]
-                    for g in swaps if not g.is_storage()
-                ],
-                "storage": [
-                    [list(g.operands[0]), list(g.operands[1])]
-                    for g in swaps if g.is_storage()
-                ],
-            }
-        )
+        row = {"moment": mi, "swaps": [], "storage": []}
+        for g in moment:
+            if g.kind is K.SWAP:
+                row["storage" if STORAGE in g.tags else "swaps"].append([list(q) for q in g.operands])
+        if row["swaps"] or row["storage"]:
+            rows.append(row)
     return rows
 
 

@@ -219,7 +219,6 @@ def statevector_run(
 @dataclass
 class EquivReport:
     ok: bool
-    max_deviation: float
     detail: str = ""
 
 
@@ -280,4 +279,4 @@ def assert_equiv(
         phase = cmath.exp(1j * cmath.phase(sum(e.conjugate() * got.get(k, 0) for k, e in expected.items())))
         worst = max(worst, *(abs(got.get(k, 0) - phase * expected.get(k, 0)) for k in got.keys() | expected))
     ok = worst <= tol
-    return EquivReport(ok, worst, "" if ok else f"worst deviation {worst:.3e}")
+    return EquivReport(ok, "" if ok else f"worst deviation {worst:.3e}")

@@ -212,6 +212,33 @@ def test_out_files_equal_to_json(tmp_path):
     assert out.read_bytes() == program.to_json().encode()
 
 
+def _artifact(which):
+    if which == "empty schedule":
+        return Schedule(), "moments"
+    if which == "empty program":
+        return lsx.LSProgram(), "steps"
+    sched, _ = scheduler.full_multiplier_schedule(4)
+    if which == "tiled":
+        return sched, "moments"
+    lowered = decomp.lower_schedule(sched)
+    if which == "lowered":
+        return lowered, "moments"
+    return lsx.extract_ls(lowered, build_multiplier_layout(4), "3d"), "steps"
+
+
+@pytest.mark.parametrize("which", ["tiled", "lowered", "ls", "empty schedule", "empty program"])
+def test_json_chunks_hold_one_row_each(which):
+    # cli._write keeps a multi-MB artifact out of memory only while each
+    # chunk between the head and the tail holds one moment or step
+    artifact, key = _artifact(which)
+    chunks = list(artifact.json_chunks())
+    rows = json.loads(artifact.to_json())[key]
+    assert len(chunks) == len(getattr(artifact, key)) + 2 == len(rows) + 2
+    for chunk, row in zip(chunks[1:-1], rows):
+        assert chunk[0] in "[," and json.loads(chunk[1:]) == row
+    assert "".join(chunks) == artifact.to_json()
+
+
 def test_ls_2d_mode_error(capsys):
     assert main(["ls", "2", "2d"]) == 1
     assert "mode-error" in capsys.readouterr().err

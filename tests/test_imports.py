@@ -1,8 +1,8 @@
 """Every name a module of the package or a test file imports is used in that
 file, every function parameter of the package or a test file is read in its
-function, every top-level name and every method the package defines is read
-somewhere, importing the package loads no numpy, and only the CLI touches the
-garbage collector."""
+function, every top-level name, every method and every annotated class field
+the package defines is read somewhere, importing the package loads no numpy,
+and only the CLI touches the garbage collector."""
 
 import ast
 import os
@@ -106,13 +106,18 @@ def top_level_names(source: str) -> list[str]:
     return names
 
 
-def methods(source: str) -> list[tuple[str, str]]:
-    """``(class, method)`` for each ``def`` in the body of a top-level class."""
-    return [
-        (node.name, item.name)
-        for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
-        for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
+def members(source: str) -> list[tuple[str, str]]:
+    """``(class, name)`` for each ``def`` and each annotated field in the body
+    of a top-level class."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.append((node.name, item.name))
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    found.append((node.name, item.target.id))
+    return found
 
 
 def _dunder(name: str) -> bool:
@@ -122,9 +127,9 @@ def _dunder(name: str) -> bool:
 def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]:
     """``module.name`` for each top-level name of a package module that is
     read neither in its own module, nor through a by-name import from it, nor
-    as ``module.name`` in a reader; and ``module.Class.method`` for each
-    method that no module or reader reads as an attribute ``x.method``.
-    Dunders are exempt."""
+    as ``module.name`` in a reader; and ``module.Class.member`` for each
+    method or annotated field that no module or reader reads as an attribute
+    ``x.member``. Dunders are exempt."""
     read = set()
     attrs = set()
     for source in [*readers, *modules.values()]:
@@ -145,7 +150,7 @@ def unread_definitions(modules: dict[str, str], readers: list[str]) -> list[str]
         for name in top_level_names(source):
             if not _dunder(name) and name not in loads and (module, name) not in read:
                 found.append(f"{module}.{name}")
-        found += [f"{module}.{cls}.{m}" for cls, m in methods(source) if not _dunder(m) and m not in attrs]
+        found += [f"{module}.{cls}.{m}" for cls, m in members(source) if not _dunder(m) and m not in attrs]
     return found
 
 
@@ -155,16 +160,18 @@ def test_definition_checker_flags_unread_and_accepts_read():
         "n": (
             "def g(): pass\n"
             "class J:\n"
+            "    kept: int\n"
+            "    dropped: str = ''\n"
             "    def __len__(self): pass\n"
             "    def used(self): pass\n"
             "    def stored(self): pass\n"
             "    def unread(self): pass\n"
-            "    def own(self): return self.used()\n"
+            "    def own(self): return self.used(), self.kept\n"
             "J.stored = None\n"
         ),
     }
     readers = ["from celltiler.m import B\n", "from celltiler import m\nm.f()\n", "import n\nn.J().own\n"]
-    assert unread_definitions(modules, readers) == ["m.C", "m.D", "m.K", "n.g", "n.J.stored", "n.J.unread"]
+    assert unread_definitions(modules, readers) == ["m.C", "m.D", "m.K", "n.g", "n.J.dropped", "n.J.stored", "n.J.unread"]
 
 
 def test_every_definition_is_read():

@@ -307,9 +307,9 @@ class _LinearScanExtractor(_Extractor):
         self.anc_avail.append(step + 1)
         return f"ls_anc{len(self.anc_avail) - 1}"
 
-    def single(self, patch, name, rides):
-        if rides:
-            return super().single(patch, name, rides)
+    def single(self, patch, name):
+        if name in RIDING_OPS:
+            return super().single(patch, name)
         s = max(self.hard_avail.get(patch, 0), self.last_step.get(patch, -1) + 1)
         self._ensure(s)
         self.last_step[patch] = s
@@ -353,7 +353,7 @@ def test_placement_matches_linear_scan(stream, merge_split_limit, transversal_li
                 elif op == "transversal":
                     ex.transversal(ps[0], ps[1])
                 else:
-                    ex.single(ps[0], op, rides=op == "h")
+                    ex.single(ps[0], op)
         assert validate_ls(fast.program, "3d").ok
     assert fast.program == slow.program
     assert fast.last_step == slow.last_step and fast.hard_avail == slow.hard_avail
@@ -398,7 +398,7 @@ def _reference_extract(schedule, mode, site_map=None):
         elif g.kind in (K.CZ, K.CC_CZ):
             ex.ls_cnot(*names, kinds=(MERGE_ZZ, MERGE_ZZ), condition=g.condition)
         else:
-            ex.single(names[0], g.kind.value, rides=g.kind.value in RIDING_OPS)
+            ex.single(names[0], g.kind.value)
     return ex.program
 
 

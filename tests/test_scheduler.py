@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from celltiler import scheduler
-from celltiler.circuit import Gate, GateKind, Schedule, swap_metrics
+from celltiler.circuit import STORAGE, Gate, GateKind, Schedule, swap_metrics
 from celltiler.lattice import Site
 from celltiler.scheduler import (
     RESET_SWAP_DEPTH,
@@ -228,6 +228,27 @@ def test_timeline_rows_cover_swap_moments():
     assert text.splitlines()
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_timeline_rows_split_swaps_by_queue(n):
+    # an independent split: a SWAP is storage iff its two sites share a queue
+    layout = build_multiplier_layout(n)
+    queue_of = {s: name for name, chain in layout.queues.items() for s in chain}
+    for optimize in (False, True) if n >= 3 else (False,):
+        sched, _ = full_multiplier_schedule(n, optimize_toffoli_depth=optimize)
+        expected = []
+        for mi, moment in enumerate(sched.moments):
+            split = {False: [], True: []}
+            for g in moment:
+                if g.kind is K.SWAP:
+                    a, b = g.operands
+                    split[a in queue_of and queue_of[a] == queue_of.get(b)].append([list(a), list(b)])
+            if split[False] or split[True]:
+                expected.append({"moment": mi, "swaps": split[False], "storage": split[True]})
+        rows = timeline_rows(sched)
+        assert rows == expected, (n, optimize)
+        assert all(list(row) == ["moment", "swaps", "storage"] for row in rows)
+
+
 def test_storage_swaps_stay_inside_queues():
     # storage tags are derived: a SWAP is storage iff both sites share a queue
     for n in range(1, 11):
@@ -240,8 +261,8 @@ def test_storage_swaps_stay_inside_queues():
             if g.kind is K.SWAP:
                 a, b = g.operands
                 same_queue = a in queue_of and queue_of[a] == queue_of.get(b)
-                assert g.is_storage() == same_queue, (n, g)
-                storage += g.is_storage()
+                assert (STORAGE in g.tags) == same_queue, (n, g)
+                storage += STORAGE in g.tags
         assert storage > 0 or n == 1  # n = 1 has no controlled add
 
 
