@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -110,14 +109,30 @@ class LSProgram:
 
 
 class _Extractor:
+    """Places each gate's LS instructions at the earliest step its patches allow.
+
+    Per-patch state, keyed by patch name, and the method that advances it:
+
+    - ``hard_avail``, the first step a new CNOT instance may use: ``single``;
+    - ``last_step``, the latest step that uses the patch: ``_place_two``, ``single``;
+    - ``use`` / ``full``, indexed by transversal?, then patch: the uses per
+      step, and a bitmask of the steps at the limit: ``_place_two``;
+    - ``orientation``, the boundary (``"z"`` or ``"x"``) the patch presents:
+      ``ls_cnot``, and ``single`` for ``h``.
+
+    ``_alloc_anc`` advances the ancilla frontier ``anc_free`` and fills the
+    name cache ``anc_names``, one entry each per ancilla patch. Records are
+    built by ``tuple.__new__``, not by ``LSInstruction``'s generated keyword
+    ``__new__``."""
+
     def __init__(self):
         self.program = LSProgram()
-        self.hard_avail: dict[str, int] = {}  # first step a new instance may use
+        self.hard_avail: dict[str, int] = {}
         self.last_step: dict[str, int] = {}
-        # indexed by transversal?, then patch: uses per step, and a bitmask of full steps
         self.use = (defaultdict(dict), defaultdict(dict))
         self.full: tuple[dict[str, int], dict[str, int]] = ({}, {})
         self.anc_free: list[int] = []  # per ancilla patch: minus its first free step
+        self.anc_names: list[str] = []  # per ancilla patch: its name
         self.orientation: dict[str, str] = {}
         self.instance = 0
 
@@ -133,19 +148,34 @@ class _Extractor:
         limit at step ``t``, so from ``s`` the first step where neither patch
         is full is ``s`` plus the trailing ones of ``(full_a | full_b) >> s``."""
         a, b = patches
+        hard = self.hard_avail
         full = self.full[transversal]
-        s = max(self.hard_avail.get(a, 0), self.hard_avail.get(b, 0))
-        busy = (full.get(a, 0) | full.get(b, 0)) >> s
+        s = hard.get(a, 0)
+        t = hard.get(b, 0)
+        if t > s:
+            s = t
+        full_a = full.get(a, 0)
+        full_b = full.get(b, 0)
+        busy = (full_a | full_b) >> s
         s += (busy ^ (busy + 1)).bit_length() - 1
-        self._ensure(s)
+        steps = self.program.steps
+        while len(steps) <= s:
+            steps.append([])
         limit = TRANSVERSAL_LIMIT if transversal else MERGE_SPLIT_LIMIT
         uses = self.use[transversal]
-        for p in patches:
-            use = uses[p]
-            use[s] = count = use.get(s, 0) + 1
-            if count >= limit:
-                full[p] = full.get(p, 0) | 1 << s
-            self.last_step[p] = max(self.last_step.get(p, 0), s)
+        last = self.last_step
+        use = uses[a]
+        use[s] = count = use.get(s, 0) + 1
+        if count >= limit:
+            full[a] = full_a | 1 << s
+        if s > last.get(a, -1):
+            last[a] = s
+        use = uses[b]
+        use[s] = count = use.get(s, 0) + 1
+        if count >= limit:
+            full[b] = full_b | 1 << s
+        if s > last.get(b, -1):
+            last[b] = s
         return s
 
     def _alloc_anc(self, step: int) -> str:
@@ -157,50 +187,52 @@ class _Extractor:
         ``-step``. So ``bisect_left(anc_free, -step)`` is that lowest index."""
         free = self.anc_free
         i = bisect_left(free, -step)
-        if i < len(free):
-            free[i] = -step - 1
-        else:
-            free.append(-step - 1)
-        return sys.intern(f"{ANCILLA_PREFIX}{i}")  # one string per patch, not per CNOT
+        if i == len(free):  # a new patch: its name is made once, not per CNOT
+            free.append(0)
+            self.anc_names.append(f"{ANCILLA_PREFIX}{i}")
+        free[i] = -step - 1
+        return self.anc_names[i]
 
     def ls_cnot(self, ctrl: str, tgt: str, kinds=(MERGE_ZZ, MERGE_XX), condition=None) -> None:
         i = self.instance = self.instance + 1
-        s = self._place_two((ctrl, tgt), transversal=False)
+        s = self._place_two((ctrl, tgt), False)
         anc = self._alloc_anc(s)
-        step = self.program.steps[s]
+        new, record = tuple.__new__, LSInstruction
+        program = self.program
+        append = program.steps[s].append
         orientation = self.orientation
-        step.append(LSInstruction(INIT_PLUS, (anc,), i))
+        on_anc = (anc,)
+        append(new(record, (INIT_PLUS, on_anc, i, "", None)))
         if orientation.get(ctrl, "z") != "z":
-            step.append(LSInstruction(ROTATE, (ctrl,), i))
+            append(new(record, (ROTATE, (ctrl,), i, "", None)))
         orientation[ctrl] = "z"
-        step.append(LSInstruction(kinds[0], (ctrl, anc), i, "", condition))
+        append(new(record, (kinds[0], (ctrl, anc), i, "", condition)))
         boundary = "x" if kinds[1] is MERGE_XX else "z"
         if orientation.get(tgt, boundary) != boundary:
-            step.append(LSInstruction(ROTATE, (tgt,), i))
+            append(new(record, (ROTATE, (tgt,), i, "", None)))
         orientation[tgt] = boundary
-        step.append(LSInstruction(kinds[1], (anc, tgt), i, "", condition))
-        step.append(LSInstruction(MEASURE_X, (anc,), i))
-        self.program.pattern_count += 1
+        append(new(record, (kinds[1], (anc, tgt), i, "", condition)))
+        append(new(record, (MEASURE_X, on_anc, i, "", None)))
+        program.pattern_count += 1
 
     def transversal(self, ctrl: str, tgt: str) -> None:
-        self.instance += 1
-        s = self._place_two((ctrl, tgt), transversal=True)
-        self.program.steps[s].append(LSInstruction(TRANSVERSAL, (ctrl, tgt), self.instance))
+        i = self.instance = self.instance + 1
+        s = self._place_two((ctrl, tgt), True)
+        self.program.steps[s].append(tuple.__new__(LSInstruction, (TRANSVERSAL, (ctrl, tgt), i, "", None)))
         self.program.transversal_count += 1
 
     def single(self, patch: str, name: str) -> None:
+        last = self.last_step
         if name in RIDING_OPS:
-            s = self.last_step.get(patch, 0)
-            self._ensure(s)
+            s = last.get(patch, 0)
             if name == "h" and patch in self.orientation:
                 cur = self.orientation[patch]
                 self.orientation[patch] = "x" if cur == "z" else "z"
         else:
-            s = self.last_step.get(patch, -1) + 1  # hard_avail never exceeds this
-            self._ensure(s)
-            self.last_step[patch] = s
+            s = last[patch] = last.get(patch, -1) + 1  # hard_avail never exceeds this
             self.hard_avail[patch] = s + 1
-        self.program.steps[s].append(LSInstruction(OP, (patch,), 0, label=name))
+        self._ensure(s)
+        self.program.steps[s].append(tuple.__new__(LSInstruction, (OP, (patch,), 0, name, None)))
 
 
 def check_mode(layout: Layout | None, mode: str) -> None:
@@ -255,27 +287,32 @@ def extract_ls(
         stacked = mode == "3d" and len(sites) == 2 and None not in sites and (
             sites[0].x == sites[1].x and sites[0].y == sites[1].y and abs(sites[0].z - sites[1].z) == 1
         )
-        return tuple(map(patch, operands)), stacked
+        hit = resolved[operands] = tuple(map(patch, operands)), stacked
+        return hit
 
     resolved: dict[tuple, tuple[tuple[str, ...], bool]] = {}
-    for g in schedule.gates():
-        if g.kind in (K.TOFFOLI, K.CCZ):
-            raise ValueError("lower Toffoli/CCZ to Clifford+T before LS extraction")
-        if g.kind is K.SWAP:
-            raise ValueError("expand SWAPs to CNOTs before LS extraction")
-        hit = resolved.get(g.operands)
-        if hit is None:
-            hit = resolved[g.operands] = resolve(g.operands)
-        names, stacked = hit
-        if g.kind is K.CNOT:
-            if stacked:
-                ex.transversal(*names)
+    ls_cnot, transversal, single = ex.ls_cnot, ex.transversal, ex.single
+    # an Enum class-attribute read (GateKind.X) costs about 0.2 us on Python 3.11: read locals
+    cnot, cz, cc_cz, swap, toffoli, ccz = K.CNOT, K.CZ, K.CC_CZ, K.SWAP, K.TOFFOLI, K.CCZ
+    zz = (MERGE_ZZ, MERGE_ZZ)
+    for moment in schedule.moments:
+        for g in moment:
+            kind = g.kind
+            if kind is cnot:
+                (a, b), stacked = resolved.get(g.operands) or resolve(g.operands)
+                if stacked:
+                    transversal(a, b)
+                else:
+                    ls_cnot(a, b)
+            elif kind is cz or kind is cc_cz:
+                (a, b), _ = resolved.get(g.operands) or resolve(g.operands)
+                ls_cnot(a, b, zz, g.condition)
+            elif kind is toffoli or kind is ccz:
+                raise ValueError("lower Toffoli/CCZ to Clifford+T before LS extraction")
+            elif kind is swap:
+                raise ValueError("expand SWAPs to CNOTs before LS extraction")
             else:
-                ex.ls_cnot(*names)
-        elif g.kind in (K.CZ, K.CC_CZ):
-            ex.ls_cnot(*names, kinds=(MERGE_ZZ, MERGE_ZZ), condition=g.condition)
-        else:
-            ex.single(names[0], g.kind.value)
+                single((resolved.get(g.operands) or resolve(g.operands))[0][0], kind._value_)
     return ex.program
 
 
@@ -294,6 +331,7 @@ def validate_ls(program: LSProgram, mode: str) -> LSReport:
     no instruction naming one patch twice."""
     check_mode(None, mode)
     report = LSReport()
+    merges = (MERGE_ZZ, MERGE_XX)
     for si, step in enumerate(program.steps):
         ls_count: dict[str, set[int]] = {}
         tv_count: dict[str, set[int]] = {}
@@ -301,17 +339,23 @@ def validate_ls(program: LSProgram, mode: str) -> LSReport:
         for kind, patches, instance, _, _ in step:
             if len(patches) == 2 and patches[0] == patches[1]:  # no kind takes more
                 report.violations.append(f"step {si}: {kind} names patch {patches[0]} twice")
-            if kind in (MERGE_ZZ, MERGE_XX):
+            if kind in merges:
                 for p in patches:
-                    if p.startswith(ANCILLA_PREFIX):
-                        anc_jobs.setdefault(p, set()).add(instance)
+                    table = anc_jobs if p.startswith(ANCILLA_PREFIX) else ls_count
+                    seen = table.get(p)
+                    if seen is None:
+                        table[p] = {instance}
                     else:
-                        ls_count.setdefault(p, set()).add(instance)
+                        seen.add(instance)
             elif kind == TRANSVERSAL:
                 if mode == "2d":
                     report.violations.append(f"step {si}: transversal CNOT in 2d mode")
                 for p in patches:
-                    tv_count.setdefault(p, set()).add(instance)
+                    seen = tv_count.get(p)
+                    if seen is None:
+                        tv_count[p] = {instance}
+                    else:
+                        seen.add(instance)
         for p, instances in ls_count.items():
             if len(instances) > MERGE_SPLIT_LIMIT:
                 report.violations.append(

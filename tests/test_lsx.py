@@ -370,9 +370,10 @@ def test_ancilla_allocation_matches_linear_scan(steps):
 # --- extraction against a per-gate reference loop ------------------------
 
 
-def _reference_extract(schedule, mode, site_map=None):
-    """extract_ls with every gate's patch names and stacking resolved anew."""
-    ex = _Extractor()
+def _reference_extract(schedule, mode, site_map=None, extractor=_Extractor):
+    """extract_ls with every gate's patch names and stacking resolved anew,
+    placed by ``extractor``."""
+    ex = extractor()
 
     def site_of(label):
         if isinstance(label, Site):
@@ -442,6 +443,26 @@ def test_extract_matches_per_gate_reference(gates, site_map, mode):
             extract_ls(sched, None, mode, site_map)
     else:
         assert extract_ls(sched, None, mode, site_map) == _reference_extract(sched, mode, site_map)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multiplier_extraction_matches_linear_scan(n):
+    lowered = decomp.lower_schedule(full_multiplier_schedule(n)[0])
+    prog = extract_ls(lowered, build_multiplier_layout(n), "3d")
+    assert prog == _reference_extract(lowered, "3d", extractor=_LinearScanExtractor)
+
+
+def test_extracted_records_are_ls_instructions():
+    # the n = 4 program, and toffoli_mb for a conditioned CZ
+    lowered = decomp.lower_schedule(full_multiplier_schedule(4)[0])
+    programs = (extract_ls(lowered, None, "3d"), extract_ls(decomp.toffoli_mb(), None, "2d"))
+    records = [ins for prog in programs for step in prog.steps for ins in step]
+    assert any(type(ins.condition) is int for ins in records)
+    for ins in records:
+        assert type(ins) is LSInstruction
+        assert type(ins.kind) is str and type(ins.label) is str and type(ins.instance) is int
+        assert type(ins.patches) is tuple and all(type(p) is str for p in ins.patches)
+        assert ins.condition is None or type(ins.condition) is int
 
 
 @pytest.mark.parametrize(
