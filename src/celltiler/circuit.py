@@ -113,35 +113,39 @@ class Schedule:
         for m in moments:
             self.extend_moment(m)
 
-    def _add_to_moment(self, idx: int, g: Gate) -> None:
-        # exact: callers add to the last moment or past every operand's last use
-        last = self._last
-        for q in g.operands:
-            if last.get(q) == idx:
-                raise ValueError(f"overlapping support in moment {idx}: {g}")
-        self.moments[idx].append(g)
-        for q in g.operands:
-            last[q] = idx
-
     def append(self, g: Gate) -> "Schedule":
         """Add a gate to the first moment after the last one touching its
-        operands (earliest fit); ``extend_moment`` opens a fresh moment."""
+        operands (earliest fit); ``extend_moment`` opens a fresh moment. That
+        moment holds none of the operands, so no overlap test is needed."""
         last = self._last
+        ops = g.operands
         target = 0
-        for q in g.operands:
+        for q in ops:
             after = last.get(q, -1) + 1
             if after > target:
                 target = after
         if target == len(self.moments):
-            self.moments.append([])
-        self._add_to_moment(target, g)
+            self.moments.append([g])
+        else:
+            self.moments[target].append(g)
+        for q in ops:
+            last[q] = target
         return self
 
     def extend_moment(self, gates: Iterable[Gate]) -> None:
-        """Append one new moment holding all the given gates."""
-        self.moments.append([])
+        """Append one new moment holding all the given gates, which must not
+        share a wire."""
+        idx = len(self.moments)
+        moment: list[Gate] = []
+        self.moments.append(moment)
+        last = self._last
         for g in gates:
-            self._add_to_moment(len(self.moments) - 1, g)
+            for q in g.operands:
+                if last.get(q) == idx:
+                    raise ValueError(f"overlapping support in moment {idx}: {g}")
+            moment.append(g)
+            for q in g.operands:
+                last[q] = idx
 
     def gates(self) -> Iterator[Gate]:
         for m in self.moments:

@@ -18,12 +18,14 @@ class Site(NamedTuple):
         return abs(self.x - other.x) + abs(self.y - other.y) + abs(self.z - other.z)
 
 
-_STEPS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
-
-
 @dataclass(frozen=True)
 class Lattice:
-    """An open-boundary square/cubic grid of qubit sites."""
+    """An open-boundary square/cubic grid of qubit sites.
+
+    Site ``(x, y, z)`` has the index ``(x * dy + y) * dz + z``, so index order
+    is ascending ``Site`` order, the order ``sites()`` yields: ``index`` and
+    ``site`` convert, and ``adjacency`` is read by index.
+    """
 
     dx: int
     dy: int
@@ -54,14 +56,40 @@ class Lattice:
         if site not in self:
             raise ValueError(f"site {tuple(site)} outside lattice {self.dims}")
 
+    def index(self, site: Site) -> int:
+        return (site.x * self.dy + site.y) * self.dz + site.z
+
+    def site(self, index: int) -> Site:
+        x, rest = divmod(index, self.dy * self.dz)
+        return Site(x, *divmod(rest, self.dz))
+
     @cached_property
-    def sorted_neighbours(self) -> dict[Site, tuple[Site, ...]]:
-        """Site -> its in-lattice nearest neighbours as one sorted tuple."""
-        table = {}
-        for s in self.sites():
-            cands = (Site(s.x + dx, s.y + dy, s.z + dz) for dx, dy, dz in _STEPS)
-            table[s] = tuple(sorted(c for c in cands if c in self))
-        return table
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per site index, the indices of its in-lattice nearest neighbours in
+        ascending order: -x, -y, -z, +z, +y, +x."""
+        dx, dy, dz = self.dims
+        sx = dy * dz
+        table = []
+        i = 0
+        for x in range(dx):
+            for y in range(dy):
+                for z in range(dz):
+                    nbs = []
+                    if x:
+                        nbs.append(i - sx)
+                    if y:
+                        nbs.append(i - dz)
+                    if z:
+                        nbs.append(i - 1)
+                    if z < dz - 1:
+                        nbs.append(i + 1)
+                    if y < dy - 1:
+                        nbs.append(i + dz)
+                    if x < dx - 1:
+                        nbs.append(i + sx)
+                    table.append(tuple(nbs))
+                    i += 1
+        return tuple(table)
 
 
 def grid(dx: int, dy: int, dz: int = 1) -> Lattice:

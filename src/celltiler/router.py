@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Container, Hashable
+from typing import Container, Hashable, Iterable
 
 from celltiler.cells import Layout
 from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, swap_metrics
@@ -18,75 +17,96 @@ class RoutingError(Exception):
     """The router ran out of sites or could not find a path."""
 
 
-def _bfs_path(lattice: Lattice, src: Site, goals: Container[Site], forbidden: set[Site]) -> list[Site]:
-    """Deterministic BFS path from src to the nearest goal (neighbours in sorted
-    order), detouring around forbidden sites. ``src`` must not be a goal: both
-    callers walk only a label that is not yet next to its target."""
-    adjacent = lattice.sorted_neighbours
-    parent: dict[Site, Site | None] = dict.fromkeys(forbidden)  # counted as visited
-    parent[src] = None
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        for nb in adjacent[cur]:
-            if nb in parent:
+def _bfs_path(lattice: Lattice, src: int, goals: Container[int], forbidden: Iterable[int]) -> list[int]:
+    """Deterministic BFS path of site indices from src to the nearest goal
+    (neighbours in ascending order), detouring around forbidden sites. ``src``
+    must not be a goal: both callers walk only a label that is not yet next to
+    its target."""
+    adjacency = lattice.adjacency
+    parent: list[int | None] = [None] * len(adjacency)  # None until reached
+    for f in forbidden:
+        parent[f] = f  # counted as reached
+    parent[src] = src
+    queue = [src]
+    for cur in queue:  # the loop reads the sites appended while it runs
+        for nb in adjacency[cur]:
+            if parent[nb] is not None:
                 continue
             parent[nb] = cur
             if nb in goals:
                 path = [nb]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
+                while cur != src:
+                    path.append(cur)
+                    cur = parent[cur]
+                path.append(src)
                 return path[::-1]
             queue.append(nb)
-    raise RoutingError(f"no route from {tuple(src)} to any goal")
+    raise RoutingError(f"no route from {tuple(lattice.site(src))} to any goal")
 
 
 class _Router:
+    """Routes a circuit gate by gate on the site indices of one lattice.
+
+    - ``occ`` is an :class:`Occupancy` whose wires are site indices (see
+      :class:`Lattice`); ``sites`` turns an index back into its ``Site``.
+    - ``adjacency`` is the lattice's neighbour table, read by ``_route_pair``,
+      ``_route_triple`` and ``_bfs_path``.
+    - ``swaps`` holds the one SWAP gate, on ``Site``s, built per directed edge
+      ``(a, b)`` of indices; ``_swap`` appends it to ``out`` and moves the labels.
+    - ``run`` fires each gate on the ``Site``s of its operands into ``out``.
+    """
+
     def __init__(self, lattice: Lattice, mapping0: dict[Hashable, Site]):
         self.lattice = lattice
         for site in mapping0.values():
             lattice.check(site)
-        self.adjacent = lattice.sorted_neighbours  # has every site checked above
-        self.occ = Occupancy(mapping0)
+        index = lattice.index
+        try:
+            self.occ = Occupancy({label: index(site) for label, site in mapping0.items()})
+        except ValueError:
+            Occupancy(mapping0)  # the same check, to name the shared Site
+            raise
+        self.adjacency = lattice.adjacency
+        self.sites = tuple(lattice.sites())
         self.out = Schedule()
-        self.swaps: dict[tuple[Site, Site], Gate] = {}  # one gate per directed edge
+        self.swaps: dict[tuple[int, int], Gate] = {}
 
-    def _swap(self, a: Site, b: Site) -> None:
+    def _swap(self, a: int, b: int) -> None:
         g = self.swaps.get((a, b))
         if g is None:
-            g = self.swaps[a, b] = Gate(K.SWAP, (a, b))
+            g = self.swaps[a, b] = Gate(K.SWAP, (self.sites[a], self.sites[b]))
         self.out.append(g)
         self.occ.swap(a, b)
 
-    def _walk(self, label: Hashable, goals: Container[Site], locked: set[Site]) -> None:
+    def _walk(self, label: Hashable, goals: Container[int], locked: set[int]) -> None:
         path = _bfs_path(self.lattice, self.occ.wire_of[label], goals, locked)
         for a, b in zip(path, path[1:]):
             self._swap(a, b)
 
     def _route_pair(self, a: Hashable, b: Hashable) -> None:
         pos = self.occ.wire_of
-        goals = self.adjacent[pos[b]]
+        goals = self.adjacency[pos[b]]
         if pos[a] not in goals:
             self._walk(a, goals, {pos[b]})
 
     def _route_triple(self, c1: Hashable, c2: Hashable, t: Hashable) -> None:
         # bring both controls next to the target, cheaper mover first
-        pos = self.occ.wire_of
+        pos, sites = self.occ.wire_of, self.sites
         for _ in range(2):
-            goals = self.adjacent[pos[t]]
+            goals = self.adjacency[pos[t]]
             pending = [c for c in (c1, c2) if pos[c] not in goals]
             if not pending:
                 return
-            pending.sort(key=lambda c: (pos[c].manhattan(pos[t]), (c1, c2).index(c)))
+            pending.sort(key=lambda c: (sites[pos[c]].manhattan(sites[pos[t]]), (c1, c2).index(c)))
             mover = pending[0]
             other = c2 if mover == c1 else c1
             # a locked goal is never reached: the walk skips locked sites
             self._walk(mover, goals, {pos[t], pos[other]})
-        if any(pos[c] not in self.adjacent[pos[t]] for c in (c1, c2)):
+        if any(pos[c] not in self.adjacency[pos[t]] for c in (c1, c2)):
             raise RoutingError("could not assemble a Toffoli triple")
 
     def run(self, circuit: Schedule) -> None:
-        pos = self.occ.wire_of
+        pos, sites = self.occ.wire_of, self.sites
         for g in circuit.gates():
             ops = g.operands
             for q in ops:
@@ -96,7 +116,7 @@ class _Router:
                 self._route_pair(*ops)
             elif len(ops) == 3:
                 self._route_triple(*ops)
-            self.out.append(Gate(g.kind, tuple(pos[q] for q in ops), g.condition, g.tags))
+            self.out.append(Gate(g.kind, tuple(sites[pos[q]] for q in ops), g.condition, g.tags))
 
 
 def greedy_route(
@@ -114,7 +134,7 @@ def greedy_route(
         raise RoutingError("more logical qubits than lattice sites")
     router = _Router(lattice, mapping0)
     router.run(circuit)
-    return router.out, router.occ.mapping()
+    return router.out, {label: router.sites[w] for label, w in router.occ.wire_of.items()}
 
 
 def logical_multiplier_circuit(n: int) -> Schedule:

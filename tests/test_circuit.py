@@ -78,6 +78,26 @@ def test_moment_disjointness_after_appends(pairs):
             seen.update(g.operands)
 
 
+@given(st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True), max_size=40))
+def test_append_places_each_gate_after_its_operands(operand_lists):
+    kinds = {1: K.H, 2: K.CNOT, 3: K.TOFFOLI}
+    gates = [gate(kinds[len(ops)], *(f"q{i}" for i in ops)) for ops in operand_lists]
+    s = Schedule()
+    for g in gates:
+        s.append(g)
+    moment_of = {id(g): i for i, m in enumerate(s.moments) for g in m}
+    assert len(moment_of) == len(gates)
+    last: dict = {}  # per wire, the moment of the last gate appended on it
+    for g in gates:
+        want = 1 + max(last.get(q, -1) for q in g.operands)
+        assert moment_of[id(g)] == want
+        for q in g.operands:
+            last[q] = want
+    for m in s.moments:
+        wires = [q for g in m for q in g.operands]
+        assert len(wires) == len(set(wires))
+
+
 def test_depth_empty():
     assert depth(Schedule()) == 0
 

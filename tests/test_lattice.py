@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,10 +33,12 @@ def _axis_order_neighbours(lat, s):
 
 
 def test_adjacent_basics():
-    nbs = grid(3, 3, 3).sorted_neighbours[Site(0, 0, 0)]
-    assert Site(1, 0, 0) in nbs
-    assert Site(1, 1, 0) not in nbs
-    assert Site(0, 0, 0) not in nbs
+    lat = grid(3, 3, 3)
+    nbs = lat.adjacency[lat.index(Site(0, 0, 0))]
+    assert lat.index(Site(1, 0, 0)) in nbs
+    assert lat.index(Site(1, 1, 0)) not in nbs
+    assert lat.index(Site(0, 0, 0)) not in nbs
+    assert nbs == tuple(lat.index(s) for s in (Site(0, 0, 1), Site(0, 1, 0), Site(1, 0, 0)))
 
 
 @given(
@@ -42,20 +46,37 @@ def test_adjacent_basics():
     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
 )
 def test_adjacency_symmetric(a, b):
-    table = grid(4, 4, 4).sorted_neighbours
+    lat = grid(4, 4, 4)
+    table = lat.adjacency
     sa, sb = Site(*a), Site(*b)
-    assert (sb in table[sa]) == (sa in table[sb]) == (sa.manhattan(sb) == 1)
+    ia, ib = lat.index(sa), lat.index(sb)
+    assert (ib in table[ia]) == (ia in table[ib]) == (sa.manhattan(sb) == 1)
 
 
 def test_interior_neighbour_counts():
-    assert len(grid(3, 3, 3).sorted_neighbours[Site(1, 1, 1)]) == 6
-    assert len(grid(3, 3).sorted_neighbours[Site(1, 1, 0)]) == 4
+    lat = grid(3, 3, 3)
+    assert len(lat.adjacency[lat.index(Site(1, 1, 1))]) == 6
+    lat = grid(3, 3)
+    assert len(lat.adjacency[lat.index(Site(1, 1, 0))]) == 4
+
+
+def _check_index_order_and_adjacency(lat):
+    # index i is the i-th site in ascending Site order; each site's adjacency
+    # holds its sorted axis-order neighbours, mapped to indices by that order
+    order = sorted(lat.sites())
+    assert order == [Site(*c) for c in itertools.product(*map(range, lat.dims))]
+    assert [lat.index(s) for s in order] == list(range(lat.size))
+    assert [lat.site(i) for i in range(lat.size)] == order
+    assert len(lat.adjacency) == lat.size
+    for i, s in enumerate(order):
+        assert [order[j] for j in lat.adjacency[i]] == sorted(_axis_order_neighbours(lat, s))
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3), (2, 3, 5), (3, 3, 3), (4, 1, 2)])
 def test_neighbours_axis_order(dims):
-    # the one table holds every site, each with the sorted axis-order neighbours
-    lat = grid(*dims)
-    assert sorted(lat.sorted_neighbours) == sorted(lat.sites())
-    for s in lat.sites():
-        assert lat.sorted_neighbours[s] == tuple(sorted(_axis_order_neighbours(lat, s)))
+    _check_index_order_and_adjacency(grid(*dims))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_index_order_and_adjacency_on_every_small_grid(dx, dy, dz):
+    _check_index_order_and_adjacency(grid(dx, dy, dz))

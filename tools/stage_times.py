@@ -6,6 +6,9 @@ Run from anywhere, naming the ``src`` directory of each checkout:
     python tools/stage_times.py PARENT_SRC CHANGE_SRC [--procs 4] [--runs 5] \
         [--command "ls 10 3d --out"] [--command "schedule 10 --lower-clifford-t --out"]
 
+Without ``--command`` it times ``ls 10 3d --out``, ``schedule 10
+--lower-clifford-t --out``, ``compare 8 8`` and ``verify 4``.
+
 Every command runs in fresh processes with ``PYTHONHASHSEED=0``, one command
 per process. ``--procs`` times, one process per side is started and the two
 take turns: each does one untimed run, then ``--runs`` timed runs, the parent
@@ -50,7 +53,7 @@ from statistics import median
 from time import perf_counter
 
 STAGES = ("emit", "route", "replay", "oracle", "lower", "extract", "validate", "write")
-COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out")
+COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out", "compare 8 8", "verify 4")
 
 
 def _child(argv: list[str]) -> None:
