@@ -99,7 +99,7 @@ def _cmd_verify(args) -> int:
         layout = build_multiplier_layout(n)
         spec = RegisterSpec.for_width(n)
         mapping = initial_mapping(layout, spec)
-        sched, _ = full_multiplier_schedule(n)
+        sched, _ = full_multiplier_schedule(n, layout=layout)
         report = validate_schedule(layout, mapping, sched)
         if not report.ok:
             print(f"adjacency violations: {len(report.violations)}")
@@ -158,7 +158,7 @@ def _cmd_ls(args) -> int:
     except ModeError as exc:
         print(f"mode-error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    sched, _ = full_multiplier_schedule(n)
+    sched, _ = full_multiplier_schedule(n, layout=layout)
     lowered = decomp.lower_schedule(sched)
     program = extract_ls(lowered, layout, args.mode)
     report = validate_ls(program, args.mode)

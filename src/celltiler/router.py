@@ -147,9 +147,13 @@ def logical_multiplier_circuit(n: int) -> Schedule:
     spec = RegisterSpec.for_width(n)
     carries = [f"C{i}" for i in range(n + 1)]
     sched = Schedule()
+    toffolis: dict[tuple[str, str, str], Gate] = {}  # one gate per triple
 
     def tof(a, b, t):
-        sched.extend_moment([Gate(K.TOFFOLI, (a, b, t))])
+        g = toffolis.get((a, b, t))
+        if g is None:
+            g = toffolis[a, b, t] = Gate(K.TOFFOLI, (a, b, t))
+        sched.extend_moment([g])
 
     for i in range(n):
         tof(spec.b[0], spec.a[i], spec.p[i])
@@ -193,7 +197,7 @@ def compare(n_range) -> list[dict]:
     layouts = {n: build_multiplier_layout(n) for n in n_range}
     rows = []
     for n, layout in layouts.items():
-        tiled, _ = full_multiplier_schedule(n)
+        tiled, _ = full_multiplier_schedule(n, layout=layout)
         t_c, t_d = swap_metrics(tiled)
         routed, _ = greedy_route(
             logical_multiplier_circuit(n), layout.lattice, routing_mapping(layout)

@@ -86,9 +86,19 @@ class _Board:
     moment holding one Toffoli. Every SWAP must be nearest-neighbour, every
     site inside the used region, and no site may be used twice in one moment.
     A SWAP is tagged ``storage`` exactly when both its sites lie in the same
-    queue. ``finish(kind)`` checks the ``swap_metrics`` of the step's own
-    moments against its :data:`STEP_SWAPS` entry and starts the next step
-    with no live ancilla. Every label outside the register spec is an
+    queue.
+
+    Each distinct move is built and checked once: ``swaps`` holds one gate
+    per directed edge and ``toffolis`` one per ``(c1, c2, target)``, and the
+    nearest-neighbour and used-region tests run when that gate is made. This
+    is sound because the labelled sites, the used region, never change: the
+    board only SWAPs two labelled sites, which leaves both labelled. A later
+    occurrence of a SWAP costs only the used-twice test and ``occ.swap``, and
+    of a Toffoli nothing.
+
+    ``finish(kind)`` checks the ``swap_metrics`` of the step's own moments
+    against its :data:`STEP_SWAPS` entry and starts the next step with no
+    live ancilla. Every label outside the register spec is an
     ancilla; one in ``live_anc`` holds a carry and is not idle.
     """
 
@@ -102,6 +112,7 @@ class _Board:
         self.sched = Schedule()
         self.step_start = 0  # the first moment of the running step
         self.swaps: dict[tuple[Site, Site], Gate] = {}  # one gate per directed edge
+        self.toffolis: dict[tuple[Site, Site, Site], Gate] = {}  # one gate per triple
         self.spacer_debt = 0
         # candidates, tower top first; SWAPs keep every used site labelled,
         # so pairs off the used region or inside one queue never qualify
@@ -124,23 +135,21 @@ class _Board:
         qa = self.queue_of.get(a)
         return qa is not None and qa == self.queue_of.get(b)
 
-    def _take(self, used: set[Site], *sites: Site) -> None:
-        for s in sites:
-            self.site_label(s)
-            if s in used:
-                raise ScheduleError(f"site {tuple(s)} used twice in one moment")
-            used.add(s)
-
     # -- moments -------------------------------------------------------------
 
     def _swap(self, a: Site, b: Site, used: set[Site]) -> Gate:
         g = self.swaps.get((a, b))
-        if g is None:
+        if g is None:  # the edge's first use: the checks that hold for good
             if a.manhattan(b) != 1:
                 raise ScheduleError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
+            self.site_label(a)
+            self.site_label(b)
             tags = _STORAGE if self._same_queue(a, b) else _UNTAGGED  # fixed by the layout
             g = self.swaps[a, b] = Gate(K.SWAP, (a, b), tags=tags)
-        self._take(used, a, b)
+        if a in used or b in used:
+            raise ScheduleError(f"site {tuple(a if a in used else b)} used twice in one moment")
+        used.add(a)
+        used.add(b)
         self.occ.swap(a, b)
         return g
 
@@ -149,19 +158,33 @@ class _Board:
         gates = [self._swap(a, b, used) for a, b in pairs]
         want = spacers + self.spacer_debt
         placed = 0
+        # the idle-ancilla test of _dead_anc; every spacer pair is labelled
+        label_at, data, live = self.occ.label_at, self.data, self.live_anc
         for a, b in self.spacer_pairs:
             if placed == want:
                 break
-            if a not in used and b not in used and self._dead_anc(a) and self._dead_anc(b):
-                gates.append(self._swap(a, b, used))
-                placed += 1
+            if a in used or b in used:
+                continue
+            la, lb = label_at[a], label_at[b]
+            if la in data or la in live or lb in data or lb in live:
+                continue
+            gates.append(self._swap(a, b, used))
+            placed += 1
         self.spacer_debt = want - placed  # owed by later moments of the step
         if gates:
             self.sched.extend_moment(gates)
 
     def fire(self, c1: Site, c2: Site, target: Site) -> None:
-        self._take(set(), c1, c2, target)
-        self.sched.extend_moment([Gate(K.TOFFOLI, (c1, c2, target))])
+        g = self.toffolis.get((c1, c2, target))
+        if g is None:  # the triple's first use: the checks that hold for good
+            used: set[Site] = set()
+            for s in (c1, c2, target):
+                self.site_label(s)
+                if s in used:
+                    raise ScheduleError(f"site {tuple(s)} used twice in one moment")
+                used.add(s)
+            g = self.toffolis[c1, c2, target] = Gate(K.TOFFOLI, (c1, c2, target))
+        self.sched.extend_moment([g])
 
     # -- spacer swaps --------------------------------------------------------
 
@@ -413,14 +436,20 @@ def _reset_moves(board: _Board, j: int) -> None:
 def full_multiplier_schedule(
     n: int,
     optimize_toffoli_depth: bool = False,
+    *,
+    layout: Layout | None = None,
 ) -> tuple[Schedule, dict[Hashable, Site]]:
     """Compose Toffoli step, n-1 controlled adds and the interleaved resets.
 
     Returns the complete schedule and the final logical-to-site mapping.
     Every step runs on one board and is checked against its budget as it
-    finishes.
+    finishes. A caller that holds the n-bit layout passes it as ``layout``,
+    so it is not built again.
     """
-    layout = build_multiplier_layout(n)
+    if layout is None:
+        layout = build_multiplier_layout(n)
+    elif len(layout.placements) != n:
+        raise ValueError(f"the layout holds {len(layout.placements)} cells, not n={n}")
     board = _Board(layout, initial_mapping(layout, RegisterSpec.for_width(n)))
     for _name, kind, emit in _step_plan(n, optimize_toffoli_depth):
         emit(board)

@@ -6,6 +6,7 @@ from hypothesis import example, given, strategies as st
 from celltiler import decomp
 from celltiler.circuit import (
     POLICIES,
+    STORAGE,
     Gate,
     GateKind,
     Occupancy,
@@ -28,6 +29,48 @@ def test_gate_arity_checks():
         gate(K.CNOT, "a", "a")
     with pytest.raises(ValueError):
         gate(K.TOFFOLI, "a", "b")
+
+
+def test_gate_keeps_its_error_texts():
+    with pytest.raises(ValueError) as err:
+        Gate(K.CNOT, ("a",))
+    assert str(err.value) == "cnot expects 2 operands, got 1"
+    with pytest.raises(ValueError) as err:
+        Gate(K.TOFFOLI, ("a", "b", "a"))
+    assert str(err.value) == "duplicate operand in toffoli gate: ('a', 'b', 'a')"
+
+
+def test_gate_equality_hash_and_defaults():
+    ops = (Site(0, 0, 0), Site(0, 0, 1))
+    g = Gate(K.SWAP, ops, tags=frozenset({STORAGE}))
+    twin = Gate(K.SWAP, (Site(0, 0, 0), Site(0, 0, 1)), None, frozenset({STORAGE}))
+    assert g == twin and g is not twin
+    # the hash a frozen dataclass gives: that of its fields as one tuple
+    assert hash(g) == hash(twin) == hash((K.SWAP, ops, None, frozenset({STORAGE})))
+    assert g != Gate(K.SWAP, ops)
+    assert (g.kind, g.operands, g.condition, g.tags) == (K.SWAP, ops, None, frozenset({STORAGE}))
+    plain = Gate(K.H, ("a",))
+    assert plain.condition is None and plain.tags == frozenset()
+
+
+@pytest.mark.parametrize("name", ["kind", "operands", "condition", "tags", "extra"])
+def test_gate_is_immutable(name):
+    g = Gate(K.CNOT, ("a", "b"))
+    with pytest.raises(AttributeError):
+        setattr(g, name, None)
+    assert g == Gate(K.CNOT, ("a", "b"))
+
+
+def test_gate_repr_is_pinned_in_the_overlap_error():
+    g = Gate(K.CC_CZ, ("a", Site(0, 1, 2)), 3, frozenset({STORAGE}))
+    text = (
+        "Gate(kind=<GateKind.CC_CZ: 'cc_cz'>, operands=('a', Site(x=0, y=1, z=2)), "
+        "condition=3, tags=frozenset({'storage'}))"
+    )
+    assert repr(g) == text
+    with pytest.raises(ValueError) as err:
+        Schedule().extend_moment([Gate(K.CNOT, ("b", "a")), g])
+    assert str(err.value) == f"overlapping support in moment 0: {text}"
 
 
 def test_append_first_gate():

@@ -111,8 +111,11 @@ def test_verify_counts_each_failing_input(monkeypatch, capsys):
     spec = RegisterSpec.for_width(n)
     mapping = initial_mapping(build_multiplier_layout(n), spec)
     sched, final = scheduler.full_multiplier_schedule(n)
-    dropped = [g for g in sched.gates() if g.kind is GateKind.TOFFOLI][13]
-    broken = Schedule([[g for g in m if g is not dropped] for m in sched.moments])
+    # the 14th Toffoli, by its place: one gate object may fire at many places
+    dropped = [(mi, gi) for mi, m in enumerate(sched.moments)
+               for gi, g in enumerate(m) if g.kind is GateKind.TOFFOLI][13]
+    broken = Schedule([[g for gi, g in enumerate(m) if (mi, gi) != dropped]
+                       for mi, m in enumerate(sched.moments)])
     # the scalar oracle, one input at a time: A and B kept, P = a*b, every
     # other label back at 0
     good = products = 0
@@ -126,9 +129,28 @@ def test_verify_counts_each_failing_input(monkeypatch, capsys):
     # the products all survive; only a label outside A, B and P is left dirty
     assert good < products == 4 ** n
 
-    monkeypatch.setattr(cli, "full_multiplier_schedule", lambda _: (broken, final))
+    monkeypatch.setattr(cli, "full_multiplier_schedule", lambda _n, **_kw: (broken, final))
     assert main(["verify", str(n)]) == 1
     assert capsys.readouterr().out == f"{good}/64 products correct\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "4"], ["ls", "4", "3d"], ["compare", "4", "4"]])
+def test_each_command_builds_one_layout_and_emits_once(monkeypatch, argv):
+    calls = {"layout": 0, "emit": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, router, scheduler):
+        monkeypatch.setattr(module, "build_multiplier_layout", counted("layout", build_multiplier_layout))
+    emit = counted("emit", scheduler.full_multiplier_schedule)
+    for module in (cli, router):
+        monkeypatch.setattr(module, "full_multiplier_schedule", emit)
+    assert main(argv) == 0
+    assert calls == {"layout": 1, "emit": 1}
 
 
 def test_verify_decomposition(capsys):

@@ -417,16 +417,46 @@ def board():
         (lambda b: b.moment((Site(0, 1, 2), Site(0, 1, 3))), "site (0, 1, 3) is outside the used region"),
         (lambda b: b.bubble_to("nope", YELLOW(0)), "label 'nope' not on the board"),
         (lambda b: b.moment((S(0), S(1)), (S(1), S(2))), "site (0, 0, 1) used twice in one moment"),
+        # the second moment's (S(0), S(1)) reuses the gate the first one made
+        (lambda b: [b.moment((S(0), S(1))), b.moment((S(1), S(2)), (S(0), S(1)))],
+         "site (0, 0, 1) used twice in one moment"),
         (lambda b: b.moment((S(0), S(2))), "SWAP (0, 0, 0)<->(0, 0, 2) is not nearest-neighbour"),
         (lambda b: b.bubble_to("B1", MAGENTA(0)), "bubble of 'B1' must stay inside one queue"),
         (lambda b: b.bubble_hole_to("magenta", MAGENTA(0)), "queue magenta has no free slot"),
     ],
-    ids=["outside", "unknown-label", "used-twice", "not-adjacent", "across-queues", "no-free-slot"],
+    ids=["outside", "unknown-label", "used-twice", "used-twice-cached", "not-adjacent", "across-queues",
+         "no-free-slot"],
 )
 def test_board_rejects_a_bad_move(emit, message):
     with pytest.raises(ScheduleError) as err:
         emit(board())
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "n, optimize", [(n, o) for n in range(1, 11) for o in (False, True) if n >= 3 or not o]
+)
+def test_emission_keeps_the_used_region_and_shares_each_move(n, optimize):
+    layout, _spec, mapping = setup_boards(n)
+    sched, final = full_multiplier_schedule(n, optimize, layout=layout)
+    # every gate acts on labelled sites, so every SWAP leaves both labelled:
+    # the board's once-per-move region checks rest on this
+    used = set(mapping.values())
+    assert all(q in used for g in sched.gates() for q in g.operands)
+    assert set(final.values()) == used
+    # one object per distinct Toffoli triple and per directed SWAP edge
+    shared: dict = {}
+    for g in sched.gates():
+        assert shared.setdefault((g.kind, g.operands), g) is g
+    triples = sum(1 for kind, _ops in shared if kind is K.TOFFOLI)
+    assert triples == {4: 22, 10: 58}.get(n, triples)
+
+
+def test_full_multiplier_schedule_takes_the_callers_layout():
+    layout = build_multiplier_layout(4)
+    assert full_multiplier_schedule(4, layout=layout)[0].to_json() == full_multiplier_schedule(4)[0].to_json()
+    with pytest.raises(ValueError, match="^the layout holds 4 cells, not n=3$"):
+        full_multiplier_schedule(3, layout=layout)
 
 
 def test_board_reports_unplaced_spacers(monkeypatch):

@@ -20,13 +20,15 @@ temporary directory.
 
 The stages are timed by wrapping what ``cli.main`` calls: emit
 (``full_multiplier_schedule``, called by the CLI or by ``router.compare``),
-route (``router.greedy_route``, called by ``router.compare``), replay
-(``validate_schedule``), oracle (``classical_run``), lower
-(``decomp.lower_schedule``), extract (``extract_ls``), validate
-(``validate_ls``) and write (the CLI's ``_write``, which makes the JSON text
-as it writes it). ``whole_command`` is ``cli.main`` timed whole. ``gc_ms``
-and the collections per generation come from a ``gc.callbacks`` hook.
-``ru_maxrss_mb`` is the process's peak resident set, so it is per command.
+logical (``router.logical_multiplier_circuit``, the circuit that
+``router.compare`` routes), route (``router.greedy_route``, called by
+``router.compare``), replay (``validate_schedule``), oracle
+(``classical_run``), lower (``decomp.lower_schedule``), extract
+(``extract_ls``), validate (``validate_ls``) and write (the CLI's
+``_write``, which makes the JSON text as it writes it). ``whole_command``
+is ``cli.main`` timed whole. ``gc_ms`` and the collections per generation
+come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the process's peak
+resident set, so it is per command.
 
 Prints one JSON object: per command and side the median of every stage over
 all timed runs, the median ``ru_maxrss_mb`` over the processes, and the
@@ -52,7 +54,7 @@ import tempfile
 from statistics import median
 from time import perf_counter
 
-STAGES = ("emit", "route", "replay", "oracle", "lower", "extract", "validate", "write")
+STAGES = ("emit", "logical", "route", "replay", "oracle", "lower", "extract", "validate", "write")
 COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out", "compare 8 8", "verify 4")
 
 
@@ -76,6 +78,7 @@ def _child(argv: list[str]) -> None:
 
     cli.full_multiplier_schedule = timed("emit", cli.full_multiplier_schedule)
     router.full_multiplier_schedule = timed("emit", router.full_multiplier_schedule)
+    router.logical_multiplier_circuit = timed("logical", router.logical_multiplier_circuit)
     router.greedy_route = timed("route", router.greedy_route)
     cli.validate_schedule = timed("replay", cli.validate_schedule)
     cli.classical_run = timed("oracle", cli.classical_run)
