@@ -9,11 +9,13 @@ window under the control. The reset step shifts the whole window one rung
 up in five parallel rounds and retires the finished product bit.
 
 One board emits every step of the multiplier, each moment with one call: a
-moment of SWAPs (plus idle-ancilla spacer exchanges) or one Toffoli. A SWAP
-whose two sites lie in the same storage queue is tagged ``storage``; no other
-SWAP is. Every step is emitted against a fixed per-block SWAP budget: the
-spacers keep the emitted shape uniform across n, and the ``swap_metrics`` of
-each step's own moments must meet its :data:`STEP_SWAPS` entry exactly.
+moment of SWAPs (plus idle-ancilla spacer exchanges) or one Toffoli. The step
+functions (:func:`toffoli_step`, :func:`ctrl_add_step`, :func:`reset_step`)
+are the board's emitters, run in turn by :func:`full_multiplier_schedule`. A
+SWAP whose two sites lie in the same storage queue is tagged ``storage``; no
+other SWAP is. Every step is emitted against a fixed per-block SWAP budget:
+the spacers keep the emitted shape uniform across n, and the ``swap_metrics``
+of each step's own moments must meet its :data:`STEP_SWAPS` entry exactly.
 """
 
 from __future__ import annotations
@@ -51,17 +53,19 @@ STEP_SWAPS: dict[str, Callable[[int], tuple[int, int]]] = {
 def _step_plan(n: int, optimize_toffoli_depth: bool) -> Iterator[tuple[str, str, Callable]]:
     """``(row name, STEP_SWAPS kind, emitter)`` of every step of the n-bit
     multiplier, in emission order: the Toffoli step, then ctrl-add j for each
-    j, with a reset after every ctrl-add but the last. An emitter writes the
-    step's moments on a :class:`_Board`."""
+    j, with a reset after every ctrl-add but the last. The emitters are the
+    public step functions, bound to their arguments; each writes its step's
+    moments on a :class:`_Board`. They are looked up as module globals on
+    every run, so a wrapper put in their place sees every step."""
     yield (
         "toffoli step",
         "toffoli-opt" if optimize_toffoli_depth else "toffoli",
-        partial(_toffoli_moves, optimize_depth=optimize_toffoli_depth),
+        partial(toffoli_step, optimize_depth=optimize_toffoli_depth),
     )
     for j in range(1, n):
-        yield f"ctrl-add {j}", "ctrl-add", partial(_ctrl_add_moves, j=j)
+        yield f"ctrl-add {j}", "ctrl-add", partial(ctrl_add_step, j=j)
         if j <= n - 2:
-            yield f"reset {j}", "reset", partial(_reset_moves, j=j)
+            yield f"reset {j}", "reset", partial(reset_step, j=j)
 
 
 def step_budgets(n: int, optimize_toffoli_depth: bool = False) -> list[tuple[str, int, int]]:
@@ -245,14 +249,6 @@ class _Board:
         self.live_anc = set()
 
 
-def _alone(layout: Layout, mapping: dict, kind: str, emit: Callable) -> tuple[Schedule, dict]:
-    """One step on a board of its own: its schedule and final mapping."""
-    board = _Board(layout, mapping)
-    emit(board)
-    board.finish(kind)
-    return board.sched, board.occ.mapping()
-
-
 def _spread(k: int, moments: int) -> list[int]:
     """``k`` spacers over ``moments`` moments, as even as can be, earlier ones first."""
     return [k // moments + (i < k % moments) for i in range(moments)]
@@ -263,12 +259,7 @@ def _shift_target(p: int) -> Site:
     return Site(f.x, f.y, p + 2)
 
 
-def toffoli_step(
-    layout: Layout,
-    mapping: dict[Hashable, Site],
-    *,
-    optimize_depth: bool = False,
-) -> tuple[Schedule, dict[Hashable, Site]]:
+def toffoli_step(board: _Board, *, optimize_depth: bool = False) -> None:
     """First multiplier phase: one Toffoli per cube under the shared control.
 
     The control climbs one rung per cube; each fired partial product shifts
@@ -276,11 +267,6 @@ def toffoli_step(
     spent control in yellow, and pulls the next control onto the ladder top
     slot implicitly (the following step fetches it from yellow).
     """
-    _name, kind, emit = next(_step_plan(len(layout.placements), optimize_depth))
-    return _alone(layout, mapping, kind, emit)
-
-
-def _toffoli_moves(board: _Board, optimize_depth: bool) -> None:
     n = board.spec.n
     if optimize_depth and n < 3:
         raise ValueError(
@@ -313,11 +299,7 @@ def _toffoli_moves(board: _Board, optimize_depth: bool) -> None:
             board.moment(*pairs, spacers=spacers)
 
 
-def ctrl_add_step(
-    layout: Layout,
-    mapping: dict[Hashable, Site],
-    j: int,
-) -> tuple[Schedule, dict[Hashable, Site]]:
+def ctrl_add_step(board: _Board, j: int) -> None:
     """The j-th controlled addition: add A into the window under control B_j.
 
     Carry compute wave runs down the tower (one carry hop per cube), the
@@ -325,10 +307,6 @@ def ctrl_add_step(
     zero ancilla in as the newest product bit, and the sum wave climbs back
     up with the control, retiring it into yellow at the top.
     """
-    return _alone(layout, mapping, "ctrl-add", partial(_ctrl_add_moves, j=j))
-
-
-def _ctrl_add_moves(board: _Board, j: int) -> None:
     spec = board.spec
     n = spec.n
     if not 1 <= j <= n - 1:
@@ -400,21 +378,13 @@ def _ctrl_add_moves(board: _Board, j: int) -> None:
     board.moment(spacers=1)
 
 
-def reset_step(
-    layout: Layout,
-    mapping: dict[Hashable, Site],
-    j: int,
-) -> tuple[Schedule, dict[Hashable, Site]]:
+def reset_step(board: _Board, j: int) -> None:
     """Shift the window one rung up in five rounds of parallel SWAPs.
 
     Bits on even rungs ride the ladder first; their landing exchange boards
     the odd-rung bits, which land in the last two rounds. The depth is five
     regardless of n.
     """
-    return _alone(layout, mapping, "reset", partial(_reset_moves, j=j))
-
-
-def _reset_moves(board: _Board, j: int) -> None:
     n = board.spec.n
     if not 1 <= j <= n - 1:
         raise ValueError(f"reset index must be in 1..{n - 1}, got {j}")
@@ -448,8 +418,6 @@ def full_multiplier_schedule(
     """
     if layout is None:
         layout = build_multiplier_layout(n)
-    elif len(layout.placements) != n:
-        raise ValueError(f"the layout holds {len(layout.placements)} cells, not n={n}")
     board = _Board(layout, initial_mapping(layout, RegisterSpec.for_width(n)))
     for _name, kind, emit in _step_plan(n, optimize_toffoli_depth):
         emit(board)

@@ -8,12 +8,13 @@ from fractions import Fraction
 
 from celltiler import decomp
 from celltiler.cells import Layout, place, tile_supports, toffoli_cube, tdepth2_tile, and_tile
-from celltiler.circuit import GateKind, POLICIES, depth, swap_metrics, t_metrics
+from celltiler.circuit import GateKind, POLICIES, Schedule, depth, swap_metrics, t_metrics
 from celltiler.lattice import Site, grid
 from celltiler.lsx import extract_ls, validate_ls
 from celltiler.router import compare, compare_csv
 from celltiler.scheduler import (
     RESET_SWAP_DEPTH,
+    _Board,
     ctrl_add_step,
     full_multiplier_schedule,
     reset_step,
@@ -58,13 +59,18 @@ def test_criterion_1_multiplier_correctness():
 
 
 def _steps(n):
+    """The Toffoli step, ctrl-add 1 and reset 1, chained on one board as the
+    CLI emits them; each comes back as a schedule of its own moments."""
     layout = build_multiplier_layout(n)
-    spec = RegisterSpec.for_width(n)
-    mapping = initial_mapping(layout, spec)
-    t, mapping = toffoli_step(layout, mapping)
-    ca, mapping = ctrl_add_step(layout, mapping, 1)
-    r, mapping = reset_step(layout, mapping, 1)
-    return t, ca, r
+    board = _Board(layout, initial_mapping(layout, RegisterSpec.for_width(n)))
+    steps = []
+    for kind, step, args in (("toffoli", toffoli_step, ()), ("ctrl-add", ctrl_add_step, (1,)),
+                             ("reset", reset_step, (1,))):
+        start = len(board.sched.moments)
+        step(board, *args)
+        board.finish(kind)
+        steps.append(Schedule(board.sched.moments[start:]))
+    return steps
 
 
 def test_criterion_2_swap_count_closed_forms():

@@ -373,7 +373,11 @@ def test_schedule_emits_each_step_once(n, monkeypatch):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     monkeypatch.setattr(scheduler._Board, "finish", counted("finish", scheduler._Board.finish))
     assert main(["schedule", str(n)]) == 0
-    assert calls == [("full_multiplier_schedule", False)] + [("finish", True)] * (2 * n - 2)
+    steps = (["toffoli_step"] + ["ctrl_add_step", "reset_step"] * (n - 1))[: 2 * n - 2]
+    expected = [("full_multiplier_schedule", False)]
+    for step in steps:
+        expected += [(step, True), ("finish", True)]
+    assert calls == expected
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from functools import partial
 
 import pytest
@@ -32,27 +33,40 @@ def setup_boards(n):
     return layout, spec, mapping
 
 
+def board(n=2):
+    layout, _spec, mapping = setup_boards(n)
+    return scheduler._Board(layout, mapping)
+
+
+def run_step(b, kind, step, *args, **kwargs):
+    """Run one step on the board, close it as ``kind`` and return a schedule
+    of the step's own moments."""
+    start = len(b.sched.moments)
+    step(b, *args, **kwargs)
+    b.finish(kind)
+    return Schedule(b.sched.moments[start:])
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_toffoli_step_budget(n):
-    layout, spec, mapping = setup_boards(n)
-    sched, _ = toffoli_step(layout, mapping)
+    sched = run_step(board(n), "toffoli", toffoli_step)
     assert swap_metrics(sched) == (5 * (n - 1) + 12, 2 * (n - 1) + 5)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_ctrl_add_budget(n):
-    layout, spec, mapping = setup_boards(n)
-    _, mapping = toffoli_step(layout, mapping)
-    sched, _ = ctrl_add_step(layout, mapping, 1)
+    b = board(n)
+    run_step(b, "toffoli", toffoli_step)
+    sched = run_step(b, "ctrl-add", ctrl_add_step, 1)
     assert swap_metrics(sched) == (6 * (n - 1) + 16, 4 * (n - 1) + 10)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_reset_budget_and_constant_depth(n):
-    layout, spec, mapping = setup_boards(n)
-    _, mapping = toffoli_step(layout, mapping)
-    _, mapping = ctrl_add_step(layout, mapping, 1)
-    sched, _ = reset_step(layout, mapping, 1)
+    b = board(n)
+    run_step(b, "toffoli", toffoli_step)
+    run_step(b, "ctrl-add", ctrl_add_step, 1)
+    sched = run_step(b, "reset", reset_step, 1)
     count, depth = swap_metrics(sched)
     assert count == 4 * (n - 1) + 9
     assert depth == RESET_SWAP_DEPTH == 5
@@ -69,8 +83,7 @@ def test_full_schedule_totals(n):
 
 def test_n1_schedule_is_toffoli_step_only():
     sched, _ = full_multiplier_schedule(1)
-    layout, spec, mapping = setup_boards(1)
-    step, _ = toffoli_step(layout, mapping)
+    step = run_step(board(1), "toffoli", toffoli_step)
     assert sched.to_json() == step.to_json()
     assert sched.count(K.TOFFOLI) == 1
 
@@ -170,30 +183,29 @@ def test_mapping_bijective_after_each_step():
 
 def test_toffoli_step_fires_one_gate_per_cube():
     for n in (1, 3):
-        layout, spec, mapping = setup_boards(n)
-        sched, _ = toffoli_step(layout, mapping)
+        sched = run_step(board(n), "toffoli", toffoli_step)
         assert sched.count(K.TOFFOLI) == n
 
 
 def test_ctrl_add_rejects_bad_index():
-    layout, spec, mapping = setup_boards(3)
     with pytest.raises(ValueError):
-        ctrl_add_step(layout, mapping, 0)
+        ctrl_add_step(board(3), 0)
     with pytest.raises(ValueError):
-        ctrl_add_step(layout, mapping, 3)
+        ctrl_add_step(board(3), 3)
 
 
 def test_reset_rejects_bad_index():
-    layout, spec, mapping = setup_boards(3)
     with pytest.raises(ValueError):
-        reset_step(layout, mapping, 0)
+        reset_step(board(3), 0)
 
 
 def test_control_label_constant_through_iteration():
     n = 3
-    layout, spec, mapping = setup_boards(n)
-    _, mapping = toffoli_step(layout, mapping)
-    sched, _ = ctrl_add_step(layout, mapping, 1)
+    spec = RegisterSpec.for_width(n)
+    b = board(n)
+    run_step(b, "toffoli", toffoli_step)
+    mapping = b.occ.mapping()
+    sched = run_step(b, "ctrl-add", ctrl_add_step, 1)
     # replay and confirm every sum Toffoli uses B1 as a control
     occupant = {s: l for l, s in mapping.items()}
     sum_controls = set()
@@ -211,8 +223,7 @@ def test_control_label_constant_through_iteration():
 
 def test_optimized_toffoli_depth_variant():
     n = 4
-    layout, spec, mapping = setup_boards(n)
-    sched, _ = toffoli_step(layout, mapping, optimize_depth=True)
+    sched = run_step(board(n), "toffoli-opt", toffoli_step, optimize_depth=True)
     count, depth = swap_metrics(sched)
     assert count == 5 * (n - 1) + 12
     assert depth == 2 * (n - 1) + 2
@@ -271,30 +282,25 @@ def test_non_injective_start_mapping_rejected():
     clash = dict(mapping)
     clash[spec.a[1]] = mapping[spec.a[0]]
     with pytest.raises(ValueError, match="not injective"):
-        toffoli_step(layout, clash)
+        toffoli_step(scheduler._Board(layout, clash))
     with pytest.raises(ValueError, match="not injective"):
         validate_schedule(layout, clash, Schedule())
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_optimized_toffoli_depth_needs_three_rungs(n):
-    layout, spec, mapping = setup_boards(n)
     with pytest.raises(ValueError, match="needs n >= 3"):
-        toffoli_step(layout, mapping, optimize_depth=True)
+        toffoli_step(board(n), optimize_depth=True)
 
 
 def test_step_budgets_rows_match_emitted_steps():
     n = 4
-    layout, spec, mapping = setup_boards(n)
-    emitted = []
-    step, mapping = toffoli_step(layout, mapping, optimize_depth=True)
-    emitted.append(swap_metrics(step))
+    b = board(n)
+    emitted = [swap_metrics(run_step(b, "toffoli-opt", toffoli_step, optimize_depth=True))]
     for j in range(1, n):
-        step, mapping = ctrl_add_step(layout, mapping, j)
-        emitted.append(swap_metrics(step))
+        emitted.append(swap_metrics(run_step(b, "ctrl-add", ctrl_add_step, j)))
         if j <= n - 2:
-            step, mapping = reset_step(layout, mapping, j)
-            emitted.append(swap_metrics(step))
+            emitted.append(swap_metrics(run_step(b, "reset", reset_step, j)))
     rows = step_budgets(n, optimize_toffoli_depth=True)
     assert [(c, d) for _, c, d in rows] == emitted
     assert [name for name, _, _ in rows] == [
@@ -303,19 +309,20 @@ def test_step_budgets_rows_match_emitted_steps():
 
 
 def chained_steps(n, optimize):
-    """The multiplier as the public step functions emit it, one board per
+    """The multiplier as the public step functions emit it, a fresh board per
     step, with the steps' moments concatenated into one schedule."""
     layout, spec, mapping = setup_boards(n)
     total = Schedule()
-    steps = [partial(toffoli_step, optimize_depth=optimize)]
+    steps = [("toffoli-opt" if optimize else "toffoli", partial(toffoli_step, optimize_depth=optimize))]
     for j in range(1, n):
-        steps.append(partial(ctrl_add_step, j=j))
+        steps.append(("ctrl-add", partial(ctrl_add_step, j=j)))
         if j <= n - 2:
-            steps.append(partial(reset_step, j=j))
-    for step in steps:
-        sched, mapping = step(layout, mapping)
-        for m in sched.moments:
+            steps.append(("reset", partial(reset_step, j=j)))
+    for kind, step in steps:
+        b = scheduler._Board(layout, mapping)
+        for m in run_step(b, kind, step).moments:
             total.extend_moment(m)
+        mapping = b.occ.mapping()
     return total, mapping
 
 
@@ -388,13 +395,13 @@ def test_step_off_its_budget_raises(monkeypatch, budget, delta):
 
 
 def test_stale_positional_spec_rejected():
-    layout, spec, mapping = setup_boards(4)
+    spec = RegisterSpec.for_width(4)
     with pytest.raises(TypeError):
-        toffoli_step(layout, mapping, spec)
+        toffoli_step(board(4), spec)
     with pytest.raises(TypeError):
-        ctrl_add_step(layout, mapping, 1, spec)
+        ctrl_add_step(board(4), 1, spec)
     with pytest.raises(TypeError):
-        reset_step(layout, mapping, 1, spec)
+        reset_step(board(4), 1, spec)
 
 
 def test_validate_schedule_reports_overlapping_support():
@@ -406,11 +413,6 @@ def test_validate_schedule_reports_overlapping_support():
     assert report.violations == ["moment 0: overlapping support at [(0, 0, 1)]"]
 
 
-def board():
-    layout, _spec, mapping = setup_boards(2)
-    return scheduler._Board(layout, mapping)
-
-
 @pytest.mark.parametrize(
     "emit, message",
     [
@@ -420,12 +422,13 @@ def board():
         # the second moment's (S(0), S(1)) reuses the gate the first one made
         (lambda b: [b.moment((S(0), S(1))), b.moment((S(1), S(2)), (S(0), S(1)))],
          "site (0, 0, 1) used twice in one moment"),
+        (lambda b: b.fire(S(0), S(1), S(0)), "site (0, 0, 0) used twice in one moment"),
         (lambda b: b.moment((S(0), S(2))), "SWAP (0, 0, 0)<->(0, 0, 2) is not nearest-neighbour"),
         (lambda b: b.bubble_to("B1", MAGENTA(0)), "bubble of 'B1' must stay inside one queue"),
         (lambda b: b.bubble_hole_to("magenta", MAGENTA(0)), "queue magenta has no free slot"),
     ],
-    ids=["outside", "unknown-label", "used-twice", "used-twice-cached", "not-adjacent", "across-queues",
-         "no-free-slot"],
+    ids=["outside", "unknown-label", "used-twice", "used-twice-cached", "toffoli-used-twice", "not-adjacent",
+         "across-queues", "no-free-slot"],
 )
 def test_board_rejects_a_bad_move(emit, message):
     with pytest.raises(ScheduleError) as err:
@@ -455,7 +458,7 @@ def test_emission_keeps_the_used_region_and_shares_each_move(n, optimize):
 def test_full_multiplier_schedule_takes_the_callers_layout():
     layout = build_multiplier_layout(4)
     assert full_multiplier_schedule(4, layout=layout)[0].to_json() == full_multiplier_schedule(4)[0].to_json()
-    with pytest.raises(ValueError, match="^the layout holds 4 cells, not n=3$"):
+    with pytest.raises(ValueError, match="^layout has 4 cubes, spec expects 3$"):
         full_multiplier_schedule(3, layout=layout)
 
 
@@ -466,3 +469,34 @@ def test_board_reports_unplaced_spacers(monkeypatch):
     with pytest.raises(ScheduleError) as err:
         b.finish("reset")
     assert str(err.value) == "unplaced spacer swaps: 1"
+
+
+def count_step_calls(monkeypatch):
+    """Wrap each step function wherever a celltiler module holds it, the way
+    the benchmark's traced mode does, and count the calls by name."""
+    calls = dict.fromkeys(("toffoli_step", "ctrl_add_step", "reset_step"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        original = getattr(scheduler, name)
+        wrapper = counted(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "celltiler" or mod_name.startswith("celltiler."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, optimize", [(n, o) for n in range(1, 11) for o in (False, True) if n >= 3 or not o]
+)
+def test_wrapped_step_functions_see_every_step(n, optimize, monkeypatch):
+    calls = count_step_calls(monkeypatch)
+    full_multiplier_schedule(n, optimize)
+    assert calls == {"toffoli_step": 1, "ctrl_add_step": n - 1, "reset_step": max(n - 2, 0)}
