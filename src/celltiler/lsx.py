@@ -331,44 +331,30 @@ def validate_ls(program: LSProgram, mode: str) -> LSReport:
     no instruction naming one patch twice."""
     check_mode(None, mode)
     report = LSReport()
-    merges = (MERGE_ZZ, MERGE_XX)
+    counted = (MERGE_ZZ, MERGE_XX, TRANSVERSAL)
+    # the limit of each per-step table (patch -> the instances it joins)
+    limits = ((MERGE_SPLIT_LIMIT, "patch {} joins {} merge/split operations"),
+              (TRANSVERSAL_LIMIT, "patch {} joins {} transversal CNOTs"),
+              (1, "ancilla patch {} mediates {} CNOTs"))
     for si, step in enumerate(program.steps):
-        ls_count: dict[str, set[int]] = {}
-        tv_count: dict[str, set[int]] = {}
-        anc_jobs: dict[str, set[int]] = {}
+        tables = ls_count, tv_count, anc_jobs = {}, {}, {}
         for kind, patches, instance, _, _ in step:
             if len(patches) == 2 and patches[0] == patches[1]:  # no kind takes more
                 report.violations.append(f"step {si}: {kind} names patch {patches[0]} twice")
-            if kind in merges:
-                for p in patches:
-                    table = anc_jobs if p.startswith(ANCILLA_PREFIX) else ls_count
-                    seen = table.get(p)
-                    if seen is None:
-                        table[p] = {instance}
-                    else:
-                        seen.add(instance)
-            elif kind == TRANSVERSAL:
-                if mode == "2d":
-                    report.violations.append(f"step {si}: transversal CNOT in 2d mode")
-                for p in patches:
-                    seen = tv_count.get(p)
-                    if seen is None:
-                        tv_count[p] = {instance}
-                    else:
-                        seen.add(instance)
-        for p, instances in ls_count.items():
-            if len(instances) > MERGE_SPLIT_LIMIT:
-                report.violations.append(
-                    f"step {si}: patch {p} joins {len(instances)} merge/split operations"
-                )
-        for p, instances in tv_count.items():
-            if len(instances) > TRANSVERSAL_LIMIT:
-                report.violations.append(
-                    f"step {si}: patch {p} joins {len(instances)} transversal CNOTs"
-                )
-        for p, instances in anc_jobs.items():
-            if len(instances) > 1:
-                report.violations.append(
-                    f"step {si}: ancilla patch {p} mediates {len(instances)} CNOTs"
-                )
+            if kind not in counted:
+                continue
+            if kind == TRANSVERSAL and mode == "2d":
+                report.violations.append(f"step {si}: transversal CNOT in 2d mode")
+            for p in patches:
+                table = tv_count if kind == TRANSVERSAL else (
+                    anc_jobs if p.startswith(ANCILLA_PREFIX) else ls_count)
+                seen = table.get(p)
+                if seen is None:
+                    table[p] = {instance}
+                else:
+                    seen.add(instance)
+        for table, (limit, text) in zip(tables, limits):
+            for p, instances in table.items():
+                if len(instances) > limit:
+                    report.violations.append(f"step {si}: " + text.format(p, len(instances)))
     return report

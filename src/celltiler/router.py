@@ -60,12 +60,9 @@ class _Router:
         self.lattice = lattice
         for site in mapping0.values():
             lattice.check(site)
+        Occupancy(mapping0)  # refuses a shared start, naming its Site, not its index
         index = lattice.index
-        try:
-            self.occ = Occupancy({label: index(site) for label, site in mapping0.items()})
-        except ValueError:
-            Occupancy(mapping0)  # the same check, to name the shared Site
-            raise
+        self.occ = Occupancy({label: index(site) for label, site in mapping0.items()})
         self.adjacency = lattice.adjacency
         self.sites = tuple(lattice.sites())
         self.out = Schedule()
@@ -155,20 +152,20 @@ def logical_multiplier_circuit(n: int) -> Schedule:
             g = toffolis[a, b, t] = Gate(K.TOFFOLI, (a, b, t))
         sched.extend_moment([g])
 
+    def carry(i, j):  # the carry block of bit i in addition j, both waves
+        tof(spec.a[i], spec.p[j + i], carries[i + 1])
+        if i >= 1:
+            tof(carries[i], spec.p[j + i], carries[i + 1])
+            tof(carries[i], spec.a[i], carries[i + 1])
+
     for i in range(n):
         tof(spec.b[0], spec.a[i], spec.p[i])
     for j in range(1, n):
         for i in range(n):
-            tof(spec.a[i], spec.p[j + i], carries[i + 1])
-            if i >= 1:
-                tof(carries[i], spec.p[j + i], carries[i + 1])
-                tof(carries[i], spec.a[i], carries[i + 1])
+            carry(i, j)
         tof(spec.b[j], carries[n], spec.p[j + n])
         for i in range(n - 1, -1, -1):
-            tof(spec.a[i], spec.p[j + i], carries[i + 1])
-            if i >= 1:
-                tof(carries[i], spec.p[j + i], carries[i + 1])
-                tof(carries[i], spec.a[i], carries[i + 1])
+            carry(i, j)
             tof(spec.b[j], spec.a[i], spec.p[j + i])
             if i >= 1:
                 tof(spec.b[j], carries[i], spec.p[j + i])

@@ -87,18 +87,17 @@ class _Board:
     ``moment(*pairs, spacers=k)`` emits the given SWAPs in call order, then
     ``k`` idle-ancilla spacer SWAPs plus any spacer debt the step still owes;
     a moment that ends up empty is dropped. ``fire(c1, c2, t)`` emits a
-    moment holding one Toffoli. Every SWAP must be nearest-neighbour, every
-    site inside the used region, and no site may be used twice in one moment.
-    A SWAP is tagged ``storage`` exactly when both its sites lie in the same
-    queue.
+    moment holding one Toffoli. Every SWAP must be nearest-neighbour and every
+    site inside the used region; a site used twice in one moment is refused by
+    the IR (``Schedule.extend_moment``, ``Gate``). A SWAP is tagged
+    ``storage`` exactly when both its sites lie in the same queue.
 
     Each distinct move is built and checked once: ``swaps`` holds one gate
     per directed edge and ``toffolis`` one per ``(c1, c2, target)``, and the
     nearest-neighbour and used-region tests run when that gate is made. This
     is sound because the labelled sites, the used region, never change: the
     board only SWAPs two labelled sites, which leaves both labelled. A later
-    occurrence of a SWAP costs only the used-twice test and ``occ.swap``, and
-    of a Toffoli nothing.
+    occurrence of a SWAP costs only ``occ.swap``, and of a Toffoli nothing.
 
     ``finish(kind)`` checks the ``swap_metrics`` of the step's own moments
     against its :data:`STEP_SWAPS` entry and starts the next step with no
@@ -150,8 +149,6 @@ class _Board:
             self.site_label(b)
             tags = _STORAGE if self._same_queue(a, b) else _UNTAGGED  # fixed by the layout
             g = self.swaps[a, b] = Gate(K.SWAP, (a, b), tags=tags)
-        if a in used or b in used:
-            raise ScheduleError(f"site {tuple(a if a in used else b)} used twice in one moment")
         used.add(a)
         used.add(b)
         self.occ.swap(a, b)
@@ -162,15 +159,11 @@ class _Board:
         gates = [self._swap(a, b, used) for a, b in pairs]
         want = spacers + self.spacer_debt
         placed = 0
-        # the idle-ancilla test of _dead_anc; every spacer pair is labelled
-        label_at, data, live = self.occ.label_at, self.data, self.live_anc
+        dead = self._dead_anc
         for a, b in self.spacer_pairs:
             if placed == want:
                 break
-            if a in used or b in used:
-                continue
-            la, lb = label_at[a], label_at[b]
-            if la in data or la in live or lb in data or lb in live:
+            if a in used or b in used or not (dead(a) and dead(b)):
                 continue
             gates.append(self._swap(a, b, used))
             placed += 1
@@ -181,12 +174,8 @@ class _Board:
     def fire(self, c1: Site, c2: Site, target: Site) -> None:
         g = self.toffolis.get((c1, c2, target))
         if g is None:  # the triple's first use: the checks that hold for good
-            used: set[Site] = set()
             for s in (c1, c2, target):
                 self.site_label(s)
-                if s in used:
-                    raise ScheduleError(f"site {tuple(s)} used twice in one moment")
-                used.add(s)
             g = self.toffolis[c1, c2, target] = Gate(K.TOFFOLI, (c1, c2, target))
         self.sched.extend_moment([g])
 

@@ -491,6 +491,34 @@ def test_validate_flags_an_instruction_naming_one_patch_twice():
     ]
 
 
+def test_validate_reports_each_limit_class_in_a_fixed_order():
+    # per step: the per-instruction rules in instruction order, then the
+    # merge/split, transversal and ancilla limits, each in first-use order
+    prog = LSProgram(
+        steps=[[
+            LSInstruction(TRANSVERSAL, ("t", "u1"), 1),
+            LSInstruction(MERGE_ZZ, ("p", "ls_anc0"), 2),
+            LSInstruction(MERGE_XX, ("p", "ls_anc0"), 3),
+            LSInstruction(MERGE_ZZ, ("c", "p"), 4),
+            LSInstruction(MERGE_ZZ, ("a", "a"), 5),
+            LSInstruction(TRANSVERSAL, ("t", "u2"), 6),
+            LSInstruction(MERGE_ZZ, ("c", "d"), 7),
+            LSInstruction(TRANSVERSAL, ("t", "u3"), 8),
+            LSInstruction(MERGE_ZZ, ("c", "e"), 9),
+        ]]
+    )
+    assert validate_ls(prog, "2d").violations == [
+        "step 0: transversal CNOT in 2d mode",
+        "step 0: merge_split_zz names patch a twice",
+        "step 0: transversal CNOT in 2d mode",
+        "step 0: transversal CNOT in 2d mode",
+        "step 0: patch p joins 3 merge/split operations",
+        "step 0: patch c joins 3 merge/split operations",
+        "step 0: patch t joins 3 transversal CNOTs",
+        "step 0: ancilla patch ls_anc0 mediates 2 CNOTs",
+    ]
+
+
 def test_check_mode_rejects_an_unknown_mode():
     with pytest.raises(ModeError, match="^unknown mode '4d'$"):
         check_mode(None, "4d")
