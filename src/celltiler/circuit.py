@@ -148,15 +148,16 @@ class Schedule:
         share a wire."""
         idx = len(self.moments)
         moment: list[Gate] = []
-        self.moments.append(moment)
         last = self._last
         for g in gates:
             for q in g.operands:
-                if last.get(q) == idx:
+                if last.get(q) == idx:  # refused: forget the gates taken so far
+                    self._last = {w: i for i, m in enumerate(self.moments) for h in m for w in h.operands}
                     raise ValueError(f"overlapping support in moment {idx}: {g}")
             moment.append(g)
             for q in g.operands:
                 last[q] = idx
+        self.moments.append(moment)
 
     def gates(self) -> Iterator[Gate]:
         for m in self.moments:

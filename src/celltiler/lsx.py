@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, NamedTuple
@@ -113,25 +112,25 @@ class _Extractor:
 
     Per-patch state, keyed by patch name, and the method that advances it:
 
-    - ``hard_avail``, the first step a new CNOT instance may use: ``single``;
     - ``last_step``, the latest step that uses the patch: ``_place_two``, ``single``;
     - ``use`` / ``full``, indexed by transversal?, then patch: the uses per
-      step, and a bitmask of the steps at the limit: ``_place_two``;
+      step, and a bitmask of the steps a new CNOT instance may not use: the
+      steps at the limit (``_place_two``) and, after a T or Tdag at step
+      ``s``, steps ``0..s`` in both masks (``single``);
     - ``orientation``, the boundary (``"z"`` or ``"x"``) the patch presents:
       ``ls_cnot``, and ``single`` for ``h``.
 
-    ``_alloc_anc`` advances the ancilla frontier ``anc_free`` and fills the
-    name cache ``anc_names``, one entry each per ancilla patch. Records are
-    built by ``tuple.__new__``, not by ``LSInstruction``'s generated keyword
-    ``__new__``."""
+    ``_alloc_anc`` counts the patterns placed in each step, ``anc_used``, and
+    fills the name cache ``anc_names``, one entry per ancilla patch. Records
+    are built by ``tuple.__new__``, not by ``LSInstruction``'s generated
+    keyword ``__new__``."""
 
     def __init__(self):
         self.program = LSProgram()
-        self.hard_avail: dict[str, int] = {}
         self.last_step: dict[str, int] = {}
         self.use = (defaultdict(dict), defaultdict(dict))
         self.full: tuple[dict[str, int], dict[str, int]] = ({}, {})
-        self.anc_free: list[int] = []  # per ancilla patch: minus its first free step
+        self.anc_used: dict[int, int] = {}  # per step: the patterns placed in it
         self.anc_names: list[str] = []  # per ancilla patch: its name
         self.orientation: dict[str, str] = {}
         self.instance = 0
@@ -141,23 +140,16 @@ class _Extractor:
             self.program.steps.append([])
 
     def _place_two(self, patches: tuple[str, str], transversal: bool) -> int:
-        """The first step at or after both patches' ``hard_avail`` where each
-        is under its per-step limit of merge/split (or transversal) uses.
-
-        Bit ``t`` of a patch's ``full`` mask is set once the patch reaches the
-        limit at step ``t``, so from ``s`` the first step where neither patch
-        is full is ``s`` plus the trailing ones of ``(full_a | full_b) >> s``."""
+        """The first step where neither patch's ``full`` mask is set: the
+        trailing ones of ``full_a | full_b``. The chosen step's use counts
+        then grow by one, and a patch reaching its per-step limit of
+        merge/split (or transversal) uses sets that step's bit."""
         a, b = patches
-        hard = self.hard_avail
         full = self.full[transversal]
-        s = hard.get(a, 0)
-        t = hard.get(b, 0)
-        if t > s:
-            s = t
         full_a = full.get(a, 0)
         full_b = full.get(b, 0)
-        busy = (full_a | full_b) >> s
-        s += (busy ^ (busy + 1)).bit_length() - 1
+        busy = full_a | full_b
+        s = (busy ^ (busy + 1)).bit_length() - 1
         steps = self.program.steps
         while len(steps) <= s:
             steps.append([])
@@ -179,19 +171,15 @@ class _Extractor:
         return s
 
     def _alloc_anc(self, step: int) -> str:
-        """The lowest-numbered ancilla patch free at ``step``, then busy through it.
-
-        ``anc_free[i]`` is minus ancilla ``i``'s first free step, and the list
-        stays ascending: the index taken is the lowest one free at ``step``,
-        so lower entries are at most ``-step - 1`` and higher ones at least
-        ``-step``. So ``bisect_left(anc_free, -step)`` is that lowest index."""
-        free = self.anc_free
-        i = bisect_left(free, -step)
-        if i == len(free):  # a new patch: its name is made once, not per CNOT
-            free.append(0)
-            self.anc_names.append(f"{ANCILLA_PREFIX}{i}")
-        free[i] = -step - 1
-        return self.anc_names[i]
+        """Ancilla ``k`` for the ``k``-th pattern placed in ``step``, counting
+        from 0: a pattern holds its ancilla for that one step."""
+        used = self.anc_used
+        k = used.get(step, 0)
+        used[step] = k + 1
+        names = self.anc_names
+        if k == len(names):  # a new patch: its name is made once, not per CNOT
+            names.append(f"{ANCILLA_PREFIX}{k}")
+        return names[k]
 
     def ls_cnot(self, ctrl: str, tgt: str, kinds=(MERGE_ZZ, MERGE_XX), condition=None) -> None:
         i = self.instance = self.instance + 1
@@ -229,8 +217,8 @@ class _Extractor:
                 cur = self.orientation[patch]
                 self.orientation[patch] = "x" if cur == "z" else "z"
         else:
-            s = last[patch] = last.get(patch, -1) + 1  # hard_avail never exceeds this
-            self.hard_avail[patch] = s + 1
+            s = last[patch] = last.get(patch, -1) + 1  # no full bit lies above s
+            self.full[0][patch] = self.full[1][patch] = (2 << s) - 1
         self._ensure(s)
         self.program.steps[s].append(tuple.__new__(LSInstruction, (OP, (patch,), 0, name, None)))
 
@@ -252,10 +240,12 @@ def extract_ls(
     """Translate a Clifford+T schedule into lattice-surgery steps.
 
     Every CNOT becomes the init/merge-split/measure pattern on a mediating
-    ancilla patch; in 3d mode CNOTs whose endpoints sit on vertically stacked
-    sites become transversal CNOTs instead. T gates occupy a step of their
-    own; other single-patch gates ride along. Patch rotations are inserted
-    when a reused patch must present its other boundary type.
+    ancilla patch, ``ls_anc<k>`` for the k-th pattern of its step, so the
+    ancilla patches are as many as the most patterns in one step. In 3d mode
+    CNOTs whose endpoints sit on vertically stacked sites become transversal
+    CNOTs instead. T gates occupy a step of their own; other single-patch
+    gates ride along. Patch rotations are inserted when a reused patch must
+    present its other boundary type.
 
     Riding ops (``RIDING_OPS``) take no step time: each joins the latest step
     that uses its patch so far (step 0 if none). A step's instruction list is

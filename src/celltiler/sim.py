@@ -33,8 +33,8 @@ from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
 
 MAX_TERMS = 1 << 14
 _NORM_TOL = 1e-9
-_FLIPS = frozenset((GateKind.X, GateKind.CNOT, GateKind.TOFFOLI))
-_MEASURES = frozenset((GateKind.MEASURE_X, GateKind.MEASURE_Z))
+_FLIPS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI)  # tuples, as circuit.T_KINDS is
+_MEASURES = (GateKind.MEASURE_X, GateKind.MEASURE_Z)
 
 
 class UnsupportedGateError(Exception):

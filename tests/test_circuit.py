@@ -304,6 +304,18 @@ def test_overlap_rejected_by_every_builder():
         Schedule.from_json(text)
 
 
+def test_refused_moment_leaves_the_schedule_as_it_was():
+    s = Schedule([[gate(K.X, "b")]])
+    with pytest.raises(ValueError, match="overlapping support in moment 1"):
+        s.extend_moment([gate(K.CNOT, "a", "b"), gate(K.H, "a")])
+    assert s.moments == [[gate(K.X, "b")]]
+    s.append(gate(K.H, "c"))
+    s.append(gate(K.H, "b"))
+    assert s.moments == [[gate(K.X, "b"), gate(K.H, "c")], [gate(K.H, "b")]]
+    s.extend_moment([gate(K.CNOT, "a", "c")])
+    assert s.moments[2] == [gate(K.CNOT, "a", "c")]
+
+
 # --- direct JSON writer against the stdlib encoder -------------------------
 
 
