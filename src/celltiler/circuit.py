@@ -147,15 +147,13 @@ class Schedule:
         """Append one new moment holding all the given gates, which must not
         share a wire."""
         idx = len(self.moments)
-        moment: list[Gate] = []
+        moment = list(gates)
         last = self._last
-        for g in gates:
-            for q in g.operands:
+        for g in moment:
+            for q in g.operands:  # distinct, so a gate never meets its own wire
                 if last.get(q) == idx:  # refused: forget the gates taken so far
                     self._last = {w: i for i, m in enumerate(self.moments) for h in m for w in h.operands}
                     raise ValueError(f"overlapping support in moment {idx}: {g}")
-            moment.append(g)
-            for q in g.operands:
                 last[q] = idx
         self.moments.append(moment)
 
@@ -202,39 +200,50 @@ class Schedule:
         and the tail. Each gate's record is written once per call, keyed by
         ``id``: equal gates can differ in text (``condition`` ``1`` or
         ``True``), and the schedule keeps every gate alive while it is not
-        changed, which it must not be until the last chunk is read."""
-        sites: dict[Site, str] = {}
+        changed, which it must not be until the last chunk is read.
+
+        A record joins fragments cached per call: the text up to the first
+        operand, keyed by ``(kind, type(condition), condition)``; each
+        operand, keyed by ``(type(q), q)``; the rest, keyed by the tag set.
+        Only ``None`` or ``int`` conditions and ``str`` or ``Site`` operands
+        are cached (``0.0`` and ``-0.0`` are equal too); tags are ``str``.
+        """
         records: dict[int, str] = {}
+        heads: dict[tuple, str] = {}
+        texts: dict[tuple, str] = {}
+        tails: dict[frozenset, str] = {}
 
-        def operand(q) -> str:
-            if isinstance(q, Site):
-                text = sites.get(q)
+        def record(g: Gate) -> str:
+            kind, operands, condition, tags = g
+            key = (kind._value_, type(condition), condition)  # a str hashes faster than the member
+            head = heads.get(key)
+            if head is None:
+                head = (f'{{\n        "condition": {json_value(condition, 4)},'
+                        f'\n        "kind": {_encode_str(kind.value)},\n        "operands": [\n          ')
+                if condition is None or type(condition) is int:
+                    heads[key] = head
+            items = []
+            for q in operands:  # never empty: every kind has an operand
+                text = texts.get((type(q), q))
                 if text is None:
-                    text = sites[q] = json_list([json_value(c, 6) for c in q], 5)
-                return text
-            return json_value(q, 5)
+                    text = json_value(q, 5)
+                    if type(q) is str or type(q) is Site:
+                        texts[type(q), q] = text
+                items.append(text)
+            tail = tails.get(tags)
+            if tail is None:
+                listed = json_list([json_value(t, 5) for t in sorted(tags)], 4)
+                tail = tails[tags] = f'\n        ],\n        "tags": {listed}\n      }}'
+            records[id(g)] = text = head + ",\n          ".join(items) + tail
+            return text
 
+        cached = records.get
         yield '{\n  "moments": '
         lead = "[\n    "
         for m in self.moments:
-            parts = [lead]
+            yield lead + ("[\n      " + ",\n      ".join([cached(id(g)) or record(g) for g in m]) + "\n    ]"
+                          if m else "[]")
             lead = ",\n    "
-            sep = "[\n      "
-            for g in m:
-                record = records.get(id(g))
-                if record is None:
-                    operands = json_list([operand(q) for q in g.operands], 4)
-                    tags = json_list([json_value(t, 5) for t in sorted(g.tags)], 4)
-                    record = records[id(g)] = (
-                        f'{{\n        "condition": {json_value(g.condition, 4)},'
-                        f'\n        "kind": {_encode_str(g.kind.value)},'
-                        f'\n        "operands": {operands},'
-                        f'\n        "tags": {tags}\n      }}'
-                    )
-                parts += (sep, record)
-                sep = ",\n      "
-            parts.append("\n    ]" if m else "[]")
-            yield "".join(parts)
         yield "\n  ]\n}" if self.moments else "[]\n}"
 
     @classmethod

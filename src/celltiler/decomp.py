@@ -12,6 +12,8 @@ ancilla: it starts at |0> and ends at a.b.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from celltiler.circuit import Gate, GateKind, Schedule, gate
 
 K = GateKind
@@ -175,13 +177,20 @@ def toffoli_cube_circuit() -> Schedule:
 # --- lowering passes --------------------------------------------------------
 
 def _shared_template(moments: list[list[Gate]]) -> tuple[list[tuple], list[list[int]]]:
-    """A template's distinct gates as ``(kind, role indices, condition, tags)``
-    over the roles a, b, t, x, y, w, and each moment as indices into them."""
+    """A template's distinct gates as rows ``(kind, operands, condition,
+    tags)``, and each moment as indices into them. ``operands`` reads a
+    gate's operand tuple off the names of the roles a, b, t, x, y, w. Each
+    row comes from a :class:`Gate` that passed its arity and distinct-operand
+    checks, so a row's roles are distinct."""
     roles = {r: i for i, r in enumerate("abtxyw")}
     distinct = list(dict.fromkeys(g for m in moments for g in m))
     index = {g: i for i, g in enumerate(distinct)}
-    gates = [(g.kind, [roles[q] for q in g.operands], g.condition, g.tags) for g in distinct]
-    return gates, [[index[g] for g in m] for m in moments]
+    rows = []
+    for g in distinct:
+        i, *rest = (roles[q] for q in g.operands)
+        # an itemgetter of one index returns the name, not a 1-tuple: slice it
+        rows.append((g.kind, itemgetter(i, *rest) if rest else itemgetter(slice(i, i + 1)), g.condition, g.tags))
+    return rows, [[index[g] for g in m] for m in moments]
 
 
 def lower_schedule(schedule: Schedule) -> Schedule:
@@ -194,11 +203,17 @@ def lower_schedule(schedule: Schedule) -> Schedule:
     is expanded once, and a gate repeated within or across expansions (a
     template's compute and uncompute CNOTs, a SWAP's first and third CNOT,
     the CNOTs of a recurring SWAP) is one shared immutable :class:`Gate`.
+
+    Each expansion tests its six names (a, b, t, three ``_anc{k}``) once. A
+    template row's roles are distinct (:func:`_shared_template`), so if the
+    names are, every gate's operands are too, and each gate is built as a
+    bare record; if not, through :class:`Gate`, whose error names the repeat.
+    A wire shared by two gates of a moment is refused by ``extend_moment``.
     """
     toffoli = toffoli_tdepth2().moments
-    h_t = gate(K.H, "t")
-    ccz = [[h for h in m if h != h_t] for m in toffoli]
-    templates = {GateKind.TOFFOLI: _shared_template(toffoli), GateKind.CCZ: _shared_template(ccz)}
+    tof_template = _shared_template(toffoli)
+    ccz_template = _shared_template([[h for h in m if h.kind is not K.H] for m in toffoli])  # H is only H(t)
+    TOFFOLI, CCZ, SWAP, CNOT = K.TOFFOLI, K.CCZ, K.SWAP, K.CNOT  # kinds compared by identity
     triples: dict[int, list[list[Gate]]] = {}  # id of a SWAP gate -> its CNOT moments
     out = Schedule()
     pool = 0
@@ -206,23 +221,29 @@ def lower_schedule(schedule: Schedule) -> Schedule:
         pending: list[list[list[Gate]]] = []
         simple: list[Gate] = []
         for g in moment:
-            if g.kind in templates:
-                gates, moments = templates[g.kind]
+            kind = g.kind
+            if kind is TOFFOLI or kind is CCZ:
+                rows, moments = tof_template if kind is TOFFOLI else ccz_template
                 names = (*g.operands, f"_anc{pool}", f"_anc{pool + 1}", f"_anc{pool + 2}")
                 pool += 3
-                built = [Gate(kind, tuple(map(names.__getitem__, idx)), cond, tags)
-                         for kind, idx, cond, tags in gates]
+                if len(set(names)) == 6:
+                    built = [tuple.__new__(Gate, (k, ops(names), cond, tags)) for k, ops, cond, tags in rows]
+                else:
+                    built = [Gate(k, ops(names), cond, tags) for k, ops, cond, tags in rows]
                 pending.append([[built[i] for i in m] for m in moments])
-            elif g.kind is GateKind.SWAP:
+            elif kind is SWAP:
                 if id(g) not in triples:
                     a, b = g.operands
-                    ab = Gate(GateKind.CNOT, (a, b), tags=g.tags)
-                    triples[id(g)] = [[ab], [Gate(GateKind.CNOT, (b, a), tags=g.tags)], [ab]]
+                    ab = Gate(CNOT, (a, b), tags=g.tags)
+                    triples[id(g)] = [[ab], [Gate(CNOT, (b, a), tags=g.tags)], [ab]]
                 pending.append(triples[id(g)])
             else:
                 simple.append(g)
         if simple:
             out.extend_moment(simple)
-        for i in range(max((len(p) for p in pending), default=0)):
-            out.extend_moment([h for p in pending if i < len(p) for h in p[i]])
+        # one expansion (every Toffoli moment) as it is, several side by side
+        layers = pending[0] if len(pending) == 1 else [
+            [h for p in pending if i < len(p) for h in p[i]] for i in range(max(map(len, pending), default=0))]
+        for m in layers:
+            out.extend_moment(m)
     return out

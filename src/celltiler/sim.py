@@ -70,7 +70,7 @@ def classical_run(
     if lanes < 1:
         raise ValueError(f"need at least one lane, got {lanes}")
     every_lane = (1 << lanes) - 1
-    occ = Occupancy(mapping0 if mapping0 else {label: label for label in inputs})
+    occ = Occupancy({label: label for label in inputs} if mapping0 is None else mapping0)
     value: dict[Hashable, int] = {wire: 0 for wire in occ.label_at}
     for label, bits in inputs.items():
         if label not in occ.wire_of:

@@ -362,6 +362,26 @@ def test_to_json_matches_stdlib_encoder(moments):
     assert sched.to_json() == _reference_to_json(sched)
 
 
+# the writer caches text per operand and per condition: each pair compares
+# (and hashes) equal, but is written differently
+@pytest.mark.parametrize("first, second", [(1, True), (2, 2.0), (Site(1, 2, 3), (1, 2, 3)), (0.0, -0.0)])
+def test_to_json_tells_equal_operands_apart(first, second):
+    sched = Schedule([
+        [Gate(K.H, (first,))], [Gate(K.H, (second,))],
+        [Gate(K.CNOT, ("a", second))], [Gate(K.CNOT, ("a", first))],
+    ])
+    assert sched.to_json() == _reference_to_json(sched)
+
+
+@pytest.mark.parametrize("first, second", [(1, True), (0, False)])
+def test_to_json_tells_equal_conditions_apart(first, second):
+    sched = Schedule([
+        [Gate(K.CC_CZ, ("a", "b"), first)], [Gate(K.CC_CZ, ("a", "b"), second)],
+        [Gate(K.CC_CZ, ("b", "c"), second)], [Gate(K.CC_CZ, ("b", "c"), first)],
+    ])
+    assert sched.to_json() == _reference_to_json(sched)
+
+
 # the writer caches a record per Gate object: one object may fill many
 # moments, and a twin that compares equal may still be written differently
 TWINS = (Gate(K.CC_CZ, ("a", "b"), 1), Gate(K.CC_CZ, ("a", "b"), True))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -243,25 +244,39 @@ def test_lower_schedule_matches_the_per_gate_loop(moments):
 def test_lowered_multiplier_shares_repeated_gates():
     # each Toffoli builds its 15 distinct template gates once, each distinct
     # SWAP gate object two, however often the schedule repeats it
-    sched, _ = full_multiplier_schedule(4)
-    counts = kind_counts(sched)
-    assert set(counts) == {K.TOFFOLI, K.SWAP}
-    swaps = len({id(g) for g in sched.gates() if g.kind is K.SWAP})
-    assert swaps < counts[K.SWAP]
-    lowered = decomp.lower_schedule(sched)
-    assert len({id(g) for g in lowered.gates()}) == 15 * counts[K.TOFFOLI] + 2 * swaps
+    for n in range(1, 11):
+        sched, _ = full_multiplier_schedule(n)
+        counts = kind_counts(sched)
+        assert set(counts) == {K.TOFFOLI, K.SWAP}
+        swaps = len({id(g) for g in sched.gates() if g.kind is K.SWAP})
+        assert swaps < counts[K.SWAP]
+        lowered = decomp.lower_schedule(sched)
+        assert len({id(g) for g in lowered.gates()}) == 15 * counts[K.TOFFOLI] + 2 * swaps, n
 
 
-@pytest.mark.parametrize("moments, match", [
+@pytest.mark.parametrize("moments, message", [
     # the first Toffoli draws _anc0 for its x wire, which is already its control
-    ([[gate("toffoli", "_anc0", "b", "t")]], "duplicate operand"),
+    ([[gate("toffoli", "_anc0", "b", "t")]], "duplicate operand in cnot gate: ('_anc0', '_anc0')"),
     # the first Toffoli's y wire is _anc1, a control of the second
-    ([[gate("toffoli", "a", "b", "t"), gate("toffoli", "_anc1", "c", "d")]], "overlapping support"),
+    ([[gate("toffoli", "a", "b", "t"), gate("toffoli", "_anc1", "c", "d")]],
+     "overlapping support in moment 0: Gate(kind=<GateKind.CNOT: 'cnot'>, operands=('_anc1', '_anc3'), "
+     "condition=None, tags=frozenset())"),
 ])
-def test_lower_schedule_rejects_a_label_named_like_an_ancilla(moments, match):
+def test_lower_schedule_rejects_a_label_named_like_an_ancilla(moments, message):
     for lower in (decomp.lower_schedule, _reference_lower):
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             lower(Schedule(moments))
+
+
+@pytest.mark.parametrize("n, optimize", [(n, opt) for n in range(1, 11) for opt in (False, True) if n >= 3 or not opt])
+def test_lowered_multiplier_gates_are_well_formed(n, optimize):
+    # lower_schedule checks each expansion's names once and builds its gates
+    # as bare records, so every gate must still meet Gate's own checks
+    sched, _ = full_multiplier_schedule(n, optimize_toffoli_depth=optimize)
+    for g in decomp.lower_schedule(sched).gates():
+        assert type(g) is Gate
+        assert len(g.operands) == g.kind.arity
+        assert len(set(g.operands)) == len(g.operands)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -277,6 +277,14 @@ def test_classical_run_rejects_an_input_outside_mapping0():
         classical_run(s, {"a": "a", "b": "b"}, {"c": 1})
 
 
+def test_classical_run_rejects_every_input_under_an_empty_mapping0():
+    # an empty mapping0 maps no label; only None starts each label on its own wire
+    s = Schedule([[gate("cnot", "a", "b")]])
+    with pytest.raises(ValueError, match="^input 'a' is not a label of mapping0$"):
+        classical_run(s, {}, {"a": 1})
+    assert classical_run(s, None, {"a": 1}) == {"a": 1, "b": 1}
+
+
 @pytest.mark.parametrize(
     "wires, message",
     [(["a"], "wires miss schedule wires: ['b']"),

@@ -24,8 +24,9 @@ logical (``router.logical_multiplier_circuit``, the circuit that
 ``router.compare`` routes), route (``router.greedy_route``, called by
 ``router.compare``), replay (``validate_schedule``), oracle
 (``classical_run``), lower (``decomp.lower_schedule``), extract
-(``extract_ls``), validate (``validate_ls``) and write (the CLI's
-``_write``, which makes the JSON text as it writes it). ``whole_command``
+(``extract_ls``), validate (``validate_ls``), metrics (``t_metrics`` and
+``swap_metrics``, as the CLI calls them) and write (the CLI's ``_write``,
+which makes the JSON text as it writes it). ``whole_command``
 is ``cli.main`` timed whole. ``gc_ms`` and the collections per generation
 come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the process's peak
 resident set, so it is per command.
@@ -54,7 +55,7 @@ import tempfile
 from statistics import median
 from time import perf_counter
 
-STAGES = ("emit", "logical", "route", "replay", "oracle", "lower", "extract", "validate", "write")
+STAGES = ("emit", "logical", "route", "replay", "oracle", "lower", "extract", "validate", "metrics", "write")
 COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out", "compare 8 8", "verify 4")
 
 
@@ -85,6 +86,8 @@ def _child(argv: list[str]) -> None:
     decomp.lower_schedule = timed("lower", decomp.lower_schedule)
     cli.extract_ls = timed("extract", cli.extract_ls)
     cli.validate_ls = timed("validate", cli.validate_ls)
+    cli.t_metrics = timed("metrics", cli.t_metrics)
+    cli.swap_metrics = timed("metrics", cli.swap_metrics)
     cli._write = timed("write", cli._write)
 
     collections = [0, 0, 0]
