@@ -1,4 +1,4 @@
-"""The standard-cell library: wire/vertex/role and stick templates and their placement."""
+"""The standard-cell library: wire/vertex/role templates and their placement."""
 
 from __future__ import annotations
 
@@ -61,33 +61,26 @@ def _apply_rotation(mat, site: Site) -> tuple[int, int, int]:
 @dataclass(frozen=True)
 class Tile:
     """A standard cell: the hosted decomposition's wire and role on each local
-    vertex, plus allowed-interaction sticks."""
+    vertex. Its sticks, the allowed two-qubit interactions, are the pairs of
+    nearest-neighbour vertices."""
 
     name: str
     vertices: tuple[tuple[str, Site, str], ...]  # (wire, vertex, role)
-    sticks: frozenset[frozenset[Site]]
 
     def __post_init__(self):
-        coords = {v for _, v, _ in self.vertices}
-        if len(coords) != len(self.vertices):
+        if len({v for _, v, _ in self.vertices}) != len(self.vertices):
             raise ValueError("duplicate tile vertex")
         if len({w for w, _, _ in self.vertices}) != len(self.vertices):
             raise ValueError("duplicate tile wire")
-        for stick in self.sticks:
-            a, b = tuple(stick)
-            if a not in coords or b not in coords:
-                raise ValueError(f"stick {stick} joins unknown vertices")
-            if a.manhattan(b) != 1:
-                raise ValueError(f"stick {stick} is not nearest-neighbour")
 
 
 def toffoli_cube() -> Tile:
     """The 7-vertex cube cell hosting a T-depth-1 Toffoli decomposition.
 
     Two controls and the target sit on one parity class of the cube, the four
-    parity ancillae on the other; the eighth corner is absent. The sticks are
-    the nine cube edges between present vertices, which is exactly the CNOT
-    set the decomposition needs.
+    parity ancillae on the other; the eighth corner is absent. The sticks,
+    the nearest-neighbour pairs, are the nine cube edges between present
+    vertices, which is exactly the CNOT set the decomposition needs.
     """
     a, b, c = Site(1, 0, 0), Site(0, 1, 0), Site(0, 0, 1)
     z1, z2, z3, z4 = Site(1, 1, 0), Site(1, 0, 1), Site(0, 1, 1), Site(0, 0, 0)
@@ -95,13 +88,7 @@ def toffoli_cube() -> Tile:
         ("a", a, ROLE_CONTROL), ("b", b, ROLE_CONTROL), ("c", c, ROLE_TARGET),
         ("z1", z1, ROLE_ANCILLA), ("z2", z2, ROLE_ANCILLA), ("z3", z3, ROLE_ANCILLA), ("z4", z4, ROLE_ANCILLA),
     )
-    sticks = frozenset(
-        frozenset(p) for p in [
-            (a, z1), (b, z1), (a, z2), (c, z2), (b, z3), (c, z3),
-            (a, z4), (b, z4), (c, z4),
-        ]
-    )
-    return Tile("toffoli_cube", vertices, sticks)
+    return Tile("toffoli_cube", vertices)
 
 
 def tdepth2_tile() -> Tile:
@@ -116,12 +103,7 @@ def tdepth2_tile() -> Tile:
         ("a", a, ROLE_CONTROL), ("b", b, ROLE_CONTROL), ("t", t, ROLE_TARGET),
         ("x", x, ROLE_ANCILLA), ("y", y, ROLE_ANCILLA), ("w", w, ROLE_ANCILLA),
     )
-    sticks = frozenset(
-        frozenset(p) for p in [
-            (a, x), (t, x), (b, y), (t, y), (a, w), (b, w), (t, w),
-        ]
-    )
-    return Tile("tdepth2", vertices, sticks)
+    return Tile("tdepth2", vertices)
 
 
 def and_tile() -> Tile:
@@ -140,28 +122,23 @@ def and_tile() -> Tile:
         ("w", w, ROLE_AND_RESULT),
         ("z2", z2, ROLE_ANCILLA), ("z3", z3, ROLE_ANCILLA), ("z4", z4, ROLE_ANCILLA),
     )
-    sticks = frozenset(
-        frozenset(p) for p in [
-            (a, z2), (w, z2), (b, z3), (w, z3),
-            (a, z4), (b, z4), (w, z4), (w, t),
-        ]
-    )
-    return Tile("and_mb", vertices, sticks)
+    return Tile("and_mb", vertices)
 
 
 def tile_supports(tile: Tile, schedule: Schedule) -> bool:
-    """Whether every operand pair of every gate lies on a stick.
+    """Whether every operand pair of every gate lies on a stick, that is on
+    two nearest-neighbour vertices.
 
     Each schedule wire sits on the tile vertex that hosts it; a gate on one
-    wire has no pair. No Toffoli is ever supported: sticks are
-    nearest-neighbour, so no three of them form a triangle.
+    wire has no pair. No Toffoli is ever supported: no three lattice sites
+    are pairwise nearest neighbours.
     """
     site_of = {w: v for w, v, _ in tile.vertices}
     for wire in schedule.wires():
         if wire not in site_of:
             raise ValueError(f"wire {wire!r} has no tile vertex")
     return all(
-        frozenset((site_of[a], site_of[b])) in tile.sticks
+        site_of[a].manhattan(site_of[b]) == 1
         for g in schedule.gates() for a, b in itertools.combinations(g.operands, 2)
     )
 

@@ -90,9 +90,6 @@ def _cmd_verify(args) -> int:
     target = args.target
     if target.isdecimal():
         n = int(target)
-        if n < 1:
-            print("operand width must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
         if n > 4:
             print("exhaustive verification supports n <= 4", file=sys.stderr)
             return EXIT_USAGE

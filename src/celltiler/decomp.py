@@ -17,6 +17,13 @@ from operator import itemgetter
 from celltiler.circuit import Gate, GateKind, Schedule, gate
 
 K = GateKind
+ANCILLA_PREFIX = "_anc"  # names lower_schedule's ancilla wires and no input wire, as in lsx
+
+
+def _mirrored(compute: list[list[Gate]], middle: list[list[Gate]]) -> list[list[Gate]]:
+    """``compute``, ``middle``, then ``compute`` reversed (Selinger, arXiv:1210.0974):
+    each compute gate (CNOT, CZ, H) is its own inverse, so the reversal uncomputes."""
+    return [*compute, *middle, *compute[::-1]]
 
 
 def ccz_tdepth1() -> Schedule:
@@ -38,14 +45,7 @@ def ccz_tdepth1() -> Schedule:
         gate(K.TDAG, z1), gate(K.TDAG, z2), gate(K.TDAG, z3),
         gate(K.T, z4),
     ]
-    uncompute = [
-        [gate(K.CNOT, c, z4)],
-        [gate(K.CNOT, b, z4)],
-        [gate(K.CNOT, a, z4)],
-        [gate(K.CNOT, b, z1), gate(K.CNOT, a, z2), gate(K.CNOT, c, z3)],
-        [gate(K.CNOT, a, z1), gate(K.CNOT, c, z2), gate(K.CNOT, b, z3)],
-    ]
-    return Schedule([*compute, t_moment, *uncompute])
+    return Schedule(_mirrored(compute, [t_moment]))
 
 
 def and_4anc() -> Schedule:
@@ -56,20 +56,14 @@ def and_4anc() -> Schedule:
     S cancels the (-i)^(ab) relative phase, so the AND is exact.
     """
     a, b, t, z2, z3, z4 = "a", "b", "t", "z2", "z3", "z4"
-    return Schedule([
-        [gate(K.H, t)],
+    compute = [
         [gate(K.CNOT, a, z2), gate(K.CNOT, b, z3)],
         [gate(K.CNOT, t, z2), gate(K.CNOT, a, z4)],
         [gate(K.CNOT, t, z3), gate(K.CNOT, b, z4)],
         [gate(K.CNOT, t, z4)],
-        [gate(K.T, t), gate(K.TDAG, z2), gate(K.TDAG, z3), gate(K.T, z4)],
-        [gate(K.CNOT, t, z4)],
-        [gate(K.CNOT, t, z3), gate(K.CNOT, b, z4)],
-        [gate(K.CNOT, t, z2), gate(K.CNOT, a, z4)],
-        [gate(K.CNOT, a, z2), gate(K.CNOT, b, z3)],
-        [gate(K.H, t)],
-        [gate(K.S, t)],
-    ])
+    ]
+    t_moment = [gate(K.T, t), gate(K.TDAG, z2), gate(K.TDAG, z3), gate(K.T, z4)]
+    return Schedule([[gate(K.H, t)], *_mirrored(compute, [t_moment]), [gate(K.H, t)], [gate(K.S, t)]])
 
 
 def and_3anc() -> Schedule:
@@ -103,26 +97,12 @@ def controlled_s(variant: str = "a") -> Schedule:
     """
     q1, q2, x = "q1", "q2", "x"
     if variant == "a":
-        return Schedule([
-            [gate(K.CNOT, q1, x)],
-            [gate(K.CNOT, q2, x)],
-            [gate(K.T, q1), gate(K.T, q2), gate(K.TDAG, x)],
-            [gate(K.CNOT, q2, x)],
-            [gate(K.CNOT, q1, x)],
-        ])
-    if variant == "b":
-        return Schedule([
-            [gate(K.H, x)],
-            [gate(K.CZ, q1, x)],
-            [gate(K.CZ, q2, x)],
-            [gate(K.H, x)],
-            [gate(K.T, q1), gate(K.T, q2), gate(K.TDAG, x)],
-            [gate(K.H, x)],
-            [gate(K.CZ, q2, x)],
-            [gate(K.CZ, q1, x)],
-            [gate(K.H, x)],
-        ])
-    raise ValueError(f"unknown controlled_s variant {variant!r}")
+        compute = [[gate(K.CNOT, q1, x)], [gate(K.CNOT, q2, x)]]
+    elif variant == "b":
+        compute = [[gate(K.H, x)], [gate(K.CZ, q1, x)], [gate(K.CZ, q2, x)], [gate(K.H, x)]]
+    else:
+        raise ValueError(f"unknown controlled_s variant {variant!r}")
+    return Schedule(_mirrored(compute, [[gate(K.T, q1), gate(K.T, q2), gate(K.TDAG, x)]]))
 
 
 def toffoli_tdepth2() -> Schedule:
@@ -204,12 +184,16 @@ def lower_schedule(schedule: Schedule) -> Schedule:
     template's compute and uncompute CNOTs, a SWAP's first and third CNOT,
     the CNOTs of a recurring SWAP) is one shared immutable :class:`Gate`.
 
-    Each expansion tests its six names (a, b, t, three ``_anc{k}``) once. A
-    template row's roles are distinct (:func:`_shared_template`), so if the
-    names are, every gate's operands are too, and each gate is built as a
-    bare record; if not, through :class:`Gate`, whose error names the repeat.
+    An input wire named like an ancilla (a ``str`` starting with
+    :data:`ANCILLA_PREFIX`) is refused once, so a lowered schedule is never
+    lowered again (no command does that). Each expansion's six names (a, b,
+    t, three fresh ancillae) are then distinct, as a template row's roles are
+    (:func:`_shared_template`), and every gate is built as a bare record.
     A wire shared by two gates of a moment is refused by ``extend_moment``.
     """
+    for q in schedule.wires():
+        if isinstance(q, str) and q.startswith(ANCILLA_PREFIX):
+            raise ValueError(f"wire {q!r} takes the reserved ancilla prefix {ANCILLA_PREFIX!r}")
     toffoli = toffoli_tdepth2().moments
     tof_template = _shared_template(toffoli)
     ccz_template = _shared_template([[h for h in m if h.kind is not K.H] for m in toffoli])  # H is only H(t)
@@ -224,12 +208,10 @@ def lower_schedule(schedule: Schedule) -> Schedule:
             kind = g.kind
             if kind is TOFFOLI or kind is CCZ:
                 rows, moments = tof_template if kind is TOFFOLI else ccz_template
-                names = (*g.operands, f"_anc{pool}", f"_anc{pool + 1}", f"_anc{pool + 2}")
+                names = (*g.operands, f"{ANCILLA_PREFIX}{pool}", f"{ANCILLA_PREFIX}{pool + 1}",
+                         f"{ANCILLA_PREFIX}{pool + 2}")
                 pool += 3
-                if len(set(names)) == 6:
-                    built = [tuple.__new__(Gate, (k, ops(names), cond, tags)) for k, ops, cond, tags in rows]
-                else:
-                    built = [Gate(k, ops(names), cond, tags) for k, ops, cond, tags in rows]
+                built = [tuple.__new__(Gate, (k, ops(names), cond, tags)) for k, ops, cond, tags in rows]
                 pending.append([[built[i] for i in m] for m in moments])
             elif kind is SWAP:
                 if id(g) not in triples:

@@ -4,15 +4,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterator, NamedTuple
 
 
-class Site(NamedTuple):
-    """A grid coordinate. ``z`` stays 0 on 2D lattices."""
-
+class _SiteFields(NamedTuple):
     x: int
     y: int
     z: int = 0
+
+
+class Site(_SiteFields):
+    """A grid coordinate. ``z`` stays 0 on 2D lattices. Each coordinate is an
+    exact ``int`` (``operator.index``): ``True`` becomes ``1`` and a float
+    raises ``TypeError``, so a site's JSON text is a function of its value."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: int, y: int, z: int = 0) -> "Site":
+        return tuple.__new__(cls, (index(x), index(y), index(z)))
 
     def manhattan(self, other: "Site") -> int:
         return abs(self.x - other.x) + abs(self.y - other.y) + abs(self.z - other.z)

@@ -42,13 +42,14 @@ def fourth(p: int) -> Site:
 
 
 def tower_height(n: int) -> int:
+    """Lattice height of the n-bit multiplier; the one home of the width rule."""
+    if n < 1:
+        raise ValueError(f"operand width must be >= 1, got {n}")
     return n + 1 + math.ceil(n / 4) + n // 2
 
 
 def qubit_count(n: int) -> int:
     """Total lattice qubits of the n-bit multiplier device."""
-    if n < 1:
-        raise ValueError(f"operand width must be >= 1, got {n}")
     return 2 * 3 * tower_height(n)
 
 
@@ -99,8 +100,6 @@ def build_multiplier_layout(n: int) -> Layout:
     ``grey_out`` takes finished product bits off the window head, and
     ``grey_aux`` takes the first partial product off the tower top.
     """
-    if n < 1:
-        raise ValueError(f"operand width must be >= 1, got {n}")
     h = tower_height(n)
     if h < 2 * n - 1 and n > 1:
         # queues above the tower would overflow; holds for n <= 10

@@ -373,6 +373,16 @@ def test_to_json_tells_equal_operands_apart(first, second):
     assert sched.to_json() == _reference_to_json(sched)
 
 
+def test_site_coordinates_are_exact_ints():
+    # Site(1, True, 3) equals and hashes as Site(1, 1, 3), so the operand
+    # cache can only write both alike if both hold the int 1
+    sched = Schedule([[Gate(K.H, (Site(1, 1, 3),))], [Gate(K.H, (Site(1, True, 3),))]])
+    assert sched.to_json() == _reference_to_json(sched)
+    assert type(Site(1, True, 3).y) is int
+    with pytest.raises(TypeError):
+        Site(1.5, 0, 0)
+
+
 @pytest.mark.parametrize("first, second", [(1, True), (0, False)])
 def test_to_json_tells_equal_conditions_apart(first, second):
     sched = Schedule([

@@ -479,7 +479,7 @@ def test_collector_is_paused_for_the_command_only(monkeypatch):
 def test_verify_rejects_zero_width(capsys):
     assert main(["verify", "0"]) == 2
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "operand width must be >= 1\n")
+    assert (captured.out, captured.err) == ("", "error: operand width must be >= 1, got 0\n")
 
 
 def test_compare_without_csv_prints_it(capsys):

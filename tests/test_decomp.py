@@ -185,6 +185,9 @@ def test_lower_schedule_expands_swap():
 
 def _reference_lower(schedule: Schedule) -> Schedule:
     """The per-gate lowering loop: one fresh Gate per template gate."""
+    for q in schedule.wires():
+        if isinstance(q, str) and q.startswith("_anc"):
+            raise ValueError(f"wire {q!r} takes the reserved ancilla prefix '_anc'")
     toffoli = decomp.toffoli_tdepth2().moments
     h_t = gate(K.H, "t")
     ccz = [[h for h in m if h != h_t] for m in toffoli]
@@ -255,13 +258,16 @@ def test_lowered_multiplier_shares_repeated_gates():
 
 
 @pytest.mark.parametrize("moments, message", [
-    # the first Toffoli draws _anc0 for its x wire, which is already its control
-    ([[gate("toffoli", "_anc0", "b", "t")]], "duplicate operand in cnot gate: ('_anc0', '_anc0')"),
-    # the first Toffoli's y wire is _anc1, a control of the second
+    # the first Toffoli would draw _anc0 for its x wire, which is already its control
+    ([[gate("toffoli", "_anc0", "b", "t")]], "wire '_anc0' takes the reserved ancilla prefix '_anc'"),
+    # the first Toffoli's y wire would be _anc1, a control of the second
     ([[gate("toffoli", "a", "b", "t"), gate("toffoli", "_anc1", "c", "d")]],
-     "overlapping support in moment 0: Gate(kind=<GateKind.CNOT: 'cnot'>, operands=('_anc1', '_anc3'), "
-     "condition=None, tags=frozenset())"),
-])
+     "wire '_anc1' takes the reserved ancilla prefix '_anc'"),
+    # an earlier label would share the Toffoli's x wire: with no refusal the
+    # lowered circuit leaves t in a superposition where the input sets it to 1
+    ([[gate("x", "_anc0")], [gate("toffoli", "a", "b", "t")], [gate("cnot", "_anc0", "c")]],
+     "wire '_anc0' takes the reserved ancilla prefix '_anc'"),
+], ids=["own-control", "other-expansion", "earlier-moment"])
 def test_lower_schedule_rejects_a_label_named_like_an_ancilla(moments, message):
     for lower in (decomp.lower_schedule, _reference_lower):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -270,8 +276,8 @@ def test_lower_schedule_rejects_a_label_named_like_an_ancilla(moments, message):
 
 @pytest.mark.parametrize("n, optimize", [(n, opt) for n in range(1, 11) for opt in (False, True) if n >= 3 or not opt])
 def test_lowered_multiplier_gates_are_well_formed(n, optimize):
-    # lower_schedule checks each expansion's names once and builds its gates
-    # as bare records, so every gate must still meet Gate's own checks
+    # lower_schedule refuses ancilla-named input wires once and builds every
+    # template gate as a bare record, so every gate must still meet Gate's checks
     sched, _ = full_multiplier_schedule(n, optimize_toffoli_depth=optimize)
     for g in decomp.lower_schedule(sched).gates():
         assert type(g) is Gate
@@ -332,3 +338,9 @@ def test_decomposition_bytes_pinned(name):
     builds = {target: entry[0] for target, entry in cli.DECOMPS.items()}
     build = builds.get(name, decomp.toffoli_cube_circuit)
     assert hashlib.sha256(build().to_json().encode()).hexdigest() == DECOMP_SHA256[name]
+
+
+def test_controlled_s_variant_b_bytes_pinned():
+    # the CLI builds variant "a" only; "b" is mirrored from its own compute half
+    digest = hashlib.sha256(decomp.controlled_s("b").to_json().encode()).hexdigest()
+    assert digest == "01c5a4286c82e728861e273d4513b1811e8a2bbe5379c1876458acc9eb497d28"
