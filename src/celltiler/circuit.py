@@ -373,17 +373,27 @@ def depth(schedule: Schedule, policy: DepthPolicy = POLICIES["strict"]) -> int:
     return total
 
 
-def _counted(moments: Iterable[list[Gate]], kinds=(GateKind.SWAP,), skip_tag=STORAGE) -> tuple[int, int]:
-    """(gates of ``kinds`` not tagged ``skip_tag``, moments holding any of
-    them). The defaults are the one rule for which SWAPs count: every SWAP
-    not tagged :data:`STORAGE`."""
-    per = [sum(1 for g in m if g.kind in kinds and skip_tag not in g.tags) for m in moments]
+def _counted(moments: Iterable[list[Gate]]) -> tuple[int, int]:
+    """(counted SWAPs, moments holding any of them): the one rule for which
+    SWAPs count, every SWAP not tagged :data:`STORAGE`."""
+    swap = GateKind.SWAP
+    per = [sum(1 for g in m if g.kind is swap and STORAGE not in g.tags) for m in moments]
     return sum(per), len(per) - per.count(0)
 
 
 def t_metrics(schedule: Schedule) -> tuple[int, int]:
-    """(t_count, t_depth): T/Tdag gate count and moments holding any of them."""
-    return _counted(schedule.moments, T_KINDS, None)
+    """(t_count, t_depth): T/Tdag gate count, whatever their tags, and
+    moments holding any of them."""
+    t, tdag = T_KINDS
+    t_count = t_depth = 0
+    for m in schedule.moments:
+        here = 0
+        for g in m:
+            if g.kind is t or g.kind is tdag:
+                here += 1
+        t_count += here
+        t_depth += here > 0
+    return t_count, t_depth
 
 
 def swap_metrics(schedule: Schedule) -> tuple[int, int]:

@@ -19,9 +19,9 @@ class RoutingError(Exception):
 
 def _bfs_path(lattice: Lattice, src: int, goals: Container[int], forbidden: Iterable[int]) -> list[int]:
     """Deterministic BFS path of site indices from src to the nearest goal
-    (neighbours in ascending order), detouring around forbidden sites. ``src``
-    must not be a goal: both callers walk only a label that is not yet next to
-    its target."""
+    (neighbours in ascending order), detouring around forbidden sites. Its one
+    caller, :func:`greedy_route`, walks only a label that is not yet next to
+    its target, so ``src`` is never a goal."""
     adjacency = lattice.adjacency
     parent: list[int | None] = [None] * len(adjacency)  # None until reached
     for f in forbidden:
@@ -44,78 +44,6 @@ def _bfs_path(lattice: Lattice, src: int, goals: Container[int], forbidden: Iter
     raise RoutingError(f"no route from {tuple(lattice.site(src))} to any goal")
 
 
-class _Router:
-    """Routes a circuit gate by gate on the site indices of one lattice.
-
-    - ``occ`` is an :class:`Occupancy` whose wires are site indices (see
-      :class:`Lattice`); ``sites`` turns an index back into its ``Site``.
-    - ``adjacency`` is the lattice's neighbour table, read by ``_route_pair``,
-      ``_route_triple`` and ``_bfs_path``.
-    - ``swaps`` holds the one SWAP gate, on ``Site``s, built per directed edge
-      ``(a, b)`` of indices; ``_swap`` appends it to ``out`` and moves the labels.
-    - ``run`` fires each gate on the ``Site``s of its operands into ``out``.
-    """
-
-    def __init__(self, lattice: Lattice, mapping0: dict[Hashable, Site]):
-        self.lattice = lattice
-        for site in mapping0.values():
-            lattice.check(site)
-        Occupancy(mapping0)  # refuses a shared start, naming its Site, not its index
-        index = lattice.index
-        self.occ = Occupancy({label: index(site) for label, site in mapping0.items()})
-        self.adjacency = lattice.adjacency
-        self.sites = tuple(lattice.sites())
-        self.out = Schedule()
-        self.swaps: dict[tuple[int, int], Gate] = {}
-
-    def _swap(self, a: int, b: int) -> None:
-        g = self.swaps.get((a, b))
-        if g is None:
-            g = self.swaps[a, b] = Gate(K.SWAP, (self.sites[a], self.sites[b]))
-        self.out.append(g)
-        self.occ.swap(a, b)
-
-    def _walk(self, label: Hashable, goals: Container[int], locked: set[int]) -> None:
-        path = _bfs_path(self.lattice, self.occ.wire_of[label], goals, locked)
-        for a, b in zip(path, path[1:]):
-            self._swap(a, b)
-
-    def _route_pair(self, a: Hashable, b: Hashable) -> None:
-        pos = self.occ.wire_of
-        goals = self.adjacency[pos[b]]
-        if pos[a] not in goals:
-            self._walk(a, goals, {pos[b]})
-
-    def _route_triple(self, c1: Hashable, c2: Hashable, t: Hashable) -> None:
-        # bring both controls next to the target, cheaper mover first
-        pos, sites = self.occ.wire_of, self.sites
-        for _ in range(2):
-            goals = self.adjacency[pos[t]]
-            pending = [c for c in (c1, c2) if pos[c] not in goals]
-            if not pending:
-                return
-            pending.sort(key=lambda c: (sites[pos[c]].manhattan(sites[pos[t]]), (c1, c2).index(c)))
-            mover = pending[0]
-            other = c2 if mover == c1 else c1
-            # a locked goal is never reached: the walk skips locked sites
-            self._walk(mover, goals, {pos[t], pos[other]})
-        if any(pos[c] not in self.adjacency[pos[t]] for c in (c1, c2)):
-            raise RoutingError("could not assemble a Toffoli triple")
-
-    def run(self, circuit: Schedule) -> None:
-        pos, sites = self.occ.wire_of, self.sites
-        for g in circuit.gates():
-            ops = g.operands
-            for q in ops:
-                if q not in pos:
-                    raise RoutingError(f"label {q!r} has no initial site")
-            if len(ops) == 2:
-                self._route_pair(*ops)
-            elif len(ops) == 3:
-                self._route_triple(*ops)
-            self.out.append(Gate(g.kind, tuple(sites[pos[q]] for q in ops), g.condition, g.tags))
-
-
 def greedy_route(
     circuit: Schedule,
     lattice: Lattice,
@@ -123,15 +51,47 @@ def greedy_route(
 ) -> tuple[Schedule, dict[Hashable, Site]]:
     """Route a logical circuit onto the lattice, gate by gate, no lookahead.
 
-    Operands are pulled together along detour-aware shortest paths; the gate
-    fires on sites and the mapping drifts with the inserted SWAPs. Output
-    moments are packed earliest-fit and the result is deterministic.
+    Labels sit on site indices (see :class:`Lattice`). Before a gate
+    ``*controls, t`` fires, at most ``len(controls)`` gather rounds run. Each
+    round stops the gathering if every control is next to ``t``; otherwise it
+    walks the control nearest ``t`` by manhattan distance (the earlier control
+    on a tie) along :func:`_bfs_path` to a site next to ``t``. The walk locks
+    the sites of every other operand of the gate, so it never moves them and
+    never ends on them. The gate then fires on the ``Site``s of its operands,
+    and the mapping drifts with the inserted SWAPs (one shared SWAP gate per
+    directed edge). Output moments are packed earliest-fit and the result is
+    deterministic.
     """
-    if len(mapping0) > lattice.size:
-        raise RoutingError("more logical qubits than lattice sites")
-    router = _Router(lattice, mapping0)
-    router.run(circuit)
-    return router.out, {label: router.sites[w] for label, w in router.occ.wire_of.items()}
+    for site in mapping0.values():
+        lattice.check(site)
+    Occupancy(mapping0)  # refuses a shared start, naming its Site, not its index
+    occ = Occupancy({label: lattice.index(site) for label, site in mapping0.items()})
+    pos, adjacency, sites = occ.wire_of, lattice.adjacency, tuple(lattice.sites())
+    out = Schedule()
+    swaps: dict[tuple[int, int], Gate] = {}
+    for g in circuit.gates():
+        ops = g.operands
+        for q in ops:
+            if q not in pos:
+                raise RoutingError(f"label {q!r} has no initial site")
+        *controls, t = ops
+        for _ in controls:
+            goals = adjacency[pos[t]]
+            pending = [c for c in controls if pos[c] not in goals]
+            if not pending:
+                break
+            mover = min(pending, key=lambda c: (sites[pos[c]].manhattan(sites[pos[t]]), controls.index(c)))
+            path = _bfs_path(lattice, pos[mover], goals, {pos[q] for q in ops if q != mover})
+            for a, b in zip(path, path[1:]):
+                swap = swaps.get((a, b))
+                if swap is None:
+                    swap = swaps[a, b] = Gate(K.SWAP, (sites[a], sites[b]))
+                out.append(swap)
+                occ.swap(a, b)
+        if any(pos[c] not in adjacency[pos[t]] for c in controls):
+            raise RoutingError(f"could not bring the controls of {g.kind.value} next to its target")
+        out.append(Gate(g.kind, tuple(sites[pos[q]] for q in ops), g.condition, g.tags))
+    return out, {label: sites[w] for label, w in pos.items()}
 
 
 def logical_multiplier_circuit(n: int) -> Schedule:

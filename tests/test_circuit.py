@@ -182,6 +182,12 @@ def test_t_metrics_examples():
     assert t_metrics(decomp.toffoli_tdepth2())[1] == 2
 
 
+def test_t_metrics_counts_a_tagged_t():
+    s = Schedule([[Gate(K.T, ("a",), None, frozenset({STORAGE})), gate("tdag", "b")], [gate("h", "a")]])
+    s.extend_moment([gate("t", "b")])
+    assert t_metrics(s) == (3, 2)
+
+
 def test_swap_metrics_empty():
     assert swap_metrics(Schedule()) == (0, 0)
 

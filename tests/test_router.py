@@ -4,10 +4,10 @@ import re
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from celltiler import router
-from celltiler.circuit import GateKind, Occupancy, Schedule, gate
+from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, gate
 from celltiler.lattice import Site, grid
 from celltiler.router import (
     CSV_HEADER,
@@ -243,8 +243,10 @@ def test_route_rejects_a_start_site_outside_the_lattice():
 
 
 def test_route_rejects_more_labels_than_sites():
+    # with every site inside the lattice, two of the labels must share one
     mapping = {"a": Site(0, 0, 0), "b": Site(0, 0, 1), "c": Site(0, 0, 1)}
-    with pytest.raises(RoutingError, match="^more logical qubits than lattice sites$"):
+    text = "mapping is not injective: two labels start on Site(x=0, y=0, z=1)"
+    with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
         greedy_route(Schedule(), grid(1, 1, 2), mapping)
 
 
@@ -263,10 +265,103 @@ def test_route_reports_a_walled_off_target():
 
 def test_route_checks_the_assembled_triple(monkeypatch):
     # a walk that moves nothing leaves the far control where it was
-    monkeypatch.setattr(router._Router, "_walk", lambda *args: None)
+    monkeypatch.setattr(router, "_bfs_path", lambda lattice, src, goals, forbidden: [src])
     mapping = {"c1": Site(0, 0, 0), "c2": Site(0, 0, 2), "t": Site(0, 0, 3)}
-    with pytest.raises(RoutingError, match="^could not assemble a Toffoli triple$"):
+    with pytest.raises(RoutingError, match="^could not bring the controls of toffoli next to its target$"):
         greedy_route(Schedule([[gate("toffoli", "c1", "c2", "t")]]), grid(1, 1, 4), mapping)
+
+
+class _ReferenceRouter:
+    """The router as it was written before its gather loop: a class with one
+    path for two-operand gates and one for three-operand gates."""
+
+    def __init__(self, lattice, mapping0):
+        self.lattice = lattice
+        for site in mapping0.values():
+            lattice.check(site)
+        Occupancy(mapping0)
+        self.occ = Occupancy({label: lattice.index(site) for label, site in mapping0.items()})
+        self.adjacency = lattice.adjacency
+        self.sites = tuple(lattice.sites())
+        self.out = Schedule()
+
+    def _walk(self, label, goals, locked):
+        path = router._bfs_path(self.lattice, self.occ.wire_of[label], goals, locked)
+        for a, b in zip(path, path[1:]):
+            self.out.append(Gate(K.SWAP, (self.sites[a], self.sites[b])))
+            self.occ.swap(a, b)
+
+    def _route_pair(self, a, b):
+        pos = self.occ.wire_of
+        goals = self.adjacency[pos[b]]
+        if pos[a] not in goals:
+            self._walk(a, goals, {pos[b]})
+
+    def _route_triple(self, c1, c2, t):
+        pos, sites = self.occ.wire_of, self.sites
+        for _ in range(2):
+            goals = self.adjacency[pos[t]]
+            pending = [c for c in (c1, c2) if pos[c] not in goals]
+            if not pending:
+                return
+            pending.sort(key=lambda c: (sites[pos[c]].manhattan(sites[pos[t]]), (c1, c2).index(c)))
+            mover = pending[0]
+            other = c2 if mover == c1 else c1
+            self._walk(mover, goals, {pos[t], pos[other]})
+        if any(pos[c] not in self.adjacency[pos[t]] for c in (c1, c2)):
+            raise RoutingError("could not assemble a Toffoli triple")
+
+    def run(self, circuit):
+        pos, sites = self.occ.wire_of, self.sites
+        for g in circuit.gates():
+            ops = g.operands
+            for q in ops:
+                if q not in pos:
+                    raise RoutingError(f"label {q!r} has no initial site")
+            if len(ops) == 2:
+                self._route_pair(*ops)
+            elif len(ops) == 3:
+                self._route_triple(*ops)
+            self.out.append(Gate(g.kind, tuple(sites[pos[q]] for q in ops), g.condition, g.tags))
+
+
+def _reference_route(circuit, lattice, mapping0):
+    if len(mapping0) > lattice.size:
+        raise RoutingError("more logical qubits than lattice sites")
+    ref = _ReferenceRouter(lattice, mapping0)
+    ref.run(circuit)
+    return ref.out, {label: ref.sites[w] for label, w in ref.occ.wire_of.items()}
+
+
+@st.composite
+def routing_cases(draw):
+    """A random circuit of 1-, 2- and 3-operand gates on a 2D or 3D lattice,
+    its labels seated on distinct sites; one label in ten has no seat."""
+    dims = draw(st.sampled_from([(3, 3, 1), (4, 4, 1), (2, 3, 2), (3, 3, 2), (2, 2, 3)]))
+    lattice = grid(*dims)
+    sites = list(lattice.sites())
+    seats = draw(st.permutations(sites))[:draw(st.integers(3, len(sites)))]
+    labels = [f"q{i}" for i in range(len(seats))]
+    mapping = dict(zip(labels, seats))
+    pool = labels + ["stray"] * (len(labels) // 9)
+    moments = []
+    for kind in draw(st.lists(st.sampled_from(["h", "cnot", "cz", "swap", "toffoli", "ccz"]), max_size=30)):
+        ops = draw(st.lists(st.sampled_from(pool), min_size=K(kind).arity, max_size=K(kind).arity, unique=True))
+        moments.append([gate(kind, *ops)])
+    return Schedule(moments), lattice, mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(routing_cases())
+def test_gather_loop_routes_as_the_pair_and_triple_router(case):
+    def outcome(route):
+        try:
+            routed, final = route(*case)
+        except RoutingError as exc:
+            return f"RoutingError: {exc}"
+        return routed.to_json(), final
+
+    assert outcome(greedy_route) == outcome(_reference_route)
 
 
 def tiled_toffoli_labels(n: int) -> list[tuple]:

@@ -1,4 +1,4 @@
-"""A smoke run of ``tools/stage_times.py``: one paired run of a small command."""
+"""Smoke runs of ``tools/stage_times.py``: one paired run of a small command each."""
 
 import json
 import subprocess
@@ -6,20 +6,32 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STAGES = {"emit", "logical", "route", "replay", "oracle", "lower", "extract", "validate", "metrics", "write"}
+STAGES = {"emit", "logical", "route", "replay", "oracle", "equiv", "lower", "extract", "validate", "metrics", "write"}
 
 
-def test_stage_times_reports_every_stage_for_both_sides():
+def paired_row(command: str) -> dict:
+    """One paired run of ``command`` with this checkout on both sides."""
     src = str(ROOT / "src")
     result = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "stage_times.py"), src, src,
-         "--procs", "1", "--runs", "1", "--command", "verify 2"],
+         "--procs", "1", "--runs", "1", "--command", command],
         capture_output=True, text=True, check=True, timeout=120,
     )
-    row = json.loads(result.stdout)["verify 2"]
+    return json.loads(result.stdout)[command]
+
+
+def test_stage_times_reports_every_stage_for_both_sides():
+    row = paired_row("verify 2")
     for side in ("parent", "change"):
         assert set(row[side]["ms"]) == STAGES | {"whole_command"}
         assert row[side]["runs"] == 1
     assert row["parent"]["sha256"] == row["change"]["sha256"]
     # verify n emits the schedule and replays it through the oracle
     assert row["parent"]["ms"]["emit"] > 0 and row["parent"]["ms"]["oracle"] > 0
+
+
+def test_stage_times_times_the_equivalence_check():
+    # verify <decomposition> spends its time in assert_equiv
+    row = paired_row("verify and_4anc")
+    assert row["parent"]["sha256"] == row["change"]["sha256"]
+    assert row["parent"]["ms"]["equiv"] > 0 and row["change"]["ms"]["equiv"] > 0

@@ -23,10 +23,12 @@ The stages are timed by wrapping what ``cli.main`` calls: emit
 logical (``router.logical_multiplier_circuit``, the circuit that
 ``router.compare`` routes), route (``router.greedy_route``, called by
 ``router.compare``), replay (``validate_schedule``), oracle
-(``classical_run``), lower (``decomp.lower_schedule``), extract
-(``extract_ls``), validate (``validate_ls``), metrics (``t_metrics`` and
-``swap_metrics``, as the CLI calls them) and write (the CLI's ``_write``,
-which makes the JSON text as it writes it). ``whole_command``
+(``classical_run``), equiv (``assert_equiv``, which ``verify
+<decomposition>`` calls to check a decomposition against its reference),
+lower (``decomp.lower_schedule``), extract (``extract_ls``), validate
+(``validate_ls``), metrics (``t_metrics`` and ``swap_metrics``, as the CLI
+calls them) and write (the CLI's ``_write``, which makes the JSON text as it
+writes it). ``whole_command``
 is ``cli.main`` timed whole. ``gc_ms`` and the collections per generation
 come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the process's peak
 resident set, so it is per command.
@@ -55,7 +57,9 @@ import tempfile
 from statistics import median
 from time import perf_counter
 
-STAGES = ("emit", "logical", "route", "replay", "oracle", "lower", "extract", "validate", "metrics", "write")
+STAGES = (
+    "emit", "logical", "route", "replay", "oracle", "equiv", "lower", "extract", "validate", "metrics", "write",
+)
 COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out", "compare 8 8", "verify 4")
 
 
@@ -83,6 +87,7 @@ def _child(argv: list[str]) -> None:
     router.greedy_route = timed("route", router.greedy_route)
     cli.validate_schedule = timed("replay", cli.validate_schedule)
     cli.classical_run = timed("oracle", cli.classical_run)
+    cli.assert_equiv = timed("equiv", cli.assert_equiv)
     decomp.lower_schedule = timed("lower", decomp.lower_schedule)
     cli.extract_ls = timed("extract", cli.extract_ls)
     cli.validate_ls = timed("validate", cli.validate_ls)
