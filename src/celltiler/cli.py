@@ -9,7 +9,7 @@ from typing import Iterable
 
 from celltiler import decomp
 from celltiler.circuit import GateKind, json_value, swap_metrics, t_metrics
-from celltiler.lsx import MERGE_SPLIT_LIMIT, TRANSVERSAL_LIMIT, ModeError, check_mode, extract_ls, validate_ls
+from celltiler.lsx import MERGE_SPLIT_LIMIT, TRANSVERSAL_LIMIT, extract_ls, validate_ls
 from celltiler.router import compare, compare_csv
 from celltiler.scheduler import (
     ScheduleError,
@@ -150,16 +150,14 @@ def _cmd_compare(args) -> int:
 def _cmd_ls(args) -> int:
     n = args.n
     layout = build_multiplier_layout(n)
-    try:
-        check_mode(layout, args.mode)
-    except ModeError as exc:
-        print(f"mode-error: {exc}", file=sys.stderr)
+    if args.mode == "2d" and layout.lattice.dimensionality != 2:
+        print("mode-error: 2d extraction requires a planar layout", file=sys.stderr)
         return EXIT_FAIL
     sched, _ = full_multiplier_schedule(n, layout=layout)
     lowered = decomp.lower_schedule(sched)
-    program = extract_ls(lowered, layout, args.mode)
-    report = validate_ls(program, args.mode)
-    bound = MERGE_SPLIT_LIMIT + (TRANSVERSAL_LIMIT if args.mode == "3d" else 0)
+    program = extract_ls(lowered)
+    report = validate_ls(program)
+    bound = MERGE_SPLIT_LIMIT + TRANSVERSAL_LIMIT
     cnots = lowered.count(GateKind.CNOT)
     print(f"CNOTs in: {cnots}, LS patterns: {program.pattern_count}, "
           f"transversal: {program.transversal_count}, steps: {len(program.steps)}")
@@ -208,7 +206,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ls", help="extract a lattice-surgery program")
     p.add_argument("n", type=int, help=WIDTH_HELP)
-    p.add_argument("mode", choices=["2d", "3d"])
+    p.add_argument("mode", choices=["2d", "3d"], help="the multiplier layout is a 3-D tower, so 2d is refused with exit 1")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_ls)
     return parser

@@ -1,4 +1,6 @@
-"""Lattice-surgery extraction: schedules become merge/split instruction streams."""
+"""Lattice-surgery extraction: schedules become merge/split instruction streams.
+
+Stacking comes from the sites alone, so a planar lattice makes no transversal CNOT."""
 
 from __future__ import annotations
 
@@ -6,15 +8,10 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, NamedTuple
 
-from celltiler.cells import Layout
 from celltiler.circuit import GateKind, Schedule, json_list, json_value
 from celltiler.lattice import Site
 
 K = GateKind
-
-
-class ModeError(Exception):
-    """The requested extraction mode does not fit the layout."""
 
 
 # instruction kinds
@@ -27,7 +24,7 @@ ROTATE = "patch_rotate"
 OP = "op"  # opaque single-patch operation (T, H, S, X, ...)
 
 MERGE_SPLIT_LIMIT = 2  # merge/split uses per patch and step
-TRANSVERSAL_LIMIT = 2  # transversal CNOTs per patch and step, 3d only
+TRANSVERSAL_LIMIT = 2  # transversal CNOTs per patch and step; only stacked sites make them
 
 RIDING_OPS = ("h", "s", "sdag", "x", "mx", "mz")  # no step time; see extract_ls
 ANCILLA_PREFIX = "ls_anc"  # names the mediating ancilla patches and no wire
@@ -223,29 +220,18 @@ class _Extractor:
         self.program.steps[s].append(tuple.__new__(LSInstruction, (OP, (patch,), 0, name, None)))
 
 
-def check_mode(layout: Layout | None, mode: str) -> None:
-    """Raise :class:`ModeError` unless ``mode`` is 2d or 3d and fits ``layout``."""
-    if mode not in ("2d", "3d"):
-        raise ModeError(f"unknown mode {mode!r}")
-    if mode == "2d" and layout is not None and layout.lattice.dimensionality != 2:
-        raise ModeError("2d extraction requires a planar layout")
-
-
-def extract_ls(
-    schedule: Schedule,
-    layout: Layout | None,
-    mode: str,
-    site_map: dict[Hashable, Site] | None = None,
-) -> LSProgram:
+def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None) -> LSProgram:
     """Translate a Clifford+T schedule into lattice-surgery steps.
 
     Every CNOT becomes the init/merge-split/measure pattern on a mediating
     ancilla patch, ``ls_anc<k>`` for the k-th pattern of its step, so the
-    ancilla patches are as many as the most patterns in one step. In 3d mode
-    CNOTs whose endpoints sit on vertically stacked sites become transversal
-    CNOTs instead. T gates occupy a step of their own; other single-patch
-    gates ride along. Patch rotations are inserted when a reused patch must
-    present its other boundary type.
+    ancilla patches are as many as the most patterns in one step. A CNOT whose
+    operands sit on stacked sites (same x and y, z one apart; a label's site
+    from ``site_map``) is a transversal CNOT instead, so a planar lattice has
+    none. T gates occupy a step of their own; other single-patch gates ride
+    along. Patch rotations are inserted when a reused patch must present its
+    other boundary type. Steps keep each patch's order, not that of
+    non-commuting gates on different patches, so they are not yet a depth.
 
     Riding ops (``RIDING_OPS``) take no step time: each joins the latest step
     that uses its patch so far (step 0 if none). A step's instruction list is
@@ -255,7 +241,6 @@ def extract_ls(
     equal (one wire to a ``Schedule``) share a patch. Two unequal wires with
     one patch name, or a wire named like an ancilla patch, raise ``ValueError``.
     """
-    check_mode(layout, mode)
     ex = _Extractor()
     patch_of: dict[Hashable, str] = {}
     wire_of: dict[str, Hashable] = {}
@@ -272,9 +257,9 @@ def extract_ls(
         return name
 
     def resolve(operands: tuple) -> tuple[tuple[str, ...], bool]:
-        """The patch names, and whether a CNOT on ``operands`` is a 3d stick."""
+        """The patch names, and whether a CNOT on ``operands`` is a stick."""
         sites = [q if isinstance(q, Site) else (site_map or {}).get(q) for q in operands]
-        stacked = mode == "3d" and len(sites) == 2 and None not in sites and (
+        stacked = len(sites) == 2 and None not in sites and (
             sites[0].x == sites[1].x and sites[0].y == sites[1].y and abs(sites[0].z - sites[1].z) == 1
         )
         hit = resolved[operands] = tuple(map(patch, operands)), stacked
@@ -315,11 +300,10 @@ class LSReport:
         return not self.violations
 
 
-def validate_ls(program: LSProgram, mode: str) -> LSReport:
+def validate_ls(program: LSProgram) -> LSReport:
     """Check the per-step bounds: per patch ``MERGE_SPLIT_LIMIT`` merge/splits
-    and, in 3d, ``TRANSVERSAL_LIMIT`` transversal CNOTs; one job per ancilla;
-    no instruction naming one patch twice."""
-    check_mode(None, mode)
+    and ``TRANSVERSAL_LIMIT`` transversal CNOTs; one job per ancilla; no
+    instruction naming one patch twice."""
     report = LSReport()
     counted = (MERGE_ZZ, MERGE_XX, TRANSVERSAL)
     # the limit of each per-step table (patch -> the instances it joins)
@@ -333,8 +317,6 @@ def validate_ls(program: LSProgram, mode: str) -> LSReport:
                 report.violations.append(f"step {si}: {kind} names patch {patches[0]} twice")
             if kind not in counted:
                 continue
-            if kind == TRANSVERSAL and mode == "2d":
-                report.violations.append(f"step {si}: transversal CNOT in 2d mode")
             for p in patches:
                 table = tv_count if kind == TRANSVERSAL else (
                     anc_jobs if p.startswith(ANCILLA_PREFIX) else ls_count)

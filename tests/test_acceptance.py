@@ -172,14 +172,13 @@ def test_criterion_10_lattice_surgery():
     for n in range(1, 5):
         sched, _ = full_multiplier_schedule(n)
         lowered = decomp.lower_schedule(sched)
-        layout = build_multiplier_layout(n)
-        prog = extract_ls(lowered, layout, "3d")
+        prog = extract_ls(lowered)
         assert prog.cnot_count() == lowered.count(K.CNOT)
-        assert validate_ls(prog, "3d").ok
+        assert validate_ls(prog).ok
     cube = decomp.toffoli_cube_circuit()
     cube_sites = {w: v for w, v, _ in toffoli_cube().vertices}
-    prog = extract_ls(cube, None, "3d", site_map=cube_sites)
+    prog = extract_ls(cube, site_map=cube_sites)
     assert len(prog.steps) == 3, f"cube packs to {len(prog.steps)} steps"
-    assert validate_ls(prog, "3d").ok
+    assert validate_ls(prog).ok
     report(10, "round-trip CNOT counts preserved, parallel bounds clean for n = 1..4, "
                "depth-3 cube packing achieved")

@@ -226,7 +226,7 @@ def test_out_files_equal_to_json(tmp_path):
     # the CLI streams the artifacts in chunks; the file is to_json() exactly
     sched, _ = scheduler.full_multiplier_schedule(3)
     lowered = decomp.lower_schedule(sched)
-    program = lsx.extract_ls(lowered, build_multiplier_layout(3), "3d")
+    program = lsx.extract_ls(lowered)
     out = tmp_path / "out.json"
     assert main(["schedule", "3", "--lower-clifford-t", "--out", str(out)]) == 0
     assert out.read_bytes() == lowered.to_json().encode()
@@ -245,7 +245,7 @@ def _artifact(which):
     lowered = decomp.lower_schedule(sched)
     if which == "lowered":
         return lowered, "moments"
-    return lsx.extract_ls(lowered, build_multiplier_layout(4), "3d"), "steps"
+    return lsx.extract_ls(lowered), "steps"
 
 
 @pytest.mark.parametrize("which", ["tiled", "lowered", "ls", "empty schedule", "empty program"])
@@ -276,6 +276,24 @@ def test_ls_2d_fails_before_compiling(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "mode-error: 2d extraction requires a planar layout\n"
+
+
+@pytest.mark.parametrize("n, message", [
+    ("0", "operand width must be >= 1, got 0"),
+    ("11", "multiplier schedules are not supported for n=11"),
+])
+def test_ls_2d_refuses_the_width_first(n, message, capsys):
+    # the layout is built before the mode is checked, so a bad width is a
+    # usage error, not a mode-error
+    assert main(["ls", n, "2d"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_ls_help_states_that_2d_is_refused(capsys):
+    assert main(["ls", "-h"]) == 0
+    assert "3-D tower, so 2d is refused with exit 1" in " ".join(capsys.readouterr().out.split())
 
 
 # sha256 of `ls n 3d` stdout, computed before LS records became tuples and

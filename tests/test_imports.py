@@ -2,7 +2,8 @@
 file, every function parameter of the package or a test file is read in its
 function, every top-level name, every method and every annotated class field
 the package defines is read somewhere, importing the package loads no numpy,
-and only the CLI touches the garbage collector."""
+only the CLI touches the garbage collector, and ``lsx`` imports only
+``circuit`` and ``lattice`` from the package."""
 
 import ast
 import os
@@ -191,14 +192,15 @@ def test_importing_the_package_loads_no_numpy():
     assert result.stdout.strip() == "False"
 
 
-def imported_modules(source: str) -> set[str]:
-    """Top-level names of the modules a source file imports."""
+def imported_modules(source: str, depth: int = 1) -> set[str]:
+    """Names of the modules a source file imports, cut to their first
+    ``depth`` dotted parts."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found.update(alias.name.split(".")[0] for alias in node.names)
+            found.update(".".join(alias.name.split(".")[:depth]) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            found.add(node.module.split(".")[0])
+            found.add(".".join(node.module.split(".")[:depth]))
     return found
 
 
@@ -210,3 +212,11 @@ def test_only_the_cli_imports_gc():
     # cli.main pauses the collector for one command; library callers of
     # lower_schedule and extract_ls keep Python's default collector
     assert [p.name for p in MODULES if "gc" in imported_modules(p.read_text())] == ["cli.py"]
+
+
+def test_lsx_reads_only_the_circuit_and_the_lattice():
+    # extraction needs the lowered circuit and where its wires sit, not a
+    # layout; "from celltiler import x" shows up as a bare "celltiler"
+    source = (ROOT / "src" / "celltiler" / "lsx.py").read_text()
+    ours = {m for m in imported_modules(source, depth=2) if m.split(".")[0] == "celltiler"}
+    assert ours == {"celltiler.circuit", "celltiler.lattice"}

@@ -19,49 +19,46 @@ from celltiler.lsx import (
     OP,
     RIDING_OPS,
     TRANSVERSAL,
-    ModeError,
     _Extractor,
-    check_mode,
     extract_ls,
     validate_ls,
 )
-from celltiler.lattice import Site
+from celltiler.lattice import Site, grid
 from celltiler.scheduler import full_multiplier_schedule
-from celltiler.tiler import build_multiplier_layout
 
 K = GateKind
 CUBE_SITES = {w: v for w, v, _ in toffoli_cube().vertices}
 
 
 def test_single_cnot_pattern():
-    prog = extract_ls(Schedule([[gate("cnot", "a", "b")]]), None, "2d")
+    prog = extract_ls(Schedule([[gate("cnot", "a", "b")]]))
     kinds = [ins.kind for ins in prog.steps[0]]
     assert kinds == [INIT_PLUS, MERGE_ZZ, MERGE_XX, MEASURE_X]
     assert prog.pattern_count == 1 and prog.transversal_count == 0
 
 
 def test_empty_schedule():
-    prog = extract_ls(Schedule(), None, "2d")
+    prog = extract_ls(Schedule())
     assert prog.steps == []
-    assert validate_ls(prog, "2d").ok
+    assert validate_ls(prog).ok
 
 
 def test_shared_control_cnots_one_step():
     sched = Schedule()
     sched.extend_moment([gate("cnot", "c", "t1")])
     sched.extend_moment([gate("cnot", "c", "t2")])
-    prog = extract_ls(sched, None, "2d")
+    prog = extract_ls(sched)
     assert len(prog.steps) == 1
-    assert validate_ls(prog, "2d").ok
+    assert validate_ls(prog).ok
 
 
 def test_three_cnots_on_one_patch_split_steps():
     sched = Schedule()
     for t in ("t1", "t2", "t3"):
         sched.extend_moment([gate("cnot", "c", t)])
-    prog = extract_ls(sched, None, "2d")
+    prog = extract_ls(sched)
     assert len(prog.steps) == 2  # the bound of two forces a second step
-    assert validate_ls(prog, "2d").ok
+    assert validate_ls(prog).ok
 
 
 def test_validate_flags_overfull_step():
@@ -72,7 +69,7 @@ def test_validate_flags_overfull_step():
             LSInstruction(MERGE_ZZ, ("p", "q3"), 3),
         ]]
     )
-    report = validate_ls(bad, "2d")
+    report = validate_ls(bad)
     assert not report.ok
 
 
@@ -83,12 +80,12 @@ def test_validate_ancilla_reuse_conflict():
             LSInstruction(MERGE_ZZ, ("b", "ls_anc0"), 2),
         ]]
     )
-    assert not validate_ls(bad, "2d").ok
+    assert not validate_ls(bad).ok
 
 
 def test_validate_flags_third_transversal_cnot_in_3d():
     bad = LSProgram(steps=[[LSInstruction(TRANSVERSAL, ("a", f"q{i}"), i) for i in range(3)]])
-    assert validate_ls(bad, "3d").violations == ["step 0: patch a joins 3 transversal CNOTs"]
+    assert validate_ls(bad).violations == ["step 0: patch a joins 3 transversal CNOTs"]
 
 
 def test_validate_3d_allows_two_transversal_and_two_merges_per_patch():
@@ -101,38 +98,40 @@ def test_validate_3d_allows_two_transversal_and_two_merges_per_patch():
             LSInstruction(MERGE_XX, ("a", "q4"), 4),
         ]]
     )
-    assert validate_ls(prog, "3d").ok
+    assert validate_ls(prog).ok
 
 
-def test_mode_error_on_3d_layout():
-    layout = build_multiplier_layout(2)
-    sched, _ = full_multiplier_schedule(2)
-    lowered = decomp.lower_schedule(sched)
-    with pytest.raises(ModeError):
-        extract_ls(lowered, layout, "2d")
-
-
-def test_transversal_in_2d_flagged():
-    prog = LSProgram(steps=[[LSInstruction("transversal_cnot", ("a", "b"), 1)]])
-    assert not validate_ls(prog, "2d").ok
+def test_stacking_comes_from_the_sites():
+    # every site of the planar grid(3, 3) has z = 0, so no CNOT there stacks;
+    # stood upright (x becomes z), the same row of CNOTs is a column of sticks
+    planar = grid(3, 3)
+    row = [(Site(0, 1), Site(1, 1)), (Site(1, 1), Site(2, 1)), (Site(1, 1), Site(2, 1))]
+    assert planar.dimensionality == 2 and all(s in planar for pair in row for s in pair)
+    flat = extract_ls(Schedule([[gate("cnot", *pair)] for pair in row]))
+    assert (flat.transversal_count, flat.pattern_count) == (0, 3)
+    upright = extract_ls(Schedule([[gate("cnot", *(Site(s.y, 0, s.x) for s in pair))] for pair in row]))
+    assert (upright.transversal_count, upright.pattern_count) == (3, 0)
+    assert validate_ls(upright).ok  # the third stick on the middle patch waits a step
+    one_step = LSProgram([[ins for step in upright.steps for ins in step]])
+    assert validate_ls(one_step).violations == ["step 0: patch q1_0_1 joins 3 transversal CNOTs"]
 
 
 def test_cube_toffoli_packs_to_depth_three():
     circ = decomp.toffoli_cube_circuit()
-    prog = extract_ls(circ, None, "3d", site_map=CUBE_SITES)
+    prog = extract_ls(circ, site_map=CUBE_SITES)
     assert len(prog.steps) == 3
     sticks = {ins.patches for step in prog.steps for ins in step if ins.kind == TRANSVERSAL}
     assert sticks == {("a", "z2"), ("b", "z3"), ("c", "z4")}  # the three vertical sticks
     # each stick carries a compute and an uncompute CNOT, split by the T moment
     assert prog.transversal_count == 2 * len(sticks)
     assert prog.cnot_count() == circ.count(K.CNOT)
-    assert validate_ls(prog, "3d").ok
+    assert validate_ls(prog).ok
 
 
 def test_cube_toffoli_riding_h_order():
     # the H pair on the target rides in steps 0 and 2; depth three holds only
     # because each is ordered within its step against every use of patch c
-    prog = extract_ls(decomp.toffoli_cube_circuit(), None, "3d", site_map=CUBE_SITES)
+    prog = extract_ls(decomp.toffoli_cube_circuit(), site_map=CUBE_SITES)
 
     def order(step):
         on_c = [i for i, ins in enumerate(step) if "c" in ins.patches]
@@ -151,14 +150,13 @@ def test_cube_toffoli_riding_h_order():
 def test_multiplier_roundtrip_and_bounds(n):
     sched, _ = full_multiplier_schedule(n)
     lowered = decomp.lower_schedule(sched)
-    layout = build_multiplier_layout(n)
-    prog = extract_ls(lowered, layout, "3d")
+    prog = extract_ls(lowered)
     assert prog.cnot_count() == lowered.count(K.CNOT)
-    assert validate_ls(prog, "3d").ok
+    assert validate_ls(prog).ok
 
 
 def test_program_json():
-    prog = extract_ls(Schedule([[gate("cnot", "a", "b")]]), None, "2d")
+    prog = extract_ls(Schedule([[gate("cnot", "a", "b")]]))
     assert '"steps"' in prog.to_json()
 
 
@@ -261,7 +259,7 @@ GOLDEN = {
 def test_artifacts_pinned(n):
     sched, _ = full_multiplier_schedule(n)
     lowered = decomp.lower_schedule(sched)
-    prog = extract_ls(lowered, build_multiplier_layout(n), "3d")
+    prog = extract_ls(lowered)
     digests = tuple(
         hashlib.sha256(x.to_json().encode()).hexdigest() for x in (sched, lowered, prog)
     )
@@ -346,7 +344,7 @@ def test_placement_matches_linear_scan(stream, merge_split_limit, transversal_li
                     ex.transversal(ps[0], ps[1])
                 else:
                     ex.single(ps[0], op)
-        assert validate_ls(fast.program, "3d").ok
+        assert validate_ls(fast.program).ok
     assert fast.program == slow.program
     assert fast.last_step == slow.last_step
 
@@ -354,7 +352,7 @@ def test_placement_matches_linear_scan(stream, merge_split_limit, transversal_li
 @pytest.mark.parametrize("n", range(1, 7))
 def test_each_step_numbers_its_own_ancillas(n):
     lowered = decomp.lower_schedule(full_multiplier_schedule(n)[0])
-    prog = extract_ls(lowered, build_multiplier_layout(n), "3d")
+    prog = extract_ls(lowered)
     per_step = []
     for step in prog.steps:
         names = [ins.patches[0] for ins in step if ins.kind == INIT_PLUS]
@@ -367,7 +365,7 @@ def test_each_step_numbers_its_own_ancillas(n):
 # --- extraction against a per-gate reference loop ------------------------
 
 
-def _reference_extract(schedule, mode, site_map=None, extractor=_Extractor):
+def _reference_extract(schedule, site_map=None, extractor=_Extractor):
     """extract_ls with every gate's patch names and stacking resolved anew,
     placed by ``extractor``."""
     ex = extractor()
@@ -384,8 +382,7 @@ def _reference_extract(schedule, mode, site_map=None, extractor=_Extractor):
         if g.kind is K.CNOT:
             sa, sb = site_of(g.operands[0]), site_of(g.operands[1])
             stacked = (
-                mode == "3d"
-                and sa is not None
+                sa is not None
                 and sb is not None
                 and sa.x == sb.x and sa.y == sb.y and abs(sa.z - sb.z) == 1
             )
@@ -423,36 +420,34 @@ gate_st = st.one_of(
     [gate("cnot", Site(0, 0, 0), Site(0, 0, 1)), gate("cnot", "a", Site(1, 0, 2)),
      gate("h", "a"), gate("cnot", "a", "b"), gate("t", "b")],
     {"a": Site(1, 0, 1), "b": Site(1, 0, 2)},
-    "3d",
 )
-@example([gate("h", Site(0, 0, 1)), gate("cnot", "a", "q0_0_1")], None, "2d")
+@example([gate("h", Site(0, 0, 1)), gate("cnot", "a", "q0_0_1")], None)
 @given(
     st.lists(gate_st, max_size=40),
     st.one_of(st.none(), st.dictionaries(st.sampled_from(LABELS), st.sampled_from(SITES))),
-    st.sampled_from(["2d", "3d"]),
 )
-def test_extract_matches_per_gate_reference(gates, site_map, mode):
+def test_extract_matches_per_gate_reference(gates, site_map):
     sched = Schedule()
     for g in gates:
         sched.append(g)
     if {"q0_0_1", Site(0, 0, 1)} <= set(sched.wires()):
         with pytest.raises(ValueError, match="share the patch name 'q0_0_1'$"):
-            extract_ls(sched, None, mode, site_map)
+            extract_ls(sched, site_map)
     else:
-        assert extract_ls(sched, None, mode, site_map) == _reference_extract(sched, mode, site_map)
+        assert extract_ls(sched, site_map) == _reference_extract(sched, site_map)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_multiplier_extraction_matches_linear_scan(n):
     lowered = decomp.lower_schedule(full_multiplier_schedule(n)[0])
-    prog = extract_ls(lowered, build_multiplier_layout(n), "3d")
-    assert prog == _reference_extract(lowered, "3d", extractor=_LinearScanExtractor)
+    prog = extract_ls(lowered)
+    assert prog == _reference_extract(lowered, extractor=_LinearScanExtractor)
 
 
 def test_extracted_records_are_ls_instructions():
     # the n = 4 program, and toffoli_mb for a conditioned CZ
     lowered = decomp.lower_schedule(full_multiplier_schedule(4)[0])
-    programs = (extract_ls(lowered, None, "3d"), extract_ls(decomp.toffoli_mb(), None, "2d"))
+    programs = (extract_ls(lowered), extract_ls(decomp.toffoli_mb()))
     records = [ins for prog in programs for step in prog.steps for ins in step]
     assert any(type(ins.condition) is int for ins in records)
     for ins in records:
@@ -472,18 +467,18 @@ def test_extracted_records_are_ls_instructions():
 )
 def test_extract_rejects_a_wire_whose_patch_name_is_taken(gates, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        extract_ls(Schedule([[g] for g in gates]), None, "3d")
+        extract_ls(Schedule([[g] for g in gates]))
 
 
 def test_equal_labels_share_a_patch():
     # 1 and True are one wire to a Schedule, so they are one patch
-    prog = extract_ls(Schedule([[gate("h", 1)], [gate("cnot", True, "b")]]), None, "2d")
+    prog = extract_ls(Schedule([[gate("h", 1)], [gate("cnot", True, "b")]]))
     assert {p for step in prog.steps for ins in step for p in ins.patches} == {"1", "b", "ls_anc0"}
 
 
 def test_validate_flags_an_instruction_naming_one_patch_twice():
     prog = LSProgram(steps=[[LSInstruction(MERGE_ZZ, ("a", "a"), 1)]])
-    assert validate_ls(prog, "2d").violations == [
+    assert validate_ls(prog).violations == [
         "step 0: merge_split_zz names patch a twice"
     ]
 
@@ -504,21 +499,13 @@ def test_validate_reports_each_limit_class_in_a_fixed_order():
             LSInstruction(MERGE_ZZ, ("c", "e"), 9),
         ]]
     )
-    assert validate_ls(prog, "2d").violations == [
-        "step 0: transversal CNOT in 2d mode",
+    assert validate_ls(prog).violations == [
         "step 0: merge_split_zz names patch a twice",
-        "step 0: transversal CNOT in 2d mode",
-        "step 0: transversal CNOT in 2d mode",
         "step 0: patch p joins 3 merge/split operations",
         "step 0: patch c joins 3 merge/split operations",
         "step 0: patch t joins 3 transversal CNOTs",
         "step 0: ancilla patch ls_anc0 mediates 2 CNOTs",
     ]
-
-
-def test_check_mode_rejects_an_unknown_mode():
-    with pytest.raises(ModeError, match="^unknown mode '4d'$"):
-        check_mode(None, "4d")
 
 
 @pytest.mark.parametrize(
@@ -529,4 +516,4 @@ def test_check_mode_rejects_an_unknown_mode():
 def test_extract_ls_needs_a_lowered_schedule(kind, message):
     operands = ("a", "b", "c")[:3 if kind == "toffoli" else 2]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        extract_ls(Schedule([[gate(kind, *operands)]]), None, "3d")
+        extract_ls(Schedule([[gate(kind, *operands)]]))
