@@ -70,6 +70,7 @@ class GateKind(Enum):
 # tuples: a membership test compares members and never hashes an Enum
 SINGLE_QUBIT_CLIFFORD = (GateKind.H, GateKind.S, GateKind.SDAG)
 T_KINDS = (GateKind.T, GateKind.TDAG)
+_CC_CZ = GateKind.CC_CZ  # read per Gate: an Enum attribute read costs about 0.2 us
 STORAGE = "storage"  # the tag of a SWAP within one storage queue; it is not counted
 
 
@@ -85,13 +86,14 @@ class Gate(_GateFields):
 
     Toffoli/CCZ operands are ordered ``(control, control, target)``; for CCZ the
     split is conventional only. ``condition`` holds the measurement-record index
-    a ``CC_CZ`` is conditioned on. ``tags`` mark bookkeeping such as :data:`STORAGE`.
+    a ``CC_CZ`` is conditioned on; no other kind takes one. ``tags`` mark
+    bookkeeping such as :data:`STORAGE`.
 
     An immutable tuple record, as :class:`celltiler.lsx.LSInstruction` is: it
     is built in about 0.6 of the time of a frozen dataclass (1.0 against 1.6
     us on a 2-CPU Xeon, Python 3.11), and the lowering and routing passes
     build one per gate they write. It compares and hashes as its four-field
-    tuple; ``__new__`` checks the arity and the operands.
+    tuple; ``__new__`` checks the arity, the operands and the condition.
     """
 
     __slots__ = ()
@@ -102,6 +104,8 @@ class Gate(_GateFields):
             raise ValueError(f"{kind.value} expects {kind.arity} operands, got {len(operands)}")
         if len(set(operands)) != len(operands):
             raise ValueError(f"duplicate operand in {kind.value} gate: {operands}")
+        if condition is not None and kind is not _CC_CZ:
+            raise ValueError(f"{kind.value} gate takes no condition (only cc_cz does): {condition!r}")
         return tuple.__new__(cls, (kind, operands, condition, tags))
 
 

@@ -1,6 +1,4 @@
-"""Lattice-surgery extraction: schedules become merge/split instruction streams.
-
-Stacking comes from the sites alone, so a planar lattice makes no transversal CNOT."""
+"""Lattice-surgery extraction: schedules become merge/split instruction streams."""
 
 from __future__ import annotations
 
@@ -104,146 +102,54 @@ class LSProgram:
             f',\n  "transversal_count": {json_value(self.transversal_count, 1)}\n}}')
 
 
-class _Extractor:
-    """Places each gate's LS instructions at the earliest step its patches allow.
-
-    Per-patch state, keyed by patch name, and the method that advances it:
-
-    - ``last_step``, the latest step that uses the patch: ``_place_two``, ``single``;
-    - ``use`` / ``full``, indexed by transversal?, then patch: the uses per
-      step, and a bitmask of the steps a new CNOT instance may not use: the
-      steps at the limit (``_place_two``) and, after a T or Tdag at step
-      ``s``, steps ``0..s`` in both masks (``single``);
-    - ``orientation``, the boundary (``"z"`` or ``"x"``) the patch presents:
-      ``ls_cnot``, and ``single`` for ``h``.
-
-    ``_alloc_anc`` counts the patterns placed in each step, ``anc_used``, and
-    fills the name cache ``anc_names``, one entry per ancilla patch. Records
-    are built by ``tuple.__new__``, not by ``LSInstruction``'s generated
-    keyword ``__new__``."""
-
-    def __init__(self):
-        self.program = LSProgram()
-        self.last_step: dict[str, int] = {}
-        self.use = (defaultdict(dict), defaultdict(dict))
-        self.full: tuple[dict[str, int], dict[str, int]] = ({}, {})
-        self.anc_used: dict[int, int] = {}  # per step: the patterns placed in it
-        self.anc_names: list[str] = []  # per ancilla patch: its name
-        self.orientation: dict[str, str] = {}
-        self.instance = 0
-
-    def _ensure(self, s: int) -> None:
-        while len(self.program.steps) <= s:
-            self.program.steps.append([])
-
-    def _place_two(self, patches: tuple[str, str], transversal: bool) -> int:
-        """The first step where neither patch's ``full`` mask is set: the
-        trailing ones of ``full_a | full_b``. The chosen step's use counts
-        then grow by one, and a patch reaching its per-step limit of
-        merge/split (or transversal) uses sets that step's bit."""
-        a, b = patches
-        full = self.full[transversal]
-        full_a = full.get(a, 0)
-        full_b = full.get(b, 0)
-        busy = full_a | full_b
-        s = (busy ^ (busy + 1)).bit_length() - 1
-        steps = self.program.steps
-        while len(steps) <= s:
-            steps.append([])
-        limit = TRANSVERSAL_LIMIT if transversal else MERGE_SPLIT_LIMIT
-        uses = self.use[transversal]
-        last = self.last_step
-        use = uses[a]
-        use[s] = count = use.get(s, 0) + 1
-        if count >= limit:
-            full[a] = full_a | 1 << s
-        if s > last.get(a, -1):
-            last[a] = s
-        use = uses[b]
-        use[s] = count = use.get(s, 0) + 1
-        if count >= limit:
-            full[b] = full_b | 1 << s
-        if s > last.get(b, -1):
-            last[b] = s
-        return s
-
-    def _alloc_anc(self, step: int) -> str:
-        """Ancilla ``k`` for the ``k``-th pattern placed in ``step``, counting
-        from 0: a pattern holds its ancilla for that one step."""
-        used = self.anc_used
-        k = used.get(step, 0)
-        used[step] = k + 1
-        names = self.anc_names
-        if k == len(names):  # a new patch: its name is made once, not per CNOT
-            names.append(f"{ANCILLA_PREFIX}{k}")
-        return names[k]
-
-    def ls_cnot(self, ctrl: str, tgt: str, kinds=(MERGE_ZZ, MERGE_XX), condition=None) -> None:
-        i = self.instance = self.instance + 1
-        s = self._place_two((ctrl, tgt), False)
-        anc = self._alloc_anc(s)
-        new, record = tuple.__new__, LSInstruction
-        program = self.program
-        append = program.steps[s].append
-        orientation = self.orientation
-        on_anc = (anc,)
-        append(new(record, (INIT_PLUS, on_anc, i, "", None)))
-        if orientation.get(ctrl, "z") != "z":
-            append(new(record, (ROTATE, (ctrl,), i, "", None)))
-        orientation[ctrl] = "z"
-        append(new(record, (kinds[0], (ctrl, anc), i, "", condition)))
-        boundary = "x" if kinds[1] is MERGE_XX else "z"
-        if orientation.get(tgt, boundary) != boundary:
-            append(new(record, (ROTATE, (tgt,), i, "", None)))
-        orientation[tgt] = boundary
-        append(new(record, (kinds[1], (anc, tgt), i, "", condition)))
-        append(new(record, (MEASURE_X, on_anc, i, "", None)))
-        program.pattern_count += 1
-
-    def transversal(self, ctrl: str, tgt: str) -> None:
-        i = self.instance = self.instance + 1
-        s = self._place_two((ctrl, tgt), True)
-        self.program.steps[s].append(tuple.__new__(LSInstruction, (TRANSVERSAL, (ctrl, tgt), i, "", None)))
-        self.program.transversal_count += 1
-
-    def single(self, patch: str, name: str) -> None:
-        last = self.last_step
-        if name in RIDING_OPS:
-            s = last.get(patch, 0)
-            if name == "h" and patch in self.orientation:
-                cur = self.orientation[patch]
-                self.orientation[patch] = "x" if cur == "z" else "z"
-        else:
-            s = last[patch] = last.get(patch, -1) + 1  # no full bit lies above s
-            self.full[0][patch] = self.full[1][patch] = (2 << s) - 1
-        self._ensure(s)
-        self.program.steps[s].append(tuple.__new__(LSInstruction, (OP, (patch,), 0, name, None)))
-
-
 def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None) -> LSProgram:
     """Translate a Clifford+T schedule into lattice-surgery steps.
 
-    Every CNOT becomes the init/merge-split/measure pattern on a mediating
-    ancilla patch, ``ls_anc<k>`` for the k-th pattern of its step, so the
-    ancilla patches are as many as the most patterns in one step. A CNOT whose
-    operands sit on stacked sites (same x and y, z one apart; a label's site
-    from ``site_map``) is a transversal CNOT instead, so a planar lattice has
-    none. T gates occupy a step of their own; other single-patch gates ride
-    along. Patch rotations are inserted when a reused patch must present its
-    other boundary type. Steps keep each patch's order, not that of
-    non-commuting gates on different patches, so they are not yet a depth.
+    Every CNOT, CZ and CC_CZ becomes the init/merge-split/measure pattern on
+    a mediating ancilla patch, ``ls_anc<k>`` for the k-th pattern of its
+    step, so there are as many ancilla patches as the most patterns in one
+    step. The first merge is ZZ with the first operand; the second is XX
+    with a CNOT's target, ZZ otherwise, and both carry the gate's condition.
+    A CNOT whose operands sit on stacked sites (same x and y, z one apart; a
+    label's site from ``site_map``) is one transversal CNOT record instead,
+    so a planar lattice has none.
 
-    Riding ops (``RIDING_OPS``) take no step time: each joins the latest step
-    that uses its patch so far (step 0 if none). A step's instruction list is
-    its execution order, so a riding op acts after the instructions listed
-    before it and before those listed after it. Stacking is resolved once per
-    distinct operand tuple and names once per wire, so labels that compare
-    equal (one wire to a ``Schedule``) share a patch. Two unequal wires with
-    one patch name, or a wire named like an ancilla patch, raise ``ValueError``.
+    Each instance takes the first step where both its patches have capacity:
+    ``MERGE_SPLIT_LIMIT`` pattern uses, or apart from those
+    ``TRANSVERSAL_LIMIT`` transversal ones, per patch and step. A patch keeps
+    one mask per limit of the steps it may not take, and the step is the
+    count of trailing ones of the two masks' union. That step can come
+    before an earlier, non-commuting instance on a shared patch, so steps
+    are not yet a depth. A T or Tdag takes the step after its patch's latest
+    and sets every step up to it in both masks. Riding ops (``RIDING_OPS``)
+    take no step time: each joins the latest step that uses its patch so far
+    (step 0 if none). A step's list is its execution order, so a riding op
+    acts after the instructions listed before it and before those after it.
+
+    A patch's first two-patch use sets its boundary: z for a control or a CZ
+    operand, x for a CNOT target. A later use that needs the other boundary
+    records a ``patch_rotate`` on the patch first; an H flips a set boundary.
+
+    Stacking is resolved once per distinct operand tuple and names once per
+    wire, so labels that compare equal (one wire to a ``Schedule``) share a
+    patch. Two unequal wires with one patch name, or a wire named like an
+    ancilla patch, raise ``ValueError``.
     """
-    ex = _Extractor()
+    program = LSProgram()
+    steps = program.steps
+    last_step: dict[str, int] = {}  # per patch: the latest step that uses it
+    # indexed by transversal?, then patch: the uses per step, and the mask of
+    # the steps a new instance may not take
+    use: tuple[dict, dict] = (defaultdict(dict), defaultdict(dict))
+    full: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    limits = (MERGE_SPLIT_LIMIT, TRANSVERSAL_LIMIT)
+    anc_used: dict[int, int] = {}  # per step: the patterns placed in it
+    anc_names: list[str] = []  # per ancilla patch: its name, made once
+    orientation: dict[str, str] = {}  # per patch: the boundary it presents
+    instance = 0
     patch_of: dict[Hashable, str] = {}
     wire_of: dict[str, Hashable] = {}
+    resolved: dict[tuple, tuple[tuple[str, ...], bool]] = {}
 
     def patch(q: Hashable) -> str:
         name = patch_of.get(q)
@@ -262,33 +168,78 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
         stacked = len(sites) == 2 and None not in sites and (
             sites[0].x == sites[1].x and sites[0].y == sites[1].y and abs(sites[0].z - sites[1].z) == 1
         )
-        hit = resolved[operands] = tuple(map(patch, operands)), stacked
+        resolved[operands] = hit = tuple(map(patch, operands)), stacked
         return hit
 
-    resolved: dict[tuple, tuple[tuple[str, ...], bool]] = {}
-    ls_cnot, transversal, single = ex.ls_cnot, ex.transversal, ex.single
+    def place(a: str, b: str, transversal: bool) -> int:
+        """The first step free in both patches' masks; each patch's use count
+        there grows by one, and one reaching its limit sets that step's bit."""
+        masks = full[transversal]
+        busy = masks.get(a, 0) | masks.get(b, 0)
+        s = (busy ^ (busy + 1)).bit_length() - 1
+        while len(steps) <= s:
+            steps.append([])
+        limit = limits[transversal]
+        uses = use[transversal]
+        for p in a, b:
+            counts = uses[p]
+            counts[s] = count = counts.get(s, 0) + 1
+            if count >= limit:
+                masks[p] = masks.get(p, 0) | 1 << s
+            if s > last_step.get(p, -1):
+                last_step[p] = s
+        return s
+
+    new, record = tuple.__new__, LSInstruction  # skips LSInstruction's keyword __new__
     # an Enum class-attribute read (GateKind.X) costs about 0.2 us on Python 3.11: read locals
     cnot, cz, cc_cz, swap, toffoli, ccz = K.CNOT, K.CZ, K.CC_CZ, K.SWAP, K.TOFFOLI, K.CCZ
-    zz = (MERGE_ZZ, MERGE_ZZ)
     for moment in schedule.moments:
         for g in moment:
             kind = g.kind
-            if kind is cnot:
+            if kind is cnot or kind is cz or kind is cc_cz:
                 (a, b), stacked = resolved.get(g.operands) or resolve(g.operands)
-                if stacked:
-                    transversal(a, b)
-                else:
-                    ls_cnot(a, b)
-            elif kind is cz or kind is cc_cz:
-                (a, b), _ = resolved.get(g.operands) or resolve(g.operands)
-                ls_cnot(a, b, zz, g.condition)
+                instance += 1
+                if stacked and kind is cnot:
+                    steps[place(a, b, True)].append(new(record, (TRANSVERSAL, (a, b), instance, "", None)))
+                    program.transversal_count += 1
+                    continue
+                s = place(a, b, False)
+                k = anc_used.get(s, 0)  # ancilla k for the k-th pattern of step s
+                anc_used[s] = k + 1
+                if k == len(anc_names):
+                    anc_names.append(f"{ANCILLA_PREFIX}{k}")
+                anc = anc_names[k]
+                second, boundary = (MERGE_XX, "x") if kind is cnot else (MERGE_ZZ, "z")
+                append = steps[s].append
+                append(new(record, (INIT_PLUS, (anc,), instance, "", None)))
+                if orientation.get(a, "z") != "z":
+                    append(new(record, (ROTATE, (a,), instance, "", None)))
+                orientation[a] = "z"
+                append(new(record, (MERGE_ZZ, (a, anc), instance, "", g.condition)))
+                if orientation.get(b, boundary) != boundary:
+                    append(new(record, (ROTATE, (b,), instance, "", None)))
+                orientation[b] = boundary
+                append(new(record, (second, (anc, b), instance, "", g.condition)))
+                append(new(record, (MEASURE_X, (anc,), instance, "", None)))
+                program.pattern_count += 1
             elif kind is toffoli or kind is ccz:
                 raise ValueError("lower Toffoli/CCZ to Clifford+T before LS extraction")
             elif kind is swap:
                 raise ValueError("expand SWAPs to CNOTs before LS extraction")
             else:
-                single((resolved.get(g.operands) or resolve(g.operands))[0][0], kind._value_)
-    return ex.program
+                p = (resolved.get(g.operands) or resolve(g.operands))[0][0]
+                name = kind._value_
+                if name in RIDING_OPS:
+                    s = last_step.get(p, 0)
+                    if name == "h" and p in orientation:
+                        orientation[p] = "x" if orientation[p] == "z" else "z"
+                else:
+                    s = last_step[p] = last_step.get(p, -1) + 1  # no mask bit lies above s
+                    full[0][p] = full[1][p] = (2 << s) - 1
+                while len(steps) <= s:
+                    steps.append([])
+                steps[s].append(new(record, (OP, (p,), 0, name, None)))
+    return program
 
 
 @dataclass

@@ -40,6 +40,22 @@ def test_gate_keeps_its_error_texts():
     assert str(err.value) == "duplicate operand in toffoli gate: ('a', 'b', 'a')"
 
 
+@pytest.mark.parametrize("kind", [k for k in GateKind if k is not K.CC_CZ])
+def test_only_cc_cz_takes_a_condition(kind):
+    # a conditioned CZ would act unconditionally in the oracles, and a
+    # conditioned CNOT would lose its condition in LS extraction
+    ops = ("a", "b", "c")[: kind.arity]
+    text = f"{kind.value} gate takes no condition (only cc_cz does): 0"
+    with pytest.raises(ValueError) as err:
+        Gate(kind, ops, 0)
+    assert str(err.value) == text
+    record = {"kind": kind.value, "operands": list(ops), "condition": 0, "tags": []}
+    with pytest.raises(ValueError) as err:
+        Schedule.from_json(json.dumps({"moments": [[record]]}))
+    assert str(err.value) == text
+    assert Gate(K.CC_CZ, ("a", "b"), 0).condition == 0
+
+
 def test_gate_equality_hash_and_defaults():
     ops = (Site(0, 0, 0), Site(0, 0, 1))
     g = Gate(K.SWAP, ops, tags=frozenset({STORAGE}))
@@ -353,8 +369,10 @@ operand_st = st.one_of(
     st.builds(Site, st.integers(-2, 3), st.integers(-2, 3), st.integers(0, 3)),
     st.sampled_from([True, 2.5, ("é", 3)]),
 )
+# only a cc_cz takes a condition
 any_gate_st = st.builds(
-    lambda kind, ops, condition, tags: Gate(kind, tuple(ops[: kind.arity]), condition, tags),
+    lambda kind, ops, condition, tags: Gate(
+        kind, tuple(ops[: kind.arity]), condition if kind is K.CC_CZ else None, tags),
     st.sampled_from(list(GateKind)),
     st.lists(operand_st, min_size=3, max_size=3, unique=True),
     st.one_of(st.none(), st.integers(-5, 50), st.just(False)),

@@ -18,8 +18,8 @@ from celltiler.lsx import (
     MERGE_ZZ,
     OP,
     RIDING_OPS,
+    ROTATE,
     TRANSVERSAL,
-    _Extractor,
     extract_ls,
     validate_ls,
 )
@@ -28,6 +28,7 @@ from celltiler.scheduler import full_multiplier_schedule
 
 K = GateKind
 CUBE_SITES = {w: v for w, v, _ in toffoli_cube().vertices}
+ONE_QUBIT = ["h", "t", "tdag", "s", "sdag", "x", "mx", "mz"]
 
 
 def test_single_cnot_pattern():
@@ -35,6 +36,35 @@ def test_single_cnot_pattern():
     kinds = [ins.kind for ins in prog.steps[0]]
     assert kinds == [INIT_PLUS, MERGE_ZZ, MERGE_XX, MEASURE_X]
     assert prog.pattern_count == 1 and prog.transversal_count == 0
+
+
+# the first two-patch use sets a patch's boundary: z for a control or a CZ /
+# CC_CZ operand, x for a CNOT target; H flips a boundary once one is set
+@pytest.mark.parametrize(
+    "gates, rotated",
+    [([gate("cnot", "c", "a"), gate("cnot", "a", "b")], ["a"]),
+     ([gate("cnot", "a", "b"), gate("cnot", "c", "a")], ["a"]),
+     ([gate("cz", "c", "a"), gate("cnot", "a", "b")], []),
+     ([gate("cc_cz", "c", "a", condition=0), gate("cnot", "a", "b")], []),
+     ([gate("cnot", "c", "a"), gate("cz", "b", "a")], ["a"]),
+     ([gate("cnot", "c", "a"), gate("cc_cz", "a", "b", condition=0)], ["a"]),
+     ([gate("cnot", "c", "a"), gate("h", "a"), gate("cnot", "a", "b")], []),
+     ([gate("cnot", "c", "a"), gate("h", "a"), gate("cnot", "b", "a")], ["a"]),
+     ([gate("cnot", "c", "a"), gate("h", "a"), gate("h", "a"), gate("cnot", "a", "b")], ["a"]),
+     ([gate("h", "a"), gate("cnot", "a", "b")], []),
+     ([gate("h", "a"), gate("cnot", "b", "a")], []),
+     ([gate("cnot", "c", "a"), gate("cnot", "d", "a"), gate("cnot", "b", "a")], []),
+     ([gate("cnot", "c", "a"), gate("cnot", "a", "b"), gate("cnot", "d", "a")], ["a", "a"])],
+)
+def test_a_patch_rotates_when_a_use_needs_its_other_boundary(gates, rotated):
+    prog = extract_ls(Schedule([[g] for g in gates]))
+    assert [ins.patches[0] for step in prog.steps for ins in step if ins.kind == ROTATE] == rotated
+    for step in prog.steps:
+        for i, ins in enumerate(step):
+            if ins.kind == ROTATE:  # listed before its own instance's merge on that patch
+                merges = [j for j, other in enumerate(step) if other.instance == ins.instance
+                          and other.kind in (MERGE_ZZ, MERGE_XX) and ins.patches[0] in other.patches]
+                assert len(merges) == 1 and i < merges[0]
 
 
 def test_empty_schedule():
@@ -269,106 +299,81 @@ def test_artifacts_pinned(n):
 # --- placement against the linear-scan oracle ----------------------------
 
 
-class _LinearScanExtractor(_Extractor):
-    """The extractor with step-by-step placement: per-step use tables are
-    scanned forward from the patches' earliest step ``hard_avail``, the step
-    after their latest T, and an opaque op also waits for ``hard_avail``."""
+class _LinearScanExtractor:
+    """A reference for ``extract_ls`` that states its rules without masks.
+
+    An instance scans the per-step use tables forward from its patches'
+    earliest step ``hard_avail``, the step after their latest T; a T also
+    waits for ``hard_avail``. A pattern's ancilla is numbered by the
+    patterns already in its step."""
 
     def __init__(self):
-        super().__init__()
+        self.program = LSProgram()
+        self.last_step: dict[str, int] = {}
         self.hard_avail: dict[str, int] = {}
         self.ls_use: list[dict[str, int]] = []
         self.tv_use: list[dict[str, int]] = []
+        self.orientation: dict[str, str] = {}
+        self.instance = 0
+
+    def _ensure(self, s):
+        while len(self.program.steps) <= s:
+            self.program.steps.append([])
+            self.ls_use.append({})
+            self.tv_use.append({})
 
     def _place_two(self, patches, transversal):
         s = max(self.hard_avail.get(p, 0) for p in patches)
+        limit = lsx.TRANSVERSAL_LIMIT if transversal else lsx.MERGE_SPLIT_LIMIT
         while True:
             self._ensure(s)
-            while len(self.ls_use) <= s:
-                self.ls_use.append({})
-                self.tv_use.append({})
-            use = self.tv_use[s] if transversal else self.ls_use[s]
-            limit = lsx.TRANSVERSAL_LIMIT if transversal else lsx.MERGE_SPLIT_LIMIT
+            use = (self.tv_use if transversal else self.ls_use)[s]
             if all(use.get(p, 0) < limit for p in patches):
                 break
             s += 1
         for p in patches:
             use[p] = use.get(p, 0) + 1
             self.last_step[p] = max(self.last_step.get(p, 0), s)
+        self.instance += 1
         return s
+
+    def pattern(self, ctrl, tgt, second=MERGE_XX, condition=None):
+        step = self.program.steps[self._place_two((ctrl, tgt), False)]
+        i = self.instance
+        anc = f"ls_anc{sum(ins.kind == INIT_PLUS for ins in step)}"
+        step.append(LSInstruction(INIT_PLUS, (anc,), i))
+        target_boundary = "x" if second == MERGE_XX else "z"
+        for p, kind, boundary, pair in ((ctrl, MERGE_ZZ, "z", (ctrl, anc)),
+                                        (tgt, second, target_boundary, (anc, tgt))):
+            if self.orientation.setdefault(p, boundary) != boundary:
+                step.append(LSInstruction(ROTATE, (p,), i))
+                self.orientation[p] = boundary
+            step.append(LSInstruction(kind, pair, i, condition=condition))
+        step.append(LSInstruction(MEASURE_X, (anc,), i))
+        self.program.pattern_count += 1
+
+    def transversal(self, ctrl, tgt):
+        s = self._place_two((ctrl, tgt), True)
+        self.program.steps[s].append(LSInstruction(TRANSVERSAL, (ctrl, tgt), self.instance))
+        self.program.transversal_count += 1
 
     def single(self, patch, name):
         if name in RIDING_OPS:
-            return super().single(patch, name)
-        s = max(self.hard_avail.get(patch, 0), self.last_step.get(patch, -1) + 1)
+            s = self.last_step.get(patch, 0)
+            if name == "h" and patch in self.orientation:
+                self.orientation[patch] = {"z": "x", "x": "z"}[self.orientation[patch]]
+        else:
+            s = max(self.hard_avail.get(patch, 0), self.last_step.get(patch, -1) + 1)
+            self.last_step[patch] = s
+            self.hard_avail[patch] = s + 1
         self._ensure(s)
-        self.last_step[patch] = s
-        self.hard_avail[patch] = s + 1
         self.program.steps[s].append(LSInstruction(OP, (patch,), 0, label=name))
 
 
-PATCHES = ("p0", "p1", "p2", "p3")
-stream_st = st.lists(
-    st.one_of(
-        st.tuples(st.sampled_from(["cnot", "transversal"]), st.permutations(PATCHES)),
-        st.tuples(st.sampled_from(["t", "h"]), st.permutations(PATCHES)),
-    ),
-    max_size=60,
-)
-
-
-# p1 is full at steps 0 and 1 and p0 at step 2, so cnot(p0, p1) must pass
-# full steps of both patches to land at step 3
-@example(
-    [
-        ("t", ("p3", "p0", "p1", "p2")),
-        ("t", ("p3", "p0", "p1", "p2")),
-        ("cnot", ("p0", "p3", "p1", "p2")),
-        ("cnot", ("p1", "p2", "p0", "p3")),
-        ("cnot", ("p1", "p2", "p0", "p3")),
-        ("cnot", ("p0", "p1", "p2", "p3")),
-    ],
-    1,
-    2,
-)
-@given(stream_st, st.integers(1, 3), st.integers(1, 3))
-def test_placement_matches_linear_scan(stream, merge_split_limit, transversal_limit):
-    with patch.object(lsx, "MERGE_SPLIT_LIMIT", merge_split_limit), \
-            patch.object(lsx, "TRANSVERSAL_LIMIT", transversal_limit):
-        fast, slow = _Extractor(), _LinearScanExtractor()
-        for ex in (fast, slow):
-            for op, ps in stream:
-                if op == "cnot":
-                    ex.ls_cnot(ps[0], ps[1])
-                elif op == "transversal":
-                    ex.transversal(ps[0], ps[1])
-                else:
-                    ex.single(ps[0], op)
-        assert validate_ls(fast.program).ok
-    assert fast.program == slow.program
-    assert fast.last_step == slow.last_step
-
-
-@pytest.mark.parametrize("n", range(1, 7))
-def test_each_step_numbers_its_own_ancillas(n):
-    lowered = decomp.lower_schedule(full_multiplier_schedule(n)[0])
-    prog = extract_ls(lowered)
-    per_step = []
-    for step in prog.steps:
-        names = [ins.patches[0] for ins in step if ins.kind == INIT_PLUS]
-        assert names == [f"ls_anc{k}" for k in range(len(names))]
-        per_step.append(len(names))
-    ancillas = {p for step in prog.steps for ins in step for p in ins.patches if p.startswith("ls_anc")}
-    assert len(ancillas) == max(per_step)
-
-
-# --- extraction against a per-gate reference loop ------------------------
-
-
-def _reference_extract(schedule, site_map=None, extractor=_Extractor):
+def _reference_extract(schedule, site_map=None):
     """extract_ls with every gate's patch names and stacking resolved anew,
-    placed by ``extractor``."""
-    ex = extractor()
+    placed by ``_LinearScanExtractor``."""
+    ex = _LinearScanExtractor()
 
     def site_of(label):
         if isinstance(label, Site):
@@ -389,18 +394,78 @@ def _reference_extract(schedule, site_map=None, extractor=_Extractor):
             if stacked:
                 ex.transversal(*names)
             else:
-                ex.ls_cnot(*names)
+                ex.pattern(*names)
         elif g.kind in (K.CZ, K.CC_CZ):
-            ex.ls_cnot(*names, kinds=(MERGE_ZZ, MERGE_ZZ), condition=g.condition)
+            ex.pattern(*names, second=MERGE_ZZ, condition=g.condition)
         else:
             ex.single(names[0], g.kind.value)
     return ex.program
 
 
+# neighbours in z are stacked, so half the CNOTs between two of the four
+# column sites are transversal
+COLUMN = [Site(0, 0, z) for z in range(4)]
+stream_st = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["cnot", "cnot", "cz", "cc_cz"]), st.permutations(range(4))),
+        st.tuples(st.sampled_from(["t", "tdag", "h", "s", "x", "mz"]), st.permutations(range(4))),
+    ),
+    max_size=60,
+)
+
+
+# on labels p0..p3, each on its column site: p0 is full at steps 0 and 1
+# and p3 at step 2, so cnot(p3, p0) must pass full steps of both patches to
+# land at step 3
+@example(
+    [
+        ("t", (1, 0, 2, 3)),
+        ("t", (1, 0, 2, 3)),
+        ("cnot", (3, 1, 0, 2)),
+        ("cnot", (0, 2, 1, 3)),
+        ("cnot", (0, 2, 1, 3)),
+        ("cnot", (3, 0, 1, 2)),
+    ],
+    False,
+    1,
+    2,
+)
+@given(stream_st, st.booleans(), st.integers(1, 3), st.integers(1, 3))
+def test_placement_matches_linear_scan(stream, on_sites, merge_split_limit, transversal_limit):
+    # the wires are the column's sites, or labels that a site map puts there
+    labels = [f"p{i}" for i in range(4)]
+    wires, site_map = (COLUMN, None) if on_sites else (labels, dict(zip(labels, COLUMN)))
+    sched = Schedule(
+        [gate(op, *(wires[i] for i in order[:1 if op in ONE_QUBIT else 2]),
+              condition=order[2] if op == "cc_cz" else None)]
+        for op, order in stream
+    )
+    with patch.object(lsx, "MERGE_SPLIT_LIMIT", merge_split_limit), \
+            patch.object(lsx, "TRANSVERSAL_LIMIT", transversal_limit):
+        prog = extract_ls(sched, site_map)
+        assert validate_ls(prog).ok
+        assert prog == _reference_extract(sched, site_map)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_step_numbers_its_own_ancillas(n):
+    lowered = decomp.lower_schedule(full_multiplier_schedule(n)[0])
+    prog = extract_ls(lowered)
+    per_step = []
+    for step in prog.steps:
+        names = [ins.patches[0] for ins in step if ins.kind == INIT_PLUS]
+        assert names == [f"ls_anc{k}" for k in range(len(names))]
+        per_step.append(len(names))
+    ancillas = {p for step in prog.steps for ins in step for p in ins.patches if p.startswith("ls_anc")}
+    assert len(ancillas) == max(per_step)
+
+
+# --- extraction against a per-gate reference loop ------------------------
+
+
 # a 2 x 1 x 3 box, so vertically stacked pairs are common
 SITES = [Site(x, 0, z) for x in range(2) for z in range(3)]
 LABELS = ["a", "b", "c", "q0_0_1"]  # "q0_0_1" shares its patch name with Site(0, 0, 1)
-ONE_QUBIT = ["h", "t", "tdag", "s", "sdag", "x", "mx", "mz"]
 gate_st = st.one_of(
     st.builds(
         lambda kind, q: gate(kind, q),
@@ -408,7 +473,7 @@ gate_st = st.one_of(
         st.sampled_from(SITES + LABELS),
     ),
     st.builds(
-        lambda kind, qs, c: gate(kind, *qs, condition=c),
+        lambda kind, qs, c: gate(kind, *qs, condition=c if kind == "cc_cz" else None),
         st.sampled_from(["cnot", "cnot", "cz", "cc_cz"]),
         st.lists(st.sampled_from(SITES + LABELS), min_size=2, max_size=2, unique=True),
         st.one_of(st.none(), st.integers(0, 3)),
@@ -441,7 +506,7 @@ def test_extract_matches_per_gate_reference(gates, site_map):
 def test_multiplier_extraction_matches_linear_scan(n):
     lowered = decomp.lower_schedule(full_multiplier_schedule(n)[0])
     prog = extract_ls(lowered)
-    assert prog == _reference_extract(lowered, extractor=_LinearScanExtractor)
+    assert prog == _reference_extract(lowered)
 
 
 def test_extracted_records_are_ls_instructions():
