@@ -19,10 +19,6 @@ ROLE_AND_RESULT = "and_result"
 DATA_ROLES = {ROLE_CONTROL, ROLE_TARGET, ROLE_AND_RESULT}
 
 
-class PlacementError(Exception):
-    """A tile cannot be placed where requested."""
-
-
 def _cross(a, b):
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -228,7 +224,7 @@ def place(layout: Layout, tile: Tile, offset: Site, orientation: int = 0) -> Lay
     roles = cand.vertex_roles
     for s in roles:
         if s not in layout.lattice:
-            raise PlacementError(f"tile {tile.name} at {tuple(offset)} leaves the lattice at {tuple(s)}")
+            raise ValueError(f"tile {tile.name} at {tuple(offset)} leaves the lattice at {tuple(s)}")
     for prev in layout.placements:
         prev_roles = prev.vertex_roles
         for s, role in roles.items():
@@ -236,8 +232,6 @@ def place(layout: Layout, tile: Tile, offset: Site, orientation: int = 0) -> Lay
             if other is None:
                 continue
             if role in DATA_ROLES and other in DATA_ROLES:
-                raise PlacementError(
-                    f"role conflict at {tuple(s)}: {other} vs {role}"
-                )
+                raise ValueError(f"role conflict at {tuple(s)}: {other} vs {role}")
     layout.placements.append(cand)
     return layout

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -42,8 +42,9 @@ def json_list(items: list[str], level: int) -> str:
 
 
 class GateKind(Enum):
-    """A gate family: its value is the JSON name, and ``arity`` its operand
-    count, which a gate reads without hashing the member."""
+    """A gate family: its value is the JSON name, ``arity`` its operand count
+    and ``records`` whether it writes or reads the measurement-record stream,
+    both read without hashing the member."""
 
     H = "h", 1
     T = "t", 1
@@ -64,6 +65,7 @@ class GateKind(Enum):
         member = object.__new__(cls)
         member._value_ = value
         member.arity = arity
+        member.records = value in ("mx", "mz", "cc_cz")
         return member
 
 
@@ -72,6 +74,17 @@ SINGLE_QUBIT_CLIFFORD = (GateKind.H, GateKind.S, GateKind.SDAG)
 T_KINDS = (GateKind.T, GateKind.TDAG)
 _CC_CZ = GateKind.CC_CZ  # read per Gate: an Enum attribute read costs about 0.2 us
 STORAGE = "storage"  # the tag of a SWAP within one storage queue; it is not counted
+
+
+@dataclass
+class Report:
+    """A check's result: one line per violation found, ``ok`` when none was."""
+
+    violations: list[str] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 class _GateFields(NamedTuple):
@@ -86,8 +99,8 @@ class Gate(_GateFields):
 
     Toffoli/CCZ operands are ordered ``(control, control, target)``; for CCZ the
     split is conventional only. ``condition`` holds the measurement-record index
-    a ``CC_CZ`` is conditioned on; no other kind takes one. ``tags`` mark
-    bookkeeping such as :data:`STORAGE`.
+    a ``CC_CZ`` is conditioned on, an ``int`` >= 0 (a ``bool`` is refused); no
+    other kind takes one. ``tags`` mark bookkeeping such as :data:`STORAGE`.
 
     An immutable tuple record, as :class:`celltiler.lsx.LSInstruction` is: it
     is built in about 0.6 of the time of a frozen dataclass (1.0 against 1.6
@@ -104,7 +117,10 @@ class Gate(_GateFields):
             raise ValueError(f"{kind.value} expects {kind.arity} operands, got {len(operands)}")
         if len(set(operands)) != len(operands):
             raise ValueError(f"duplicate operand in {kind.value} gate: {operands}")
-        if condition is not None and kind is not _CC_CZ:
+        if kind is _CC_CZ:
+            if type(condition) is not int or condition < 0:
+                raise ValueError(f"cc_cz gate needs a record index, an int >= 0: {condition!r}")
+        elif condition is not None:
             raise ValueError(f"{kind.value} gate takes no condition (only cc_cz does): {condition!r}")
         return tuple.__new__(cls, (kind, operands, condition, tags))
 
@@ -115,11 +131,18 @@ def gate(kind: GateKind | str, *operands, condition: int | None = None, tags: It
     return Gate(kind, tuple(operands), condition, frozenset(tags))
 
 
+_RECORDS = object()  # the key of the record stream in Schedule._last
+
+
 class Schedule:
     """Ordered moments of gates; supports within a moment are pairwise disjoint.
 
     ``moments`` is read-only to callers: ``append`` and ``extend_moment`` keep
-    ``_last``, the index of the last moment touching each wire, current.
+    ``_last``, the index of the last moment touching each wire, current. It
+    also holds the last moment of a measurement or ``CC_CZ`` under one shared
+    key, which ``append`` reads as one more operand of such a gate: records
+    keep their append order, and a ``CC_CZ`` lands after every earlier
+    measurement.
     """
 
     def __init__(self, moments: Iterable[Iterable[Gate]] = ()):
@@ -134,6 +157,8 @@ class Schedule:
         moment holds none of the operands, so no overlap test is needed."""
         last = self._last
         ops = g.operands
+        if g.kind.records:
+            ops = (*ops, _RECORDS)
         target = 0
         for q in ops:
             after = last.get(q, -1) + 1
@@ -156,9 +181,11 @@ class Schedule:
         for g in moment:
             for q in g.operands:  # distinct, so a gate never meets its own wire
                 if last.get(q) == idx:  # refused: forget the gates taken so far
-                    self._last = {w: i for i, m in enumerate(self.moments) for h in m for w in h.operands}
+                    self._last = Schedule(self.moments)._last
                     raise ValueError(f"overlapping support in moment {idx}: {g}")
                 last[q] = idx
+            if g.kind.records:
+                last[_RECORDS] = idx
         self.moments.append(moment)
 
     def gates(self) -> Iterator[Gate]:
@@ -202,15 +229,15 @@ class Schedule:
     def json_chunks(self) -> Iterator[str]:
         """The text of ``to_json`` in pieces: the head, one chunk per moment
         and the tail. Each gate's record is written once per call, keyed by
-        ``id``: equal gates can differ in text (``condition`` ``1`` or
+        ``id``: equal gates can differ in text (an operand ``1`` or
         ``True``), and the schedule keeps every gate alive while it is not
         changed, which it must not be until the last chunk is read.
 
         A record joins fragments cached per call: the text up to the first
-        operand, keyed by ``(kind, type(condition), condition)``; each
-        operand, keyed by ``(type(q), q)``; the rest, keyed by the tag set.
-        Only ``None`` or ``int`` conditions and ``str`` or ``Site`` operands
-        are cached (``0.0`` and ``-0.0`` are equal too); tags are ``str``.
+        operand, keyed by ``(kind, condition)``, which ``Gate`` holds to
+        ``None`` or an ``int``; each operand, keyed by ``(type(q), q)``; the
+        rest, keyed by the tag set. Only ``str`` or ``Site`` operands are
+        cached (``0.0`` and ``-0.0`` are equal too); tags are ``str``.
         """
         records: dict[int, str] = {}
         heads: dict[tuple, str] = {}
@@ -219,13 +246,11 @@ class Schedule:
 
         def record(g: Gate) -> str:
             kind, operands, condition, tags = g
-            key = (kind._value_, type(condition), condition)  # a str hashes faster than the member
+            key = (kind._value_, condition)  # a str hashes faster than the member
             head = heads.get(key)
             if head is None:
-                head = (f'{{\n        "condition": {json_value(condition, 4)},'
-                        f'\n        "kind": {_encode_str(kind.value)},\n        "operands": [\n          ')
-                if condition is None or type(condition) is int:
-                    heads[key] = head
+                head = heads[key] = (f'{{\n        "condition": {json_value(condition, 4)},'
+                                     f'\n        "kind": {_encode_str(kind.value)},\n        "operands": [\n          ')
             items = []
             for q in operands:  # never empty: every kind has an operand
                 text = texts.get((type(q), q))

@@ -11,14 +11,8 @@ from celltiler import decomp
 from celltiler.circuit import GateKind, json_value, swap_metrics, t_metrics
 from celltiler.lsx import MERGE_SPLIT_LIMIT, TRANSVERSAL_LIMIT, extract_ls, validate_ls
 from celltiler.router import compare, compare_csv
-from celltiler.scheduler import (
-    ScheduleError,
-    full_multiplier_schedule,
-    render_timeline,
-    step_budgets,
-    validate_schedule,
-)
-from celltiler.sim import assert_equiv, classical_run
+from celltiler.scheduler import full_multiplier_schedule, render_timeline, step_budgets, validate_schedule
+from celltiler.sim import EQUIV_TOL, assert_equiv, classical_run
 from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping, qubit_count
 
 EXIT_OK = 0
@@ -120,11 +114,11 @@ def _cmd_verify(args) -> int:
         print(f"unknown verification target {target!r}", file=sys.stderr)
         return EXIT_USAGE
     build, ref, data, name = DECOMPS[target]
-    report = assert_equiv(build(), ref, data, tol=1e-10)
+    report = assert_equiv(build(), ref, data)
     if report.ok:
-        print(f"equivalent to {name}, tol 1e-10")
+        print(f"equivalent to {name}, tol {EQUIV_TOL:g}")
         return EXIT_OK
-    print(f"NOT equivalent to {name}: {report.detail}")
+    print(f"NOT equivalent to {name}: {report.violations[0]}")
     return EXIT_FAIL
 
 
@@ -149,8 +143,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_ls(args) -> int:
     n = args.n
-    layout = build_multiplier_layout(n)
-    if args.mode == "2d" and layout.lattice.dimensionality != 2:
+    layout = build_multiplier_layout(n)  # first, so a width error comes before the mode's
+    if args.mode == "2d":
         print("mode-error: 2d extraction requires a planar layout", file=sys.stderr)
         return EXIT_FAIL
     sched, _ = full_multiplier_schedule(n, layout=layout)
@@ -228,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.fn(args)
-    except (ValueError, ScheduleError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -6,7 +6,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, NamedTuple
 
-from celltiler.circuit import GateKind, Schedule, json_list, json_value
+from celltiler.circuit import GateKind, Report, Schedule, json_list, json_value
 from celltiler.lattice import Site
 
 K = GateKind
@@ -242,20 +242,11 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
     return program
 
 
-@dataclass
-class LSReport:
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_ls(program: LSProgram) -> LSReport:
+def validate_ls(program: LSProgram) -> Report:
     """Check the per-step bounds: per patch ``MERGE_SPLIT_LIMIT`` merge/splits
     and ``TRANSVERSAL_LIMIT`` transversal CNOTs; one job per ancilla; no
     instruction naming one patch twice."""
-    report = LSReport()
+    report = Report()
     counted = (MERGE_ZZ, MERGE_XX, TRANSVERSAL)
     # the limit of each per-step table (patch -> the instances it joins)
     limits = ((MERGE_SPLIT_LIMIT, "patch {} joins {} merge/split operations"),

@@ -13,10 +13,6 @@ from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mappi
 K = GateKind
 
 
-class RoutingError(Exception):
-    """The router ran out of sites or could not find a path."""
-
-
 def _bfs_path(lattice: Lattice, src: int, goals: Container[int], forbidden: Iterable[int]) -> list[int]:
     """Deterministic BFS path of site indices from src to the nearest goal
     (neighbours in ascending order), detouring around forbidden sites. Its one
@@ -41,7 +37,7 @@ def _bfs_path(lattice: Lattice, src: int, goals: Container[int], forbidden: Iter
                 path.append(src)
                 return path[::-1]
             queue.append(nb)
-    raise RoutingError(f"no route from {tuple(lattice.site(src))} to any goal")
+    raise ValueError(f"no route from {tuple(lattice.site(src))} to any goal")
 
 
 def greedy_route(
@@ -73,7 +69,7 @@ def greedy_route(
         ops = g.operands
         for q in ops:
             if q not in pos:
-                raise RoutingError(f"label {q!r} has no initial site")
+                raise ValueError(f"label {q!r} has no initial site")
         *controls, t = ops
         for _ in controls:
             goals = adjacency[pos[t]]
@@ -89,7 +85,7 @@ def greedy_route(
                 out.append(swap)
                 occ.swap(a, b)
         if any(pos[c] not in adjacency[pos[t]] for c in controls):
-            raise RoutingError(f"could not bring the controls of {g.kind.value} next to its target")
+            raise ValueError(f"could not bring the controls of {g.kind.value} next to its target")
         out.append(Gate(g.kind, tuple(sites[pos[q]] for q in ops), g.condition, g.tags))
     return out, {label: sites[w] for label, w in pos.items()}
 

@@ -25,7 +25,7 @@ from functools import partial
 from typing import Callable, Hashable, Iterator
 
 from celltiler.cells import Layout
-from celltiler.circuit import STORAGE, Gate, GateKind, Occupancy, Schedule, _counted
+from celltiler.circuit import STORAGE, Gate, GateKind, Occupancy, Report, Schedule, _counted
 from celltiler.lattice import Site
 from celltiler.tiler import (
     E, L, N, S, YELLOW, MAGENTA,
@@ -76,10 +76,6 @@ def step_budgets(n: int, optimize_toffoli_depth: bool = False) -> list[tuple[str
     return [(name, *STEP_SWAPS[kind](n)) for name, kind, _emit in plan]
 
 
-class ScheduleError(Exception):
-    """The emitter or validator found an inconsistent schedule."""
-
-
 class _Board:
     """Occupancy-tracked emitter of a whole multiplier, one call per moment.
 
@@ -126,12 +122,12 @@ class _Board:
 
     def site_label(self, site: Site) -> Hashable:
         if site not in self.occ.label_at:
-            raise ScheduleError(f"site {tuple(site)} is outside the used region")
+            raise ValueError(f"site {tuple(site)} is outside the used region")
         return self.occ.label_at[site]
 
     def position(self, label: Hashable) -> Site:
         if label not in self.occ.wire_of:
-            raise ScheduleError(f"label {label!r} not on the board")
+            raise ValueError(f"label {label!r} not on the board")
         return self.occ.wire_of[label]
 
     def _same_queue(self, a: Site, b: Site) -> bool:
@@ -144,7 +140,7 @@ class _Board:
         g = self.swaps.get((a, b))
         if g is None:  # the edge's first use: the checks that hold for good
             if a.manhattan(b) != 1:
-                raise ScheduleError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
+                raise ValueError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
             self.site_label(a)
             self.site_label(b)
             tags = _STORAGE if self._same_queue(a, b) else _UNTAGGED  # fixed by the layout
@@ -203,7 +199,7 @@ class _Board:
             return
         qname = self.queue_of.get(src)
         if qname is None or self.queue_of.get(target) != qname:
-            raise ScheduleError(f"bubble of {label!r} must stay inside one queue")
+            raise ValueError(f"bubble of {label!r} must stay inside one queue")
         chain = self.layout.queues[qname]
         i, j = chain.index(src), chain.index(target)
         step = 1 if j > i else -1
@@ -217,7 +213,7 @@ class _Board:
             return
         holes = [s for s in chain if self._dead_anc(s)]
         if not holes:
-            raise ScheduleError(f"queue {qname} has no free slot")
+            raise ValueError(f"queue {qname} has no free slot")
         ti = chain.index(target)
         holes.sort(key=lambda s: abs(chain.index(s) - ti))
         self.bubble_to(self.occ.label_at[holes[0]], target)
@@ -226,11 +222,11 @@ class _Board:
         """Close the running step once its own moments meet the ``kind``
         entry of :data:`STEP_SWAPS`."""
         if self.spacer_debt:
-            raise ScheduleError(f"unplaced spacer swaps: {self.spacer_debt}")
+            raise ValueError(f"unplaced spacer swaps: {self.spacer_debt}")
         count, depth_ = _counted(self.sched.moments[self.step_start:])
         budget, depth_budget = STEP_SWAPS[kind](self.spec.n)
         if (count, depth_) != (budget, depth_budget):
-            raise ScheduleError(
+            raise ValueError(
                 f"emitted {count} counted SWAPs in {depth_} moments, "
                 f"budget {budget} in {depth_budget}"
             )
@@ -415,13 +411,10 @@ def full_multiplier_schedule(
 
 
 @dataclass
-class ValidationReport:
-    violations: list[str] = field(default_factory=list)
-    final_mapping: dict[Hashable, Site] = field(default_factory=dict)
+class ValidationReport(Report):
+    """A :class:`Report` that also carries the replay's final label -> site mapping."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    final_mapping: dict[Hashable, Site] = field(default_factory=dict)
 
 
 def validate_schedule(

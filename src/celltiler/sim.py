@@ -29,20 +29,13 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from celltiler.circuit import Gate, GateKind, Occupancy, Schedule
+from celltiler.circuit import Gate, GateKind, Occupancy, Report, Schedule
 
 MAX_TERMS = 1 << 14
+EQUIV_TOL = 1e-10  # the largest amplitude deviation assert_equiv accepts
 _NORM_TOL = 1e-9
 _FLIPS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI)  # tuples, as circuit.T_KINDS is
 _MEASURES = (GateKind.MEASURE_X, GateKind.MEASURE_Z)
-
-
-class UnsupportedGateError(Exception):
-    """The classical oracle met a non-classical gate."""
-
-
-class CapacityError(Exception):
-    """The statevector oracle's state grew past :data:`MAX_TERMS` terms."""
 
 
 def classical_run(
@@ -95,7 +88,7 @@ def classical_run(
                 flip &= value[c]
             value[t] ^= flip
         else:
-            raise UnsupportedGateError(f"classical oracle cannot run {g.kind.value}")
+            raise ValueError(f"classical oracle cannot run {g.kind.value}")
 
     return {label: value[wire] for wire, label in occ.label_at.items()}
 
@@ -156,7 +149,7 @@ def statevector_run(
     each once, or :class:`ValueError` is raised. ``initial`` sets basis bits
     by wire; every other wire starts in |0>. H prunes amplitudes of magnitude
     at most 1e-14, and more than :data:`MAX_TERMS` terms raise
-    :class:`CapacityError`.
+    :class:`ValueError`.
     A SWAP exchanges the contents of its two wires, so a value is read at the
     wire it ended on (see :func:`classical_run` for the label-keyed view of
     the same run). A Z measurement SWAPs its wire with a fresh record bit,
@@ -189,14 +182,12 @@ def statevector_run(
                 g = Gate(GateKind.SWAP, (g.operands[0], records[measured]))
                 measured += 1
             elif g.kind is GateKind.CC_CZ:
-                if g.condition is None:
-                    raise ValueError("classically controlled CZ without a record index")
                 if g.condition >= measured:
                     raise ValueError("classically controlled CZ references a future record")
                 g = Gate(GateKind.CCZ, (*g.operands, records[g.condition]))
             psi = _apply_gate(psi, g, bit)
             if len(psi) > MAX_TERMS:
-                raise CapacityError(f"{len(psi)} terms exceed the {MAX_TERMS}-term cap")
+                raise ValueError(f"{len(psi)} terms exceed the {MAX_TERMS}-term cap")
         norm = sum(abs(a) ** 2 for a in psi.values())
         if abs(norm - 1.0) > _NORM_TOL:
             raise AssertionError(f"norm drifted to {norm}")
@@ -216,12 +207,6 @@ def statevector_run(
     return branches
 
 
-@dataclass
-class EquivReport:
-    ok: bool
-    detail: str = ""
-
-
 # name -> (data wires, map of the data input bits to (output bits, phase))
 _REFERENCES = {
     "toffoli": (3, lambda a, b, t: ((a, b, t ^ (a & b)), 1.0)),
@@ -235,8 +220,7 @@ def assert_equiv(
     schedule: Schedule,
     reference: str,
     data_wires: tuple[Hashable, ...],
-    tol: float = 1e-10,
-) -> EquivReport:
+) -> Report:
     """Check the schedule acts as the named gate on the data wires, in one run.
 
     ``reference`` is a key of :data:`_REFERENCES`, which gives the number of
@@ -249,7 +233,8 @@ def assert_equiv(
     Each measurement branch must equal (reference on data) x |0...0>, with the
     reference wires holding the inputs, up to one global phase of its own.
     So an AND missing its phase correction fails, and so does a circuit whose
-    records depend on the data, since they decohere the superposition.
+    records depend on the data, since they decohere the superposition. A
+    deviation above :data:`EQUIV_TOL` fails the report with its worst value.
     """
     if reference not in _REFERENCES:
         raise ValueError(f"unknown reference {reference!r} (expected one of {tuple(_REFERENCES)})")
@@ -278,5 +263,4 @@ def assert_equiv(
         got = br.state
         phase = cmath.exp(1j * cmath.phase(sum(e.conjugate() * got.get(k, 0) for k, e in expected.items())))
         worst = max(worst, *(abs(got.get(k, 0) - phase * expected.get(k, 0)) for k in got.keys() | expected))
-    ok = worst <= tol
-    return EquivReport(ok, "" if ok else f"worst deviation {worst:.3e}")
+    return Report([] if worst <= EQUIV_TOL else [f"worst deviation {worst:.3e}"])

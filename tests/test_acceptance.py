@@ -21,7 +21,7 @@ from celltiler.scheduler import (
     toffoli_step,
     validate_schedule,
 )
-from celltiler.sim import assert_equiv, classical_run
+from celltiler.sim import EQUIV_TOL, assert_equiv, classical_run
 from celltiler.tiler import (
     RegisterSpec,
     build_multiplier_layout,
@@ -109,10 +109,11 @@ def test_criterion_4_reset_depth_constant():
 
 
 def test_criterion_5_decomposition_equivalence():
-    assert assert_equiv(decomp.ccz_tdepth1(), "ccz", ("a", "b", "c"), TOL).ok
-    assert assert_equiv(decomp.toffoli_tdepth2(), "toffoli", ("a", "b", "t"), TOL).ok
-    assert assert_equiv(decomp.controlled_s("a"), "cs", ("q1", "q2"), TOL).ok
-    assert assert_equiv(decomp.toffoli_mb(), "toffoli", ("a", "b", "t"), TOL).ok
+    assert EQUIV_TOL == TOL
+    assert assert_equiv(decomp.ccz_tdepth1(), "ccz", ("a", "b", "c")).ok
+    assert assert_equiv(decomp.toffoli_tdepth2(), "toffoli", ("a", "b", "t")).ok
+    assert assert_equiv(decomp.controlled_s("a"), "cs", ("q1", "q2")).ok
+    assert assert_equiv(decomp.toffoli_mb(), "toffoli", ("a", "b", "t")).ok
     report(5, "ccz_tdepth1=CCZ, toffoli_tdepth2=Toffoli, controlled_s=CS, "
               "toffoli_mb=Toffoli on both branches at 1e-10")
 

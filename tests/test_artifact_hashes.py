@@ -13,6 +13,11 @@ from celltiler.router import compare, compare_csv
 from celltiler.scheduler import full_multiplier_schedule
 
 ROOT = Path(__file__).resolve().parents[1]
+# the refused requests, in the tool's order, with their exit codes
+REFUSED_EXITS = {
+    "verify 5": 2, "ls 4 2d": 1, "compare 1 1": 2, "build 11": 2, "schedule 2 --optimize-toffoli-depth": 2,
+    "verify nope": 2, "compare 5 3": 2, "schedule 0": 2, "ls 11 2d": 2, "compare 2 11": 2,
+}
 
 
 def test_artifact_hashes_match_the_pins():
@@ -24,7 +29,8 @@ def test_artifact_hashes_match_the_pins():
     widths = [f"multiplier {n}{depth}" for n in range(1, 11)
               for depth in (["", " optimize_toffoli_depth"] if n >= 3 else [""])]
     decompositions = [f"decomposition {name}" for name in [*DECOMPS, "toffoli_cube"]]
-    assert list(hashes) == [*widths, *decompositions, "compare 2 10"]
+    refused = [f"refused {request}" for request in REFUSED_EXITS]
+    assert list(hashes) == [*widths, *decompositions, "compare 2 10", *refused]
     assert all(hashes[key]["ls_ok"] is True for key in widths)
     # the tiled, lowered and LS digests that tests/test_lsx.py pins
     for n, pinned in GOLDEN.items():
@@ -35,3 +41,8 @@ def test_artifact_hashes_match_the_pins():
     assert hashes["multiplier 4 optimize_toffoli_depth"]["final_mapping"] == hashlib.sha256(text.encode()).hexdigest()
     csv = compare_csv(compare(range(2, 11)))
     assert hashes["compare 2 10"] == hashlib.sha256(csv.encode()).hexdigest()
+    # a refusal prints nothing on stdout and its message on stderr
+    empty = hashlib.sha256(b"").hexdigest()
+    for request, code in REFUSED_EXITS.items():
+        row = hashes[f"refused {request}"]
+        assert (row["exit"], row["stdout"]) == (code, empty) and row["stderr"] != empty, request

@@ -7,7 +7,6 @@ import pytest
 from celltiler import decomp
 from celltiler.cells import (
     Layout,
-    PlacementError,
     Placement,
     ROTATIONS_3D,
     Tile,
@@ -92,7 +91,7 @@ def test_place_fits():
 
 def test_place_out_of_bounds():
     layout = Layout(grid(2, 3, 8))
-    with pytest.raises(PlacementError):
+    with pytest.raises(ValueError, match=r"^tile toffoli_cube at \(0, 0, 7\) leaves the lattice at "):
         place(layout, toffoli_cube(), Site(0, 0, 7))
 
 
@@ -106,7 +105,7 @@ def test_place_tower_of_four():
 def test_place_role_conflict():
     layout = Layout(grid(2, 3, 8))
     place(layout, toffoli_cube(), Site(0, 0, 0))
-    with pytest.raises(PlacementError):
+    with pytest.raises(ValueError, match="^role conflict at "):
         place(layout, toffoli_cube(), Site(0, 0, 0))
 
 

@@ -77,6 +77,35 @@ def test_gate_is_immutable(name):
     assert g == Gate(K.CNOT, ("a", "b"))
 
 
+def _kinds(sched: Schedule) -> list[list[str]]:
+    return [[g.kind.value for g in m] for m in sched.moments]
+
+
+@pytest.mark.parametrize("gates, moments", [
+    # the CC_CZ shares no wire with the measurement, yet must follow it
+    ([gate("h", "m"), gate("h", "m"), gate("mz", "m"), gate("cc_cz", "a", "b", condition=0)],
+     [["h"], ["h"], ["mz"], ["cc_cz"]]),
+    # record 0 stays p's measurement, though q's could go first
+    ([gate("x", "p"), gate("x", "p"), gate("mz", "p"), gate("mz", "q"), gate("cc_cz", "a", "b", condition=0)],
+     [["x"], ["x"], ["mz"], ["mz"], ["cc_cz"]]),
+    # other gates still fit in earlier moments
+    ([gate("mx", "p"), gate("h", "q"), gate("mz", "q"), gate("x", "r")], [["mx", "h", "x"], ["mz"]]),
+], ids=["cc-cz-after-record", "records-in-order", "others-pack"])
+def test_append_keeps_the_record_stream_in_order(gates, moments):
+    sched = Schedule()
+    for g in gates:
+        sched.append(g)
+    assert _kinds(sched) == moments
+
+
+def test_extend_moment_keeps_the_record_stream_for_append():
+    sched = Schedule([[gate("mz", "m")]])
+    with pytest.raises(ValueError, match="overlapping support in moment 1"):
+        sched.extend_moment([gate("x", "p"), gate("x", "p")])
+    sched.append(gate("cc_cz", "a", "b", condition=0))
+    assert _kinds(sched) == [["mz"], ["cc_cz"]]
+
+
 def test_gate_repr_is_pinned_in_the_overlap_error():
     g = Gate(K.CC_CZ, ("a", Site(0, 1, 2)), 3, frozenset({STORAGE}))
     text = (
@@ -369,13 +398,13 @@ operand_st = st.one_of(
     st.builds(Site, st.integers(-2, 3), st.integers(-2, 3), st.integers(0, 3)),
     st.sampled_from([True, 2.5, ("é", 3)]),
 )
-# only a cc_cz takes a condition
+# only a cc_cz takes a condition, and it must take a record index
 any_gate_st = st.builds(
     lambda kind, ops, condition, tags: Gate(
         kind, tuple(ops[: kind.arity]), condition if kind is K.CC_CZ else None, tags),
     st.sampled_from(list(GateKind)),
     st.lists(operand_st, min_size=3, max_size=3, unique=True),
-    st.one_of(st.none(), st.integers(-5, 50), st.just(False)),
+    st.integers(0, 50),
     st.frozensets(labels_st, max_size=2),
 )
 
@@ -407,18 +436,23 @@ def test_site_coordinates_are_exact_ints():
         Site(1.5, 0, 0)
 
 
-@pytest.mark.parametrize("first, second", [(1, True), (0, False)])
-def test_to_json_tells_equal_conditions_apart(first, second):
-    sched = Schedule([
-        [Gate(K.CC_CZ, ("a", "b"), first)], [Gate(K.CC_CZ, ("a", "b"), second)],
-        [Gate(K.CC_CZ, ("b", "c"), second)], [Gate(K.CC_CZ, ("b", "c"), first)],
-    ])
-    assert sched.to_json() == _reference_to_json(sched)
+@pytest.mark.parametrize("condition", [True, False, None, -1, 1.0, "0"], ids=repr)
+def test_cc_cz_refuses_a_condition_that_is_no_record_index(condition):
+    # a bool equals its int, so the writer could not tell True from 1; a
+    # negative index would read a record from the end, and None no record
+    text = f"cc_cz gate needs a record index, an int >= 0: {condition!r}"
+    with pytest.raises(ValueError) as err:
+        Gate(K.CC_CZ, ("a", "b"), condition)
+    assert str(err.value) == text
+    record = {"kind": "cc_cz", "operands": ["a", "b"], "condition": condition, "tags": []}
+    with pytest.raises(ValueError) as err:
+        Schedule.from_json(json.dumps({"moments": [[record]]}))
+    assert str(err.value) == text
 
 
 # the writer caches a record per Gate object: one object may fill many
 # moments, and a twin that compares equal may still be written differently
-TWINS = (Gate(K.CC_CZ, ("a", "b"), 1), Gate(K.CC_CZ, ("a", "b"), True))
+TWINS = (Gate(K.CNOT, ("a", 1)), Gate(K.CNOT, ("a", True)))
 
 
 @given(
@@ -466,9 +500,10 @@ roundtrip_operand_st = st.one_of(
     st.sampled_from([(("a", 1), 2), ((),)]),
 )
 roundtrip_gate_st = st.builds(
-    lambda kind, ops: Gate(kind, tuple(ops[: kind.arity])),
+    lambda kind, ops, condition: Gate(kind, tuple(ops[: kind.arity]), condition if kind is K.CC_CZ else None),
     st.sampled_from(list(GateKind)),
     st.lists(roundtrip_operand_st, min_size=3, max_size=3, unique=True),
+    st.integers(0, 9),
 )
 
 

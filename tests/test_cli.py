@@ -6,7 +6,7 @@ import json
 import pytest
 
 from celltiler import cli, decomp, lsx, router, scheduler
-from celltiler.circuit import GateKind, Schedule, gate
+from celltiler.circuit import GateKind, Report, Schedule, gate
 from celltiler.cli import main
 from celltiler.router import compare, compare_csv
 from celltiler.sim import classical_run
@@ -526,7 +526,7 @@ def test_verify_prints_a_failed_decomposition(monkeypatch, capsys):
 
 
 def test_ls_prints_bound_violations(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "validate_ls", lambda *args: lsx.LSReport(["step 0: x"]))
+    monkeypatch.setattr(cli, "validate_ls", lambda *args: Report(["step 0: x"]))
     assert main(["ls", "1", "3d"]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines()[-1] == "parallel bound 4: 1 violations"

@@ -29,7 +29,7 @@ def kind_counts(s: Schedule) -> dict:
 
 
 def test_ccz_equivalence():
-    assert assert_equiv(decomp.ccz_tdepth1(), "ccz", ("a", "b", "c"), TOL).ok
+    assert assert_equiv(decomp.ccz_tdepth1(), "ccz", ("a", "b", "c")).ok
 
 
 def test_ccz_fixes_all_zero():
@@ -40,7 +40,7 @@ def test_ccz_fixes_all_zero():
 
 
 def test_toffoli_tdepth2_equivalence():
-    assert assert_equiv(decomp.toffoli_tdepth2(), "toffoli", ("a", "b", "t"), TOL).ok
+    assert assert_equiv(decomp.toffoli_tdepth2(), "toffoli", ("a", "b", "t")).ok
 
 
 def test_toffoli_tdepth2_counts():
@@ -50,8 +50,8 @@ def test_toffoli_tdepth2_counts():
 
 
 def test_controlled_s_equivalence_both_variants():
-    assert assert_equiv(decomp.controlled_s("a"), "cs", ("q1", "q2"), TOL).ok
-    assert assert_equiv(decomp.controlled_s("b"), "cs", ("q1", "q2"), TOL).ok
+    assert assert_equiv(decomp.controlled_s("a"), "cs", ("q1", "q2")).ok
+    assert assert_equiv(decomp.controlled_s("b"), "cs", ("q1", "q2")).ok
 
 
 def test_controlled_s_unknown_variant():
@@ -60,8 +60,8 @@ def test_controlled_s_unknown_variant():
 
 
 def test_and_circuits_compute_and():
-    assert assert_equiv(decomp.and_4anc(), "and", ("a", "b", "t"), TOL).ok
-    assert assert_equiv(decomp.and_3anc(), "and", ("a", "b", "t"), TOL).ok
+    assert assert_equiv(decomp.and_4anc(), "and", ("a", "b", "t")).ok
+    assert assert_equiv(decomp.and_3anc(), "and", ("a", "b", "t")).ok
 
 
 @pytest.mark.parametrize("build", [decomp.and_4anc, decomp.and_3anc])
@@ -70,7 +70,7 @@ def test_and_without_final_s_rejected(build):
     sched = build()
     *rest, last = sched.moments
     assert [(g.kind, g.operands) for g in last] == [(K.S, ("t",))]
-    assert not assert_equiv(Schedule(rest), "and", ("a", "b", "t"), TOL).ok
+    assert not assert_equiv(Schedule(rest), "and", ("a", "b", "t")).ok
 
 
 def test_and4_counts():
@@ -102,7 +102,7 @@ def test_and3_multiset_delta_from_and4():
 def test_toffoli_mb_equivalence_and_count():
     sched = decomp.toffoli_mb()
     assert t_metrics(sched)[0] == 4
-    report = assert_equiv(sched, "toffoli", ("a", "b", "t"), TOL)
+    report = assert_equiv(sched, "toffoli", ("a", "b", "t"))
     assert report.ok
 
 
@@ -165,7 +165,7 @@ def test_lower_schedule_expands_toffoli():
     low = decomp.lower_schedule(sched)
     assert low.count(K.TOFFOLI) == 0
     assert low.count(K.CNOT) == 14
-    assert assert_equiv(low, "toffoli", ("x", "y", "z"), TOL).ok
+    assert assert_equiv(low, "toffoli", ("x", "y", "z")).ok
 
 
 def test_lower_schedule_expands_ccz_as_ccz():
@@ -173,8 +173,8 @@ def test_lower_schedule_expands_ccz_as_ccz():
     low = decomp.lower_schedule(sched)
     assert low.count(K.CCZ) == 0 and low.count(K.H) == 0
     assert low.count(K.CNOT) == 14
-    assert assert_equiv(low, "ccz", ("x", "y", "z"), TOL).ok
-    assert not assert_equiv(low, "toffoli", ("x", "y", "z"), TOL).ok
+    assert assert_equiv(low, "ccz", ("x", "y", "z")).ok
+    assert not assert_equiv(low, "toffoli", ("x", "y", "z")).ok
 
 
 def test_lower_schedule_expands_swap():

@@ -476,7 +476,7 @@ gate_st = st.one_of(
         lambda kind, qs, c: gate(kind, *qs, condition=c if kind == "cc_cz" else None),
         st.sampled_from(["cnot", "cnot", "cz", "cc_cz"]),
         st.lists(st.sampled_from(SITES + LABELS), min_size=2, max_size=2, unique=True),
-        st.one_of(st.none(), st.integers(0, 3)),
+        st.integers(0, 3),
     ),
 )
 

@@ -11,7 +11,6 @@ from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, gate
 from celltiler.lattice import Site, grid
 from celltiler.router import (
     CSV_HEADER,
-    RoutingError,
     compare,
     compare_csv,
     greedy_route,
@@ -195,7 +194,7 @@ def _sorted_neighbours_bfs(lattice, src, goals, forbidden):
                     path.append(parent[path[-1]])
                 return path[::-1]
             queue.append(nb)
-    raise RoutingError(f"no route from {tuple(src)} to any goal")
+    raise ValueError(f"no route from {tuple(src)} to any goal")
 
 
 @st.composite
@@ -219,8 +218,8 @@ def test_bfs_path_matches_the_sorted_neighbours_bfs(case):
     def outcome(route):
         try:
             return route()
-        except RoutingError as exc:
-            return f"RoutingError: {exc}"
+        except ValueError as exc:
+            return f"ValueError: {exc}"
 
     def on_indices():
         path = router._bfs_path(lattice, index[src], {index[s] for s in goals}, [index[s] for s in forbidden])
@@ -252,14 +251,14 @@ def test_route_rejects_more_labels_than_sites():
 
 def test_route_rejects_a_label_without_a_site():
     mapping = {"a": Site(0, 0, 0), "b": Site(1, 0, 0)}
-    with pytest.raises(RoutingError, match="^label 'c' has no initial site$"):
+    with pytest.raises(ValueError, match="^label 'c' has no initial site$"):
         greedy_route(Schedule([[gate("cnot", "a", "c")]]), grid(2, 2, 1), mapping)
 
 
 def test_route_reports_a_walled_off_target():
     # t ends a line and the other control holds its one neighbour
     mapping = {"t": Site(0, 0, 0), "c2": Site(0, 0, 1), "c1": Site(0, 0, 2)}
-    with pytest.raises(RoutingError, match=r"^no route from \(0, 0, 2\) to any goal$"):
+    with pytest.raises(ValueError, match=r"^no route from \(0, 0, 2\) to any goal$"):
         greedy_route(Schedule([[gate("toffoli", "c1", "c2", "t")]]), grid(1, 1, 3), mapping)
 
 
@@ -267,7 +266,7 @@ def test_route_checks_the_assembled_triple(monkeypatch):
     # a walk that moves nothing leaves the far control where it was
     monkeypatch.setattr(router, "_bfs_path", lambda lattice, src, goals, forbidden: [src])
     mapping = {"c1": Site(0, 0, 0), "c2": Site(0, 0, 2), "t": Site(0, 0, 3)}
-    with pytest.raises(RoutingError, match="^could not bring the controls of toffoli next to its target$"):
+    with pytest.raises(ValueError, match="^could not bring the controls of toffoli next to its target$"):
         greedy_route(Schedule([[gate("toffoli", "c1", "c2", "t")]]), grid(1, 1, 4), mapping)
 
 
@@ -309,7 +308,7 @@ class _ReferenceRouter:
             other = c2 if mover == c1 else c1
             self._walk(mover, goals, {pos[t], pos[other]})
         if any(pos[c] not in self.adjacency[pos[t]] for c in (c1, c2)):
-            raise RoutingError("could not assemble a Toffoli triple")
+            raise ValueError("could not assemble a Toffoli triple")
 
     def run(self, circuit):
         pos, sites = self.occ.wire_of, self.sites
@@ -317,7 +316,7 @@ class _ReferenceRouter:
             ops = g.operands
             for q in ops:
                 if q not in pos:
-                    raise RoutingError(f"label {q!r} has no initial site")
+                    raise ValueError(f"label {q!r} has no initial site")
             if len(ops) == 2:
                 self._route_pair(*ops)
             elif len(ops) == 3:
@@ -327,7 +326,7 @@ class _ReferenceRouter:
 
 def _reference_route(circuit, lattice, mapping0):
     if len(mapping0) > lattice.size:
-        raise RoutingError("more logical qubits than lattice sites")
+        raise ValueError("more logical qubits than lattice sites")
     ref = _ReferenceRouter(lattice, mapping0)
     ref.run(circuit)
     return ref.out, {label: ref.sites[w] for label, w in ref.occ.wire_of.items()}
@@ -357,8 +356,8 @@ def test_gather_loop_routes_as_the_pair_and_triple_router(case):
     def outcome(route):
         try:
             routed, final = route(*case)
-        except RoutingError as exc:
-            return f"RoutingError: {exc}"
+        except ValueError as exc:
+            return f"ValueError: {exc}"
         return routed.to_json(), final
 
     assert outcome(greedy_route) == outcome(_reference_route)

@@ -10,7 +10,6 @@ from celltiler.circuit import STORAGE, Gate, GateKind, Schedule, swap_metrics
 from celltiler.lattice import Site
 from celltiler.scheduler import (
     RESET_SWAP_DEPTH,
-    ScheduleError,
     ctrl_add_step,
     full_multiplier_schedule,
     render_timeline,
@@ -390,7 +389,7 @@ def test_step_off_its_budget_raises(monkeypatch, budget, delta):
         return tuple(cost)
 
     monkeypatch.setitem(scheduler.STEP_SWAPS, kind, perturbed)
-    with pytest.raises(ScheduleError, match="budget"):
+    with pytest.raises(ValueError, match="budget"):
         full_multiplier_schedule(4)
 
 
@@ -425,7 +424,7 @@ def test_validate_schedule_reports_overlapping_support():
     ids=["outside", "unknown-label", "not-adjacent", "across-queues", "no-free-slot"],
 )
 def test_board_rejects_a_bad_move(emit, message):
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(ValueError) as err:
         emit(board())
     assert str(err.value) == message
 
@@ -448,7 +447,7 @@ def test_board_rejects_a_bad_move(emit, message):
 )
 def test_board_move_using_a_site_twice_is_refused_by_the_ir(emit, message):
     # the board leaves this rule to Schedule.extend_moment and Gate, which
-    # raise ValueError; cli.main maps it to exit 2 like a ScheduleError
+    # raise ValueError, as the board does; cli.main maps it to exit 2
     with pytest.raises(ValueError) as err:
         emit(board())
     assert str(err.value) == message
@@ -484,7 +483,7 @@ def test_board_reports_unplaced_spacers(monkeypatch):
     monkeypatch.setattr(scheduler._Board, "_spacer_pairs", staticmethod(lambda h: []))
     b = board()
     b.moment(spacers=1)
-    with pytest.raises(ScheduleError) as err:
+    with pytest.raises(ValueError) as err:
         b.finish("reset")
     assert str(err.value) == "unplaced spacer swaps: 1"
 

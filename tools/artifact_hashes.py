@@ -10,7 +10,9 @@ mapping (sorted JSON ``{label: [x, y, z]}``), the lowered schedule's JSON
 and the LS program's JSON, and records whether ``validate_ls`` passes. For
 each decomposition the ``verify`` command knows, and for the cube Toffoli
 on its cell's sites, it hashes the circuit's JSON and its LS program's JSON.
-Last comes the ``compare`` CSV for widths 2..10.
+Then comes the ``compare`` CSV for widths 2..10. Last, each request of
+:data:`REFUSED` runs through ``celltiler.cli.main`` in-process, and its exit
+code and the sha256 of its stdout and of its stderr are recorded.
 
 Two checkouts build the same artifacts exactly when they print the same
 object, so ``diff`` of two runs shows a refactor kept every artifact
@@ -20,10 +22,18 @@ byte-identical. A run takes about 3 s on a 2-CPU Xeon.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
+
+# invalid requests: each is refused, with exit 1 or 2
+REFUSED = [
+    "verify 5", "ls 4 2d", "compare 1 1", "build 11", "schedule 2 --optimize-toffoli-depth",
+    "verify nope", "compare 5 3", "schedule 0", "ls 11 2d", "compare 2 11",
+]
 
 
 def sha(text: str) -> str:
@@ -33,7 +43,7 @@ def sha(text: str) -> str:
 def artifact_hashes() -> dict:
     from celltiler import decomp
     from celltiler.cells import toffoli_cube
-    from celltiler.cli import DECOMPS
+    from celltiler.cli import DECOMPS, main
     from celltiler.lsx import extract_ls, validate_ls
     from celltiler.router import compare, compare_csv
     from celltiler.scheduler import full_multiplier_schedule
@@ -56,6 +66,11 @@ def artifact_hashes() -> dict:
     for name, (circ, site_map) in circuits.items():
         out[f"decomposition {name}"] = {"circuit": sha(circ.to_json()), "ls": sha(extract_ls(circ, site_map).to_json())}
     out["compare 2 10"] = sha(compare_csv(compare(range(2, 11))))
+    for request in REFUSED:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(request.split())
+        out[f"refused {request}"] = {"exit": code, "stdout": sha(stdout.getvalue()), "stderr": sha(stderr.getvalue())}
     return out
 
 
