@@ -50,8 +50,9 @@ ROTATIONS_3D = _rotations_3d()
 
 
 def _apply_rotation(mat, site: Site) -> tuple[int, int, int]:
-    v = (site.x, site.y, site.z)
-    return tuple(sum(mat[i][j] * v[j] for j in range(3)) for i in range(3))
+    (a, b, c), (d, e, f), (g, h, i) = mat
+    x, y, z = site
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
 
 
 @dataclass(frozen=True)

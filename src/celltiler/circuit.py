@@ -375,8 +375,10 @@ def depth(schedule: Schedule, policy: DepthPolicy = POLICIES["strict"]) -> int:
     """Weighted critical-path length of the schedule under the given policy.
 
     Gates are re-packed as early as the per-wire order from the moment sequence
-    allows. Under ``merge_shared_control`` a wire acting as CNOT control is
-    read-only: controls of different CNOTs may overlap in time.
+    allows. Measurements and ``CC_CZ`` gates also keep their order on the
+    record stream, as ``Schedule.append`` keeps it. Under
+    ``merge_shared_control`` a wire acting as CNOT control is read-only:
+    controls of different CNOTs may overlap in time.
     """
     floor: dict = {}  # earliest start for a control-only use
     high: dict = {}  # earliest start for a serializing use
@@ -385,14 +387,15 @@ def depth(schedule: Schedule, policy: DepthPolicy = POLICIES["strict"]) -> int:
         for g in m:
             w = policy.weight(g)
             fanout = policy.merge_shared_control and g.kind is GateKind.CNOT
+            ops = (*g.operands, _RECORDS) if g.kind.records else g.operands
             start = 0
-            for i, q in enumerate(g.operands):
+            for i, q in enumerate(ops):
                 if fanout and i == 0:
                     start = max(start, floor.get(q, 0))
                 else:
                     start = max(start, high.get(q, 0))
             finish = start + w
-            for i, q in enumerate(g.operands):
+            for i, q in enumerate(ops):
                 if fanout and i == 0:
                     high[q] = max(high.get(q, 0), finish)
                 else:

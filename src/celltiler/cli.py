@@ -74,10 +74,16 @@ def _cmd_schedule(args) -> int:
     return EXIT_OK
 
 
+# _DIGITS[k] maps a byte to the ASCII digit of its bit k ("0" is 48). The
+# verified widths, n <= 4, keep every A, B and product value below 256, so
+# each value is one byte; bytes() refuses a larger one with ValueError.
+_DIGITS = [bytes(48 | v >> k & 1 for v in range(256)) for k in range(8)]
+
+
 def _packed(values: list[int], k: int) -> int:
     """The int whose bit j is bit k of ``values[j]``."""
-    # one ASCII digit per value (48 is "0"), the last value's first
-    return int(bytes([48 | v >> k & 1 for v in reversed(values)]), 2)
+    # one digit per value, the last value's first
+    return int(bytes(reversed(values)).translate(_DIGITS[k]), 2)
 
 
 def _cmd_verify(args) -> int:
@@ -90,10 +96,15 @@ def _cmd_verify(args) -> int:
         layout = build_multiplier_layout(n)
         spec = RegisterSpec.for_width(n)
         mapping = initial_mapping(layout, spec)
-        sched, _ = full_multiplier_schedule(n, layout=layout)
+        sched, final = full_multiplier_schedule(n, layout=layout)
         report = validate_schedule(layout, mapping, sched)
         if not report.ok:
             print(f"adjacency violations: {len(report.violations)}")
+            return EXIT_FAIL
+        # the oracle reads values by label, so it cannot see a label end on
+        # another site than the emitter says
+        if report.final_mapping != final:
+            print("final mapping differs from the emitted one")
             return EXIT_FAIL
         # one replay for every input: lane a*2^n + b carries (a, b)
         cases = 4 ** n

@@ -427,52 +427,68 @@ def validate_schedule(
 
     Two-qubit gates must join nearest-neighbour sites. Toffoli gates must sit
     on a cube's data corners (``tile`` rule) or form a connected chain
-    (``chain`` rule, used for the routed baseline). The report carries every
-    violation and the final logical-to-site mapping.
+    (``chain`` rule, used for the routed baseline). These tests run once per
+    gate object, however often it occurs; each occurrence is tested only for
+    overlap within its moment and replayed if it is a SWAP. The report
+    carries every violation, in schedule order, and the final
+    logical-to-site mapping.
     """
     if toffoli_rule not in ("tile", "chain"):
         raise ValueError(f"unknown toffoli rule {toffoli_rule!r}")
     corner_sets = [data_corners(p) for p in range(len(layout.placements))]
+    lattice = layout.lattice
+
+    def facts_of(g: Gate) -> tuple:
+        """What every test but the moment's overlap test finds for ``g``,
+        wherever it occurs: its sites (None for a gate with a non-site
+        operand), the texts that come before the overlap test, and the
+        adjacency or cell text (or None)."""
+        sites = g.operands
+        name = g.kind.value
+        if not all(isinstance(q, Site) for q in sites):
+            return None, (f"non-site operand in {name}",), None
+        outside = tuple(f"{tuple(s)} outside lattice" for s in sites if s not in lattice)
+        shape = None
+        if len(sites) == 2:
+            if sites[0].manhattan(sites[1]) != 1:
+                shape = f"{name} between non-adjacent {tuple(sites[0])},{tuple(sites[1])}"
+        elif len(sites) == 3:
+            if toffoli_rule == "tile":
+                sset = frozenset(sites)
+                if not any(sset <= cs for cs in corner_sets):
+                    shape = f"toffoli {sorted(map(tuple, sites))} not on a cell"
+            else:
+                dists = sorted(sites[a].manhattan(sites[b]) for a in range(3) for b in range(a + 1, 3))
+                if dists[:2] != [1, 1]:
+                    shape = f"toffoli {sorted(map(tuple, sites))} not chain-adjacent"
+        return sites, outside, shape
+
+    # one entry per gate object, keyed by id(g) as the schedule keeps every
+    # gate alive for the call
+    facts: dict[int, tuple] = {}
     occ = Occupancy(mapping0)
     report = ValidationReport()
-
+    violations = report.violations
+    swap = K.SWAP
     for mi, moment in enumerate(schedule.moments):
         touched: set[Site] = set()
         for g in moment:
-            sites = [q for q in g.operands if isinstance(q, Site)]
-            if len(sites) != len(g.operands):
-                report.violations.append(f"moment {mi}: non-site operand in {g.kind.value}")
+            fact = facts.get(id(g))
+            if fact is None:
+                fact = facts[id(g)] = facts_of(g)
+            sites, notes, shape = fact
+            if notes:
+                violations.extend(f"moment {mi}: {text}" for text in notes)
+            if sites is None:
                 continue
-            for s in sites:
-                if s not in layout.lattice:
-                    report.violations.append(f"moment {mi}: {tuple(s)} outside lattice")
-            overlap = touched.intersection(sites)
-            if overlap:
-                report.violations.append(f"moment {mi}: overlapping support at {sorted(map(tuple, overlap))}")
+            if not touched.isdisjoint(sites):
+                overlap = touched.intersection(sites)
+                violations.append(f"moment {mi}: overlapping support at {sorted(map(tuple, overlap))}")
             touched.update(sites)
-            if len(sites) == 2:
-                if sites[0].manhattan(sites[1]) != 1:
-                    report.violations.append(
-                        f"moment {mi}: {g.kind.value} between non-adjacent {tuple(sites[0])},{tuple(sites[1])}"
-                    )
-            elif len(sites) == 3:
-                sset = frozenset(sites)
-                if toffoli_rule == "tile":
-                    if not any(sset <= cs for cs in corner_sets):
-                        report.violations.append(
-                            f"moment {mi}: toffoli {sorted(map(tuple, sites))} not on a cell"
-                        )
-                else:
-                    dists = sorted(
-                        sites[a].manhattan(sites[b])
-                        for a in range(3) for b in range(a + 1, 3)
-                    )
-                    if dists[:2] != [1, 1]:
-                        report.violations.append(
-                            f"moment {mi}: toffoli {sorted(map(tuple, sites))} not chain-adjacent"
-                        )
-            if g.kind is K.SWAP:
-                occ.swap(*g.operands)
+            if shape is not None:
+                violations.append(f"moment {mi}: {shape}")
+            if g.kind is swap:
+                occ.swap(*sites)
     report.final_mapping = occ.mapping()
     return report
 

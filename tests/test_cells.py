@@ -10,6 +10,7 @@ from celltiler.cells import (
     Placement,
     ROTATIONS_3D,
     Tile,
+    _apply_rotation,
     and_tile,
     place,
     tdepth2_tile,
@@ -23,6 +24,16 @@ from celltiler.lattice import Site, grid
 def test_rotation_table():
     assert len(ROTATIONS_3D) == 24
     assert len(set(ROTATIONS_3D)) == 24
+
+
+def test_rotation_is_the_matrix_product():
+    def product(mat, v):
+        return tuple(sum(mat[i][j] * v[j] for j in range(3)) for i in range(3))
+
+    sites = [Site(0, 0, 0), Site(1, 0, 0), Site(0, 1, 0), Site(0, 0, 1), Site(1, 2, 3), Site(2, 1, 5)]
+    for mat in ROTATIONS_3D:
+        for site in sites:
+            assert _apply_rotation(mat, site) == product(mat, site)
 
 
 def test_toffoli_cube_shape():

@@ -215,6 +215,17 @@ def test_depth_and3_parallel_policy():
     assert depth(decomp.and_3anc(), POLICIES["parallel"]) == 7
 
 
+def test_depth_waits_on_the_record_stream():
+    # the CC_CZ shares no wire with mz(m) but reads its record, so it comes 4th
+    sched = Schedule()
+    for g in (gate("h", "m"), gate("h", "m"), gate("mz", "m"), gate("cc_cz", "a", "b", condition=0)):
+        sched.append(g)
+    assert depth(sched, POLICIES["strict"]) == len(sched.moments) == 4
+    # two measurements on separate wires keep their record order too
+    two = Schedule([[gate("mz", "p")], [gate("mx", "q")]])
+    assert depth(two, POLICIES["strict"]) == 2
+
+
 @pytest.mark.parametrize("policy, weight", [("strict", 1), ("swap2", 2), ("swap3", 3)])
 def test_depth_weighs_a_swap_by_policy(policy, weight):
     sched = Schedule([[gate(K.SWAP, "a", "b")], [gate(K.CNOT, "b", "c")]])

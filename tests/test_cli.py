@@ -106,6 +106,23 @@ def test_verify_replays_the_schedule_once(n, monkeypatch, capsys):
     assert capsys.readouterr().out == f"{4 ** n}/{4 ** n} products correct\n"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_packed_planes_match_the_per_lane_reference(n):
+    lanes = range(4 ** n)
+    a = [lane >> n for lane in lanes]
+    b = [lane & (2 ** n - 1) for lane in lanes]
+    ab = [x * y for x, y in zip(a, b)]
+    for values, width in ((a, n), (b, n), (ab, 2 * n)):
+        for k in range(width):
+            assert cli._packed(values, k) == sum((v >> k & 1) << j for j, v in enumerate(values))
+
+
+def test_packed_refuses_a_value_past_one_byte():
+    assert cli._packed([255, 0, 128], 7) == 0b101
+    with pytest.raises(ValueError):
+        cli._packed([1, 256], 0)
+
+
 def test_verify_counts_each_failing_input(monkeypatch, capsys):
     n = 3
     spec = RegisterSpec.for_width(n)
@@ -513,6 +530,16 @@ def test_verify_prints_adjacency_violations(monkeypatch, capsys):
     assert main(["verify", "2"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("adjacency violations: 2\n", "")
+
+
+def test_verify_refuses_a_final_mapping_the_replay_does_not_reach(monkeypatch, capsys):
+    sched, final = scheduler.full_multiplier_schedule(2)
+    a0, a1 = RegisterSpec.for_width(2).a
+    claimed = final | {a0: final[a1], a1: final[a0]}
+    monkeypatch.setattr(cli, "full_multiplier_schedule", lambda _n, **_kw: (sched, claimed))
+    assert main(["verify", "2"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("final mapping differs from the emitted one\n", "")
 
 
 def test_verify_prints_a_failed_decomposition(monkeypatch, capsys):

@@ -21,26 +21,34 @@ from celltiler.tiler import RegisterSpec, build_multiplier_layout, data_corners,
 K = GateKind
 
 # The gates whose removal from the n-bit tiled schedule no check notices, as
-# (moment, kind, operands). The four Toffolis are ctrl-add 1's top carry
-# block (at n = 3, A2·P3 and anc5·P3 onto anc0) in the compute wave and again
-# in the uncompute wave: they never fire, since P[n] is still 0 there. Each SWAP is
-# a storage SWAP that exchanges an idle ancilla with a finished label, a
-# spent control in yellow or a product bit in grey_out: the replay reads
-# values by label, so it misses that the final mapping changed.
+# (moment, kind, operands): ctrl-add 1's top carry block (at n = 3, A2·P3 and
+# anc5·P3 onto anc0) in the compute wave and again in the uncompute wave.
+# They never fire, since P[n] is still 0 there.
 SURVIVORS = {
     2: [
         (12, "toffoli", ((1, 0, 0), (0, 0, 1), (0, 1, 0))),
         (13, "toffoli", ((1, 1, 1), (0, 0, 1), (0, 1, 0))),
         (22, "toffoli", ((1, 0, 0), (0, 0, 1), (0, 1, 0))),
         (23, "toffoli", ((1, 1, 1), (0, 0, 1), (0, 1, 0))),
-        (33, "swap", ((0, 2, 1), (0, 2, 2))),
-        (34, "swap", ((1, 1, 2), (1, 1, 3))),
     ],
     3: [
         (19, "toffoli", ((1, 0, 0), (0, 0, 1), (0, 1, 0))),
         (20, "toffoli", ((1, 1, 1), (0, 0, 1), (0, 1, 0))),
         (29, "toffoli", ((1, 0, 0), (0, 0, 1), (0, 1, 0))),
         (30, "toffoli", ((1, 1, 1), (0, 0, 1), (0, 1, 0))),
+    ],
+}
+
+# Storage SWAPs that exchange an idle ancilla with a finished label, a spent
+# control in yellow or a product bit in grey_out. Dropping one leaves every
+# product right, as the oracle reads values by label, but the label then ends
+# elsewhere than the emitter says; only the final-mapping check refuses it.
+LABEL_MOVES = {
+    2: [
+        (33, "swap", ((0, 2, 1), (0, 2, 2))),
+        (34, "swap", ((1, 1, 2), (1, 1, 3))),
+    ],
+    3: [
         (49, "swap", ((0, 2, 2), (0, 2, 3))),
         (94, "swap", ((0, 2, 1), (0, 2, 2))),
         (95, "swap", ((0, 2, 2), (0, 2, 3))),
@@ -48,13 +56,14 @@ SURVIVORS = {
         (97, "swap", ((0, 0, 3), (0, 0, 4))),
     ],
 }
+MAPPING_REFUSAL = "final mapping differs from the emitted one\n"
 
 
 def _tiled(n: int):
     layout = build_multiplier_layout(n)
     spec = RegisterSpec.for_width(n)
-    sched, _ = full_multiplier_schedule(n, layout=layout)
-    return layout, spec, initial_mapping(layout, spec), sched
+    sched, final = full_multiplier_schedule(n, layout=layout)
+    return layout, spec, initial_mapping(layout, spec), sched, final
 
 
 def _without(sched: Schedule, mi: int, gi: int) -> Schedule:
@@ -63,28 +72,34 @@ def _without(sched: Schedule, mi: int, gi: int) -> Schedule:
 
 @pytest.mark.parametrize("n", sorted(SURVIVORS))
 def test_dropping_a_gate_is_refused_unless_pinned(n, monkeypatch, capsys):
-    _layout, spec, mapping, sched = _tiled(n)
+    _layout, spec, mapping, sched, final = _tiled(n)
     # the counted-SWAP closed forms, which the benchmark also pins
     closed = (10 * n * n + 6 * n - 13, 4 * n * n + 9 * n - 13)
     assert swap_metrics(sched) == closed
     survivors = []
+    refused: dict[tuple, str] = {}
     for mi, moment in enumerate(sched.moments):
         for gi, g in enumerate(moment):
             mutant = _without(sched, mi, gi)
             if swap_metrics(mutant) != closed:
                 continue
-            # the all-inputs replay of ``verify n``: a wrong product or a nonzero label
-            monkeypatch.setattr(cli, "full_multiplier_schedule", lambda *args, **kwargs: (mutant, None))
+            # ``verify n``: the replay's final mapping against the emitter's,
+            # then the all-inputs oracle (a wrong product or a nonzero label)
+            monkeypatch.setattr(cli, "full_multiplier_schedule", lambda *args, **kwargs: (mutant, final))
             code = cli.main(["verify", str(n)])
             out = capsys.readouterr().out
+            key = (mi, g.kind.value, tuple(map(tuple, g.operands)))
             if code == cli.EXIT_OK:
-                survivors.append((mi, g.kind.value, tuple(map(tuple, g.operands))))
+                survivors.append(key)
             else:
-                assert (code, out.endswith(f"/{4 ** n} products correct\n")) == (cli.EXIT_FAIL, True)
+                assert code == cli.EXIT_FAIL
+                assert out == MAPPING_REFUSAL or out.endswith(f"/{4 ** n} products correct\n"), out
+                refused[key] = out
     assert survivors == SURVIVORS[n]
-    # each surviving SWAP moves a finished B or P label past an ancilla
+    # each label-moving SWAP is refused by the final mapping alone
+    assert {key: refused.get(key) for key in LABEL_MOVES[n]} == dict.fromkeys(LABEL_MOVES[n], MAPPING_REFUSAL)
     occ = Occupancy(mapping)
-    swaps = {(mi, ops) for mi, kind, ops in survivors if kind == "swap"}
+    swaps = {(mi, ops) for mi, _kind, ops in LABEL_MOVES[n]}
     for mi, moment in enumerate(sched.moments):
         for g in moment:
             if (mi, tuple(map(tuple, g.operands))) in swaps:
@@ -103,7 +118,7 @@ def _replaced(sched: Schedule, mi: int, g: Gate, operands: tuple) -> Schedule:
 
 
 def test_a_toffoli_target_moved_off_its_cell_is_refused():
-    layout, _spec, mapping, sched = _tiled(3)
+    layout, _spec, mapping, sched, _final = _tiled(3)
     cells = [data_corners(p) for p in range(len(layout.placements))]
     lattice = layout.lattice
     checked = 0
@@ -121,7 +136,7 @@ def test_a_toffoli_target_moved_off_its_cell_is_refused():
 
 
 def test_a_swap_stretched_to_distance_two_is_refused():
-    layout, _spec, mapping, sched = _tiled(3)
+    layout, _spec, mapping, sched, _final = _tiled(3)
     checked = 0
     for mi, moment in enumerate(sched.moments):
         busy = {q for g in moment for q in g.operands}

@@ -6,8 +6,9 @@ from functools import partial
 import pytest
 
 from celltiler import scheduler
-from celltiler.circuit import STORAGE, Gate, GateKind, Schedule, swap_metrics
+from celltiler.circuit import STORAGE, Gate, GateKind, Occupancy, Schedule, swap_metrics
 from celltiler.lattice import Site
+from celltiler.router import greedy_route, logical_multiplier_circuit, routing_mapping
 from celltiler.scheduler import (
     RESET_SWAP_DEPTH,
     ctrl_add_step,
@@ -20,7 +21,9 @@ from celltiler.scheduler import (
     validate_schedule,
 )
 from celltiler.sim import classical_run
-from celltiler.tiler import MAGENTA, YELLOW, RegisterSpec, S, build_multiplier_layout, initial_mapping
+from celltiler.tiler import (
+    MAGENTA, YELLOW, RegisterSpec, S, build_multiplier_layout, data_corners, initial_mapping,
+)
 
 K = GateKind
 
@@ -517,3 +520,123 @@ def test_wrapped_step_functions_see_every_step(n, optimize, monkeypatch):
     calls = count_step_calls(monkeypatch)
     full_multiplier_schedule(n, optimize)
     assert calls == {"toffoli_step": 1, "ctrl_add_step": n - 1, "reset_step": max(n - 2, 0)}
+
+
+def _reference_replay(layout, mapping0, schedule, toffoli_rule="tile"):
+    """A reference replay that redoes every test for every occurrence of a
+    gate. Returns (violations, final mapping)."""
+    corner_sets = [data_corners(p) for p in range(len(layout.placements))]
+    occ = Occupancy(mapping0)
+    violations = []
+    for mi, moment in enumerate(schedule.moments):
+        touched = set()
+        for g in moment:
+            sites = [q for q in g.operands if isinstance(q, Site)]
+            if len(sites) != len(g.operands):
+                violations.append(f"moment {mi}: non-site operand in {g.kind.value}")
+                continue
+            for s in sites:
+                if s not in layout.lattice:
+                    violations.append(f"moment {mi}: {tuple(s)} outside lattice")
+            overlap = touched.intersection(sites)
+            if overlap:
+                violations.append(f"moment {mi}: overlapping support at {sorted(map(tuple, overlap))}")
+            touched.update(sites)
+            if len(sites) == 2:
+                if sites[0].manhattan(sites[1]) != 1:
+                    violations.append(
+                        f"moment {mi}: {g.kind.value} between non-adjacent {tuple(sites[0])},{tuple(sites[1])}"
+                    )
+            elif len(sites) == 3:
+                sset = frozenset(sites)
+                if toffoli_rule == "tile":
+                    if not any(sset <= cs for cs in corner_sets):
+                        violations.append(f"moment {mi}: toffoli {sorted(map(tuple, sites))} not on a cell")
+                else:
+                    dists = sorted(sites[a].manhattan(sites[b]) for a in range(3) for b in range(a + 1, 3))
+                    if dists[:2] != [1, 1]:
+                        violations.append(f"moment {mi}: toffoli {sorted(map(tuple, sites))} not chain-adjacent")
+            if g.kind is K.SWAP:
+                occ.swap(*g.operands)
+    return violations, occ.mapping()
+
+
+def _matches_reference(layout, mapping, schedule, toffoli_rule="tile"):
+    report = validate_schedule(layout, mapping, schedule, toffoli_rule=toffoli_rule)
+    assert (report.violations, report.final_mapping) == _reference_replay(layout, mapping, schedule, toffoli_rule)
+    return report
+
+
+def _written(moments):
+    """A schedule holding exactly these moments, written past the IR's own
+    overlap refusal, so a moment may use a site twice."""
+    sched = Schedule()
+    sched.moments.extend(list(m) for m in moments)
+    return sched
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_replay_matches_the_reference_on_tiled_schedules(n):
+    layout, _spec, mapping = setup_boards(n)
+    sched, final = full_multiplier_schedule(n, layout=layout)
+    # one gate object serves many occurrences
+    assert len({id(g) for g in sched.gates()}) < sum(map(len, sched.moments))
+    report = _matches_reference(layout, mapping, sched)
+    assert report.ok and report.final_mapping == final
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("rule", ["chain", "tile"])
+def test_replay_matches_the_reference_on_routed_schedules(n, rule):
+    layout = build_multiplier_layout(n)
+    m0 = routing_mapping(layout)
+    routed, _ = greedy_route(logical_multiplier_circuit(n), layout.lattice, m0)
+    report = _matches_reference(layout, m0, routed, rule)
+    # the routed Toffolis form chains, not cells
+    assert report.ok == (rule == "chain")
+
+
+def test_replay_checks_each_occurrence_of_a_reused_gate():
+    layout, _spec, mapping = setup_boards(3)
+    sched, _ = full_multiplier_schedule(3, layout=layout)
+    moments = [list(m) for m in sched.moments]
+    g = next(g for m in moments for g in m if g.kind is K.SWAP)
+    # the first SWAP object again at the end, next to a gate on one of its sites
+    clash = Gate(K.SWAP, (g.operands[0], Site(*(2 * u - v for u, v in zip(*g.operands)))))
+    moments.append([clash, g])
+    report = _matches_reference(layout, mapping, _written(moments))
+    overlaps = [v for v in report.violations if "overlapping support" in v]
+    assert overlaps == [f"moment {len(moments) - 1}: overlapping support at [{tuple(g.operands[0])}]"]
+
+
+def test_replay_reports_a_reused_off_cell_toffoli_at_each_occurrence():
+    layout, _spec, mapping = setup_boards(3)
+    sched, _ = full_multiplier_schedule(3, layout=layout)
+    moments = [list(m) for m in sched.moments]
+    # E(0), L(0) and S(0) are adjacent but S(0) is no data corner of cube 0
+    off = Gate(K.TOFFOLI, (Site(1, 0, 0), Site(0, 1, 0), Site(0, 0, 0)))
+    moments[3:3] = [[off], [off]]
+    report = _matches_reference(layout, mapping, _written(moments))
+    text = "toffoli [(0, 0, 0), (0, 1, 0), (1, 0, 0)] not on a cell"
+    assert report.violations == [f"moment 3: {text}", f"moment 4: {text}"]
+
+
+def test_replay_matches_the_reference_on_bad_operands():
+    layout, _spec, mapping = setup_boards(2)
+    sched, _ = full_multiplier_schedule(2, layout=layout)
+    moments = [list(m) for m in sched.moments]
+    named = Gate(K.SWAP, (Site(0, 0, 0), "A0"))
+    outside = Gate(K.SWAP, (Site(0, 2, 0), Site(0, 3, 0)))  # (0, 3, 0) is off the 2 x 3 floor
+    far = Gate(K.SWAP, (Site(0, 0, 0), Site(0, 2, 0)))
+    # a non-site gate takes no part in the overlap test or the occupancy replay
+    moments[1:1] = [[named, far], [outside], [named], [outside, far]]
+    report = _matches_reference(layout, mapping, _written(moments))
+    assert report.violations == [
+        "moment 1: non-site operand in swap",
+        "moment 1: swap between non-adjacent (0, 0, 0),(0, 2, 0)",
+        "moment 2: (0, 3, 0) outside lattice",
+        "moment 3: non-site operand in swap",
+        "moment 4: (0, 3, 0) outside lattice",
+        "moment 4: overlapping support at [(0, 2, 0)]",
+        "moment 4: swap between non-adjacent (0, 0, 0),(0, 2, 0)",
+    ]

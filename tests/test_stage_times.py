@@ -6,7 +6,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STAGES = {"emit", "logical", "route", "replay", "oracle", "equiv", "lower", "extract", "validate", "metrics", "write"}
+STAGES = {
+    "layout", "emit", "logical", "route", "replay", "pack", "oracle", "equiv", "lower", "extract", "validate",
+    "metrics", "write",
+}
 
 
 def paired_row(command: str) -> dict:
@@ -26,8 +29,10 @@ def test_stage_times_reports_every_stage_for_both_sides():
         assert set(row[side]["ms"]) == STAGES | {"whole_command"}
         assert row[side]["runs"] == 1
     assert row["parent"]["sha256"] == row["change"]["sha256"]
-    # verify n emits the schedule and replays it through the oracle
-    assert row["parent"]["ms"]["emit"] > 0 and row["parent"]["ms"]["oracle"] > 0
+    # verify n builds the layout, emits the schedule, packs the lanes and
+    # replays them through the oracle
+    for stage in ("layout", "emit", "pack", "oracle"):
+        assert row["parent"]["ms"][stage] > 0, stage
 
 
 def test_stage_times_times_the_equivalence_check():

@@ -18,12 +18,15 @@ between processes moves both. Every run follows ``gc.collect()`` and
 captures stdout. A command ending in ``--out`` is given a file in a
 temporary directory.
 
-The stages are timed by wrapping what ``cli.main`` calls: emit
+The stages are timed by wrapping what ``cli.main`` calls: layout
+(``build_multiplier_layout``, called by the CLI, by ``router.compare`` or,
+for ``schedule n``, inside emit by ``full_multiplier_schedule``), emit
 (``full_multiplier_schedule``, called by the CLI or by ``router.compare``),
 logical (``router.logical_multiplier_circuit``, the circuit that
 ``router.compare`` routes), route (``router.greedy_route``, called by
-``router.compare``), replay (``validate_schedule``), oracle
-(``classical_run``), equiv (``assert_equiv``, which ``verify
+``router.compare``), replay (``validate_schedule``), pack (``cli._packed``,
+which builds the bit planes of ``verify n``'s inputs and expected
+products), oracle (``classical_run``), equiv (``assert_equiv``, which ``verify
 <decomposition>`` calls to check a decomposition against its reference),
 lower (``decomp.lower_schedule``), extract (``extract_ls``), validate
 (``validate_ls``), metrics (``t_metrics`` and ``swap_metrics``, as the CLI
@@ -34,9 +37,10 @@ come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the process's peak
 resident set, so it is per command.
 
 Prints one JSON object: per command and side the median of every stage over
-all timed runs, the median ``ru_maxrss_mb`` over the processes, and the
-sha256 of the written artifact, or of the last run's stdout for a command
-without ``--out`` (one value per side, or a list if processes differ);
+all timed runs (in ms, to the microsecond, as the pack stage takes a few),
+the median ``ru_maxrss_mb`` over the processes, and the sha256 of the
+written artifact, or of the last run's stdout for a command without
+``--out`` (one value per side, or a list if processes differ);
 per command, ``parent_over_change`` is the median over the timed pairs of
 parent time over change time, for every stage the change spends time in.
 """
@@ -58,7 +62,8 @@ from statistics import median
 from time import perf_counter
 
 STAGES = (
-    "emit", "logical", "route", "replay", "oracle", "equiv", "lower", "extract", "validate", "metrics", "write",
+    "layout", "emit", "logical", "route", "replay", "pack", "oracle", "equiv", "lower", "extract", "validate",
+    "metrics", "write",
 )
 COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out", "compare 8 8", "verify 4")
 
@@ -68,7 +73,7 @@ def _child(argv: list[str]) -> None:
     answering each with one JSON line of its stage times and gc work; at the
     end of stdin, one last line with the artifact's sha256 and the peak RSS."""
     import celltiler.cli as cli
-    from celltiler import decomp, router
+    from celltiler import decomp, router, scheduler
 
     spent = dict.fromkeys(STAGES, 0.0)
 
@@ -81,11 +86,14 @@ def _child(argv: list[str]) -> None:
                 spent[stage] += perf_counter() - start
         return wrapper
 
+    for module in (cli, router, scheduler):
+        module.build_multiplier_layout = timed("layout", module.build_multiplier_layout)
     cli.full_multiplier_schedule = timed("emit", cli.full_multiplier_schedule)
     router.full_multiplier_schedule = timed("emit", router.full_multiplier_schedule)
     router.logical_multiplier_circuit = timed("logical", router.logical_multiplier_circuit)
     router.greedy_route = timed("route", router.greedy_route)
     cli.validate_schedule = timed("replay", cli.validate_schedule)
+    cli._packed = timed("pack", cli._packed)
     cli.classical_run = timed("oracle", cli.classical_run)
     cli.assert_equiv = timed("equiv", cli.assert_equiv)
     decomp.lower_schedule = timed("lower", decomp.lower_schedule)
@@ -182,7 +190,7 @@ def _summary(results: list[dict]) -> dict:
     samples = [s for r in results for s in r["samples"]]
     shas = sorted({r["sha256"] for r in results}, key=str)
     return {
-        "ms": {k: round(median(s[k] for s in samples), 1) for k in (*STAGES, "whole_command")},
+        "ms": {k: round(median(s[k] for s in samples), 3) for k in (*STAGES, "whole_command")},
         "gc_ms": round(median(s["gc_ms"] for s in samples), 1),
         "collections_per_request": {g: median(s[g] for s in samples) for g in ("gen0", "gen1", "gen2")},
         "ru_maxrss_mb": round(median(r["ru_maxrss_mb"] for r in results), 2),
