@@ -134,20 +134,31 @@ def gate(kind: GateKind | str, *operands, condition: int | None = None, tags: It
 _RECORDS = object()  # the key of the record stream in Schedule._last
 
 
+def _mark(last: dict[Hashable, int], moment: list[Gate], idx: int) -> None:
+    """Mark moment ``idx`` in ``last`` as the last to touch its wires (and records)."""
+    for g in moment:
+        for q in g.operands:
+            last[q] = idx
+        if g.kind.records:
+            last[_RECORDS] = idx
+
+
 class Schedule:
     """Ordered moments of gates; supports within a moment are pairwise disjoint.
 
-    ``moments`` is read-only to callers: ``append`` and ``extend_moment`` keep
-    ``_last``, the index of the last moment touching each wire, current. It
-    also holds the last moment of a measurement or ``CC_CZ`` under one shared
-    key, which ``append`` reads as one more operand of such a gate: records
-    keep their append order, and a ``CC_CZ`` lands after every earlier
-    measurement.
+    ``moments`` is read-only to callers. ``_last``, the index of the last
+    moment touching each wire, is the earliest-fit table of ``append``: the
+    first ``append`` builds it from ``moments`` and every later ``append``
+    and ``extend_moment`` keeps it current, so a schedule that is only
+    extended never has one. It also holds the last moment of a measurement
+    or ``CC_CZ`` under one shared key, which ``append`` reads as one more
+    operand of such a gate: records keep their append order, and a
+    ``CC_CZ`` lands after every earlier measurement.
     """
 
     def __init__(self, moments: Iterable[Iterable[Gate]] = ()):
         self.moments: list[list[Gate]] = []
-        self._last: dict[Hashable, int] = {}
+        self._last: dict[Hashable, int] | None = None
         for m in moments:
             self.extend_moment(m)
 
@@ -156,6 +167,10 @@ class Schedule:
         operands (earliest fit); ``extend_moment`` opens a fresh moment. That
         moment holds none of the operands, so no overlap test is needed."""
         last = self._last
+        if last is None:
+            last = self._last = {}
+            for i, m in enumerate(self.moments):
+                _mark(last, m, i)
         ops = g.operands
         if g.kind.records:
             ops = (*ops, _RECORDS)
@@ -174,18 +189,19 @@ class Schedule:
 
     def extend_moment(self, gates: Iterable[Gate]) -> None:
         """Append one new moment holding all the given gates, which must not
-        share a wire."""
+        share a wire. ``Gate`` refuses a repeated operand, so only a moment
+        of two or more gates is tested."""
         idx = len(self.moments)
         moment = list(gates)
-        last = self._last
-        for g in moment:
-            for q in g.operands:  # distinct, so a gate never meets its own wire
-                if last.get(q) == idx:  # refused: forget the gates taken so far
-                    self._last = Schedule(self.moments)._last
-                    raise ValueError(f"overlapping support in moment {idx}: {g}")
-                last[q] = idx
-            if g.kind.records:
-                last[_RECORDS] = idx
+        if len(moment) > 1:
+            seen: dict[Hashable, None] = {}
+            for g in moment:
+                for q in g.operands:
+                    if q in seen:  # refused before any change
+                        raise ValueError(f"overlapping support in moment {idx}: {g}")
+                    seen[q] = None
+        if self._last is not None:
+            _mark(self._last, moment, idx)
         self.moments.append(moment)
 
     def gates(self) -> Iterator[Gate]:
@@ -409,8 +425,15 @@ def _counted(moments: Iterable[list[Gate]]) -> tuple[int, int]:
     """(counted SWAPs, moments holding any of them): the one rule for which
     SWAPs count, every SWAP not tagged :data:`STORAGE`."""
     swap = GateKind.SWAP
-    per = [sum(1 for g in m if g.kind is swap and STORAGE not in g.tags) for m in moments]
-    return sum(per), len(per) - per.count(0)
+    count = depth = 0
+    for m in moments:
+        here = 0
+        for g in m:
+            if g.kind is swap and STORAGE not in g.tags:
+                here += 1
+        count += here
+        depth += here > 0
+    return count, depth
 
 
 def t_metrics(schedule: Schedule) -> tuple[int, int]:

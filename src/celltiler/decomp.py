@@ -55,7 +55,12 @@ def and_4anc() -> Schedule:
     data T gates dropped and the target wire dressed with H...H,S. The final
     S cancels the (-i)^(ab) relative phase, so the AND is exact.
     """
-    a, b, t, z2, z3, z4 = "a", "b", "t", "z2", "z3", "z4"
+    return Schedule(_and_4anc_moments("t"))
+
+
+def _and_4anc_moments(t: str) -> list[list[Gate]]:
+    """The moments of :func:`and_4anc` with its output on wire ``t``."""
+    a, b, z2, z3, z4 = "a", "b", "z2", "z3", "z4"
     compute = [
         [gate(K.CNOT, a, z2), gate(K.CNOT, b, z3)],
         [gate(K.CNOT, t, z2), gate(K.CNOT, a, z4)],
@@ -63,7 +68,7 @@ def and_4anc() -> Schedule:
         [gate(K.CNOT, t, z4)],
     ]
     t_moment = [gate(K.T, t), gate(K.TDAG, z2), gate(K.TDAG, z3), gate(K.T, z4)]
-    return Schedule([[gate(K.H, t)], *_mirrored(compute, [t_moment]), [gate(K.H, t)], [gate(K.S, t)]])
+    return [[gate(K.H, t)], *_mirrored(compute, [t_moment]), [gate(K.H, t)], [gate(K.S, t)]]
 
 
 def and_3anc() -> Schedule:
@@ -135,12 +140,8 @@ def toffoli_mb() -> Schedule:
     through the parity ancilla z4 sitting between them.
     """
     a, b, t, w, z4 = "a", "b", "t", "w", "z4"
-    core = [
-        [gate(g.kind, *(w if q == t else q for q in g.operands)) for g in m]
-        for m in and_4anc().moments
-    ]
     return Schedule([
-        *core,
+        *_and_4anc_moments(w),
         [gate(K.CNOT, w, t)],
         [gate(K.MEASURE_X, w)],
         [gate(K.CNOT, a, z4)],

@@ -136,34 +136,38 @@ class _Board:
 
     # -- moments -------------------------------------------------------------
 
-    def _swap(self, a: Site, b: Site, used: set[Site]) -> Gate:
-        g = self.swaps.get((a, b))
-        if g is None:  # the edge's first use: the checks that hold for good
-            if a.manhattan(b) != 1:
-                raise ValueError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
-            self.site_label(a)
-            self.site_label(b)
-            tags = _STORAGE if self._same_queue(a, b) else _UNTAGGED  # fixed by the layout
-            g = self.swaps[a, b] = Gate(K.SWAP, (a, b), tags=tags)
-        used.add(a)
-        used.add(b)
-        self.occ.swap(a, b)
+    def _new_swap(self, a: Site, b: Site) -> Gate:
+        """The edge's gate on its first use, after the checks that hold for good."""
+        if a.manhattan(b) != 1:
+            raise ValueError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
+        self.site_label(a)
+        self.site_label(b)
+        tags = _STORAGE if self._same_queue(a, b) else _UNTAGGED  # fixed by the layout
+        g = self.swaps[a, b] = Gate(K.SWAP, (a, b), tags=tags)
         return g
 
     def moment(self, *pairs: tuple[Site, Site], spacers: int = 0) -> None:
-        used: set[Site] = set()
-        gates = [self._swap(a, b, used) for a, b in pairs]
+        swaps, swap = self.swaps, self.occ.swap
+        gates = []
+        for a, b in pairs:
+            gates.append(swaps.get((a, b)) or self._new_swap(a, b))
+            swap(a, b)
         want = spacers + self.spacer_debt
-        placed = 0
-        dead = self._dead_anc
-        for a, b in self.spacer_pairs:
-            if placed == want:
-                break
-            if a in used or b in used or not (dead(a) and dead(b)):
-                continue
-            gates.append(self._swap(a, b, used))
-            placed += 1
-        self.spacer_debt = want - placed  # owed by later moments of the step
+        if want:
+            used = {s for pair in pairs for s in pair}
+            placed = 0
+            dead = self._dead_anc
+            for a, b in self.spacer_pairs:
+                if placed == want:
+                    break
+                if a in used or b in used or not (dead(a) and dead(b)):
+                    continue
+                gates.append(swaps.get((a, b)) or self._new_swap(a, b))
+                swap(a, b)
+                used.add(a)
+                used.add(b)
+                placed += 1
+            self.spacer_debt = want - placed  # owed by later moments of the step
         if gates:
             self.sched.extend_moment(gates)
 

@@ -72,23 +72,33 @@ def classical_run(
             raise ValueError(f"input {label!r}={bits} does not fit in {lanes} lane(s)")
         value[occ.wire_of[label]] = int(bits)
 
+    # each gate object's wires are placed and its kind tested once, keyed by
+    # id(g): the schedule keeps every gate alive for the call
+    plans: dict[int, tuple] = {}
     for g in schedule.gates():
-        for q in g.operands:
-            if q not in value:
-                value[q] = 0
-                occ.place(q, q)
-        if g.kind is GateKind.SWAP:
-            a, b = g.operands
-            value[a], value[b] = value[b], value[a]
-            occ.swap(a, b)
-        elif g.kind in _FLIPS:
-            *controls, t = g.operands
-            flip = every_lane
-            for c in controls:
-                flip &= value[c]
-            value[t] ^= flip
+        plan = plans.get(id(g))
+        if plan is None:
+            for q in g.operands:
+                if q not in value:
+                    value[q] = 0
+                    occ.place(q, q)
+            if g.kind is GateKind.SWAP:
+                plan = (True, *g.operands)
+            elif g.kind in _FLIPS:
+                *controls, t = g.operands
+                plan = (False, controls, t)
+            else:
+                raise ValueError(f"classical oracle cannot run {g.kind.value}")
+            plans[id(g)] = plan
+        is_swap, x, y = plan  # a SWAP's two wires, or a flip's controls and target
+        if is_swap:
+            value[x], value[y] = value[y], value[x]
+            occ.swap(x, y)
         else:
-            raise ValueError(f"classical oracle cannot run {g.kind.value}")
+            flip = every_lane
+            for c in x:
+                flip &= value[c]
+            value[y] ^= flip
 
     return {label: value[wire] for wire, label in occ.label_at.items()}
 

@@ -11,6 +11,8 @@ from celltiler.circuit import (
     GateKind,
     Occupancy,
     Schedule,
+    _counted,
+    _RECORDS,
     depth,
     gate,
     json_value,
@@ -376,6 +378,158 @@ def test_refused_moment_leaves_the_schedule_as_it_was():
     assert s.moments == [[gate(K.X, "b"), gate(K.H, "c")], [gate(K.H, "b")]]
     s.extend_moment([gate(K.CNOT, "a", "c")])
     assert s.moments[2] == [gate(K.CNOT, "a", "c")]
+
+
+# --- the lazy earliest-fit table against an eager one ----------------------
+
+
+class _EagerSchedule:
+    """A schedule whose ``extend_moment`` writes every operand into the
+    earliest-fit table, and rebuilds it after a refused moment, as
+    ``Schedule`` did before it built the table on the first ``append``."""
+
+    def __init__(self):
+        self.moments = []
+        self._last = {}
+
+    def append(self, g):
+        last = self._last
+        ops = g.operands
+        if g.kind.records:
+            ops = (*ops, _RECORDS)
+        target = 0
+        for q in ops:
+            after = last.get(q, -1) + 1
+            if after > target:
+                target = after
+        if target == len(self.moments):
+            self.moments.append([g])
+        else:
+            self.moments[target].append(g)
+        for q in ops:
+            last[q] = target
+        return self
+
+    def extend_moment(self, gates):
+        idx = len(self.moments)
+        moment = list(gates)
+        last = self._last
+        for g in moment:
+            for q in g.operands:
+                if last.get(q) == idx:
+                    rebuilt = _EagerSchedule()
+                    for m in self.moments:
+                        rebuilt.extend_moment(m)
+                    self._last = rebuilt._last
+                    raise ValueError(f"overlapping support in moment {idx}: {g}")
+                last[q] = idx
+            if g.kind.records:
+                last[_RECORDS] = idx
+        self.moments.append(moment)
+
+
+LAZY_WIRES = ("a", "b", "c", "d")
+lazy_gate_st = st.one_of(
+    st.sampled_from(LAZY_WIRES).flatmap(
+        lambda w: st.sampled_from([gate(K.H, w), gate(K.MEASURE_Z, w), gate(K.MEASURE_X, w)])
+    ),
+    st.tuples(st.permutations(LAZY_WIRES), st.integers(0, 2)).flatmap(
+        lambda pc: st.sampled_from([
+            gate(K.CNOT, *pc[0][:2]), gate(K.CC_CZ, *pc[0][:2], condition=pc[1]),
+        ])
+    ),
+)
+lazy_ops_st = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), lazy_gate_st),
+        st.tuples(st.just("extend"), st.lists(lazy_gate_st, max_size=3)),
+    ),
+    max_size=30,
+)
+
+
+def _outcome(call):
+    try:
+        call()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@example([("extend", [gate(K.MEASURE_Z, "a")]), ("append", gate(K.H, "b")),
+          ("extend", [gate(K.H, "c"), gate(K.CNOT, "d", "c")]),
+          ("append", gate(K.CC_CZ, "b", "c", condition=0))])
+@given(lazy_ops_st)
+def test_lazy_table_packs_as_the_eager_one(ops):
+    lazy, eager = Schedule(), _EagerSchedule()
+    for op, arg in ops:
+        calls = [getattr(s, "extend_moment" if op == "extend" else "append") for s in (lazy, eager)]
+        assert _outcome(lambda: calls[0](arg)) == _outcome(lambda: calls[1](arg))
+        assert [[id(g) for g in m] for m in lazy.moments] == [[id(g) for g in m] for m in eager.moments]
+    assert lazy._last in (None, eager._last)
+
+
+def test_refused_moment_changes_nothing_before_or_after_the_first_append():
+    s = Schedule([[gate(K.X, "a")]])
+    clash = [gate(K.H, "b"), gate(K.CNOT, "c", "b")]
+    with pytest.raises(ValueError, match="overlapping support in moment 1"):
+        s.extend_moment(clash)
+    assert s.moments == [[gate(K.X, "a")]] and s._last is None
+    s.append(gate(K.H, "b"))
+    with pytest.raises(ValueError, match="overlapping support in moment 1"):
+        s.extend_moment(clash)
+    assert s.moments == [[gate(K.X, "a"), gate(K.H, "b")]]
+    s.append(gate(K.H, "c"))  # the refused moment left no trace of c
+    assert s.moments == [[gate(K.X, "a"), gate(K.H, "b"), gate(K.H, "c")]]
+
+
+def test_append_after_extends_lands_after_the_last_record():
+    s = Schedule([[gate(K.H, "a")], [gate(K.MEASURE_Z, "m")], [gate(K.H, "a")]])
+    s.append(gate(K.CC_CZ, "b", "c", condition=0))
+    s.append(gate(K.MEASURE_X, "d"))
+    s.append(gate(K.H, "e"))
+    assert _kinds(s) == [["h", "h"], ["mz"], ["h", "cc_cz"], ["mx"]]
+
+
+def test_extend_after_append_keeps_the_table_current():
+    s = Schedule()
+    s.append(gate(K.H, "a"))
+    s.extend_moment([gate(K.MEASURE_Z, "m"), gate(K.X, "b")])
+    s.append(gate(K.CC_CZ, "c", "d", condition=0))  # after the record, on fresh wires
+    s.append(gate(K.H, "b"))
+    s.append(gate(K.H, "e"))
+    assert _kinds(s) == [["h", "h"], ["mz", "x"], ["cc_cz", "h"]]
+
+
+# --- the counted-SWAP tally against a per-moment reference -----------------
+
+
+def _reference_counted(moments):
+    per = [sum(1 for g in m if g.kind is K.SWAP and STORAGE not in g.tags) for m in moments]
+    return sum(per), len(per) - per.count(0)
+
+
+def test_counted_matches_a_per_moment_reference_by_hand():
+    storage, plain = gate(K.SWAP, "a", "b", tags=(STORAGE,)), gate(K.SWAP, "c", "d")
+    moments = [
+        [], [storage], [plain, gate(K.H, "a")], [storage, plain], [gate(K.X, "e")],
+        [gate(K.SWAP, "a", "e", tags=("other",)), gate(K.CNOT, "b", "c")], [plain, gate(K.SWAP, "a", "b")],
+    ]
+    assert _counted(moments) == _reference_counted(moments) == (5, 4)
+    assert _counted([]) == _reference_counted([]) == (0, 0)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_counted_matches_a_per_moment_reference_on_the_multiplier(n):
+    from celltiler.router import greedy_route, logical_multiplier_circuit, routing_mapping
+    from celltiler.scheduler import full_multiplier_schedule
+    from celltiler.tiler import build_multiplier_layout
+
+    layout = build_multiplier_layout(n)
+    tiled, _ = full_multiplier_schedule(n, layout=layout)
+    routed, _ = greedy_route(logical_multiplier_circuit(n), layout.lattice, routing_mapping(layout))
+    for sched in (tiled, routed):
+        assert _counted(sched.moments) == _reference_counted(sched.moments)
 
 
 # --- direct JSON writer against the stdlib encoder -------------------------

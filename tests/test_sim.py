@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from celltiler import cli, decomp, sim
-from celltiler.circuit import GateKind, Schedule, gate
+from celltiler.circuit import GateKind, Occupancy, Schedule, gate
 from celltiler.scheduler import full_multiplier_schedule
 from celltiler.sim import (
     MAX_TERMS,
@@ -307,6 +307,78 @@ def test_classical_run_values_stay_int():
     out = classical_run(sched, initial_mapping(layout, spec), bits)
     assert sum(out[spec.p[k]] << k for k in range(2 * n)) == 49
     assert {type(v) for v in out.values()} == {int}
+
+
+def _reference_classical_run(schedule, mapping0, inputs, *, lanes=1):
+    """``classical_run`` as it placed new wires and tested the kind on every
+    occurrence of a gate."""
+    every_lane = (1 << lanes) - 1
+    occ = Occupancy({label: label for label in inputs} if mapping0 is None else mapping0)
+    value = {wire: 0 for wire in occ.label_at}
+    for label, bits in inputs.items():
+        value[occ.wire_of[label]] = int(bits)
+    for g in schedule.gates():
+        for q in g.operands:
+            if q not in value:
+                value[q] = 0
+                occ.place(q, q)
+        if g.kind is K.SWAP:
+            a, b = g.operands
+            value[a], value[b] = value[b], value[a]
+            occ.swap(a, b)
+        elif g.kind in (K.X, K.CNOT, K.TOFFOLI):
+            *controls, t = g.operands
+            flip = every_lane
+            for c in controls:
+                flip &= value[c]
+            value[t] ^= flip
+        else:
+            raise ValueError(f"classical oracle cannot run {g.kind.value}")
+    return {label: value[wire] for wire, label in occ.label_at.items()}
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_classical_run_matches_the_per_occurrence_loop_on_every_lane(n):
+    layout = build_multiplier_layout(n)
+    spec = RegisterSpec.for_width(n)
+    sched, _ = full_multiplier_schedule(n, layout=layout)
+    cases = 4 ** n
+    bits = {spec.a[i]: cli._packed([lane >> n for lane in range(cases)], i) for i in range(n)}
+    bits |= {spec.b[i]: cli._packed([lane & (2 ** n - 1) for lane in range(cases)], i) for i in range(n)}
+    mapping0 = initial_mapping(layout, spec)
+    out = classical_run(sched, mapping0, bits, lanes=cases)
+    assert out == _reference_classical_run(sched, mapping0, bits, lanes=cases)
+
+
+@pytest.mark.parametrize("n", range(2, 5))
+def test_classical_run_matches_the_per_occurrence_loop_when_routed(n):
+    from celltiler.router import greedy_route, logical_multiplier_circuit, routing_mapping
+
+    layout = build_multiplier_layout(n)
+    spec = RegisterSpec.for_width(n)
+    m0 = routing_mapping(layout)
+    routed, _ = greedy_route(logical_multiplier_circuit(n), layout.lattice, m0)
+    rng = random.Random(n)
+    for _ in range(4):
+        bits = {label: rng.getrandbits(1) for label in spec.a + spec.b}
+        assert classical_run(routed, m0, bits) == _reference_classical_run(routed, m0, bits)
+
+
+def test_classical_run_places_a_reused_gates_new_wire_once():
+    g = gate("cnot", "a", "new")
+    sched = Schedule([[g], [gate("x", "a")], [g], [gate("swap", "new", "b")], [g]])
+    for mapping0 in (None, {"a": "a", "b": "b"}):
+        out = classical_run(sched, mapping0, {"a": 1})
+        assert out == _reference_classical_run(sched, mapping0, {"a": 1})
+    assert classical_run(sched, None, {"a": 1}) == {"a": 0, "new": 1, "b": 0}
+
+
+def test_classical_run_refuses_a_reused_non_classical_gate_at_its_first_occurrence():
+    h = gate("h", "a")
+    sched = Schedule([[gate("x", "a")], [h], [h]])
+    for run in (classical_run, _reference_classical_run):
+        with pytest.raises(ValueError, match="^classical oracle cannot run h$"):
+            run(sched, None, {"a": 0})
 
 
 CLASSICAL_KINDS = {K.X, K.CNOT, K.TOFFOLI, K.SWAP}

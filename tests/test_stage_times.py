@@ -7,8 +7,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = {
-    "layout", "emit", "logical", "route", "replay", "pack", "oracle", "equiv", "lower", "extract", "validate",
-    "metrics", "write",
+    "layout", "emit", "logical", "route", "replay", "pack", "oracle", "build", "equiv", "lower", "extract",
+    "validate", "metrics", "write",
 }
 
 
@@ -36,7 +36,17 @@ def test_stage_times_reports_every_stage_for_both_sides():
 
 
 def test_stage_times_times_the_equivalence_check():
-    # verify <decomposition> spends its time in assert_equiv
+    # verify <decomposition> builds the circuit and spends its time in assert_equiv
     row = paired_row("verify and_4anc")
     assert row["parent"]["sha256"] == row["change"]["sha256"]
-    assert row["parent"]["ms"]["equiv"] > 0 and row["change"]["ms"]["equiv"] > 0
+    for stage in ("build", "equiv"):
+        assert row["parent"]["ms"][stage] > 0 and row["change"]["ms"][stage] > 0, stage
+
+
+def test_stage_times_times_the_comparison():
+    # compare emits the tiled schedule, builds and routes the logical
+    # circuit and counts both with swap_metrics
+    row = paired_row("compare 2 2")
+    assert row["parent"]["sha256"] == row["change"]["sha256"]
+    for stage in ("emit", "logical", "route", "metrics"):
+        assert row["parent"]["ms"][stage] > 0 and row["change"]["ms"][stage] > 0, stage

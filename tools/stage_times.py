@@ -26,11 +26,13 @@ logical (``router.logical_multiplier_circuit``, the circuit that
 ``router.compare`` routes), route (``router.greedy_route``, called by
 ``router.compare``), replay (``validate_schedule``), pack (``cli._packed``,
 which builds the bit planes of ``verify n``'s inputs and expected
-products), oracle (``classical_run``), equiv (``assert_equiv``, which ``verify
-<decomposition>`` calls to check a decomposition against its reference),
-lower (``decomp.lower_schedule``), extract (``extract_ls``), validate
-(``validate_ls``), metrics (``t_metrics`` and ``swap_metrics``, as the CLI
-calls them) and write (the CLI's ``_write``, which makes the JSON text as it
+products), oracle (``classical_run``), build (each decomposition builder of
+``cli.DECOMPS``, which ``verify <decomposition>`` calls), equiv
+(``assert_equiv``, which ``verify <decomposition>`` calls to check a
+decomposition against its reference), lower (``decomp.lower_schedule``),
+extract (``extract_ls``), validate (``validate_ls``), metrics
+(``t_metrics`` and ``swap_metrics``, as the CLI and ``router.compare`` call
+them) and write (the CLI's ``_write``, which makes the JSON text as it
 writes it). ``whole_command``
 is ``cli.main`` timed whole. ``gc_ms`` and the collections per generation
 come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the process's peak
@@ -62,8 +64,8 @@ from statistics import median
 from time import perf_counter
 
 STAGES = (
-    "layout", "emit", "logical", "route", "replay", "pack", "oracle", "equiv", "lower", "extract", "validate",
-    "metrics", "write",
+    "layout", "emit", "logical", "route", "replay", "pack", "oracle", "build", "equiv", "lower", "extract",
+    "validate", "metrics", "write",
 )
 COMMANDS = ("ls 10 3d --out", "schedule 10 --lower-clifford-t --out", "compare 8 8", "verify 4")
 
@@ -95,12 +97,15 @@ def _child(argv: list[str]) -> None:
     cli.validate_schedule = timed("replay", cli.validate_schedule)
     cli._packed = timed("pack", cli._packed)
     cli.classical_run = timed("oracle", cli.classical_run)
+    for target, (build, *rest) in cli.DECOMPS.items():
+        cli.DECOMPS[target] = (timed("build", build), *rest)
     cli.assert_equiv = timed("equiv", cli.assert_equiv)
     decomp.lower_schedule = timed("lower", decomp.lower_schedule)
     cli.extract_ls = timed("extract", cli.extract_ls)
     cli.validate_ls = timed("validate", cli.validate_ls)
     cli.t_metrics = timed("metrics", cli.t_metrics)
     cli.swap_metrics = timed("metrics", cli.swap_metrics)
+    router.swap_metrics = timed("metrics", router.swap_metrics)
     cli._write = timed("write", cli._write)
 
     collections = [0, 0, 0]
