@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
-from celltiler.lattice import Site
+from celltiler.lattice import Lattice, Site
 
 _encode_str = json.encoder.encode_basestring_ascii
 
@@ -308,53 +308,86 @@ class Schedule:
         return sched
 
 
-_EMPTY = object()
+_EMPTY = object()  # what an empty slot of Occupancy.label_at holds
 
 
 class Occupancy:
     """Which label sits on which wire, the one place where SWAPs move labels.
 
-    ``label_at`` maps wire -> label and ``wire_of`` label -> wire; a wire
-    absent from ``label_at`` is empty. Read both, change them only through
-    ``swap`` and ``place``.
+    Wires sit on integer slots, which are internal: a caller turns a wire
+    into its slot once, with ``slot``, and then moves and reads labels by
+    slot, so a replay indexes lists instead of hashing its wires. A wire
+    gets a slot the first time it is seen; given a ``lattice``, each of its
+    sites has its ``Lattice.index`` as its slot from the start, and every
+    other wire gets a slot past them. ``label_at`` lists the label on each
+    slot (an empty slot holds a private marker), ``wire_of`` maps label ->
+    slot and ``wires`` slot -> wire. Read them; change them only through
+    ``slot``, ``swap`` and ``place``. ``mapping``, ``label_on`` and every
+    message speak of wires, never of slots.
     """
 
-    __slots__ = ("label_at", "wire_of")
+    __slots__ = ("label_at", "wire_of", "wires", "_slots")
 
-    def __init__(self, mapping: Mapping[Hashable, Hashable]):
-        self.wire_of: dict[Hashable, Hashable] = dict(mapping)
-        self.label_at: dict[Hashable, Hashable] = {w: l for l, w in self.wire_of.items()}
-        if len(self.label_at) != len(self.wire_of):
-            # label_at kept the last label of a shared wire, so the first differs
-            shared = next(w for l, w in self.wire_of.items() if self.label_at[w] != l)
-            raise ValueError(f"mapping is not injective: two labels start on {shared!r}")
-
-    def swap(self, a: Hashable, b: Hashable) -> None:
-        """Exchange the labels on wires ``a`` and ``b``; either may be empty."""
-        label_at, wire_of = self.label_at, self.wire_of
-        la = label_at.get(a, _EMPTY)
-        lb = label_at.get(b, _EMPTY)
-        if lb is _EMPTY:
-            label_at.pop(a, None)
+    def __init__(self, mapping: Mapping[Hashable, Hashable], lattice: Lattice | None = None):
+        if lattice is None:  # every wire is new, so the slots follow the mapping
+            self.wires: list[Hashable] = list(mapping.values())
+            self._slots: dict[Hashable, int] = dict(zip(self.wires, range(len(mapping))))
+            self.label_at: list[Hashable] = list(mapping)
+            self.wire_of: dict[Hashable, int] = dict(zip(mapping, range(len(mapping))))
+            shared = len(self._slots) < len(mapping)
         else:
-            label_at[a] = lb
-            wire_of[lb] = a
-        if la is _EMPTY:
-            label_at.pop(b, None)
-        else:
-            label_at[b] = la
-            wire_of[la] = b
+            self.wires = list(lattice.all_sites)
+            self._slots = dict(lattice.index_of)
+            self.label_at = [_EMPTY] * len(self.wires)
+            self.wire_of = {label: self.slot(wire) for label, wire in mapping.items()}
+            for label, s in self.wire_of.items():
+                self.label_at[s] = label
+            shared = len(set(self.wire_of.values())) < len(mapping)
+        if shared:
+            seen = set()
+            for wire in mapping.values():
+                if wire in seen:
+                    raise ValueError(f"mapping is not injective: two labels start on {wire!r}")
+                seen.add(wire)
 
-    def place(self, label: Hashable, wire: Hashable) -> None:
-        """Put a label that is on no wire onto an empty wire."""
-        if wire in self.label_at or label in self.wire_of:
-            raise ValueError(f"cannot place {label!r} on {wire!r}: already in use")
-        self.label_at[wire] = label
-        self.wire_of[label] = wire
+    def slot(self, wire: Hashable) -> int:
+        """The slot of ``wire``, given a new, empty one on first sight."""
+        s = self._slots.get(wire)
+        if s is None:
+            s = self._slots[wire] = len(self.wires)
+            self.wires.append(wire)
+            self.label_at.append(_EMPTY)
+        return s
+
+    def swap(self, a: int, b: int) -> None:
+        """Exchange the labels on slots ``a`` and ``b``; either may be empty."""
+        label_at = self.label_at
+        la = label_at[a]
+        lb = label_at[b]
+        label_at[a] = lb
+        label_at[b] = la
+        if lb is not _EMPTY:
+            self.wire_of[lb] = a
+        if la is not _EMPTY:
+            self.wire_of[la] = b
+
+    def place(self, label: Hashable, slot: int) -> None:
+        """Put a label that is on no wire onto an empty slot."""
+        if self.label_at[slot] is not _EMPTY or label in self.wire_of:
+            raise ValueError(f"cannot place {label!r} on {self.wires[slot]!r}: already in use")
+        self.label_at[slot] = label
+        self.wire_of[label] = slot
+
+    def label_on(self, wire: Hashable) -> Hashable | None:
+        """The label on ``wire``, or ``None`` if it is empty or never seen."""
+        s = self._slots.get(wire)
+        label = _EMPTY if s is None else self.label_at[s]
+        return None if label is _EMPTY else label
 
     def mapping(self) -> dict[Hashable, Hashable]:
-        """A copy of the label -> wire mapping."""
-        return dict(self.wire_of)
+        """The label -> wire mapping, as a new dict."""
+        wires = self.wires
+        return {label: wires[s] for label, s in self.wire_of.items()}
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ class Lattice:
 
     Site ``(x, y, z)`` has the index ``(x * dy + y) * dz + z``, so index order
     is ascending ``Site`` order, the order ``sites()`` yields: ``index`` and
-    ``site`` convert, and ``adjacency`` is read by index.
+    ``site`` convert, ``all_sites`` and ``index_of`` are both conversions
+    built once, and ``adjacency`` is read by index.
     """
 
     dx: int
@@ -57,10 +58,7 @@ class Lattice:
         return 0 <= site.x < self.dx and 0 <= site.y < self.dy and 0 <= site.z < self.dz
 
     def sites(self) -> Iterator[Site]:
-        for x in range(self.dx):
-            for y in range(self.dy):
-                for z in range(self.dz):
-                    yield Site(x, y, z)
+        return iter(self.all_sites)
 
     def check(self, site: Site) -> None:
         if site not in self:
@@ -72,6 +70,17 @@ class Lattice:
     def site(self, index: int) -> Site:
         x, rest = divmod(index, self.dy * self.dz)
         return Site(x, *divmod(rest, self.dz))
+
+    @cached_property
+    def all_sites(self) -> tuple[Site, ...]:
+        """Every site in index order: ``all_sites[i]`` is ``site(i)``."""
+        new = tuple.__new__  # the coordinates are exact ints, so Site's own check is not needed
+        return tuple([new(Site, (x, y, z)) for x in range(self.dx) for y in range(self.dy) for z in range(self.dz)])
+
+    @cached_property
+    def index_of(self) -> dict[Site, int]:
+        """Per site, its index: one dict lookup in place of ``index``."""
+        return dict(zip(self.all_sites, range(self.size)))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -47,7 +47,8 @@ def greedy_route(
 ) -> tuple[Schedule, dict[Hashable, Site]]:
     """Route a logical circuit onto the lattice, gate by gate, no lookahead.
 
-    Labels sit on site indices (see :class:`Lattice`). Before a gate
+    Labels sit on the slots of an :class:`~celltiler.circuit.Occupancy` on
+    the lattice, which are the site indices (see :class:`Lattice`). Before a gate
     ``*controls, t`` fires, at most ``len(controls)`` gather rounds run. Each
     round stops the gathering if every control is next to ``t``; otherwise it
     walks the control nearest ``t`` by manhattan distance (the earlier control
@@ -60,9 +61,8 @@ def greedy_route(
     """
     for site in mapping0.values():
         lattice.check(site)
-    Occupancy(mapping0)  # refuses a shared start, naming its Site, not its index
-    occ = Occupancy({label: lattice.index(site) for label, site in mapping0.items()})
-    pos, adjacency, sites = occ.wire_of, lattice.adjacency, tuple(lattice.sites())
+    occ = Occupancy(mapping0, lattice)  # every start is a site, so its slot is its index
+    pos, adjacency, sites = occ.wire_of, lattice.adjacency, lattice.all_sites
     out = Schedule()
     swaps: dict[tuple[int, int], Gate] = {}
     for g in circuit.gates():
@@ -87,7 +87,7 @@ def greedy_route(
         if any(pos[c] not in adjacency[pos[t]] for c in controls):
             raise ValueError(f"could not bring the controls of {g.kind.value} next to its target")
         out.append(Gate(g.kind, tuple(sites[pos[q]] for q in ops), g.condition, g.tags))
-    return out, {label: sites[w] for label, w in pos.items()}
+    return out, occ.mapping()
 
 
 def logical_multiplier_circuit(n: int) -> Schedule:

@@ -89,11 +89,13 @@ class _Board:
     ``storage`` exactly when both its sites lie in the same queue.
 
     Each distinct move is built and checked once: ``swaps`` holds one gate
-    per directed edge and ``toffolis`` one per ``(c1, c2, target)``, and the
-    nearest-neighbour and used-region tests run when that gate is made. This
-    is sound because the labelled sites, the used region, never change: the
-    board only SWAPs two labelled sites, which leaves both labelled. A later
-    occurrence of a SWAP costs only ``occ.swap``, and of a Toffoli nothing.
+    per directed edge, with the ``occ`` slots of its two sites, and
+    ``toffolis`` one gate per ``(c1, c2, target)``; the nearest-neighbour and
+    used-region tests run when that gate is made. This is sound because the
+    labelled sites, the used region, never change: the board only SWAPs two
+    labelled sites, which leaves both labelled. A later occurrence of a SWAP
+    costs only ``occ.swap`` on its two slots, and of a Toffoli nothing. The
+    spacer candidates are kept as slot pairs, read against ``occ.label_at``.
 
     ``finish(kind)`` checks the ``swap_metrics`` of the step's own moments
     against its :data:`STEP_SWAPS` entry and starts the next step with no
@@ -110,25 +112,29 @@ class _Board:
         self.live_anc: set[Hashable] = set()
         self.sched = Schedule()
         self.step_start = 0  # the first moment of the running step
-        self.swaps: dict[tuple[Site, Site], Gate] = {}  # one gate per directed edge
+        # one gate per directed edge, with its sites' slots
+        self.swaps: dict[tuple[Site, Site], tuple[Gate, int, int]] = {}
         self.toffolis: dict[tuple[Site, Site, Site], Gate] = {}  # one gate per triple
         self.spacer_debt = 0
-        # candidates, tower top first; SWAPs keep every used site labelled,
-        # so pairs off the used region or inside one queue never qualify
+        # candidates, tower top first, as (slot, slot, site, site); SWAPs
+        # keep every used site labelled, so pairs off the used region or
+        # inside one queue never qualify
+        label_on, slot = self.occ.label_on, self.occ.slot
         self.spacer_pairs = [
-            (a, b) for a, b in self._spacer_pairs(layout.lattice.dz)
-            if a in self.occ.label_at and b in self.occ.label_at and not self._same_queue(a, b)
+            (slot(a), slot(b), a, b) for a, b in self._spacer_pairs(layout.lattice.dz)
+            if label_on(a) is not None and label_on(b) is not None and not self._same_queue(a, b)
         ]
 
     def site_label(self, site: Site) -> Hashable:
-        if site not in self.occ.label_at:
+        label = self.occ.label_on(site)
+        if label is None:
             raise ValueError(f"site {tuple(site)} is outside the used region")
-        return self.occ.label_at[site]
+        return label
 
     def position(self, label: Hashable) -> Site:
         if label not in self.occ.wire_of:
             raise ValueError(f"label {label!r} not on the board")
-        return self.occ.wire_of[label]
+        return self.occ.wires[self.occ.wire_of[label]]
 
     def _same_queue(self, a: Site, b: Site) -> bool:
         qa = self.queue_of.get(a)
@@ -136,36 +142,39 @@ class _Board:
 
     # -- moments -------------------------------------------------------------
 
-    def _new_swap(self, a: Site, b: Site) -> Gate:
-        """The edge's gate on its first use, after the checks that hold for good."""
+    def _new_swap(self, a: Site, b: Site) -> tuple[Gate, int, int]:
+        """The edge's gate and slots on its first use, after the checks that
+        hold for good."""
         if a.manhattan(b) != 1:
             raise ValueError(f"SWAP {tuple(a)}<->{tuple(b)} is not nearest-neighbour")
         self.site_label(a)
         self.site_label(b)
         tags = _STORAGE if self._same_queue(a, b) else _UNTAGGED  # fixed by the layout
-        g = self.swaps[a, b] = Gate(K.SWAP, (a, b), tags=tags)
-        return g
+        slot = self.occ.slot
+        entry = self.swaps[a, b] = (Gate(K.SWAP, (a, b), tags=tags), slot(a), slot(b))
+        return entry
 
     def moment(self, *pairs: tuple[Site, Site], spacers: int = 0) -> None:
         swaps, swap = self.swaps, self.occ.swap
         gates = []
-        for a, b in pairs:
-            gates.append(swaps.get((a, b)) or self._new_swap(a, b))
+        used = []  # the slots of the moment's SWAPs
+        for pair in pairs:
+            g, a, b = swaps.get(pair) or self._new_swap(*pair)
+            gates.append(g)
+            used += a, b
             swap(a, b)
         want = spacers + self.spacer_debt
         if want:
-            used = {s for pair in pairs for s in pair}
             placed = 0
-            dead = self._dead_anc
-            for a, b in self.spacer_pairs:
+            label_at, idle = self.occ.label_at, self._idle
+            for a, b, site_a, site_b in self.spacer_pairs:
                 if placed == want:
                     break
-                if a in used or b in used or not (dead(a) and dead(b)):
+                if a in used or b in used or not (idle(label_at[a]) and idle(label_at[b])):
                     continue
-                gates.append(swaps.get((a, b)) or self._new_swap(a, b))
+                gates.append((swaps.get((site_a, site_b)) or self._new_swap(site_a, site_b))[0])
                 swap(a, b)
-                used.add(a)
-                used.add(b)
+                used += a, b
                 placed += 1
             self.spacer_debt = want - placed  # owed by later moments of the step
         if gates:
@@ -181,8 +190,8 @@ class _Board:
 
     # -- spacer swaps --------------------------------------------------------
 
-    def _dead_anc(self, site: Site) -> bool:
-        label = self.occ.label_at.get(site)
+    def _idle(self, label: Hashable | None) -> bool:
+        """Whether ``label`` (``None`` for an empty site) is an idle ancilla."""
         return label is not None and label not in self.data and label not in self.live_anc
 
     @staticmethod
@@ -213,14 +222,15 @@ class _Board:
     def bubble_hole_to(self, qname: str, target: Site) -> None:
         """Bring some idle ancilla of the queue to the target slot."""
         chain = self.layout.queues[qname]
-        if self._dead_anc(target):
+        label_on, idle = self.occ.label_on, self._idle
+        if idle(label_on(target)):
             return
-        holes = [s for s in chain if self._dead_anc(s)]
+        holes = [s for s in chain if idle(label_on(s))]
         if not holes:
             raise ValueError(f"queue {qname} has no free slot")
         ti = chain.index(target)
         holes.sort(key=lambda s: abs(chain.index(s) - ti))
-        self.bubble_to(self.occ.label_at[holes[0]], target)
+        self.bubble_to(label_on(holes[0]), target)
 
     def finish(self, kind: str) -> None:
         """Close the running step once its own moments meet the ``kind``
@@ -432,30 +442,39 @@ def validate_schedule(
     Two-qubit gates must join nearest-neighbour sites. Toffoli gates must sit
     on a cube's data corners (``tile`` rule) or form a connected chain
     (``chain`` rule, used for the routed baseline). These tests run once per
-    gate object, however often it occurs; each occurrence is tested only for
-    overlap within its moment and replayed if it is a SWAP. The report
-    carries every violation, in schedule order, and the final
-    logical-to-site mapping.
+    gate object, however often it occurs, and find its sites' integer slots
+    in an :class:`~celltiler.circuit.Occupancy` on the layout's lattice;
+    each occurrence is tested only for overlap within its moment, by
+    stamping its slots with the moment, and replayed if it is a SWAP. The
+    slots stay inside the replay: the report carries every violation, in
+    schedule order and naming sites, and the final logical-to-site mapping.
     """
     if toffoli_rule not in ("tile", "chain"):
         raise ValueError(f"unknown toffoli rule {toffoli_rule!r}")
     corner_sets = [data_corners(p) for p in range(len(layout.placements))]
-    lattice = layout.lattice
+    occ = Occupancy(mapping0, layout.lattice)
+    slot, swap, wires, swap_kind = occ.slot, occ.swap, occ.wires, K.SWAP
+    size = layout.lattice.size  # every site past the lattice has a slot past this
+    stamp = [-1] * size  # per slot, the last moment of two or more gates that used it
 
     def facts_of(g: Gate) -> tuple:
         """What every test but the moment's overlap test finds for ``g``,
-        wherever it occurs: its sites (None for a gate with a non-site
-        operand), the texts that come before the overlap test, and the
-        adjacency or cell text (or None)."""
-        sites = g.operands
-        name = g.kind.value
-        if not all(isinstance(q, Site) for q in sites):
-            return None, (f"non-site operand in {name}",), None
-        outside = tuple(f"{tuple(s)} outside lattice" for s in sites if s not in lattice)
+        wherever it occurs: its sites' slots (None for a gate with a
+        non-site operand), the texts that come before the overlap test, the
+        adjacency or cell text (or None) and whether it is a SWAP."""
+        kind, sites = g.kind, g.operands
+        for q in sites:
+            if not isinstance(q, Site):
+                return None, (f"non-site operand in {kind.value}",), None, False
+        slots = tuple(map(slot, sites))
+        outside = ()
+        if max(slots) >= size:
+            outside = tuple(f"{tuple(s)} outside lattice" for s, i in zip(sites, slots) if i >= size)
+            stamp.extend([-1] * (len(wires) - len(stamp)))
         shape = None
         if len(sites) == 2:
             if sites[0].manhattan(sites[1]) != 1:
-                shape = f"{name} between non-adjacent {tuple(sites[0])},{tuple(sites[1])}"
+                shape = f"{kind.value} between non-adjacent {tuple(sites[0])},{tuple(sites[1])}"
         elif len(sites) == 3:
             if toffoli_rule == "tile":
                 sset = frozenset(sites)
@@ -465,34 +484,36 @@ def validate_schedule(
                 dists = sorted(sites[a].manhattan(sites[b]) for a in range(3) for b in range(a + 1, 3))
                 if dists[:2] != [1, 1]:
                     shape = f"toffoli {sorted(map(tuple, sites))} not chain-adjacent"
-        return sites, outside, shape
+        return slots, outside, shape, kind is swap_kind
 
     # one entry per gate object, keyed by id(g) as the schedule keeps every
     # gate alive for the call
     facts: dict[int, tuple] = {}
-    occ = Occupancy(mapping0)
     report = ValidationReport()
     violations = report.violations
-    swap = K.SWAP
     for mi, moment in enumerate(schedule.moments):
-        touched: set[Site] = set()
+        shared = len(moment) > 1  # a gate alone in its moment overlaps nothing
         for g in moment:
             fact = facts.get(id(g))
             if fact is None:
                 fact = facts[id(g)] = facts_of(g)
-            sites, notes, shape = fact
+            slots, notes, shape, is_swap = fact
             if notes:
                 violations.extend(f"moment {mi}: {text}" for text in notes)
-            if sites is None:
+            if slots is None:
                 continue
-            if not touched.isdisjoint(sites):
-                overlap = touched.intersection(sites)
-                violations.append(f"moment {mi}: overlapping support at {sorted(map(tuple, overlap))}")
-            touched.update(sites)
+            if shared:
+                for s in slots:
+                    if stamp[s] == mi:
+                        overlap = sorted(tuple(wires[s]) for s in slots if stamp[s] == mi)
+                        violations.append(f"moment {mi}: overlapping support at {overlap}")
+                        break
+                for s in slots:
+                    stamp[s] = mi
             if shape is not None:
                 violations.append(f"moment {mi}: {shape}")
-            if g.kind is swap:
-                occ.swap(*sites)
+            if is_swap:
+                swap(*slots)
     report.final_mapping = occ.mapping()
     return report
 

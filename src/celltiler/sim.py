@@ -7,7 +7,11 @@ by the kind's phase in :data:`_PHASES`. H and SWAP have their own lines.
 
 The classical oracle is bit-sliced: bit k of each value is lane k, so one
 replay runs ``lanes`` inputs, and ``lanes=1`` is the scalar oracle. Its flip
-rule ANDs the controls into a mask of every lane, so X flips every lane.
+rule ANDs two controls, reading a slot that holds every lane in place of
+each control a CNOT or X lacks, so X flips every lane. It keys its result by
+label, and labels follow SWAPs. Inside, it reads and writes its values by
+the integer slots of a :class:`~celltiler.circuit.Occupancy`, found once per
+gate object; no slot shows in its result or its messages.
 
 The statevector oracle holds one sparse state for the whole run, a map from
 basis bitmask to amplitude as in a path sum (Amy, arXiv:1805.06908), so its
@@ -35,6 +39,7 @@ MAX_TERMS = 1 << 14
 EQUIV_TOL = 1e-10  # the largest amplitude deviation assert_equiv accepts
 _NORM_TOL = 1e-9
 _FLIPS = (GateKind.X, GateKind.CNOT, GateKind.TOFFOLI)  # tuples, as circuit.T_KINDS is
+_SWAP = GateKind.SWAP  # read per gate object: an Enum attribute read costs about 0.1 us
 _MEASURES = (GateKind.MEASURE_X, GateKind.MEASURE_Z)
 
 
@@ -58,49 +63,54 @@ def classical_run(
     :class:`~celltiler.circuit.Occupancy`, taking their values along, so the
     result is keyed by label and read off wherever each label ended up, not
     by wire. This agrees with :func:`statevector_run` once each label is
-    mapped to its final wire.
+    mapped to its final wire. The values live in a list indexed by the
+    ``Occupancy`` slots, which never leave this function.
     """
     if lanes < 1:
         raise ValueError(f"need at least one lane, got {lanes}")
     every_lane = (1 << lanes) - 1
     occ = Occupancy({label: label for label in inputs} if mapping0 is None else mapping0)
-    value: dict[Hashable, int] = {wire: 0 for wire in occ.label_at}
+    label_at, wire_of, slot, swap = occ.label_at, occ.wire_of, occ.slot, occ.swap
+    value = [0] * len(label_at)  # per slot
+    # a slot of no wire, label or gate that holds every lane: a flip reads it
+    # in place of each control it lacks, so every flip ANDs two controls
+    every = slot(object())
+    value.append(every_lane)
     for label, bits in inputs.items():
-        if label not in occ.wire_of:
+        if label not in wire_of:
             raise ValueError(f"input {label!r} is not a label of mapping0")
         if not 0 <= bits <= every_lane:
             raise ValueError(f"input {label!r}={bits} does not fit in {lanes} lane(s)")
-        value[occ.wire_of[label]] = int(bits)
+        value[wire_of[label]] = int(bits)
 
-    # each gate object's wires are placed and its kind tested once, keyed by
+    # each gate object's slots are found and its kind tested once, keyed by
     # id(g): the schedule keeps every gate alive for the call
     plans: dict[int, tuple] = {}
-    for g in schedule.gates():
-        plan = plans.get(id(g))
-        if plan is None:
-            for q in g.operands:
-                if q not in value:
-                    value[q] = 0
-                    occ.place(q, q)
-            if g.kind is GateKind.SWAP:
-                plan = (True, *g.operands)
-            elif g.kind in _FLIPS:
-                *controls, t = g.operands
-                plan = (False, controls, t)
+    for moment in schedule.moments:
+        for g in moment:
+            plan = plans.get(id(g))
+            if plan is None:
+                slots = [slot(q) for q in g.operands]
+                if len(label_at) > len(value):  # a wire first seen here: new slots, placed in order
+                    for q, s in zip(g.operands, slots):
+                        if s >= len(value):
+                            value.append(0)
+                            occ.place(q, s)
+                if g.kind is _SWAP:
+                    plan = (*slots, None)
+                elif g.kind in _FLIPS:
+                    plan = (*[every] * (3 - len(slots)), *slots)
+                else:
+                    raise ValueError(f"classical oracle cannot run {g.kind.value}")
+                plans[id(g)] = plan
+            x, y, t = plan  # a SWAP's two slots and None, or a flip's two controls and target
+            if t is None:
+                value[x], value[y] = value[y], value[x]
+                swap(x, y)
             else:
-                raise ValueError(f"classical oracle cannot run {g.kind.value}")
-            plans[id(g)] = plan
-        is_swap, x, y = plan  # a SWAP's two wires, or a flip's controls and target
-        if is_swap:
-            value[x], value[y] = value[y], value[x]
-            occ.swap(x, y)
-        else:
-            flip = every_lane
-            for c in x:
-                flip &= value[c]
-            value[y] ^= flip
+                value[t] ^= value[x] & value[y]
 
-    return {label: value[wire] for wire, label in occ.label_at.items()}
+    return {label: value[s] for label, s in wire_of.items()}
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,7 +20,7 @@ from celltiler.circuit import (
     swap_metrics,
     t_metrics,
 )
-from celltiler.lattice import Site
+from celltiler.lattice import Site, grid
 
 K = GateKind
 
@@ -686,43 +687,67 @@ def test_from_json_round_trip(moments):
 # --- label occupancy ---------------------------------------------------------
 
 
+def on_wires(occ: Occupancy) -> dict:
+    """The wire -> label view of an occupancy, read through ``label_on``."""
+    return {w: occ.label_on(w) for w in occ.wires if occ.label_on(w) is not None}
+
+
 def test_occupancy_swap_into_empty_wire():
     occ = Occupancy({"a": 0, "b": 1})
-    occ.swap(0, 5)
-    assert occ.label_at == {1: "b", 5: "a"}
+    slot = occ.slot
+    occ.swap(slot(0), slot(5))
+    assert on_wires(occ) == {1: "b", 5: "a"}
     assert occ.mapping() == {"a": 5, "b": 1}
-    occ.swap(7, 1)  # both directions: the label moves onto the empty wire
-    assert occ.label_at == {5: "a", 7: "b"}
-    occ.swap(8, 9)  # two empty wires: nothing moves
+    occ.swap(slot(7), slot(1))  # both directions: the label moves onto the empty wire
+    assert on_wires(occ) == {5: "a", 7: "b"}
+    occ.swap(slot(8), slot(9))  # two empty wires: nothing moves
     assert occ.mapping() == {"a": 5, "b": 7}
+    assert occ.label_on(0) is None and occ.label_on("never seen") is None
 
 
 def test_occupancy_swap_twice_restores():
     start = {"a": Site(0, 0, 0), "b": Site(0, 1, 0), "c": Site(1, 1, 0)}
-    occ = Occupancy(start)
-    occ.swap(Site(0, 0, 0), Site(0, 1, 0))
-    assert occ.mapping() == {"a": Site(0, 1, 0), "b": Site(0, 0, 0), "c": Site(1, 1, 0)}
-    occ.swap(Site(0, 0, 0), Site(0, 1, 0))
-    assert occ.mapping() == start
-    assert occ.label_at == {site: label for label, site in start.items()}
+    for lattice in (None, grid(2, 2, 1)):
+        occ = Occupancy(start, lattice)
+        occ.swap(occ.slot(Site(0, 0, 0)), occ.slot(Site(0, 1, 0)))
+        assert occ.mapping() == {"a": Site(0, 1, 0), "b": Site(0, 0, 0), "c": Site(1, 1, 0)}
+        occ.swap(occ.slot(Site(0, 0, 0)), occ.slot(Site(0, 1, 0)))
+        assert occ.mapping() == start
+        assert on_wires(occ) == {site: label for label, site in start.items()}
+
+
+def test_occupancy_slots_a_lattice_by_index_and_other_wires_after_it():
+    lattice = grid(1, 2, 2)
+    occ = Occupancy({"a": Site(0, 1, 1), "b": Site(5, 5, 5), "c": "w"}, lattice)
+    assert [occ.slot(s) for s in lattice.sites()] == [0, 1, 2, 3]
+    assert occ.wire_of == {"a": 3, "b": 4, "c": 5}
+    assert occ.slot(Site(0, 0, 7)) == 6  # a new wire takes the next slot
+    # a SWAP may reach a lattice site by its index alone
+    occ.swap(3, 0)
+    assert occ.mapping() == {"a": Site(0, 0, 0), "b": Site(5, 5, 5), "c": "w"}
 
 
 def test_occupancy_mapping_is_a_copy():
     occ = Occupancy({"a": 0})
     occ.mapping()["a"] = 3
-    assert occ.wire_of == {"a": 0}
+    assert occ.mapping() == {"a": 0}
 
 
 def test_occupancy_rejects_shared_wire():
-    with pytest.raises(ValueError, match="not injective"):
-        Occupancy({"a": 0, "b": 1, "c": 0})
+    for lattice in (None, grid(2, 2, 1)):
+        with pytest.raises(ValueError, match=r"^mapping is not injective: two labels start on 0$"):
+            Occupancy({"a": 0, "b": 1, "c": 0}, lattice)
+        # the wire of the first label, in mapping order, whose wire is taken
+        text = "mapping is not injective: two labels start on Site(x=1, y=0, z=0)"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            Occupancy({"a": Site(0, 0, 0), "b": Site(1, 0, 0), "c": Site(1, 0, 0), "d": Site(0, 0, 0)}, lattice)
 
 
 def test_occupancy_place():
     occ = Occupancy({"a": 0})
-    occ.place("z", 4)
-    assert occ.label_at == {0: "a", 4: "z"}
-    with pytest.raises(ValueError):
-        occ.place("y", 0)  # wire taken
-    with pytest.raises(ValueError):
-        occ.place("a", 6)  # label already on a wire
+    occ.place("z", occ.slot(4))
+    assert on_wires(occ) == {0: "a", 4: "z"}
+    with pytest.raises(ValueError, match="^cannot place 'y' on 0: already in use$"):
+        occ.place("y", occ.slot(0))  # wire taken
+    with pytest.raises(ValueError, match="^cannot place 'a' on 6: already in use$"):
+        occ.place("a", occ.slot(6))  # label already on a wire

@@ -11,12 +11,13 @@ Data Selection", IEEE Computer, 1978.
 import pytest
 
 from celltiler import cli, decomp
-from celltiler.circuit import STORAGE, Gate, GateKind, Occupancy, Schedule, gate, swap_metrics
+from celltiler.circuit import STORAGE, Gate, GateKind, Schedule, gate, swap_metrics
 from celltiler.lattice import Site
 from celltiler.lsx import INIT_PLUS, MERGE_SPLIT_LIMIT, MERGE_ZZ, LSInstruction, extract_ls, validate_ls
 from celltiler.scheduler import full_multiplier_schedule, validate_schedule
 from celltiler.sim import assert_equiv, statevector_run
 from celltiler.tiler import RegisterSpec, build_multiplier_layout, data_corners, initial_mapping
+from labels import occupied, swap_labels
 
 K = GateKind
 
@@ -98,17 +99,111 @@ def test_dropping_a_gate_is_refused_unless_pinned(n, monkeypatch, capsys):
     assert survivors == SURVIVORS[n]
     # each label-moving SWAP is refused by the final mapping alone
     assert {key: refused.get(key) for key in LABEL_MOVES[n]} == dict.fromkeys(LABEL_MOVES[n], MAPPING_REFUSAL)
-    occ = Occupancy(mapping)
+    label_at, wire_of = occupied(mapping)
     swaps = {(mi, ops) for mi, _kind, ops in LABEL_MOVES[n]}
     for mi, moment in enumerate(sched.moments):
         for g in moment:
             if (mi, tuple(map(tuple, g.operands))) in swaps:
-                labels = {occ.label_at[q] for q in g.operands}
+                labels = {label_at[q] for q in g.operands}
                 finished = labels & {*spec.b, *spec.p}
                 assert STORAGE in g.tags and len(finished) == 1, (mi, labels)
                 assert not (labels - finished) & set(spec.all_data()), (mi, labels)
             if g.kind is K.SWAP:
-                occ.swap(*g.operands)
+                swap_labels(label_at, wire_of, *g.operands)
+
+
+def _verify(n: int, moments: list[list[Gate]], final: dict, monkeypatch, capsys) -> tuple[int, str]:
+    """Exit code and stdout of ``verify n`` when the emitter yields these
+    moments, written past the IR's overlap refusal, and its true final mapping."""
+    mutant = Schedule()
+    mutant.moments.extend(moments)
+    monkeypatch.setattr(cli, "full_multiplier_schedule", lambda *args, **kwargs: (mutant, final))
+    code = cli.main(["verify", str(n)])
+    return code, capsys.readouterr().out
+
+
+def _refused(n: int, code: int, out: str) -> bool:
+    """Whether ``verify n`` refused with one of its three verdicts: a replay
+    violation, a final mapping the emitter did not report, or a product."""
+    verdicts = out.startswith("adjacency violations: ") or out == MAPPING_REFUSAL or (
+        out.endswith(f"/{4 ** n} products correct\n") and not out.startswith(f"{4 ** n}/"))
+    return code == cli.EXIT_FAIL and verdicts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_swap_repeated_in_the_next_moment_is_refused(n, monkeypatch, capsys):
+    # the repeat undoes the SWAP, so its two labels end on each other's sites
+    _layout, _spec, _mapping, sched, final = _tiled(n)
+    moments = [list(m) for m in sched.moments] + [[]]  # the last SWAP's next moment
+    checked = 0
+    for mi, moment in enumerate(moments):
+        for g in moment:
+            if g.kind is K.SWAP:
+                mutant = [m + [g] if i == mi + 1 else m for i, m in enumerate(moments)]
+                assert _refused(n, *_verify(n, [m for m in mutant if m], final, monkeypatch, capsys)), (mi, g)
+                checked += 1
+    assert checked == sched.count(K.SWAP)
+
+
+def _commute(g: Gate, h: Gate) -> bool:
+    """Whether two gates commute whatever the input: they share no wire, they
+    SWAP the same pair, or both flip a target that is no control of the other."""
+    if not set(g.operands) & set(h.operands):
+        return True
+    if g.kind is K.SWAP or h.kind is K.SWAP:
+        return g.kind is h.kind and set(g.operands) == set(h.operands)
+    return g.operands[-1] not in h.operands[:-1] and h.operands[-1] not in g.operands[:-1]
+
+
+# The exchanges of adjacent moments that do not commute and that ``verify
+# n`` accepts: the SWAP that brings P[n] from the ladder onto a site of the
+# first pinned Toffoli of ctrl-add 1's uncompute wave (see SURVIVORS), and
+# that Toffoli. Exchanged, it reads a zero ancilla where it read P[n], which
+# is still 0 there.
+EXCHANGE_SURVIVORS = {2: [21], 3: [28]}
+
+
+@pytest.mark.parametrize("n", sorted(EXCHANGE_SURVIVORS))
+def test_two_adjacent_moments_exchanged_are_refused_unless_they_commute(n, monkeypatch, capsys):
+    _layout, _spec, _mapping, sched, final = _tiled(n)
+    moments = [list(m) for m in sched.moments]
+    survivors = []
+    commuting = 0
+    for mi in range(len(moments) - 1):
+        first, second = moments[mi], moments[mi + 1]
+        code, out = _verify(n, [*moments[:mi], second, first, *moments[mi + 2:]], final, monkeypatch, capsys)
+        if all(_commute(g, h) for g in first for h in second):
+            # the same circuit: verify must still accept it
+            assert code == cli.EXIT_OK, (mi, out)
+            commuting += 1
+        elif code == cli.EXIT_OK:
+            survivors.append(mi)
+        else:
+            assert _refused(n, code, out), (mi, out)
+    assert survivors == EXCHANGE_SURVIVORS[n]
+    assert commuting > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_toffoli_operand_moved_one_site_along_the_ladder_is_refused(n, monkeypatch, capsys):
+    layout, _spec, _mapping, sched, final = _tiled(n)
+    moments = [list(m) for m in sched.moments]
+    checked = 0
+    for mi, moment in enumerate(moments):
+        for gi, g in enumerate(moment):
+            if g.kind is not K.TOFFOLI:
+                continue
+            for oi, q in enumerate(g.operands):
+                for dz in (-1, 1):
+                    moved = Site(q.x, q.y, q.z + dz)
+                    if moved not in layout.lattice or moved in g.operands:
+                        continue
+                    ops = (*g.operands[:oi], moved, *g.operands[oi + 1:])
+                    mutant = [*moments[:mi], [*moment[:gi], Gate(K.TOFFOLI, ops), *moment[gi + 1:]], *moments[mi + 1:]]
+                    # off its cube: the replay's tile rule refuses it
+                    assert _verify(n, mutant, final, monkeypatch, capsys) == (cli.EXIT_FAIL, "adjacency violations: 1\n")
+                    checked += 1
+    assert checked == {2: 67, 3: 226}[n]  # of 6 per Toffoli, those inside the lattice and off the gate
 
 
 def _replaced(sched: Schedule, mi: int, g: Gate, operands: tuple) -> Schedule:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from celltiler import router
-from celltiler.circuit import Gate, GateKind, Occupancy, Schedule, gate
+from celltiler.circuit import Gate, GateKind, Schedule, gate
 from celltiler.lattice import Site, grid
 from celltiler.router import (
     CSV_HEADER,
@@ -20,6 +20,7 @@ from celltiler.router import (
 from celltiler.scheduler import full_multiplier_schedule, validate_schedule
 from celltiler.sim import classical_run
 from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
+from labels import occupied, swap_labels
 
 K = GateKind
 
@@ -272,32 +273,38 @@ def test_route_checks_the_assembled_triple(monkeypatch):
 
 class _ReferenceRouter:
     """The router as it was written before its gather loop: a class with one
-    path for two-operand gates and one for three-operand gates."""
+    path for two-operand gates and one for three-operand gates. Its labels
+    sit on site indices in plain ``index -> label`` and ``label -> index``
+    dicts."""
 
     def __init__(self, lattice, mapping0):
         self.lattice = lattice
         for site in mapping0.values():
             lattice.check(site)
-        Occupancy(mapping0)
-        self.occ = Occupancy({label: lattice.index(site) for label, site in mapping0.items()})
+        taken = set()
+        for site in mapping0.values():
+            if site in taken:
+                raise ValueError(f"mapping is not injective: two labels start on {site!r}")
+            taken.add(site)
+        self.label_at, self.pos = occupied({label: lattice.index(site) for label, site in mapping0.items()})
         self.adjacency = lattice.adjacency
         self.sites = tuple(lattice.sites())
         self.out = Schedule()
 
     def _walk(self, label, goals, locked):
-        path = router._bfs_path(self.lattice, self.occ.wire_of[label], goals, locked)
+        path = router._bfs_path(self.lattice, self.pos[label], goals, locked)
         for a, b in zip(path, path[1:]):
             self.out.append(Gate(K.SWAP, (self.sites[a], self.sites[b])))
-            self.occ.swap(a, b)
+            swap_labels(self.label_at, self.pos, a, b)
 
     def _route_pair(self, a, b):
-        pos = self.occ.wire_of
+        pos = self.pos
         goals = self.adjacency[pos[b]]
         if pos[a] not in goals:
             self._walk(a, goals, {pos[b]})
 
     def _route_triple(self, c1, c2, t):
-        pos, sites = self.occ.wire_of, self.sites
+        pos, sites = self.pos, self.sites
         for _ in range(2):
             goals = self.adjacency[pos[t]]
             pending = [c for c in (c1, c2) if pos[c] not in goals]
@@ -311,7 +318,7 @@ class _ReferenceRouter:
             raise ValueError("could not assemble a Toffoli triple")
 
     def run(self, circuit):
-        pos, sites = self.occ.wire_of, self.sites
+        pos, sites = self.pos, self.sites
         for g in circuit.gates():
             ops = g.operands
             for q in ops:
@@ -329,7 +336,7 @@ def _reference_route(circuit, lattice, mapping0):
         raise ValueError("more logical qubits than lattice sites")
     ref = _ReferenceRouter(lattice, mapping0)
     ref.run(circuit)
-    return ref.out, {label: ref.sites[w] for label, w in ref.occ.wire_of.items()}
+    return ref.out, {label: ref.sites[w] for label, w in ref.pos.items()}
 
 
 @st.composite
@@ -365,13 +372,13 @@ def test_gather_loop_routes_as_the_pair_and_triple_router(case):
 
 def tiled_toffoli_labels(n: int) -> list[tuple]:
     """The label triple of every Toffoli of the tiled schedule, in order."""
-    occ = Occupancy(initial_mapping(build_multiplier_layout(n), RegisterSpec.for_width(n)))
+    label_at, wire_of = occupied(initial_mapping(build_multiplier_layout(n), RegisterSpec.for_width(n)))
     triples = []
     for g in full_multiplier_schedule(n)[0].gates():
         if g.kind is K.SWAP:
-            occ.swap(*g.operands)
+            swap_labels(label_at, wire_of, *g.operands)
         else:
-            triples.append(tuple(occ.label_at[s] for s in g.operands))
+            triples.append(tuple(label_at[s] for s in g.operands))
     return triples
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import re
 import sys
 from functools import partial
 
 import pytest
 
 from celltiler import scheduler
-from celltiler.circuit import STORAGE, Gate, GateKind, Occupancy, Schedule, swap_metrics
+from celltiler.circuit import STORAGE, Gate, GateKind, Schedule, swap_metrics
 from celltiler.lattice import Site
 from celltiler.router import greedy_route, logical_multiplier_circuit, routing_mapping
 from celltiler.scheduler import (
@@ -24,6 +25,7 @@ from celltiler.sim import classical_run
 from celltiler.tiler import (
     MAGENTA, YELLOW, RegisterSpec, S, build_multiplier_layout, data_corners, initial_mapping,
 )
+from labels import occupied, swap_labels
 
 K = GateKind
 
@@ -282,11 +284,22 @@ def test_storage_swaps_stay_inside_queues():
 def test_non_injective_start_mapping_rejected():
     layout, spec, mapping = setup_boards(2)
     clash = dict(mapping)
-    clash[spec.a[1]] = mapping[spec.a[0]]
-    with pytest.raises(ValueError, match="not injective"):
-        toffoli_step(scheduler._Board(layout, clash))
-    with pytest.raises(ValueError, match="not injective"):
-        validate_schedule(layout, clash, Schedule())
+    shared = clash[spec.a[1]] = mapping[spec.a[0]]
+    # the message names the shared Site, never the slot it sits on
+    text = f"mapping is not injective: two labels start on {shared!r}"
+    assert text.endswith("two labels start on Site(x=1, y=0, z=1)")
+    refusals = [
+        lambda: toffoli_step(scheduler._Board(layout, clash)),
+        lambda: validate_schedule(layout, clash, Schedule()),
+        lambda: classical_run(Schedule(), clash, {}),
+        lambda: greedy_route(Schedule(), layout.lattice, clash),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            refuse()
+    # a shared str wire is named by its repr too
+    with pytest.raises(ValueError, match="^mapping is not injective: two labels start on 'w'$"):
+        classical_run(Schedule(), {"a": "w", "b": "w"}, {})
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -524,9 +537,10 @@ def test_wrapped_step_functions_see_every_step(n, optimize, monkeypatch):
 
 def _reference_replay(layout, mapping0, schedule, toffoli_rule="tile"):
     """A reference replay that redoes every test for every occurrence of a
-    gate. Returns (violations, final mapping)."""
+    gate and moves labels on plain dicts. Returns (violations, final
+    mapping)."""
     corner_sets = [data_corners(p) for p in range(len(layout.placements))]
-    occ = Occupancy(mapping0)
+    label_at, wire_of = occupied(mapping0)
     violations = []
     for mi, moment in enumerate(schedule.moments):
         touched = set()
@@ -557,8 +571,8 @@ def _reference_replay(layout, mapping0, schedule, toffoli_rule="tile"):
                     if dists[:2] != [1, 1]:
                         violations.append(f"moment {mi}: toffoli {sorted(map(tuple, sites))} not chain-adjacent")
             if g.kind is K.SWAP:
-                occ.swap(*g.operands)
-    return violations, occ.mapping()
+                swap_labels(label_at, wire_of, *g.operands)
+    return violations, wire_of
 
 
 def _matches_reference(layout, mapping, schedule, toffoli_rule="tile"):

@@ -5,11 +5,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from celltiler import cli, decomp, sim
-from celltiler.circuit import GateKind, Occupancy, Schedule, gate
-from celltiler.scheduler import full_multiplier_schedule
+from celltiler.circuit import GateKind, Schedule, gate
+from celltiler.lattice import Site
+from celltiler.scheduler import full_multiplier_schedule, validate_schedule
 from celltiler.sim import (
     MAX_TERMS,
     _apply_gate,
@@ -19,6 +20,8 @@ from celltiler.sim import (
 )
 from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
 from dense import dense, sparse
+from labels import occupied, swap_labels
+from test_scheduler import _reference_replay
 
 K = GateKind
 
@@ -311,21 +314,25 @@ def test_classical_run_values_stay_int():
 
 def _reference_classical_run(schedule, mapping0, inputs, *, lanes=1):
     """``classical_run`` as it placed new wires and tested the kind on every
-    occurrence of a gate."""
+    occurrence of a gate, its labels and values in plain dicts keyed by
+    wire and label."""
     every_lane = (1 << lanes) - 1
-    occ = Occupancy({label: label for label in inputs} if mapping0 is None else mapping0)
-    value = {wire: 0 for wire in occ.label_at}
+    label_at, wire_of = occupied({label: label for label in inputs} if mapping0 is None else mapping0)
+    value = {wire: 0 for wire in label_at}
     for label, bits in inputs.items():
-        value[occ.wire_of[label]] = int(bits)
+        value[wire_of[label]] = int(bits)
     for g in schedule.gates():
         for q in g.operands:
             if q not in value:
+                if q in wire_of:
+                    raise ValueError(f"cannot place {q!r} on {q!r}: already in use")
                 value[q] = 0
-                occ.place(q, q)
+                label_at[q] = q
+                wire_of[q] = q
         if g.kind is K.SWAP:
             a, b = g.operands
             value[a], value[b] = value[b], value[a]
-            occ.swap(a, b)
+            swap_labels(label_at, wire_of, a, b)
         elif g.kind in (K.X, K.CNOT, K.TOFFOLI):
             *controls, t = g.operands
             flip = every_lane
@@ -334,7 +341,7 @@ def _reference_classical_run(schedule, mapping0, inputs, *, lanes=1):
             value[t] ^= flip
         else:
             raise ValueError(f"classical oracle cannot run {g.kind.value}")
-    return {label: value[wire] for wire, label in occ.label_at.items()}
+    return {label: value[wire] for label, wire in wire_of.items()}
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -362,6 +369,65 @@ def test_classical_run_matches_the_per_occurrence_loop_when_routed(n):
     for _ in range(4):
         bits = {label: rng.getrandbits(1) for label in spec.a + spec.b}
         assert classical_run(routed, m0, bits) == _reference_classical_run(routed, m0, bits)
+
+
+# the 2-bit layout: its lattice holds the drawn sites, and one more step
+# along x leaves it
+LAYOUT_2 = build_multiplier_layout(2)
+OFF_LATTICE = Site(LAYOUT_2.lattice.dx, 0, 0)
+
+
+@st.composite
+def mixed_schedules(draw):
+    """A schedule of a few reused gate objects over wires that mix ``str``
+    labels, sites inside the 2-bit lattice and one site outside it; a
+    moment may hold a gate object twice or two gates on one wire. Labels
+    start on some wires (by their own name when ``mapping0`` is None) and
+    every other wire a gate reaches is placed, under its own name, on first
+    use; a placed name may clash with a label, which both oracles refuse.
+    Returns the schedule, ``mapping0``, the validation mapping, the inputs
+    and the lane count."""
+    sites = draw(st.lists(st.sampled_from(list(LAYOUT_2.lattice.sites())), min_size=2, max_size=6, unique=True))
+    wires = [*sites, OFF_LATTICE, "a", "b", "w"]
+    started = draw(st.lists(st.sampled_from(wires), unique=True))
+    if draw(st.booleans()):
+        mapping0 = None
+        start = {w: w for w in started}
+    else:
+        names = draw(st.lists(st.sampled_from(["a", "b", "L0", "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9"]),
+                              min_size=len(started), max_size=len(started), unique=True))
+        mapping0 = start = dict(zip(names, started))
+    pool = []
+    for kind in draw(st.lists(st.sampled_from(sorted(CLASSICAL_ARITY)), min_size=1, max_size=6)):
+        arity = CLASSICAL_ARITY[kind]
+        pool.append(gate(kind, *draw(st.lists(st.sampled_from(wires), min_size=arity, max_size=arity, unique=True))))
+    moments = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3), max_size=12))
+    schedule = Schedule()
+    schedule.moments.extend(moments)  # past the IR's overlap refusal
+    lanes = draw(st.integers(1, 5))
+    inputs = {label: draw(st.integers(0, (1 << lanes) - 1)) for label in start}
+    return schedule, mapping0, start, inputs, lanes
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=250, deadline=None)
+@given(mixed_schedules())
+def test_slot_replays_match_the_dict_references_on_mixed_wires(case):
+    schedule, mapping0, start, inputs, lanes = case
+    # every lane at once: the values are the lanes' bits
+    got = _outcome(lambda: classical_run(schedule, mapping0, inputs, lanes=lanes))
+    assert got == _outcome(lambda: _reference_classical_run(schedule, mapping0, inputs, lanes=lanes))
+    for rule in ("tile", "chain"):
+        report = validate_schedule(LAYOUT_2, start, schedule, toffoli_rule=rule)
+        violations, final = _reference_replay(LAYOUT_2, start, schedule, rule)
+        assert report.violations == violations
+        assert report.final_mapping == final
 
 
 def test_classical_run_places_a_reused_gates_new_wire_once():

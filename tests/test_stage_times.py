@@ -29,9 +29,9 @@ def test_stage_times_reports_every_stage_for_both_sides():
         assert set(row[side]["ms"]) == STAGES | {"whole_command"}
         assert row[side]["runs"] == 1
     assert row["parent"]["sha256"] == row["change"]["sha256"]
-    # verify n builds the layout, emits the schedule, packs the lanes and
-    # replays them through the oracle
-    for stage in ("layout", "emit", "pack", "oracle"):
+    # verify n builds the layout, emits the schedule, replays it through
+    # validate_schedule, packs the lanes and runs them through the oracle
+    for stage in ("layout", "emit", "replay", "pack", "oracle"):
         assert row["parent"]["ms"][stage] > 0, stage
 
 
