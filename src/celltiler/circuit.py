@@ -329,26 +329,17 @@ class Occupancy:
     __slots__ = ("label_at", "wire_of", "wires", "_slots")
 
     def __init__(self, mapping: Mapping[Hashable, Hashable], lattice: Lattice | None = None):
-        if lattice is None:  # every wire is new, so the slots follow the mapping
-            self.wires: list[Hashable] = list(mapping.values())
-            self._slots: dict[Hashable, int] = dict(zip(self.wires, range(len(mapping))))
-            self.label_at: list[Hashable] = list(mapping)
-            self.wire_of: dict[Hashable, int] = dict(zip(mapping, range(len(mapping))))
-            shared = len(self._slots) < len(mapping)
-        else:
-            self.wires = list(lattice.all_sites)
-            self._slots = dict(lattice.index_of)
-            self.label_at = [_EMPTY] * len(self.wires)
-            self.wire_of = {label: self.slot(wire) for label, wire in mapping.items()}
-            for label, s in self.wire_of.items():
-                self.label_at[s] = label
-            shared = len(set(self.wire_of.values())) < len(mapping)
-        if shared:
-            seen = set()
-            for wire in mapping.values():
-                if wire in seen:
-                    raise ValueError(f"mapping is not injective: two labels start on {wire!r}")
-                seen.add(wire)
+        self.wires: list[Hashable] = list(lattice.all_sites) if lattice is not None else []
+        self._slots: dict[Hashable, int] = dict(lattice.index_of) if lattice is not None else {}
+        self.label_at: list[Hashable] = [_EMPTY] * len(self.wires)
+        self.wire_of: dict[Hashable, int] = {label: self.slot(wire) for label, wire in mapping.items()}
+        label_at = self.label_at
+        for label, s in self.wire_of.items():
+            label_at[s] = label
+        # label_at kept the last label of a shared wire, so the first differs
+        shared = next((s for label, s in self.wire_of.items() if label_at[s] is not label), None)
+        if shared is not None:
+            raise ValueError(f"mapping is not injective: two labels start on {self.wires[shared]!r}")
 
     def slot(self, wire: Hashable) -> int:
         """The slot of ``wire``, given a new, empty one on first sight."""

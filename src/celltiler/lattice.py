@@ -74,8 +74,7 @@ class Lattice:
     @cached_property
     def all_sites(self) -> tuple[Site, ...]:
         """Every site in index order: ``all_sites[i]`` is ``site(i)``."""
-        new = tuple.__new__  # the coordinates are exact ints, so Site's own check is not needed
-        return tuple([new(Site, (x, y, z)) for x in range(self.dx) for y in range(self.dy) for z in range(self.dz)])
+        return tuple(map(self.site, range(self.size)))
 
     @cached_property
     def index_of(self) -> dict[Site, int]:

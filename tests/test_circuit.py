@@ -738,7 +738,7 @@ def test_occupancy_rejects_shared_wire():
         with pytest.raises(ValueError, match=r"^mapping is not injective: two labels start on 0$"):
             Occupancy({"a": 0, "b": 1, "c": 0}, lattice)
         # the wire of the first label, in mapping order, whose wire is taken
-        text = "mapping is not injective: two labels start on Site(x=1, y=0, z=0)"
+        text = "mapping is not injective: two labels start on Site(x=0, y=0, z=0)"
         with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             Occupancy({"a": Site(0, 0, 0), "b": Site(1, 0, 0), "c": Site(1, 0, 0), "d": Site(0, 0, 0)}, lattice)
 
