@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from celltiler import decomp
 from celltiler.circuit import GateKind, json_value, swap_metrics, t_metrics
@@ -31,10 +31,13 @@ DECOMPS = {
 }
 
 
-def _write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks to ``path`` as they come, so a multi-MB artifact
-    is never held whole, as text or as encoded bytes."""
-    with open(path, "w") as f:
+def _write(f: TextIO, chunks: Iterable[str]) -> None:
+    """Write the text chunks to the open file ``f`` as they come, then close
+    it, so a multi-MB artifact is never held whole, as text or as encoded
+    bytes. A command opens ``f`` after its compile work and before its first
+    result line: an unwritable path prints no result, and a failed compile
+    leaves an existing file as it was."""
+    with f:
         f.writelines(chunks)
 
 
@@ -46,9 +49,10 @@ def _cmd_build(args) -> int:
     used = len(layout.used_sites())
     comp = len(layout.computational_sites())
     size = layout.lattice.size
+    f = open(args.out, "w") if args.out else None
     print(f"{qubit_count(n)} qubits, usage {used}/{size}, effectiveness {comp}/{size}")
-    if args.out:
-        _write(args.out, [json_value(layout.payload() | {"mapping": {str(k): s for k, s in mapping.items()}}, 0)])
+    if f:
+        _write(f, [json_value(layout.payload() | {"mapping": {str(k): s for k, s in mapping.items()}}, 0)])
         print(f"layout written to {args.out}")
     return EXIT_OK
 
@@ -56,18 +60,16 @@ def _cmd_build(args) -> int:
 def _cmd_schedule(args) -> int:
     n = args.n
     sched, _final = full_multiplier_schedule(n, optimize_toffoli_depth=args.optimize_toffoli_depth)
-    # the emitters assert every step meets its row, so the rows are the step metrics
-    for name, c, d in step_budgets(n, args.optimize_toffoli_depth):
-        print(f"{name}: swapC={c} swapD={d}")
-
-    out = sched
-    if args.lower_clifford_t:
-        out = decomp.lower_schedule(sched)
+    out = decomp.lower_schedule(sched) if args.lower_clifford_t else sched
     c, d = swap_metrics(sched)
     tc, td = t_metrics(out)
+    f = open(args.out, "w") if args.out else None
+    # the emitters assert every step meets its row, so the rows are the step metrics
+    for name, sc, sd in step_budgets(n, args.optimize_toffoli_depth):
+        print(f"{name}: swapC={sc} swapD={sd}")
     print(f"total: swapC={c} swapD={d} tC={tc} tD={td} moments={len(out)}")
-    if args.out:
-        _write(args.out, out.json_chunks())
+    if f:
+        _write(f, out.json_chunks())
         print(f"schedule written to {args.out}")
     if args.timeline:
         print(render_timeline(sched))
@@ -140,7 +142,7 @@ def _cmd_compare(args) -> int:
     rows = compare(range(args.nmin, args.nmax + 1))
     text = compare_csv(rows)
     if args.csv:
-        _write(args.csv, [text])
+        _write(open(args.csv, "w"), [text])
         print(f"comparison written to {args.csv}")
     else:
         print(text, end="")
@@ -164,14 +166,15 @@ def _cmd_ls(args) -> int:
     report = validate_ls(program)
     bound = MERGE_SPLIT_LIMIT + TRANSVERSAL_LIMIT
     cnots = lowered.count(GateKind.CNOT)
+    f = open(args.out, "w") if args.out else None
     print(f"CNOTs in: {cnots}, LS patterns: {program.pattern_count}, "
           f"transversal: {program.transversal_count}, steps: {len(program.steps)}")
     if report.ok:
         print(f"parallel bound {bound}: satisfied")
     else:
         print(f"parallel bound {bound}: {len(report.violations)} violations")
-    if args.out:
-        _write(args.out, program.json_chunks())
+    if f:
+        _write(f, program.json_chunks())
         print(f"program written to {args.out}")
     return EXIT_OK if report.ok else EXIT_FAIL
 

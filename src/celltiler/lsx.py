@@ -6,7 +6,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, NamedTuple
 
-from celltiler.circuit import GateKind, Report, Schedule, json_list, json_value
+from celltiler.circuit import GateKind, Report, Schedule, json_value
 from celltiler.lattice import Site
 
 K = GateKind
@@ -61,16 +61,24 @@ class LSProgram:
         """The text of ``to_json`` in pieces: the head, one chunk per step and
         the tail.
 
-        An instruction is written as five fragments, its separator, the text
-        up to ``"instance"``, the instance, the ``kind`` and ``label`` lines
-        and the ``patches`` lines. The three cached fragments are keyed per
-        call by ``(type(condition), condition)``, ``(kind, label)`` and
-        ``patches``: ``1`` and ``True`` are equal keys but are written
-        differently. Only ``int`` or ``None`` conditions and ``str`` text are
-        cached (``0.0`` and ``-0.0`` are equal too)."""
-        heads: dict[tuple, str] = {}
+        An instruction is written as its separator, the text up to
+        ``"instance"``, the instance, the ``kind`` and ``label`` lines and the
+        ``patches`` lines, one piece per name. Cached per call: the text up to
+        ``"instance"`` of an ``int`` condition, keyed by the condition (a
+        ``None`` one is a constant); the ``kind`` and ``label`` lines of ``str``
+        text, keyed by ``(kind, label)``; each ``str`` patch name's text, keyed
+        by the name. A ``bool`` or ``float`` is never a key, as ``1``, ``True``
+        and ``1.0`` are equal but written differently. The instance is written
+        once per run of records that share one instance object."""
+
+        def head_of(condition) -> str:
+            return f'{{\n        "condition": {json_value(condition, 4)},\n        "instance": '
+
+        heads: dict[int, str] = {}
         middles: dict[tuple, str] = {}
-        tails: dict[tuple, str] = {}
+        names: dict[str, str] = {}
+        null_head = head_of(None)
+        last, text = None, "null"  # the latest record's instance and its text
         yield f'{{\n  "pattern_count": {json_value(self.pattern_count, 1)},\n  "steps": '
         lead = "[\n    "
         for step in self.steps:
@@ -78,23 +86,27 @@ class LSProgram:
             lead = ",\n    "
             sep = "[\n      "
             for kind, patches, instance, label, condition in step:
-                head = heads.get((type(condition), condition))
-                if head is None:
-                    head = f'{{\n        "condition": {json_value(condition, 4)},\n        "instance": '
-                    if condition is None or type(condition) is int:
-                        heads[type(condition), condition] = head
+                head = null_head if condition is None else (
+                    heads.get(condition) if type(condition) is int else head_of(condition))
+                if head is None:  # an int condition not seen before
+                    head = heads[condition] = head_of(condition)
                 middle = middles.get((kind, label))
                 if middle is None:
                     middle = f',\n        "kind": {json_value(kind, 4)},\n        "label": {json_value(label, 4)},'
                     if type(kind) is str and type(label) is str:
                         middles[kind, label] = middle
-                tail = tails.get(patches)
-                if tail is None:
-                    tail = f'\n        "patches": {json_list([json_value(p, 5) for p in patches], 4)}\n      }}'
-                    if all(type(p) is str for p in patches):
-                        tails[patches] = tail
-                text = str(instance) if type(instance) is int else json_value(instance, 4)
-                parts += (sep, head, text, middle, tail)
+                if instance is not last:
+                    last = instance
+                    text = str(instance) if type(instance) is int else json_value(instance, 4)
+                parts += (sep, head, text, middle)
+                opener = '\n        "patches": [\n          '
+                for p in patches:
+                    item = names.get(p) if type(p) is str else json_value(p, 5)
+                    if item is None:  # a str name not seen before
+                        item = names[p] = json_value(p, 5)
+                    parts += (opener, item)
+                    opener = ",\n          "
+                parts.append("\n        ]\n      }" if patches else '\n        "patches": []\n      }')
                 sep = ",\n      "
             parts.append("\n    ]" if step else "[]")
             yield "".join(parts)
@@ -130,10 +142,12 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
     operand, x for a CNOT target. A later use that needs the other boundary
     records a ``patch_rotate`` on the patch first; an H flips a set boundary.
 
-    Stacking is resolved once per distinct operand tuple and names once per
-    wire, so labels that compare equal (one wire to a ``Schedule``) share a
-    patch. Two unequal wires with one patch name, or a wire named like an
-    ancilla patch, raise ``ValueError``.
+    One table holds each wire's patch name and site (``None`` for a label
+    without one), made when the wire is first seen, so labels that compare
+    equal (one wire to a ``Schedule``) share a patch. A CNOT is a stick when
+    both its operands have sites and these are stacked. Two unequal wires
+    with one patch name, or a wire named like an ancilla patch, raise
+    ``ValueError`` at the second wire's first sight, in operand order.
     """
     program = LSProgram()
     steps = program.steps
@@ -147,29 +161,19 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
     anc_names: list[str] = []  # per ancilla patch: its name, made once
     orientation: dict[str, str] = {}  # per patch: the boundary it presents
     instance = 0
-    patch_of: dict[Hashable, str] = {}
-    wire_of: dict[str, Hashable] = {}
-    resolved: dict[tuple, tuple[tuple[str, ...], bool]] = {}
+    named: dict[Hashable, tuple[str, Site | None]] = {}  # per wire: its patch name and site
+    wire_of: dict[str, Hashable] = {}  # per patch name: its wire
 
-    def patch(q: Hashable) -> str:
-        name = patch_of.get(q)
-        if name is None:
-            name = patch_of[q] = f"q{q.x}_{q.y}_{q.z}" if isinstance(q, Site) else str(q)
-            if name.startswith(ANCILLA_PREFIX):
-                raise ValueError(f"wire {q!r} takes the reserved patch name {name!r}")
-            if name in wire_of:
-                raise ValueError(f"wires {wire_of[name]!r} and {q!r} share the patch name {name!r}")
-            wire_of[name] = q
-        return name
-
-    def resolve(operands: tuple) -> tuple[tuple[str, ...], bool]:
-        """The patch names, and whether a CNOT on ``operands`` is a stick."""
-        sites = [q if isinstance(q, Site) else (site_map or {}).get(q) for q in operands]
-        stacked = len(sites) == 2 and None not in sites and (
-            sites[0].x == sites[1].x and sites[0].y == sites[1].y and abs(sites[0].z - sites[1].z) == 1
-        )
-        resolved[operands] = hit = tuple(map(patch, operands)), stacked
-        return hit
+    def enter(q: Hashable) -> tuple[str, Site | None]:
+        """The entry of ``q``, a wire not seen before, now in ``named``."""
+        p = f"q{q.x}_{q.y}_{q.z}" if isinstance(q, Site) else str(q)
+        if p.startswith(ANCILLA_PREFIX):
+            raise ValueError(f"wire {q!r} takes the reserved patch name {p!r}")
+        if p in wire_of:
+            raise ValueError(f"wires {wire_of[p]!r} and {q!r} share the patch name {p!r}")
+        wire_of[p] = q
+        named[q] = entry = p, q if isinstance(q, Site) else (site_map or {}).get(q)
+        return entry
 
     def place(a: str, b: str, transversal: bool) -> int:
         """The first step free in both patches' masks; each patch's use count
@@ -194,12 +198,13 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
     # an Enum class-attribute read (GateKind.X) costs about 0.2 us on Python 3.11: read locals
     cnot, cz, cc_cz, swap, toffoli, ccz = K.CNOT, K.CZ, K.CC_CZ, K.SWAP, K.TOFFOLI, K.CCZ
     for moment in schedule.moments:
-        for g in moment:
-            kind = g.kind
+        for kind, operands, condition, _ in moment:  # a Gate is a tuple record
             if kind is cnot or kind is cz or kind is cc_cz:
-                (a, b), stacked = resolved.get(g.operands) or resolve(g.operands)
+                qa, qb = operands
+                a, sa = named.get(qa) or enter(qa)
+                b, sb = named.get(qb) or enter(qb)
                 instance += 1
-                if stacked and kind is cnot:
+                if kind is cnot and sa and sb and sa.x == sb.x and sa.y == sb.y and abs(sa.z - sb.z) == 1:
                     steps[place(a, b, True)].append(new(record, (TRANSVERSAL, (a, b), instance, "", None)))
                     program.transversal_count += 1
                     continue
@@ -215,11 +220,11 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
                 if orientation.get(a, "z") != "z":
                     append(new(record, (ROTATE, (a,), instance, "", None)))
                 orientation[a] = "z"
-                append(new(record, (MERGE_ZZ, (a, anc), instance, "", g.condition)))
+                append(new(record, (MERGE_ZZ, (a, anc), instance, "", condition)))
                 if orientation.get(b, boundary) != boundary:
                     append(new(record, (ROTATE, (b,), instance, "", None)))
                 orientation[b] = boundary
-                append(new(record, (second, (anc, b), instance, "", g.condition)))
+                append(new(record, (second, (anc, b), instance, "", condition)))
                 append(new(record, (MEASURE_X, (anc,), instance, "", None)))
                 program.pattern_count += 1
             elif kind is toffoli or kind is ccz:
@@ -227,7 +232,8 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
             elif kind is swap:
                 raise ValueError("expand SWAPs to CNOTs before LS extraction")
             else:
-                p = (resolved.get(g.operands) or resolve(g.operands))[0][0]
+                q = operands[0]
+                p = (named.get(q) or enter(q))[0]
                 name = kind._value_
                 if name in RIDING_OPS:
                     s = last_step.get(p, 0)

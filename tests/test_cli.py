@@ -221,14 +221,31 @@ def test_compare_rejects_a_bad_width_before_compiling_any(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["build", "2", "--out"], ["schedule", "2", "--out"], ["ls", "1", "3d", "--out"],
+    [["build", "2", "--out"], ["schedule", "2", "--lower-clifford-t", "--out"], ["ls", "2", "3d", "--out"],
      ["compare", "2", "2", "--csv"]],
     ids=lambda argv: argv[0],
 )
 def test_output_in_missing_directory_is_a_clean_error(argv, tmp_path, capsys):
+    # the file is opened before the first result line, so a run that cannot
+    # write its artifact prints no result as if it had succeeded
     assert main([*argv, str(tmp_path / "missing" / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "0", "--out"],
+    ["schedule", "2", "--optimize-toffoli-depth", "--lower-clifford-t", "--out"],
+    ["ls", "11", "3d", "--out"],
+], ids=lambda argv: argv[0])
+def test_a_failed_compile_leaves_the_artifact_untouched(argv, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("earlier")
+    assert main([*argv, str(out)]) == 2
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "earlier"
 
 
 def test_ls_3d(capsys, tmp_path):

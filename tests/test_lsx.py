@@ -218,22 +218,34 @@ def _reference_to_json(prog: LSProgram) -> str:
     )
 
 
-names_st = st.text(max_size=4)  # non-ASCII patch names and labels included
-instruction_st = st.builds(
-    LSInstruction,
-    st.sampled_from([INIT_PLUS, MERGE_ZZ, MERGE_XX, MEASURE_X, TRANSVERSAL, OP]),
-    st.lists(names_st, max_size=2).map(tuple),
+labels_st = st.text(max_size=4)  # non-ASCII labels included
+# a small pool, so ("a", "b"), ("b", "a") and ("a",) share the text of a name
+patches_st = st.lists(st.sampled_from(["a", "b", "c", "", "\u00e4"]), max_size=2).map(tuple)
+# a run of records that share one instance object, as one CNOT's records do
+run_st = st.builds(
+    lambda instance, fields: [LSInstruction(kind, patches, instance, label, condition)
+                              for kind, patches, label, condition in fields],
     st.integers(0, 10**6),
-    st.one_of(st.just(""), names_st),
-    st.one_of(st.none(), st.integers(-3, 40)),
+    st.lists(st.tuples(
+        st.sampled_from([INIT_PLUS, MERGE_ZZ, MERGE_XX, MEASURE_X, TRANSVERSAL, OP]),
+        patches_st,
+        st.one_of(st.just(""), labels_st),
+        st.one_of(st.none(), st.integers(-3, 40)),
+    ), min_size=1, max_size=3),
 )
+step_st = st.lists(run_st, max_size=3).map(lambda runs: [ins for run in runs for ins in run])
 
 
-@given(
-    st.lists(st.lists(instruction_st, max_size=4), max_size=4),
-    st.integers(0, 10**4),
-    st.integers(0, 10**4),
+# consecutive records whose instances and conditions are equal but written
+# differently, on patches that share their names' text
+@example(
+    [[LSInstruction(MERGE_ZZ, ("a", "b"), 1, "", 0),
+      LSInstruction(MERGE_XX, ("b", "a"), True, "", False),
+      LSInstruction(OP, ("a",), 1, "t", None)]],
+    0,
+    0,
 )
+@given(st.lists(step_st, max_size=4), st.integers(0, 10**4), st.integers(0, 10**4))
 def test_to_json_matches_stdlib_encoder(steps, transversal, patterns):
     prog = LSProgram(steps, transversal, patterns)
     assert prog.to_json() == _reference_to_json(prog)
@@ -246,7 +258,7 @@ def test_to_json_empty_program():
 def test_to_json_tells_equal_values_apart():
     # 1, True and 1.0 are equal dict keys, but JSON writes each differently
     values = (1, True, 1.0, None)
-    step = [LSInstruction(MERGE_ZZ, ("a", "b"), i, "", c) for i in values for c in values]
+    step = [LSInstruction(MERGE_ZZ, (p, "b"), i, "", c) for p in (*values, "1") for i in values for c in values]
     prog = LSProgram([step, step[::-1]])
     assert prog.to_json() == _reference_to_json(prog)
 
@@ -487,6 +499,17 @@ gate_st = st.one_of(
     {"a": Site(1, 0, 1), "b": Site(1, 0, 2)},
 )
 @example([gate("h", Site(0, 0, 1)), gate("cnot", "a", "q0_0_1")], None)
+# "b" is first seen as a CNOT's target, then in two more operand tuples;
+# only its first CNOT is a stick
+@example(
+    [gate("cnot", "a", "b"), gate("cz", "b", "c"), gate("h", "b"), gate("cnot", "c", "b")],
+    {"a": Site(0, 0, 0), "b": Site(0, 0, 1), "c": Site(1, 0, 1)},
+)
+# a stick between a mapped label and a site, in both operand orders
+@example(
+    [gate("cnot", "c", Site(1, 0, 2)), gate("t", "c"), gate("cnot", Site(1, 0, 2), "c")],
+    {"c": Site(1, 0, 1)},
+)
 @given(
     st.lists(gate_st, max_size=40),
     st.one_of(st.none(), st.dictionaries(st.sampled_from(LABELS), st.sampled_from(SITES))),

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 STAGES = {
     "layout", "emit", "logical", "route", "replay", "pack", "oracle", "build", "equiv", "lower", "extract",
@@ -49,4 +51,17 @@ def test_stage_times_times_the_comparison():
     row = paired_row("compare 2 2")
     assert row["parent"]["sha256"] == row["change"]["sha256"]
     for stage in ("emit", "logical", "route", "metrics"):
+        assert row["parent"]["ms"][stage] > 0 and row["change"]["ms"][stage] > 0, stage
+
+
+@pytest.mark.parametrize("command, stages", [
+    # ls lowers the schedule, extracts and checks the LS program and writes it
+    ("ls 2 3d --out", ("lower", "extract", "validate", "write")),
+    # schedule --lower-clifford-t lowers, counts SWAPs and Ts and writes the schedule
+    ("schedule 2 --lower-clifford-t --out", ("lower", "metrics", "write")),
+])
+def test_stage_times_times_the_written_artifacts(command, stages):
+    row = paired_row(command)
+    assert row["parent"]["sha256"] == row["change"]["sha256"]
+    for stage in stages:
         assert row["parent"]["ms"][stage] > 0 and row["change"]["ms"][stage] > 0, stage
