@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -140,6 +140,21 @@ def tile_supports(tile: Tile, schedule: Schedule) -> bool:
     )
 
 
+@cache
+def _placed(tile: Tile, orientation: int, offset: Site) -> tuple[Mapping[Site, str], frozenset[Site]]:
+    """A placement's sites, computed once per distinct placement: the
+    read-only lattice site -> role of every tile vertex, in tile order, and
+    the corners of its bounding box that share the parity of its data
+    vertices, a corner no vertex sits on included."""
+    mat = ROTATIONS_3D[orientation]
+    raw = [_apply_rotation(mat, v) for _, v, _ in tile.vertices]
+    dx, dy, dz = (o - min(axis) for o, axis in zip(offset, zip(*raw)))
+    roles = {Site(x + dx, y + dy, z + dz): role for (x, y, z), (_, _, role) in zip(raw, tile.vertices)}
+    parities = {sum(s) % 2 for s, role in roles.items() if role in DATA_ROLES}
+    box = itertools.product(*({min(axis), max(axis)} for axis in zip(*roles)))
+    return MappingProxyType(roles), frozenset(Site(*c) for c in box if sum(c) % 2 in parities)
+
+
 @dataclass(frozen=True)
 class Placement:
     """A tile instantiated at a lattice offset under one of 24 axis rotations."""
@@ -148,21 +163,21 @@ class Placement:
     offset: Site
     orientation: int = 0
 
+    def __post_init__(self):
+        if type(self.orientation) is not int or not 0 <= self.orientation < len(ROTATIONS_3D):
+            raise ValueError(f"orientation must be an int in 0..{len(ROTATIONS_3D) - 1}, got {self.orientation!r}")
+
     @cached_property
     def vertex_roles(self) -> Mapping[Site, str]:
         """Lattice site -> role of every tile vertex; computed once, read-only."""
-        mat = ROTATIONS_3D[self.orientation % len(ROTATIONS_3D)]
-        rotated = {}
-        raw = {v: _apply_rotation(mat, v) for _, v, _ in self.tile.vertices}
-        minx = min(p[0] for p in raw.values())
-        miny = min(p[1] for p in raw.values())
-        minz = min(p[2] for p in raw.values())
-        for _, v, role in self.tile.vertices:
-            p = raw[v]
-            rotated[Site(p[0] - minx + self.offset.x,
-                         p[1] - miny + self.offset.y,
-                         p[2] - minz + self.offset.z)] = role
-        return MappingProxyType(rotated)
+        return _placed(self.tile, self.orientation, self.offset)[0]
+
+    @cached_property
+    def data_corners(self) -> frozenset[Site]:
+        """The corners of the placement's bounding box that share the parity
+        of its data vertices, including the corner no vertex sits on: on the
+        cube, the four sites a Toffoli may join. Computed once."""
+        return _placed(self.tile, self.orientation, self.offset)[1]
 
     def sites(self) -> set[Site]:
         return set(self.vertex_roles)

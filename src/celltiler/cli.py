@@ -13,7 +13,7 @@ from celltiler.lsx import MERGE_SPLIT_LIMIT, TRANSVERSAL_LIMIT, extract_ls, vali
 from celltiler.router import compare, compare_csv
 from celltiler.scheduler import full_multiplier_schedule, render_timeline, step_budgets, validate_schedule
 from celltiler.sim import EQUIV_TOL, assert_equiv, classical_run
-from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping, qubit_count
+from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -50,7 +50,7 @@ def _cmd_build(args) -> int:
     comp = len(layout.computational_sites())
     size = layout.lattice.size
     f = open(args.out, "w") if args.out else None
-    print(f"{qubit_count(n)} qubits, usage {used}/{size}, effectiveness {comp}/{size}")
+    print(f"{size} qubits, usage {used}/{size}, effectiveness {comp}/{size}")
     if f:
         _write(f, [json_value(layout.payload() | {"mapping": {str(k): s for k, s in mapping.items()}}, 0)])
         print(f"layout written to {args.out}")

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class _SiteFields(NamedTuple):
@@ -33,9 +34,9 @@ class Lattice:
     """An open-boundary square/cubic grid of qubit sites.
 
     Site ``(x, y, z)`` has the index ``(x * dy + y) * dz + z``, so index order
-    is ascending ``Site`` order, the order ``sites()`` yields: ``index`` and
-    ``site`` convert, ``all_sites`` and ``index_of`` are both conversions
-    built once, and ``adjacency`` is read by index.
+    is ascending ``Site`` order. ``all_sites`` (index to site) and
+    ``index_of`` (site to index) are the two conversions, each built once,
+    and ``adjacency`` is read by index.
     """
 
     dx: int
@@ -47,38 +48,24 @@ class Lattice:
         return (self.dx, self.dy, self.dz)
 
     @property
-    def dimensionality(self) -> int:
-        return 2 if self.dz == 1 else 3
-
-    @property
     def size(self) -> int:
         return self.dx * self.dy * self.dz
 
     def __contains__(self, site: Site) -> bool:
         return 0 <= site.x < self.dx and 0 <= site.y < self.dy and 0 <= site.z < self.dz
 
-    def sites(self) -> Iterator[Site]:
-        return iter(self.all_sites)
-
     def check(self, site: Site) -> None:
         if site not in self:
             raise ValueError(f"site {tuple(site)} outside lattice {self.dims}")
 
-    def index(self, site: Site) -> int:
-        return (site.x * self.dy + site.y) * self.dz + site.z
-
-    def site(self, index: int) -> Site:
-        x, rest = divmod(index, self.dy * self.dz)
-        return Site(x, *divmod(rest, self.dz))
-
     @cached_property
     def all_sites(self) -> tuple[Site, ...]:
-        """Every site in index order: ``all_sites[i]`` is ``site(i)``."""
-        return tuple(map(self.site, range(self.size)))
+        """Every site in index order: ``all_sites[i]`` has the index ``i``."""
+        return tuple(itertools.starmap(Site, itertools.product(*map(range, self.dims))))
 
     @cached_property
     def index_of(self) -> dict[Site, int]:
-        """Per site, its index: one dict lookup in place of ``index``."""
+        """Per site, its index."""
         return dict(zip(self.all_sites, range(self.size)))
 
     @cached_property

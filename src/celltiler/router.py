@@ -37,7 +37,7 @@ def _bfs_path(lattice: Lattice, src: int, goals: Container[int], forbidden: Iter
                 path.append(src)
                 return path[::-1]
             queue.append(nb)
-    raise ValueError(f"no route from {tuple(lattice.site(src))} to any goal")
+    raise ValueError(f"no route from {tuple(lattice.all_sites[src])} to any goal")
 
 
 def greedy_route(

@@ -29,8 +29,7 @@ from celltiler.circuit import STORAGE, Gate, GateKind, Occupancy, Report, Schedu
 from celltiler.lattice import Site
 from celltiler.tiler import (
     E, L, N, S, YELLOW, MAGENTA,
-    RegisterSpec, build_multiplier_layout, col, col_other, data_corners,
-    fourth, initial_mapping, seat,
+    RegisterSpec, build_multiplier_layout, col, col_other, fourth, initial_mapping, seat,
 )
 
 K = GateKind
@@ -131,11 +130,6 @@ class _Board:
             raise ValueError(f"site {tuple(site)} is outside the used region")
         return label
 
-    def position(self, label: Hashable) -> Site:
-        if label not in self.occ.wire_of:
-            raise ValueError(f"label {label!r} not on the board")
-        return self.occ.wires[self.occ.wire_of[label]]
-
     def _same_queue(self, a: Site, b: Site) -> bool:
         qa = self.queue_of.get(a)
         return qa is not None and qa == self.queue_of.get(b)
@@ -207,7 +201,9 @@ class _Board:
 
     def bubble_to(self, label: Hashable, target: Site) -> None:
         """Walk a label along its queue chain, one storage SWAP per moment."""
-        src = self.position(label)
+        if label not in self.occ.wire_of:
+            raise ValueError(f"label {label!r} not on the board")
+        src = self.occ.wires[self.occ.wire_of[label]]
         if src == target:
             return
         qname = self.queue_of.get(src)
@@ -253,11 +249,6 @@ def _spread(k: int, moments: int) -> list[int]:
     return [k // moments + (i < k % moments) for i in range(moments)]
 
 
-def _shift_target(p: int) -> Site:
-    f = fourth(p)
-    return Site(f.x, f.y, p + 2)
-
-
 def toffoli_step(board: _Board, *, optimize_depth: bool = False) -> None:
     """First multiplier phase: one Toffoli per cube under the shared control.
 
@@ -272,8 +263,7 @@ def toffoli_step(board: _Board, *, optimize_depth: bool = False) -> None:
             f"the depth-optimised Toffoli step needs n >= 3 (its padding SWAPs "
             f"do not fit on a shorter tower), got n={n}"
         )
-    aux_head = Site(col_other(n).x, col_other(n).y, n + 1)
-    hops = [(fourth(n - 1), aux_head), (L(n - 1), L(n)), (L(n), YELLOW(n))]
+    hops = [(fourth(n - 1), col(n + 1)), (L(n - 1), L(n)), (L(n), YELLOW(n))]
     # the plain tail, moment by moment: each control hop with one spacer,
     # then two spacer-only moments of three
     tail = [((hop,), 1) for hop in hops] + [((), 3), ((), 3)]
@@ -286,7 +276,7 @@ def toffoli_step(board: _Board, *, optimize_depth: bool = False) -> None:
     for p in range(n - 1):
         board.fire(L(p), E(p), fourth(p))
         board.moment((L(p), L(p + 1)), spacers=2 + extra[2 * p])
-        board.moment((fourth(p), _shift_target(p)), spacers=1 + extra[2 * p + 1])
+        board.moment((fourth(p), col(p + 2)), spacers=1 + extra[2 * p + 1])
     board.fire(L(n - 1), E(n - 1), fourth(n - 1))
 
     if optimize_depth:
@@ -369,10 +359,8 @@ def ctrl_add_step(board: _Board, j: int) -> None:
 
     # retire the control and pop the finished product bit
     board.bubble_hole_to("yellow", YELLOW(n))
-    head = col(n)
-    board.bubble_hole_to("grey_out", Site(head.x, head.y, n + 1))
-    s0 = seat(0, n)
-    board.moment((L(n - 1), L(n)), (s0, Site(s0.x, s0.y, n + 1)))
+    board.bubble_hole_to("grey_out", col_other(n + 1))
+    board.moment((L(n - 1), L(n)), (seat(0, n), col_other(n + 1)))
     board.moment((L(n), YELLOW(n)))
     board.moment(spacers=1)
 
@@ -440,18 +428,19 @@ def validate_schedule(
     """Replay the schedule checking connectivity and disjoint supports.
 
     Two-qubit gates must join nearest-neighbour sites. Toffoli gates must sit
-    on a cube's data corners (``tile`` rule) or form a connected chain
-    (``chain`` rule, used for the routed baseline). These tests run once per
-    gate object, however often it occurs, and find its sites' integer slots
-    in an :class:`~celltiler.circuit.Occupancy` on the layout's lattice;
-    each occurrence is tested only for overlap within its moment, by
-    stamping its slots with the moment, and replayed if it is a SWAP. The
-    slots stay inside the replay: the report carries every violation, in
-    schedule order and naming sites, and the final logical-to-site mapping.
+    on the ``data_corners`` of one of the layout's placements (``tile`` rule)
+    or form a connected chain (``chain`` rule, used for the routed baseline).
+    These tests run once per gate object, however often it occurs, and find
+    its sites' integer slots in an :class:`~celltiler.circuit.Occupancy` on
+    the layout's lattice; each occurrence is tested only for overlap within
+    its moment, by stamping its slots with the moment, and replayed if it is
+    a SWAP. The slots stay inside the replay: the report carries every
+    violation, in schedule order and naming sites, and the final
+    logical-to-site mapping.
     """
     if toffoli_rule not in ("tile", "chain"):
         raise ValueError(f"unknown toffoli rule {toffoli_rule!r}")
-    corner_sets = [data_corners(p) for p in range(len(layout.placements))]
+    corner_sets = [p.data_corners for p in layout.placements]
     occ = Occupancy(mapping0, layout.lattice)
     slot, swap, wires, swap_kind = occ.slot, occ.swap, occ.wires, K.SWAP
     size = layout.lattice.size  # every site past the lattice has a slot past this

@@ -87,11 +87,6 @@ def cube_orientation(p: int) -> int:
     return _Z180 if p % 2 == 0 else _IDENTITY
 
 
-def data_corners(p: int) -> frozenset[Site]:
-    """The four data-capable corners of cube p (either Z-axis orientation)."""
-    return frozenset((E(p), L(p), S(p + 1), N(p + 1)))
-
-
 def build_multiplier_layout(n: int) -> Layout:
     """Tile n Toffoli cubes into a 2 x 3 x H tower and attach the queues.
 
@@ -115,7 +110,7 @@ def build_multiplier_layout(n: int) -> Layout:
     for z in range(h - 1, n, -1):
         if len(grey) >= n:
             break
-        grey.append(Site(0, 1, z))  # bend over the free ladder top
+        grey.append(L(z))  # bend over the free ladder top
     layout.add_queue("grey_out", grey)
     aux = col_other(n)
     layout.add_queue("grey_aux", [Site(aux.x, aux.y, z) for z in range(n + 1, min(n + 3, h))])

@@ -130,6 +130,15 @@ def test_placement_rotation_preserves_sticks():
         assert all(0 <= s.x <= 1 and 0 <= s.y <= 1 and 0 <= s.z <= 1 for s in coords)
 
 
+@pytest.mark.parametrize("orientation", [-1, 24, True])
+def test_placement_refuses_an_orientation_outside_the_rotation_table(orientation):
+    # the layout records the orientation as given, so no other value may stand for one
+    layout = Layout(grid(2, 3, 8))
+    with pytest.raises(ValueError, match=rf"^orientation must be an int in 0\.\.23, got {orientation}$"):
+        place(layout, toffoli_cube(), Site(0, 0, 0), orientation)
+    assert layout.placements == []
+
+
 def test_queue_sites_belong_to_one_queue():
     layout = Layout(grid(2, 3, 8))
     layout.add_queue("q", [Site(0, 2, 0), Site(0, 2, 1)])

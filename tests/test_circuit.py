@@ -719,7 +719,7 @@ def test_occupancy_swap_twice_restores():
 def test_occupancy_slots_a_lattice_by_index_and_other_wires_after_it():
     lattice = grid(1, 2, 2)
     occ = Occupancy({"a": Site(0, 1, 1), "b": Site(5, 5, 5), "c": "w"}, lattice)
-    assert [occ.slot(s) for s in lattice.sites()] == [0, 1, 2, 3]
+    assert [occ.slot(s) for s in lattice.all_sites] == [0, 1, 2, 3]
     assert occ.wire_of == {"a": 3, "b": 4, "c": 5}
     assert occ.slot(Site(0, 0, 7)) == 6  # a new wire takes the next slot
     # a SWAP may reach a lattice site by its index alone

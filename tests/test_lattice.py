@@ -18,12 +18,6 @@ def test_grid_rejects_bad_dims(dims):
         grid(*dims)
 
 
-def test_dimensionality():
-    assert grid(4, 4).dimensionality == 2
-    assert grid(4, 4, 1).dimensionality == 2
-    assert grid(2, 2, 2).dimensionality == 3
-
-
 def _axis_order_neighbours(lat, s):
     """The in-lattice nearest neighbours of ``s`` in axis order +x, -x, +y,
     -y, +z, -z, bounds-checked against the dimensions."""
@@ -34,11 +28,11 @@ def _axis_order_neighbours(lat, s):
 
 def test_adjacent_basics():
     lat = grid(3, 3, 3)
-    nbs = lat.adjacency[lat.index(Site(0, 0, 0))]
-    assert lat.index(Site(1, 0, 0)) in nbs
-    assert lat.index(Site(1, 1, 0)) not in nbs
-    assert lat.index(Site(0, 0, 0)) not in nbs
-    assert nbs == tuple(lat.index(s) for s in (Site(0, 0, 1), Site(0, 1, 0), Site(1, 0, 0)))
+    nbs = lat.adjacency[lat.index_of[Site(0, 0, 0)]]
+    assert lat.index_of[Site(1, 0, 0)] in nbs
+    assert lat.index_of[Site(1, 1, 0)] not in nbs
+    assert lat.index_of[Site(0, 0, 0)] not in nbs
+    assert nbs == tuple(lat.index_of[s] for s in (Site(0, 0, 1), Site(0, 1, 0), Site(1, 0, 0)))
 
 
 @given(
@@ -49,24 +43,26 @@ def test_adjacency_symmetric(a, b):
     lat = grid(4, 4, 4)
     table = lat.adjacency
     sa, sb = Site(*a), Site(*b)
-    ia, ib = lat.index(sa), lat.index(sb)
+    ia, ib = lat.index_of[sa], lat.index_of[sb]
     assert (ib in table[ia]) == (ia in table[ib]) == (sa.manhattan(sb) == 1)
 
 
 def test_interior_neighbour_counts():
     lat = grid(3, 3, 3)
-    assert len(lat.adjacency[lat.index(Site(1, 1, 1))]) == 6
+    assert len(lat.adjacency[lat.index_of[Site(1, 1, 1)]]) == 6
     lat = grid(3, 3)
-    assert len(lat.adjacency[lat.index(Site(1, 1, 0))]) == 4
+    assert len(lat.adjacency[lat.index_of[Site(1, 1, 0)]]) == 4
 
 
 def _check_index_order_and_adjacency(lat):
-    # index i is the i-th site in ascending Site order; each site's adjacency
-    # holds its sorted axis-order neighbours, mapped to indices by that order
-    order = sorted(lat.sites())
-    assert order == [Site(*c) for c in itertools.product(*map(range, lat.dims))]
-    assert [lat.index(s) for s in order] == list(range(lat.size))
-    assert [lat.site(i) for i in range(lat.size)] == order
+    # site (x, y, z) has the index (x * dy + y) * dz + z, which is its place
+    # in ascending Site order; each site's adjacency holds its sorted
+    # axis-order neighbours, mapped to indices by that order
+    _dx, dy, dz = lat.dims
+    order = sorted(Site(*c) for c in itertools.product(*map(range, lat.dims)))
+    assert [(s.x * dy + s.y) * dz + s.z for s in order] == list(range(lat.size))
+    assert lat.index_of == {s: (s.x * dy + s.y) * dz + s.z for s in order}
+    assert list(lat.all_sites) == order
     assert len(lat.adjacency) == lat.size
     for i, s in enumerate(order):
         assert [order[j] for j in lat.adjacency[i]] == sorted(_axis_order_neighbours(lat, s))

@@ -136,7 +136,7 @@ def test_stacking_comes_from_the_sites():
     # stood upright (x becomes z), the same row of CNOTs is a column of sticks
     planar = grid(3, 3)
     row = [(Site(0, 1), Site(1, 1)), (Site(1, 1), Site(2, 1)), (Site(1, 1), Site(2, 1))]
-    assert planar.dimensionality == 2 and all(s in planar for pair in row for s in pair)
+    assert planar.dz == 1 and all(s in planar for pair in row for s in pair)
     flat = extract_ls(Schedule([[gate("cnot", *pair)] for pair in row]))
     assert (flat.transversal_count, flat.pattern_count) == (0, 3)
     upright = extract_ls(Schedule([[gate("cnot", *(Site(s.y, 0, s.x) for s in pair))] for pair in row]))

@@ -16,7 +16,7 @@ from celltiler.lattice import Site
 from celltiler.lsx import INIT_PLUS, MERGE_SPLIT_LIMIT, MERGE_ZZ, LSInstruction, extract_ls, validate_ls
 from celltiler.scheduler import full_multiplier_schedule, validate_schedule
 from celltiler.sim import assert_equiv, statevector_run
-from celltiler.tiler import RegisterSpec, build_multiplier_layout, data_corners, initial_mapping
+from celltiler.tiler import E, L, N, S, RegisterSpec, build_multiplier_layout, initial_mapping
 from labels import occupied, swap_labels
 
 K = GateKind
@@ -214,7 +214,8 @@ def _replaced(sched: Schedule, mi: int, g: Gate, operands: tuple) -> Schedule:
 
 def test_a_toffoli_target_moved_off_its_cell_is_refused():
     layout, _spec, mapping, sched, _final = _tiled(3)
-    cells = [data_corners(p) for p in range(len(layout.placements))]
+    # each cube's data corners by the tower formula, not by the code under test
+    cells = [frozenset((E(p), L(p), S(p + 1), N(p + 1))) for p in range(len(layout.placements))]
     lattice = layout.lattice
     checked = 0
     for mi, moment in enumerate(sched.moments):
@@ -222,7 +223,7 @@ def test_a_toffoli_target_moved_off_its_cell_is_refused():
             if g.kind is not K.TOFFOLI:
                 continue
             c1, c2, t = g.operands
-            moved = next(s for s in map(lattice.site, lattice.adjacency[lattice.index(t)])
+            moved = next(s for s in (lattice.all_sites[i] for i in lattice.adjacency[lattice.index_of[t]])
                          if s not in (c1, c2) and not any({c1, c2, s} <= cell for cell in cells))
             report = validate_schedule(layout, mapping, _replaced(sched, mi, g, (c1, c2, moved)))
             assert report.violations == [f"moment {mi}: toffoli {sorted(map(tuple, (c1, c2, moved)))} not on a cell"]

@@ -201,7 +201,7 @@ def _sorted_neighbours_bfs(lattice, src, goals, forbidden):
 @st.composite
 def bfs_cases(draw):
     lattice = grid(*draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))))
-    sites = list(lattice.sites())
+    sites = list(lattice.all_sites)
     src = draw(st.sampled_from(sites))
     others = [s for s in sites if s != src]
     goals = draw(st.sets(st.sampled_from(others))) if others else set()
@@ -213,7 +213,7 @@ def bfs_cases(draw):
 def test_bfs_path_matches_the_sorted_neighbours_bfs(case):
     # the router's BFS runs on indices: number the sites in ascending order
     lattice, src, goals, forbidden = case
-    order = sorted(lattice.sites())
+    order = sorted(lattice.all_sites)
     index = {s: i for i, s in enumerate(order)}
 
     def outcome(route):
@@ -286,9 +286,9 @@ class _ReferenceRouter:
             if site in taken:
                 raise ValueError(f"mapping is not injective: two labels start on {site!r}")
             taken.add(site)
-        self.label_at, self.pos = occupied({label: lattice.index(site) for label, site in mapping0.items()})
+        self.label_at, self.pos = occupied({label: lattice.index_of[site] for label, site in mapping0.items()})
         self.adjacency = lattice.adjacency
-        self.sites = tuple(lattice.sites())
+        self.sites = lattice.all_sites
         self.out = Schedule()
 
     def _walk(self, label, goals, locked):
@@ -345,7 +345,7 @@ def routing_cases(draw):
     its labels seated on distinct sites; one label in ten has no seat."""
     dims = draw(st.sampled_from([(3, 3, 1), (4, 4, 1), (2, 3, 2), (3, 3, 2), (2, 2, 3)]))
     lattice = grid(*dims)
-    sites = list(lattice.sites())
+    sites = list(lattice.all_sites)
     seats = draw(st.permutations(sites))[:draw(st.integers(3, len(sites)))]
     labels = [f"q{i}" for i in range(len(seats))]
     mapping = dict(zip(labels, seats))

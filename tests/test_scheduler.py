@@ -7,8 +7,9 @@ from functools import partial
 import pytest
 
 from celltiler import scheduler
+from celltiler.cells import Layout, place, toffoli_cube
 from celltiler.circuit import STORAGE, Gate, GateKind, Schedule, swap_metrics
-from celltiler.lattice import Site
+from celltiler.lattice import Site, grid
 from celltiler.router import greedy_route, logical_multiplier_circuit, routing_mapping
 from celltiler.scheduler import (
     RESET_SWAP_DEPTH,
@@ -23,7 +24,7 @@ from celltiler.scheduler import (
 )
 from celltiler.sim import classical_run
 from celltiler.tiler import (
-    MAGENTA, YELLOW, RegisterSpec, S, build_multiplier_layout, data_corners, initial_mapping,
+    E, L, MAGENTA, N, YELLOW, RegisterSpec, S, build_multiplier_layout, initial_mapping,
 )
 from labels import occupied, swap_labels
 
@@ -119,6 +120,36 @@ def test_validator_flags_toffoli_off_every_cube():
     assert len(report.violations) == 1 and "not on a cell" in report.violations[0]
     ok = _one_gate_report(Gate(K.TOFFOLI, (Site(1, 0, 0), Site(0, 1, 0), Site(1, 1, 1))))
     assert ok.ok
+
+
+def _one_cube_report(*sites):
+    # one cube at (1, 0, 0) in orientation 0 on a 3 x 3 x 2 grid: its data
+    # corners are (2, 0, 0), (1, 1, 0), (1, 0, 1) and the absent (2, 1, 1)
+    layout = place(Layout(grid(3, 3, 2)), toffoli_cube(), Site(1, 0, 0), 0)
+    return validate_schedule(layout, {}, Schedule([[Gate(K.TOFFOLI, sites)]]))
+
+
+def test_the_tile_rule_reads_the_cells_of_the_layout():
+    assert _one_cube_report(Site(2, 0, 0), Site(1, 1, 0), Site(1, 0, 1)).ok
+    assert _one_cube_report(Site(2, 1, 1), Site(1, 1, 0), Site(1, 0, 1)).ok
+
+
+def test_the_tile_rule_refuses_sites_off_the_layouts_cells():
+    # the data corners of the multiplier's cube 0, two of them off this cube
+    report = _one_cube_report(Site(1, 0, 0), Site(0, 1, 0), Site(0, 0, 1))
+    assert report.violations == ["moment 0: toffoli [(0, 0, 1), (0, 1, 0), (1, 0, 0)] not on a cell"]
+
+
+def _tower_corners(p):
+    """Cube p's data corners by the tower formula, written out here so that
+    the references below do not read the code they check."""
+    return frozenset((E(p), L(p), S(p + 1), N(p + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_multiplier_cubes_have_the_tower_data_corners(n):
+    layout = build_multiplier_layout(n)
+    assert [p.data_corners for p in layout.placements] == [_tower_corners(p) for p in range(n)]
 
 
 def test_validator_flags_toffoli_not_chain_adjacent():
@@ -539,7 +570,7 @@ def _reference_replay(layout, mapping0, schedule, toffoli_rule="tile"):
     """A reference replay that redoes every test for every occurrence of a
     gate and moves labels on plain dicts. Returns (violations, final
     mapping)."""
-    corner_sets = [data_corners(p) for p in range(len(layout.placements))]
+    corner_sets = [_tower_corners(p) for p in range(len(layout.placements))]
     label_at, wire_of = occupied(mapping0)
     violations = []
     for mi, moment in enumerate(schedule.moments):

@@ -387,7 +387,7 @@ def mixed_schedules(draw):
     use; a placed name may clash with a label, which both oracles refuse.
     Returns the schedule, ``mapping0``, the validation mapping, the inputs
     and the lane count."""
-    sites = draw(st.lists(st.sampled_from(list(LAYOUT_2.lattice.sites())), min_size=2, max_size=6, unique=True))
+    sites = draw(st.lists(st.sampled_from(list(LAYOUT_2.lattice.all_sites)), min_size=2, max_size=6, unique=True))
     wires = [*sites, OFF_LATTICE, "a", "b", "w"]
     started = draw(st.lists(st.sampled_from(wires), unique=True))
     if draw(st.booleans()):

@@ -33,10 +33,12 @@ decomposition against its reference), lower (``decomp.lower_schedule``),
 extract (``extract_ls``), validate (``validate_ls``), metrics
 (``t_metrics`` and ``swap_metrics``, as the CLI and ``router.compare`` call
 them) and write (the CLI's ``_write``, which makes the JSON text as it
-writes it). ``whole_command``
-is ``cli.main`` timed whole. ``gc_ms`` and the collections per generation
-come from a ``gc.callbacks`` hook. ``ru_maxrss_mb`` is the process's peak
-resident set, so it is per command.
+writes it). Each function is wrapped once, and the wrapper takes the place
+of every reference to it that a celltiler module holds, so a call through
+any importer lands in its stage. ``whole_command`` is ``cli.main`` timed
+whole. ``gc_ms`` and the collections per generation come from a
+``gc.callbacks`` hook. ``ru_maxrss_mb`` is the process's peak resident set,
+so it is per command.
 
 Prints one JSON object: per command and side the median of every stage over
 all timed runs (in ms, to the microsecond, as the pack stage takes a few),
@@ -75,7 +77,7 @@ def _child(argv: list[str]) -> None:
     answering each with one JSON line of its stage times and gc work; at the
     end of stdin, one last line with the artifact's sha256 and the peak RSS."""
     import celltiler.cli as cli
-    from celltiler import decomp, router, scheduler
+    from celltiler import circuit, decomp, lsx, router, scheduler, sim, tiler
 
     spent = dict.fromkeys(STAGES, 0.0)
 
@@ -88,25 +90,31 @@ def _child(argv: list[str]) -> None:
                 spent[stage] += perf_counter() - start
         return wrapper
 
-    for module in (cli, router, scheduler):
-        module.build_multiplier_layout = timed("layout", module.build_multiplier_layout)
-    cli.full_multiplier_schedule = timed("emit", cli.full_multiplier_schedule)
-    router.full_multiplier_schedule = timed("emit", router.full_multiplier_schedule)
-    router.logical_multiplier_circuit = timed("logical", router.logical_multiplier_circuit)
-    router.greedy_route = timed("route", router.greedy_route)
-    cli.validate_schedule = timed("replay", cli.validate_schedule)
-    cli._packed = timed("pack", cli._packed)
-    cli.classical_run = timed("oracle", cli.classical_run)
+    for stage, module, attr in (
+        ("layout", tiler, "build_multiplier_layout"),
+        ("emit", scheduler, "full_multiplier_schedule"),
+        ("logical", router, "logical_multiplier_circuit"),
+        ("route", router, "greedy_route"),
+        ("replay", scheduler, "validate_schedule"),
+        ("pack", cli, "_packed"),
+        ("oracle", sim, "classical_run"),
+        ("equiv", sim, "assert_equiv"),
+        ("lower", decomp, "lower_schedule"),
+        ("extract", lsx, "extract_ls"),
+        ("validate", lsx, "validate_ls"),
+        ("metrics", circuit, "t_metrics"),
+        ("metrics", circuit, "swap_metrics"),
+        ("write", cli, "_write"),
+    ):
+        original = getattr(module, attr)
+        wrapper = timed(stage, original)
+        for name, mod in list(sys.modules.items()):
+            if name == "celltiler" or name.startswith("celltiler."):
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        setattr(mod, key, wrapper)
     for target, (build, *rest) in cli.DECOMPS.items():
         cli.DECOMPS[target] = (timed("build", build), *rest)
-    cli.assert_equiv = timed("equiv", cli.assert_equiv)
-    decomp.lower_schedule = timed("lower", decomp.lower_schedule)
-    cli.extract_ls = timed("extract", cli.extract_ls)
-    cli.validate_ls = timed("validate", cli.validate_ls)
-    cli.t_metrics = timed("metrics", cli.t_metrics)
-    cli.swap_metrics = timed("metrics", cli.swap_metrics)
-    router.swap_metrics = timed("metrics", router.swap_metrics)
-    cli._write = timed("write", cli._write)
 
     collections = [0, 0, 0]
     gc_time = [0.0, 0.0]  # total, start of the running collection
