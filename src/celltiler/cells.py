@@ -19,34 +19,14 @@ ROLE_AND_RESULT = "and_result"
 DATA_ROLES = {ROLE_CONTROL, ROLE_TARGET, ROLE_AND_RESULT}
 
 
-def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def _rotations_3d() -> list[tuple[tuple[int, int, int], ...]]:
-    """The 24 proper rotation matrices of the cube, in a fixed canonical order.
-
-    A matrix is stored as rows; columns are the images of the x and y axes
-    with the z image forced by det = +1.
-    """
-    units = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    out = []
-    for cx in units:
-        for cy in units:
-            if sum(a * b for a, b in zip(cx, cy)) != 0:
-                continue
-            cz = _cross(cx, cy)
-            rows = tuple((cx[i], cy[i], cz[i]) for i in range(3))
-            out.append(rows)
-    assert len(out) == 24
-    return out
-
-
-ROTATIONS_3D = _rotations_3d()
+# The 24 proper rotations of the cube in a fixed order, each stored as rows:
+# its columns are the images cx and cy of the x and y axes, two perpendicular
+# unit vectors, and their cross product, so the determinant is +1.
+ROTATIONS_3D = [
+    tuple(zip(cx, cy, (cx[1] * cy[2] - cx[2] * cy[1], cx[2] * cy[0] - cx[0] * cy[2], cx[0] * cy[1] - cx[1] * cy[0])))
+    for cx, cy in itertools.permutations(((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)), 2)
+    if sum(a * b for a, b in zip(cx, cy)) == 0
+]
 
 
 def _apply_rotation(mat, site: Site) -> tuple[int, int, int]:

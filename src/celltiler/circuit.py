@@ -386,25 +386,23 @@ class DepthPolicy:
     """How gate layers are costed.
 
     ``swap_weight`` may be 1 (native SWAP), 3 (CNOT expansion) or 2 (CNOT pair
-    against a known-|0> target). ``merge_free_singles`` makes H/S/Sdag depth
-    free; ``merge_shared_control`` lets CNOTs sharing only their control wire
-    overlap in time.
+    against a known-|0> target). ``parallel`` makes H/S/Sdag depth free and
+    lets CNOTs sharing only their control wire overlap in time.
     """
 
     swap_weight: int = 1
-    merge_free_singles: bool = False
-    merge_shared_control: bool = False
+    parallel: bool = False
 
     def weight(self, g: Gate) -> int:
         if g.kind is GateKind.SWAP:
             return self.swap_weight
-        if self.merge_free_singles and g.kind in SINGLE_QUBIT_CLIFFORD:
+        if self.parallel and g.kind in SINGLE_QUBIT_CLIFFORD:
             return 0
         return 1
 
 
 POLICIES: dict[str, DepthPolicy] = {
-    "parallel": DepthPolicy(swap_weight=1, merge_free_singles=True, merge_shared_control=True),
+    "parallel": DepthPolicy(swap_weight=1, parallel=True),
     "strict": DepthPolicy(swap_weight=1),
     "swap3": DepthPolicy(swap_weight=3),
     "swap2": DepthPolicy(swap_weight=2),
@@ -416,9 +414,9 @@ def depth(schedule: Schedule, policy: DepthPolicy = POLICIES["strict"]) -> int:
 
     Gates are re-packed as early as the per-wire order from the moment sequence
     allows. Measurements and ``CC_CZ`` gates also keep their order on the
-    record stream, as ``Schedule.append`` keeps it. Under
-    ``merge_shared_control`` a wire acting as CNOT control is read-only:
-    controls of different CNOTs may overlap in time.
+    record stream, as ``Schedule.append`` keeps it. Under a ``parallel``
+    policy a wire acting as CNOT control is read-only: controls of different
+    CNOTs may overlap in time.
     """
     floor: dict = {}  # earliest start for a control-only use
     high: dict = {}  # earliest start for a serializing use
@@ -426,7 +424,7 @@ def depth(schedule: Schedule, policy: DepthPolicy = POLICIES["strict"]) -> int:
     for m in schedule.moments:
         for g in m:
             w = policy.weight(g)
-            fanout = policy.merge_shared_control and g.kind is GateKind.CNOT
+            fanout = policy.parallel and g.kind is GateKind.CNOT
             ops = (*g.operands, _RECORDS) if g.kind.records else g.operands
             start = 0
             for i, q in enumerate(ops):

@@ -174,6 +174,12 @@ def _shared_template(moments: list[list[Gate]]) -> tuple[list[tuple], list[list[
     return rows, [[index[g] for g in m] for m in moments]
 
 
+# the lowering templates, built once; a CCZ's is the Toffoli's without H(t), its only H
+_TOFFOLI = toffoli_tdepth2().moments
+_TOFFOLI_TEMPLATE = _shared_template(_TOFFOLI)
+_CCZ_TEMPLATE = _shared_template([[h for h in m if h.kind is not K.H] for m in _TOFFOLI])
+
+
 def lower_schedule(schedule: Schedule) -> Schedule:
     """Expand Toffoli/CCZ gates to Clifford+T and SWAPs to three CNOTs.
 
@@ -195,9 +201,6 @@ def lower_schedule(schedule: Schedule) -> Schedule:
     for q in schedule.wires():
         if isinstance(q, str) and q.startswith(ANCILLA_PREFIX):
             raise ValueError(f"wire {q!r} takes the reserved ancilla prefix {ANCILLA_PREFIX!r}")
-    toffoli = toffoli_tdepth2().moments
-    tof_template = _shared_template(toffoli)
-    ccz_template = _shared_template([[h for h in m if h.kind is not K.H] for m in toffoli])  # H is only H(t)
     TOFFOLI, CCZ, SWAP, CNOT = K.TOFFOLI, K.CCZ, K.SWAP, K.CNOT  # kinds compared by identity
     triples: dict[int, list[list[Gate]]] = {}  # id of a SWAP gate -> its CNOT moments
     out = Schedule()
@@ -208,7 +211,7 @@ def lower_schedule(schedule: Schedule) -> Schedule:
         for g in moment:
             kind = g.kind
             if kind is TOFFOLI or kind is CCZ:
-                rows, moments = tof_template if kind is TOFFOLI else ccz_template
+                rows, moments = _TOFFOLI_TEMPLATE if kind is TOFFOLI else _CCZ_TEMPLATE
                 names = (*g.operands, f"{ANCILLA_PREFIX}{pool}", f"{ANCILLA_PREFIX}{pool + 1}",
                          f"{ANCILLA_PREFIX}{pool + 2}")
                 pool += 3

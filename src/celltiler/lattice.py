@@ -31,7 +31,7 @@ class Site(_SiteFields):
 
 @dataclass(frozen=True)
 class Lattice:
-    """An open-boundary square/cubic grid of qubit sites.
+    """An open-boundary grid of qubit sites, each dimension at least 1.
 
     Site ``(x, y, z)`` has the index ``(x * dy + y) * dz + z``, so index order
     is ascending ``Site`` order. ``all_sites`` (index to site) and
@@ -42,6 +42,10 @@ class Lattice:
     dx: int
     dy: int
     dz: int = 1
+
+    def __post_init__(self):
+        if self.dx < 1 or self.dy < 1 or self.dz < 1:
+            raise ValueError(f"lattice dimensions must be positive, got {self.dims}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -97,9 +101,5 @@ class Lattice:
         return tuple(table)
 
 
-def grid(dx: int, dy: int, dz: int = 1) -> Lattice:
-    """Build a ``dx * dy * dz`` lattice. ``dz == 1`` yields a 2D lattice."""
-    if dx < 1 or dy < 1 or dz < 1:
-        raise ValueError(f"lattice dimensions must be positive, got ({dx}, {dy}, {dz})")
-    return Lattice(dx, dy, dz)
+grid = Lattice
 

@@ -63,18 +63,17 @@ class LSProgram:
 
         An instruction is written as its separator, the text up to
         ``"instance"``, the instance, the ``kind`` and ``label`` lines and the
-        ``patches`` lines, one piece per name. Cached per call: the text up to
-        ``"instance"`` of an ``int`` condition, keyed by the condition (a
-        ``None`` one is a constant); the ``kind`` and ``label`` lines of ``str``
-        text, keyed by ``(kind, label)``; each ``str`` patch name's text, keyed
-        by the name. A ``bool`` or ``float`` is never a key, as ``1``, ``True``
-        and ``1.0`` are equal but written differently. The instance is written
-        once per run of records that share one instance object."""
+        ``patches`` lines, one piece per name. The text up to ``"instance"`` of
+        a ``None`` condition is a constant. Cached per call: the ``kind`` and
+        ``label`` lines of ``str`` text, keyed by ``(kind, label)``; each
+        ``str`` patch name's text, keyed by the name. A ``bool`` or ``float``
+        is never a key, as ``1``, ``True`` and ``1.0`` are equal but written
+        differently. The instance is written once per run of records that
+        share one instance object."""
 
         def head_of(condition) -> str:
             return f'{{\n        "condition": {json_value(condition, 4)},\n        "instance": '
 
-        heads: dict[int, str] = {}
         middles: dict[tuple, str] = {}
         names: dict[str, str] = {}
         null_head = head_of(None)
@@ -86,10 +85,7 @@ class LSProgram:
             lead = ",\n    "
             sep = "[\n      "
             for kind, patches, instance, label, condition in step:
-                head = null_head if condition is None else (
-                    heads.get(condition) if type(condition) is int else head_of(condition))
-                if head is None:  # an int condition not seen before
-                    head = heads[condition] = head_of(condition)
+                head = null_head if condition is None else head_of(condition)
                 middle = middles.get((kind, label))
                 if middle is None:
                     middle = f',\n        "kind": {json_value(kind, 4)},\n        "label": {json_value(label, 4)},'

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Hashable
 
 from celltiler.cells import Layout, ROTATIONS_3D, place, toffoli_cube
-from celltiler.lattice import Site, grid
+from celltiler.lattice import Lattice, Site
 
 # Column shorthands on the 2 x 3 x H lattice, one cached Site per height. The
 # window of product bits zig-zags between the S and N columns by height parity;
@@ -58,9 +58,9 @@ class RegisterSpec:
     """Logical register labels for an n-bit multiplication."""
 
     n: int
-    a: tuple[str, ...] = field(default=())
-    b: tuple[str, ...] = field(default=())
-    p: tuple[str, ...] = field(default=())
+    a: tuple[str, ...]
+    b: tuple[str, ...]
+    p: tuple[str, ...]
     z: str = "Z"
 
     @classmethod
@@ -99,7 +99,7 @@ def build_multiplier_layout(n: int) -> Layout:
     if h < 2 * n - 1 and n > 1:
         # queues above the tower would overflow; holds for n <= 10
         raise ValueError(f"multiplier schedules are not supported for n={n}")
-    layout = Layout(grid(2, 3, h))
+    layout = Layout(Lattice(2, 3, h))
     tile = toffoli_cube()
     for p in range(n):
         place(layout, tile, Site(0, 0, p), cube_orientation(p))

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import example, given, strategies as st
 
-from celltiler import decomp
+from celltiler import cli, decomp
 from celltiler.circuit import (
     POLICIES,
     STORAGE,
@@ -216,6 +216,26 @@ def test_depth_policies_toffoli_tdepth2_in_range():
 
 def test_depth_and3_parallel_policy():
     assert depth(decomp.and_3anc(), POLICIES["parallel"]) == 7
+
+
+# depth under parallel, strict, swap3 and swap2; no circuit here holds a SWAP
+DEPTHS = {
+    "ccz_tdepth1": (7, 11, 11, 11),
+    "toffoli_tdepth2": (8, 9, 9, 9),
+    "toffoli_mb": (10, 14, 14, 14),
+    "controlled_s": (5, 5, 5, 5),
+    "and_4anc": (7, 10, 10, 10),
+    "and_3anc": (7, 9, 9, 9),
+    "toffoli_cube_circuit": (7, 13, 13, 13),
+}
+
+
+@pytest.mark.parametrize("name", DEPTHS)
+def test_depth_of_each_decomposition_under_each_policy(name):
+    build = decomp.toffoli_cube_circuit if name == "toffoli_cube_circuit" else cli.DECOMPS[name][0]
+    sched = build()
+    got = tuple(depth(sched, POLICIES[p]) for p in ("parallel", "strict", "swap3", "swap2"))
+    assert got == DEPTHS[name]
 
 
 def test_depth_waits_on_the_record_stream():

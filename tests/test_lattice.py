@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from celltiler.lattice import Site, grid
+from celltiler.lattice import Lattice, Site, grid
 
 
 def test_grid_sizes():
@@ -16,6 +16,15 @@ def test_grid_sizes():
 def test_grid_rejects_bad_dims(dims):
     with pytest.raises(ValueError):
         grid(*dims)
+
+
+@pytest.mark.parametrize("dims, text", [
+    ((2, 3, -1), "(2, 3, -1)"), ((0, 3, 2), "(0, 3, 2)"), ((2, 0), "(2, 0, 1)"),
+])
+def test_lattice_checks_its_own_dims(dims, text):
+    with pytest.raises(ValueError) as err:
+        Lattice(*dims)
+    assert str(err.value) == f"lattice dimensions must be positive, got {text}"
 
 
 def _axis_order_neighbours(lat, s):

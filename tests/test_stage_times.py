@@ -1,5 +1,6 @@
 """Smoke runs of ``tools/stage_times.py``: one paired run of a small command each."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -22,7 +23,27 @@ def paired_row(command: str) -> dict:
          "--procs", "1", "--runs", "1", "--command", command],
         capture_output=True, text=True, check=True, timeout=120,
     )
-    return json.loads(result.stdout)[command]
+    row = json.loads(result.stdout)[command]
+    # every stage the change spends time in has a ratio and the quartiles
+    # around it, which one pair gives as the ratio itself
+    spent = {k for k, ms in row["change"]["ms"].items() if ms > 0}
+    assert spent <= set(row["parent_over_change"]) == set(row["parent_over_change_quartiles"])
+    for k, (lo, hi) in row["parent_over_change_quartiles"].items():
+        assert lo == row["parent_over_change"][k] == hi, k
+    return row
+
+
+def test_ratio_quartiles_spread_over_the_pairs():
+    # three process pairs of two timed runs: six ratios 1..6 on one stage
+    spec = importlib.util.spec_from_file_location("stage_times", ROOT / "tools" / "stage_times.py")
+    stage_times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stage_times)
+    zero = dict.fromkeys((*STAGES, "whole_command"), 0.0)
+    parent = [{"samples": [zero | {"emit": 2.0 * i + 1}, zero | {"emit": 2.0 * i + 2}]} for i in range(3)]
+    change = [{"samples": [zero | {"emit": 1.0}] * 2} for _ in range(3)]
+    mid, spread = stage_times._ratios(parent, change)
+    assert mid == {"emit": 3.5}
+    assert spread == {"emit": [2.25, 4.75]}
 
 
 def test_stage_times_reports_every_stage_for_both_sides():

@@ -110,6 +110,13 @@ def test_register_spec_rejects_zero_width():
         RegisterSpec.for_width(0)
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"a": ("A0",), "b": ("B0",)}])
+def test_register_spec_needs_its_registers(kwargs):
+    # a spec without registers would reach initial_mapping and die on an index
+    with pytest.raises(TypeError):
+        RegisterSpec(1, **kwargs)
+
+
 def test_layout_rejects_widths_whose_queues_overflow():
     with pytest.raises(ValueError, match="^multiplier schedules are not supported for n=11$"):
         build_multiplier_layout(11)

@@ -3,7 +3,7 @@ checkouts side by side.
 
 Run from anywhere, naming the ``src`` directory of each checkout:
 
-    python tools/stage_times.py PARENT_SRC CHANGE_SRC [--procs 4] [--runs 5] \
+    python tools/stage_times.py PARENT_SRC CHANGE_SRC [--procs 6] [--runs 5] \
         [--command "ls 10 3d --out"] [--command "schedule 10 --lower-clifford-t --out"]
 
 Without ``--command`` it times ``ls 10 3d --out``, ``schedule 10
@@ -46,7 +46,10 @@ the median ``ru_maxrss_mb`` over the processes, and the sha256 of the
 written artifact, or of the last run's stdout for a command without
 ``--out`` (one value per side, or a list if processes differ);
 per command, ``parent_over_change`` is the median over the timed pairs of
-parent time over change time, for every stage the change spends time in.
+parent time over change time, for every stage the change spends time in, and
+``parent_over_change_quartiles`` the lower and upper quartile of those
+per-pair ratios (inclusive method; both are the ratio itself for one pair),
+so a median can be read against the spread of the runs behind it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from statistics import median
+from statistics import median, quantiles
 from time import perf_counter
 
 STAGES = (
@@ -213,22 +216,25 @@ def _summary(results: list[dict]) -> dict:
     }
 
 
-def _ratios(parent: list[dict], change: list[dict]) -> dict:
-    """Median over the timed pairs of parent time over change time, per stage."""
+def _ratios(parent: list[dict], change: list[dict]) -> tuple[dict, dict]:
+    """Per stage, the median over the timed pairs of parent time over change
+    time, and the lower and upper quartile of those ratios."""
     pairs = [(p["samples"], c["samples"]) for p, c in zip(parent, change)]
-    out = {}
+    mid, spread = {}, {}
     for k in (*STAGES, "whole_command"):
         ratios = [a[k] / b[k] for ps, cs in pairs for a, b in zip(ps, cs) if b[k] > 0]
         if ratios:
-            out[k] = round(median(ratios), 2)
-    return out
+            mid[k] = round(median(ratios), 2)
+            lo, _, hi = quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+            spread[k] = [round(lo, 2), round(hi, 2)]
+    return mid, spread
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", nargs="?")
     parser.add_argument("change_src", nargs="?")
-    parser.add_argument("--procs", type=int, default=4, help="process pairs per command")
+    parser.add_argument("--procs", type=int, default=6, help="process pairs per command")
     parser.add_argument("--runs", type=int, default=5, help="timed runs per process")
     parser.add_argument("--command", action="append", help="a CLI command; repeat for several")
     parser.add_argument("--child", help=argparse.SUPPRESS)
@@ -245,8 +251,9 @@ def main() -> int:
         for i in range(args.procs):
             for side, r in _paired(sides, command, args.runs, i % 2 == 0).items():
                 results[side].append(r)
-        report[command] = {side: _summary(r) for side, r in results.items()}
-        report[command]["parent_over_change"] = _ratios(results["parent"], results["change"])
+        mid, spread = _ratios(results["parent"], results["change"])
+        report[command] = {side: _summary(r) for side, r in results.items()} | {
+            "parent_over_change": mid, "parent_over_change_quartiles": spread}
     json.dump(report, sys.stdout, indent=1)
     print()
     return 0
