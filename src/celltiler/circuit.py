@@ -293,18 +293,15 @@ class Schedule:
 
     @classmethod
     def from_json(cls, text: str) -> "Schedule":
+        """The schedule ``to_json`` wrote; a malformed payload raises ``ValueError``."""
         payload = json.loads(text)
         sched = cls()
-        for m in payload["moments"]:
-            sched.extend_moment(
-                Gate(
-                    GateKind(item["kind"]),
-                    tuple(cls._decode_operand(v) for v in item["operands"]),
-                    item.get("condition"),
-                    frozenset(item.get("tags", ())),
-                )
-                for item in m
-            )
+        try:  # a missing key or a value of the wrong type raises KeyError or TypeError
+            for m in payload["moments"]:
+                sched.extend_moment(Gate(GateKind(item["kind"]), tuple(map(cls._decode_operand, item["operands"])),
+                                         item.get("condition"), frozenset(item.get("tags", ()))) for item in m)
+        except (KeyError, TypeError) as e:
+            raise ValueError(f"malformed schedule JSON: {e!r}") from e
         return sched
 
 

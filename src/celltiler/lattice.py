@@ -31,7 +31,8 @@ class Site(_SiteFields):
 
 @dataclass(frozen=True)
 class Lattice:
-    """An open-boundary grid of qubit sites, each dimension at least 1.
+    """An open-boundary grid of qubit sites, each dimension an exact ``int``
+    (``operator.index``, as ``Site``) of at least 1.
 
     Site ``(x, y, z)`` has the index ``(x * dy + y) * dz + z``, so index order
     is ascending ``Site`` order. ``all_sites`` (index to site) and
@@ -44,6 +45,8 @@ class Lattice:
     dz: int = 1
 
     def __post_init__(self):
+        for name in ("dx", "dy", "dz"):  # exact ints, as Site's coordinates
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.dx < 1 or self.dy < 1 or self.dz < 1:
             raise ValueError(f"lattice dimensions must be positive, got {self.dims}")
 
@@ -75,30 +78,13 @@ class Lattice:
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Per site index, the indices of its in-lattice nearest neighbours in
-        ascending order: -x, -y, -z, +z, +y, +x."""
-        dx, dy, dz = self.dims
-        sx = dy * dz
-        table = []
-        i = 0
-        for x in range(dx):
-            for y in range(dy):
-                for z in range(dz):
-                    nbs = []
-                    if x:
-                        nbs.append(i - sx)
-                    if y:
-                        nbs.append(i - dz)
-                    if z:
-                        nbs.append(i - 1)
-                    if z < dz - 1:
-                        nbs.append(i + 1)
-                    if y < dy - 1:
-                        nbs.append(i + dz)
-                    if x < dx - 1:
-                        nbs.append(i + sx)
-                    table.append(tuple(nbs))
-                    i += 1
-        return tuple(table)
+        ascending order: -x, -y, -z, +z, +y, +x. A unit step ``d`` along an
+        axis is taken where the coordinate plus ``d`` stays in range, and adds
+        ``d`` times the axis's stride to the index."""
+        dims, stride = self.dims, (self.dy * self.dz, self.dz, 1)
+        units = ((0, -1), (1, -1), (2, -1), (2, 1), (1, 1), (0, 1))  # (axis, d) in ascending index order
+        return tuple(tuple([i + d * stride[a] for a, d in units if 0 <= site[a] + d < dims[a]])
+                     for i, site in enumerate(self.all_sites))
 
 
 grid = Lattice

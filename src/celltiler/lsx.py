@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterator, NamedTuple
 
@@ -124,15 +123,17 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
 
     Each instance takes the first step where both its patches have capacity:
     ``MERGE_SPLIT_LIMIT`` pattern uses, or apart from those
-    ``TRANSVERSAL_LIMIT`` transversal ones, per patch and step. A patch keeps
-    one mask per limit of the steps it may not take, and the step is the
-    count of trailing ones of the two masks' union. That step can come
-    before an earlier, non-commuting instance on a shared patch, so steps
-    are not yet a depth. A T or Tdag takes the step after its patch's latest
-    and sets every step up to it in both masks. Riding ops (``RIDING_OPS``)
-    take no step time: each joins the latest step that uses its patch so far
-    (step 0 if none). A step's list is its execution order, so a riding op
-    acts after the instructions listed before it and before those after it.
+    ``TRANSVERSAL_LIMIT`` transversal ones, per patch and step. Per limit a
+    patch keeps one step mask per level k < limit, of the steps where it has
+    more than k uses; a use sets its step in the lowest level lacking it, and
+    the step is the count of trailing ones of the two last levels' union. That
+    step can come before an earlier, non-commuting instance on a shared patch,
+    so steps are not yet a depth. A T or Tdag takes the step after its patch's
+    latest and sets every step up to it in both last levels. Riding ops
+    (``RIDING_OPS``) take no step time: each joins the latest step that uses
+    its patch so far (step 0 if none). A step's list is its execution order,
+    so a riding op acts after the instructions listed before it and before
+    those after it.
 
     A patch's first two-patch use sets its boundary: z for a control or a CZ
     operand, x for a CNOT target. A later use that needs the other boundary
@@ -148,11 +149,8 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
     program = LSProgram()
     steps = program.steps
     last_step: dict[str, int] = {}  # per patch: the latest step that uses it
-    # indexed by transversal?, then patch: the uses per step, and the mask of
-    # the steps a new instance may not take
-    use: tuple[dict, dict] = (defaultdict(dict), defaultdict(dict))
-    full: tuple[dict[str, int], dict[str, int]] = ({}, {})
-    limits = (MERGE_SPLIT_LIMIT, TRANSVERSAL_LIMIT)
+    # indexed by transversal?, then level k, then patch: the steps with more than k uses
+    levels = tuple([{} for _ in range(limit)] for limit in (MERGE_SPLIT_LIMIT, TRANSVERSAL_LIMIT))
     anc_used: dict[int, int] = {}  # per step: the patterns placed in it
     anc_names: list[str] = []  # per ancilla patch: its name, made once
     orientation: dict[str, str] = {}  # per patch: the boundary it presents
@@ -172,20 +170,20 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
         return entry
 
     def place(a: str, b: str, transversal: bool) -> int:
-        """The first step free in both patches' masks; each patch's use count
-        there grows by one, and one reaching its limit sets that step's bit."""
-        masks = full[transversal]
-        busy = masks.get(a, 0) | masks.get(b, 0)
+        """The first step free in both patches' last levels; each patch's use
+        there sets the step's bit in its lowest level that lacks it."""
+        stack = levels[transversal]
+        busy = stack[-1].get(a, 0) | stack[-1].get(b, 0)
         s = (busy ^ (busy + 1)).bit_length() - 1
         while len(steps) <= s:
             steps.append([])
-        limit = limits[transversal]
-        uses = use[transversal]
+        bit = 1 << s
         for p in a, b:
-            counts = uses[p]
-            counts[s] = count = counts.get(s, 0) + 1
-            if count >= limit:
-                masks[p] = masks.get(p, 0) | 1 << s
+            for level in stack:
+                mask = level.get(p, 0)
+                if not mask & bit:
+                    level[p] = mask | bit
+                    break
             if s > last_step.get(p, -1):
                 last_step[p] = s
         return s
@@ -237,7 +235,7 @@ def extract_ls(schedule: Schedule, site_map: dict[Hashable, Site] | None = None)
                         orientation[p] = "x" if orientation[p] == "z" else "z"
                 else:
                     s = last_step[p] = last_step.get(p, -1) + 1  # no mask bit lies above s
-                    full[0][p] = full[1][p] = (2 << s) - 1
+                    levels[0][-1][p] = levels[1][-1][p] = (2 << s) - 1
                 while len(steps) <= s:
                     steps.append([])
                 steps[s].append(new(record, (OP, (p,), 0, name, None)))

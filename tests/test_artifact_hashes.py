@@ -11,6 +11,7 @@ from test_lsx import GOLDEN
 from celltiler.cli import DECOMPS
 from celltiler.router import compare, compare_csv
 from celltiler.scheduler import full_multiplier_schedule
+from celltiler.tiler import RegisterSpec, build_multiplier_layout, initial_mapping
 
 ROOT = Path(__file__).resolve().parents[1]
 # the refused requests, in the tool's order, with their exit codes
@@ -29,8 +30,9 @@ def test_artifact_hashes_match_the_pins():
     widths = [f"multiplier {n}{depth}" for n in range(1, 11)
               for depth in (["", " optimize_toffoli_depth"] if n >= 3 else [""])]
     decompositions = [f"decomposition {name}" for name in [*DECOMPS, "toffoli_cube"]]
+    layouts = [f"layout {n}" for n in range(1, 11)]
     refused = [f"refused {request}" for request in REFUSED_EXITS]
-    assert list(hashes) == [*widths, *decompositions, "compare 2 10", *refused]
+    assert list(hashes) == [*widths, *layouts, *decompositions, "compare 2 10", *refused]
     assert all(hashes[key]["ls_ok"] is True for key in widths)
     # the tiled, lowered and LS digests that tests/test_lsx.py pins
     for n, pinned in GOLDEN.items():
@@ -39,6 +41,14 @@ def test_artifact_hashes_match_the_pins():
     _, final = full_multiplier_schedule(4, optimize_toffoli_depth=True)
     text = json.dumps({str(label): list(site) for label, site in final.items()}, sort_keys=True)
     assert hashes["multiplier 4 optimize_toffoli_depth"]["final_mapping"] == hashlib.sha256(text.encode()).hexdigest()
+    # the layout file is what json.dumps writes for the layout payload
+    layout = build_multiplier_layout(3)
+    mapping = initial_mapping(layout, RegisterSpec.for_width(3))
+    payload = layout.payload() | {"mapping": {str(label): site for label, site in mapping.items()}}
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    stdout = "36 qubits, usage 26/36, effectiveness 9/36\nlayout written to layout.json\n"
+    assert hashes["layout 3"] == {"file": hashlib.sha256(text.encode()).hexdigest(),
+                                  "stdout": hashlib.sha256(stdout.encode()).hexdigest()}
     csv = compare_csv(compare(range(2, 11)))
     assert hashes["compare 2 10"] == hashlib.sha256(csv.encode()).hexdigest()
     # a refusal prints nothing on stdout and its message on stderr

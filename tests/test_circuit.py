@@ -308,6 +308,27 @@ def test_json_roundtrip_sites():
     assert sched.to_json() == again.to_json()
 
 
+@pytest.mark.parametrize("text", [
+    "[1]",
+    json.dumps({"moments": [[{"kind": "h", "condition": None, "tags": []}]]}),
+    json.dumps({"moments": [[{"kind": "h", "operands": ["a"], "condition": None, "tags": 5}]]}),
+], ids=["not an object", "no operands", "int tags"])
+def test_from_json_refuses_a_malformed_payload(text):
+    with pytest.raises(ValueError, match="^malformed schedule JSON: "):
+        Schedule.from_json(text)
+
+
+@pytest.mark.parametrize("n", [4, 10])
+def test_json_roundtrip_multiplier_artifacts(n):
+    # write, read, write: the tiled and the lowered multiplier read back to the same text
+    from celltiler.scheduler import full_multiplier_schedule
+
+    sched, _ = full_multiplier_schedule(n)
+    for s in sched, decomp.lower_schedule(sched):
+        text = s.to_json()
+        assert Schedule.from_json(text).to_json() == text
+
+
 # --- packing against the linear-scan oracle ------------------------------
 
 WIRES = ("q0", "q1", "q2", "q3", Site(0, 0, 0), Site(0, 0, 1))

@@ -27,6 +27,16 @@ def test_lattice_checks_its_own_dims(dims, text):
     assert str(err.value) == f"lattice dimensions must be positive, got {text}"
 
 
+def test_lattice_takes_only_exact_int_dims():
+    # as Site's coordinates: a bool becomes its int, a float or str never builds
+    lat = Lattice(True, 3)
+    assert lat.dims == (1, 3, 1) and all(type(d) is int for d in lat.dims)
+    assert lat == Lattice(1, 3) and lat.adjacency == Lattice(1, 3).adjacency
+    for dims in [(2.0, 3), ("2", 3), (2, 3, 1.0)]:
+        with pytest.raises(TypeError):
+            Lattice(*dims)
+
+
 def _axis_order_neighbours(lat, s):
     """The in-lattice nearest neighbours of ``s`` in axis order +x, -x, +y,
     -y, +z, -z, bounds-checked against the dimensions."""

@@ -8,11 +8,14 @@ For each width n = 1..10 and each legal ``optimize_toffoli_depth``
 (``True`` needs n >= 3) it hashes the tiled schedule's JSON, the final
 mapping (sorted JSON ``{label: [x, y, z]}``), the lowered schedule's JSON
 and the LS program's JSON, and records whether ``validate_ls`` passes. For
-each decomposition the ``verify`` command knows, and for the cube Toffoli
-on its cell's sites, it hashes the circuit's JSON and its LS program's JSON.
-Then comes the ``compare`` CSV for widths 2..10. Last, each request of
-:data:`REFUSED` runs through ``celltiler.cli.main`` in-process, and its exit
-code and the sha256 of its stdout and of its stderr are recorded.
+n = 1..10 it runs ``build n --out layout.json`` through
+``celltiler.cli.main`` in-process, in a temporary directory, and hashes the
+written layout file and the stdout. For each decomposition the ``verify``
+command knows, and for the cube Toffoli on its cell's sites, it hashes the
+circuit's JSON and its LS program's JSON. Then comes the ``compare`` CSV
+for widths 2..10. Last, each request of :data:`REFUSED` runs through
+``celltiler.cli.main`` in-process, and its exit code and the sha256 of its
+stdout and of its stderr are recorded.
 
 Two checkouts build the same artifacts exactly when they print the same
 object, so ``diff`` of two runs shows a refactor kept every artifact
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 
 # invalid requests: each is refused, with exit 1 or 2
 REFUSED = [
@@ -61,6 +65,12 @@ def artifact_hashes() -> dict:
                 "ls": sha(program.to_json()),
                 "ls_ok": validate_ls(program).ok,
             }
+    for n in range(1, 11):
+        stdout = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp), contextlib.redirect_stdout(stdout):
+            main(["build", str(n), "--out", "layout.json"])
+            with open("layout.json") as f:
+                out[f"layout {n}"] = {"file": sha(f.read()), "stdout": sha(stdout.getvalue())}
     circuits = {name: (build(), None) for name, (build, *_) in DECOMPS.items()}
     circuits["toffoli_cube"] = decomp.toffoli_cube_circuit(), {w: v for w, v, _ in toffoli_cube().vertices}
     for name, (circ, site_map) in circuits.items():
